@@ -1,12 +1,26 @@
 """Interact-mesh construction: Delaunay tetrahedra over agent joints and
 object vertices, with per-tetrahedron Laplacian coordinates.
 
-The tetrahedralizer is an incremental Bowyer-Watson with a super-tetrahedron.
-In-sphere tests run on cached circumcenters/radii in double precision; after
-stripping the super vertices the result is self-checked (no input point
-strictly inside any surviving circumsphere at 1e-9 relative, no super vertex
-inside either) and rebuilt with a larger super-tetrahedron if the check fails.
+The tetrahedralizer is an incremental Bowyer-Watson (Bowyer 1981, Watson
+1981) with a super-tetrahedron. Cells live in preallocated arrays with an
+alive mask. Inserting a point kills the cells whose circumsphere holds it
+(the cavity) and joins the cavity's boundary faces, counted in a small dict
+over the cavity cells, to the new point; the new cells take the freed slots,
+and only they get circumspheres and point-at-infinity planes computed. The
+in-sphere tests run on those cached circumcenters/radii in double precision.
+After stripping the super vertices the result is self-checked (no input
+point strictly inside any surviving circumsphere at 1e-9 relative, boundary
+faces on the convex hull) and rebuilt with a larger super-tetrahedron if the
+check fails. The checks work on (tetrahedra x points) blocks of bounded size.
 Exact-arithmetic predicates are out of scope at this point-count scale.
+
+Motion is smooth, so a frame's Delaunay topology usually still holds at the
+next frame. delaunay3d takes the previous result as a hint and returns it when
+it passes the same self-checks on the new coordinates, which certifies it as
+a Delaunay tetrahedralization of them; otherwise it builds afresh. Where the
+Delaunay tetrahedralization is unique the two agree. build_frame_meshes
+hands each frame's full topology to the next while the gated point set is
+unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +36,9 @@ DUPLICATE_TOL = 1e-12
 COPLANAR_TOL = 1e-9
 INSPHERE_REL_TOL = 1e-9
 DEGENERATE_VOLUME = 1e-9  # m^3
+# the four faces of a tetrahedron (a, b, c, d), as corner positions
+_FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+_CHECK_BLOCK = 1 << 13  # elements per (rows x points) temporary in the checks
 
 AGENT_A = "A"
 AGENT_B = "B"
@@ -82,20 +99,48 @@ def _circumspheres(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centers, rad2
 
 
+def _extent(points: np.ndarray) -> float:
+    return float(np.max(points.max(axis=0) - points.min(axis=0)))
+
+
+def _row_blocks(rows: int, cols: int):
+    """Slices over rows that keep a (rows x cols) temporary near _CHECK_BLOCK elements."""
+    step = max(1, _CHECK_BLOCK // max(cols, 1))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances.
+
+    Summed axis by axis in x, y, z order, the order np.linalg.norm(axis=1)
+    sums in, so the checks see the distances a per-row norm would give.
+    """
+    out = np.zeros((len(a), len(b)))
+    diff = np.empty_like(out)
+    for axis in range(3):
+        np.subtract(a[:, axis, None], b[None, :, axis], out=diff)
+        diff *= diff
+        out += diff
+    return out
+
+
 def _merge_duplicates(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse points closer than DUPLICATE_TOL; returns (unique, original index map)."""
-    keep: list[int] = []
-    for i in range(len(points)):
-        dup = False
-        for k in keep:
-            if np.linalg.norm(points[i] - points[k]) < DUPLICATE_TOL:
-                dup = True
-                break
-        if not dup:
-            keep.append(i)
-    if len(keep) != len(points):
-        warnings.warn(f"merged {len(points) - len(keep)} duplicate point(s)", stacklevel=3)
-    return points[keep], np.asarray(keep, dtype=int)
+    """Collapse points closer than DUPLICATE_TOL; returns (unique, original index map).
+
+    Greedy in input order: a point is dropped when it lies within the
+    tolerance of an earlier point that was kept.
+    """
+    n = len(points)
+    keep = np.ones(n, dtype=bool)
+    for rows in _row_blocks(n, n):
+        index = np.arange(n)[rows]
+        close = _sq_distances(points[rows], points) < DUPLICATE_TOL**2
+        close &= np.arange(n)[None, :] < index[:, None]
+        for r in np.nonzero(close.any(axis=1))[0]:
+            keep[index[r]] = not np.any(close[r] & keep)
+    if not np.all(keep):
+        warnings.warn(f"merged {n - np.count_nonzero(keep)} duplicate point(s)", stacklevel=3)
+    return points[keep], np.nonzero(keep)[0]
 
 
 def _super_tetrahedron(points: np.ndarray, margin: float) -> np.ndarray:
@@ -106,14 +151,9 @@ def _super_tetrahedron(points: np.ndarray, margin: float) -> np.ndarray:
     return center + dirs * (3.0 * margin * radius)
 
 
-def _tet_faces(tet) -> tuple[tuple[int, int, int], ...]:
-    a, b, c, d = tet
-    return (
-        tuple(sorted((a, b, c))),
-        tuple(sorted((a, b, d))),
-        tuple(sorted((a, c, d))),
-        tuple(sorted((b, c, d))),
-    )
+def _sorted_faces(tets: np.ndarray) -> np.ndarray:
+    """(4 M, 3) faces of (M, 4) tetrahedra, each face's indices ascending."""
+    return np.sort(tets[:, _FACES], axis=2).reshape(-1, 3)
 
 
 def _circumcircle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -130,7 +170,12 @@ def _circumcircle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarr
 
 
 class _TetStore:
-    """Tetrahedra plus the data their in-sphere predicate needs.
+    """Tetrahedra in preallocated arrays, plus the data their in-sphere
+    predicate needs, computed once when a cell is created.
+
+    Slots [0, size) are in use; `alive` marks the cells of the current
+    triangulation. An insertion kills its cavity and writes the new cells
+    into the freed slots first, so the arrays hardly grow.
 
     Cells with exactly one super vertex use the point-at-infinity predicate:
     a point is inside the (limit) circumsphere iff it lies strictly on the
@@ -140,46 +185,74 @@ class _TetStore:
     finite super vertices actually sit.
     """
 
-    def __init__(self, coords: np.ndarray, n_input: int, tets: list[tuple[int, int, int, int]]):
+    def __init__(self, coords: np.ndarray, n_input: int, capacity: int):
         self.coords = coords
         self.n_input = n_input
-        self.tets = tets
-        arr = np.asarray(tets)
-        self.centers, self.rad2 = _circumspheres(coords[arr])
-        self.sym = np.zeros(len(tets), dtype=bool)
-        self.normals = np.zeros((len(tets), 3))
-        self.base = np.zeros(len(tets), dtype=int)
-        self.faces: list[tuple[int, int, int] | None] = [None] * len(tets)
-        for k, tet in enumerate(tets):
-            sup = [v for v in tet if v >= n_input]
-            if len(sup) != 1:
-                continue
-            fin = [v for v in tet if v < n_input]
-            a, b, c = (coords[v] for v in fin)
-            normal = np.cross(b - a, c - a)
-            if normal @ (coords[sup[0]] - a) < 0:
-                fin = [fin[0], fin[2], fin[1]]
-                normal = -normal
-            self.sym[k] = True
-            self.normals[k] = normal
-            self.base[k] = fin[0]
-            self.faces[k] = tuple(fin)
+        self.size = 0
+        self.tets = np.zeros((capacity, 4), dtype=int)
+        self.alive = np.zeros(capacity, dtype=bool)
+        self.centers = np.zeros((capacity, 3))
+        self.rad2 = np.zeros(capacity)
+        self.sym = np.zeros(capacity, dtype=bool)
+        self.normals = np.zeros((capacity, 3))  # super-side normal of the finite face
+        self.faces = np.zeros((capacity, 3), dtype=int)  # finite face, oriented along normals
+
+    def _grow(self, size: int) -> None:
+        capacity = len(self.alive)
+        if size <= capacity:
+            return
+        capacity = max(size, 2 * capacity)
+        for name in ("tets", "alive", "centers", "rad2", "sym", "normals", "faces"):
+            old = getattr(self, name)
+            new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[: len(old)] = old
+            setattr(self, name, new)
+
+    def refill(self, cavity: np.ndarray, new: np.ndarray) -> None:
+        """Kill the cavity's cells and store the new ones, freed slots first."""
+        self.alive[cavity] = False
+        extra = len(new) - len(cavity)
+        if extra > 0:
+            self._grow(self.size + extra)
+            slots = np.concatenate([cavity, np.arange(self.size, self.size + extra)])
+            self.size += extra
+        else:
+            slots = cavity[: len(new)]
+        self.tets[slots] = new
+        self.alive[slots] = True
+        self.centers[slots], self.rad2[slots] = _circumspheres(self.coords[new])
+        is_super = new >= self.n_input
+        sym = np.count_nonzero(is_super, axis=1) == 1
+        self.sym[slots] = sym
+        if not np.any(sym):
+            return
+        # the finite vertices in cell order, then the super vertex
+        order = np.argsort(is_super[sym], axis=1, kind="stable")
+        cells = np.take_along_axis(new[sym], order, axis=1)
+        fin, sup = cells[:, :3], cells[:, 3]
+        a, b, c = (self.coords[fin[:, k]] for k in range(3))
+        normal = np.cross(b - a, c - a)
+        flip = np.einsum("kj,kj->k", normal, self.coords[sup] - a) < 0
+        fin[flip] = fin[flip][:, [0, 2, 1]]
+        normal[flip] = -normal[flip]
+        self.normals[slots[sym]] = normal
+        self.faces[slots[sym]] = fin
 
     def inside(self, p: np.ndarray) -> np.ndarray:
         # Ties (cospherical/cocircular within round-off) count as inside, so
         # the newest point consistently re-triangulates degenerate shells
         # instead of leaving contradictory diagonals behind.
-        out = np.zeros(len(self.tets), dtype=bool)
-        num = ~self.sym
-        diff = self.centers[num] - p
-        out[num] = np.einsum("kj,kj->k", diff, diff) <= self.rad2[num] * (1.0 + 1e-12)
-        sym_idx = np.nonzero(self.sym)[0]
+        m = self.size
+        alive, sym = self.alive[:m], self.sym[:m]
+        diff = self.centers[:m] - p
+        out = np.einsum("kj,kj->k", diff, diff) <= self.rad2[:m] * (1.0 + 1e-12)
+        out &= alive & ~sym
+        sym_idx = np.nonzero(alive & sym)[0]
         if len(sym_idx):
-            d = p - self.coords[self.base[sym_idx]]
-            val = np.einsum("kj,kj->k", self.normals[sym_idx], d)
-            scale = np.linalg.norm(self.normals[sym_idx], axis=1) * (
-                np.linalg.norm(d, axis=1) + 1e-30
-            )
+            normals = self.normals[sym_idx]
+            d = p - self.coords[self.faces[sym_idx, 0]]
+            val = np.einsum("kj,kj->k", normals, d)
+            scale = np.linalg.norm(normals, axis=1) * (np.linalg.norm(d, axis=1) + 1e-30)
             tol = 1e-12 * scale
             out[sym_idx] = val > tol
             for k in sym_idx[np.abs(val) <= tol]:
@@ -191,53 +264,42 @@ class _TetStore:
                 )
         return out
 
-    def replace(self, bad: np.ndarray, new_tets: list[tuple[int, int, int, int]]) -> "_TetStore":
-        keep = np.ones(len(self.tets), dtype=bool)
-        keep[bad] = False
-        kept = [t for t, k in zip(self.tets, keep) if k]
-        fresh = _TetStore(self.coords, self.n_input, new_tets)
-        merged = _TetStore.__new__(_TetStore)
-        merged.coords = self.coords
-        merged.n_input = self.n_input
-        merged.tets = kept + new_tets
-        merged.centers = np.vstack([self.centers[keep], fresh.centers])
-        merged.rad2 = np.concatenate([self.rad2[keep], fresh.rad2])
-        merged.sym = np.concatenate([self.sym[keep], fresh.sym])
-        merged.normals = np.vstack([self.normals[keep], fresh.normals])
-        merged.base = np.concatenate([self.base[keep], fresh.base])
-        merged.faces = [f for f, k in zip(self.faces, keep) if k] + fresh.faces
-        return merged
+    def finite_cells(self) -> np.ndarray:
+        cells = self.tets[: self.size][self.alive[: self.size]]
+        return cells[cells.max(axis=1) < self.n_input]
 
 
 def _bowyer_watson(points: np.ndarray, margin: float) -> np.ndarray:
     n = len(points)
     coords = np.vstack([points, _super_tetrahedron(points, margin)])
-    store = _TetStore(coords, n, [(n, n + 1, n + 2, n + 3)])
+    # each insertion into a ball-shaped cavity adds two cells net
+    store = _TetStore(coords, n, capacity=2 * n + 16)
+    store.refill(np.zeros(0, dtype=int), np.array([[n, n + 1, n + 2, n + 3]]))
 
     for i in range(n):
-        bad = np.nonzero(store.inside(coords[i]))[0]
-        if len(bad) == 0:
+        cavity = np.nonzero(store.inside(coords[i]))[0]
+        if len(cavity) == 0:
             # the tetrahedra tile the super-tetrahedron, so every inserted
             # point sits inside at least one circumsphere
             raise DataError("point outside triangulation; input may be degenerate")
         face_count: dict[tuple[int, int, int], int] = {}
-        for b in bad:
-            for face in _tet_faces(store.tets[b]):
-                face_count[face] = face_count.get(face, 0) + 1
-        boundary = [f for f, cnt in face_count.items() if cnt == 1]
-        new_tets = [(f[0], f[1], f[2], i) for f in boundary]
-        store = store.replace(bad, new_tets)
+        for face in map(tuple, _sorted_faces(store.tets[cavity]).tolist()):
+            face_count[face] = face_count.get(face, 0) + 1
+        boundary = [f + (i,) for f, cnt in face_count.items() if cnt == 1]
+        store.refill(cavity, np.array(boundary, dtype=int))
 
-    final = np.asarray([t for t in store.tets if max(t) < n], dtype=int).reshape(-1, 4)
+    final = store.finite_cells()
     if len(final):
         # cospherical shells can leave flat slivers behind; they carry no
         # volume and an unbounded circumsphere, so drop them
-        extent = float(np.max(points.max(axis=0) - points.min(axis=0)))
-        final = final[np.abs(tet_volumes(points, final)) > 1e-12 * extent**3]
-    # canonical ordering for deterministic output
-    final = np.sort(final, axis=1)
-    final = final[np.lexsort(final.T[::-1])]
-    return final
+        final = final[np.abs(tet_volumes(points, final)) > 1e-12 * _extent(points) ** 3]
+    return _canonical(final)
+
+
+def _canonical(tets: np.ndarray) -> np.ndarray:
+    """Rows sorted, then rows in lexicographic order: deterministic output."""
+    tets = np.sort(tets, axis=1)
+    return tets[np.lexsort(tets.T[::-1])]
 
 
 def _empty_circumsphere_violation(points: np.ndarray, tets: np.ndarray) -> bool:
@@ -247,10 +309,15 @@ def _empty_circumsphere_violation(points: np.ndarray, tets: np.ndarray) -> bool:
     if not np.all(np.isfinite(rad2)):
         return True  # a surviving degenerate tetrahedron is itself a violation
     rad = np.sqrt(rad2)
-    for t in range(len(tets)):
-        d = np.linalg.norm(points - centers[t], axis=1)
-        inside = (rad[t] - d) / rad[t] > INSPHERE_REL_TOL
-        inside[tets[t]] = False  # corners are on the sphere, not inside
+    for rows in _row_blocks(len(tets), len(points)):
+        # depth (r - d) / r of every point in every sphere, computed in place
+        depth = _sq_distances(centers[rows], points)
+        np.sqrt(depth, out=depth)
+        r = rad[rows, None]
+        np.subtract(r, depth, out=depth)
+        depth /= r
+        inside = depth > INSPHERE_REL_TOL
+        inside[np.arange(len(depth))[:, None], tets[rows]] = False  # corners are on the sphere
         if np.any(inside):
             return True
     return False
@@ -261,33 +328,71 @@ def _coverage_violation(points: np.ndarray, tets: np.ndarray) -> bool:
 
     The finite triangulation tiles conv(points) exactly when each of its
     boundary faces (faces owned by a single tetrahedron) is a hull face, i.e.
-    no point lies strictly on its outer side.
+    no point lies strictly on its outer side, and no face is shared by more
+    than two tetrahedra.
     """
     if len(tets) == 0:
         return True
-    face_count: dict[tuple[int, int, int], int] = {}
-    for tet in tets:
-        for face in _tet_faces(tet):
-            face_count[face] = face_count.get(face, 0) + 1
-    extent = float(np.max(points.max(axis=0) - points.min(axis=0)))
-    for face, cnt in face_count.items():
-        if cnt != 1:
-            continue
-        a, b, c = points[face[0]], points[face[1]], points[face[2]]
-        normal = np.cross(b - a, c - a)
-        side = (points - a) @ normal
-        tol = 1e-9 * np.linalg.norm(normal) * extent
-        if np.any(side > tol) and np.any(side < -tol):
+    faces = _sorted_faces(tets)
+    n = len(points)
+    keys = (faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2]
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    if np.any(counts > 2):
+        return True
+    boundary = faces[first[counts == 1]]
+    a = points[boundary[:, 0]]
+    normal = np.cross(points[boundary[:, 1]] - a, points[boundary[:, 2]] - a)
+    tol = 1e-9 * np.linalg.norm(normal, axis=1) * _extent(points)
+    for rows in _row_blocks(len(boundary), n):
+        base, nrm = a[rows], normal[rows]
+        side = np.zeros((len(base), n))
+        term = np.empty_like(side)
+        for axis in range(3):
+            np.subtract(points[None, :, axis], base[:, axis, None], out=term)
+            term *= nrm[:, axis, None]
+            side += term
+        t = tol[rows, None]
+        if np.any(np.any(side > t, axis=1) & np.any(side < -t, axis=1)):
             return True
     return False
 
 
-def delaunay3d(points) -> np.ndarray:
+def _passes_self_checks(points: np.ndarray, tets: np.ndarray) -> bool:
+    return not _empty_circumsphere_violation(points, tets) and not _coverage_violation(points, tets)
+
+
+def _certified_hint(points: np.ndarray, hint) -> np.ndarray | None:
+    """The hint in canonical order when it is a valid result for points, else None.
+
+    Valid means what a fresh build guarantees: integer (M, 4) indices, every
+    point a vertex, no repeated or flat tetrahedron, and the self-checks pass.
+    """
+    tets = np.asarray(hint)
+    n = len(points)
+    if tets.ndim != 2 or tets.shape[1] != 4 or len(tets) == 0 or tets.dtype.kind not in "iu":
+        return None
+    if tets.min() < 0 or tets.max() >= n or not np.all(np.bincount(tets.ravel(), minlength=n)):
+        return None
+    tets = _canonical(tets.astype(int))
+    if np.any(np.all(tets[1:] == tets[:-1], axis=1)):
+        return None
+    if np.any(np.abs(tet_volumes(points, tets)) <= 1e-12 * _extent(points) ** 3):
+        return None
+    return tets if _passes_self_checks(points, tets) else None
+
+
+def delaunay3d(points, hint=None) -> np.ndarray:
     """Delaunay tetrahedralization of >= 4 non-coplanar points.
 
-    Returns an (M, 4) int array of indices into the input; indices of merged
-    duplicates resolve to the first occurrence. Every output tetrahedron has
-    an empty circumsphere at 1e-9 relative tolerance.
+    Returns an (M, 4) int array of indices into the input, rows ascending
+    and in lexicographic order; indices of merged duplicates resolve to the
+    first occurrence. Every output tetrahedron has an empty circumsphere at
+    1e-9 relative tolerance, and together they tile the convex hull.
+
+    hint is an optional candidate result for these points, typically the
+    previous frame's tetrahedralization of a moving cloud. It is returned
+    when it passes the checks a fresh build must pass (see _certified_hint);
+    otherwise, and whenever the input holds duplicates, it is ignored.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -301,6 +406,10 @@ def delaunay3d(points) -> np.ndarray:
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals[2] <= COPLANAR_TOL * max(svals[0], 1e-300):
         raise DataError("points are coplanar within tolerance; cannot tetrahedralize")
+    if hint is not None and len(unique) == len(pts):
+        tets = _certified_hint(unique, hint)
+        if tets is not None:
+            return tets
 
     margin = 1e3
     for _ in range(3):
@@ -309,11 +418,7 @@ def delaunay3d(points) -> np.ndarray:
         except DataError:
             margin *= 100.0
             continue
-        if (
-            len(tets)
-            and not _empty_circumsphere_violation(unique, tets)
-            and not _coverage_violation(unique, tets)
-        ):
+        if _passes_self_checks(unique, tets):
             return index_map[tets]
         margin *= 100.0
     raise DataError("tetrahedralization failed the empty-circumsphere self-check")
@@ -376,6 +481,9 @@ class InteractMesh:
     points: PointCloud
     tetrahedra: np.ndarray  # (M, 4) indices into points
     reference_laplacians: np.ndarray  # (M, 4, 3)
+    # the full Delaunay tetrahedralization the retained set was cut from;
+    # None when the topology came from another frame's coordinates
+    delaunay: np.ndarray | None = None
 
     @property
     def tet_count(self) -> int:
@@ -384,19 +492,15 @@ class InteractMesh:
 
 def _retained(kinds: np.ndarray, tets: np.ndarray, volumes: np.ndarray,
               mode: str, two_agents: bool) -> np.ndarray:
-    keep = np.zeros(len(tets), dtype=bool)
-    for m, tet in enumerate(tets):
-        if abs(volumes[m]) <= DEGENERATE_VOLUME:
-            continue
-        k = kinds[tet]
-        n_a = int(np.sum(k == 0))
-        n_b = int(np.sum(k == 1))
-        n_o = int(np.sum(k == 2))
-        if mode == "loose" or not two_agents:
-            keep[m] = n_o >= 1 and (n_a + n_b) >= 1
-        else:
-            keep[m] = n_o == 1 and ((n_a == 2 and n_b == 1) or (n_b == 2 and n_a == 1))
-    return keep
+    k = kinds[tets]
+    n_a = np.count_nonzero(k == 0, axis=1)
+    n_b = np.count_nonzero(k == 1, axis=1)
+    n_o = np.count_nonzero(k == 2, axis=1)
+    if mode == "loose" or not two_agents:
+        keep = (n_o >= 1) & ((n_a + n_b) >= 1)
+    else:
+        keep = (n_o == 1) & (((n_a == 2) & (n_b == 1)) | ((n_b == 2) & (n_a == 1)))
+    return keep & (np.abs(volumes) > DEGENERATE_VOLUME)
 
 
 def build_interact_mesh(
@@ -404,12 +508,15 @@ def build_interact_mesh(
     joints_b: np.ndarray | None,
     obj_vertices: np.ndarray,
     rule: RetentionRule | None = None,
+    previous: InteractMesh | None = None,
 ) -> InteractMesh:
     """Delaunay over the combined cloud, filtered by the retention rule.
 
     joints are world-frame (J, 3) arrays; obj_vertices world-frame and already
     subsampled. Raises EmptyInteractMeshError when nothing survives, which
-    signals the caller to skip the Laplacian term for this frame.
+    signals the caller to skip the Laplacian term for this frame. previous,
+    the mesh of the preceding frame, lends its full topology to delaunay3d
+    as a hint when its points have the same provenance.
     """
     rule = rule or RetentionRule()
     joints_a = np.asarray(joints_a, dtype=float).reshape(-1, 3)
@@ -429,7 +536,7 @@ def build_interact_mesh(
     idx_a = gated(joints_a)
     idx_b = gated(joints_b)
     coords = np.vstack([joints_a[idx_a], joints_b[idx_b], obj_vertices])
-    provenance = (
+    provenance = tuple(
         [(AGENT_A, int(j)) for j in idx_a]
         + [(AGENT_B, int(j)) for j in idx_b]
         + [(OBJECT, v) for v in range(len(obj_vertices))]
@@ -438,8 +545,11 @@ def build_interact_mesh(
         raise EmptyInteractMeshError(
             f"only {len(coords)} point(s) within the proximity gate"
         )
+    hint = None
+    if previous is not None and previous.points.provenance == provenance:
+        hint = previous.delaunay
     try:
-        tets = delaunay3d(coords)
+        tets = delaunay3d(coords, hint=hint)
     except DataError as exc:
         raise EmptyInteractMeshError(f"degenerate interaction cloud: {exc}") from exc
 
@@ -450,9 +560,10 @@ def build_interact_mesh(
     if len(retained) == 0:
         raise EmptyInteractMeshError("no tetrahedron satisfied the retention rule")
     return InteractMesh(
-        points=PointCloud(coordinates=coords, provenance=tuple(provenance)),
+        points=PointCloud(coordinates=coords, provenance=provenance),
         tetrahedra=retained,
         reference_laplacians=laplacians(coords[retained]),
+        delaunay=tets,
     )
 
 

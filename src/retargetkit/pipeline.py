@@ -3,8 +3,10 @@
 A manifest lists sequences to process plus stage configuration. Shape fits
 are cached per (source skeleton, target skeleton) content hash; the fitted
 scales act as the bridge shape on the source topology, and retargeting runs
-onto that bridge. Entry failures are isolated: one broken entry never blocks
-or alters the others, and the summary records what happened.
+onto that bridge. Each entry writes <id>.json and <id>.losses.csv, so one
+clip can go to several targets under distinct ids. Entry failures are
+isolated: one broken entry never blocks or alters the others, and the summary
+records what happened.
 """
 
 from __future__ import annotations
@@ -108,6 +110,12 @@ def load_manifest(path) -> PipelineManifest:
     ids = [e.entry_id for e in entries]
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate entry ids")
+    for entry_id in ids:
+        # outputs are named after the id, so it must be a plain file name
+        if entry_id in ("", ".", "..") or "/" in entry_id or "\\" in entry_id:
+            raise DataError(f"{path}: entry id {entry_id!r} is not a plain file name")
+        if entry_id == "summary":
+            raise DataError(f"{path}: entry id 'summary' would overwrite summary.json")
 
     stats = raw.get("episode_stats")
     if isinstance(stats, str):
@@ -269,9 +277,9 @@ def _process_entry(entry: ManifestEntry, manifest: PipelineManifest, cache: _Sha
 
         out_dir = Path(manifest.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        out_motion = out_dir / Path(entry.motion).name
+        out_motion = out_dir / f"{entry.entry_id}.json"
         save_motion(final, out_motion)
-        _write_losses_csv(out_dir / f"{Path(entry.motion).stem}.losses.csv", result.per_frame_losses)
+        _write_losses_csv(out_dir / f"{entry.entry_id}.losses.csv", result.per_frame_losses)
 
         losses = result.per_frame_losses
         summary.mean_terms = {

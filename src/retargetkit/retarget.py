@@ -359,17 +359,22 @@ def build_frame_meshes(
     obj_world: np.ndarray,
     cfg: RetargetConfig,
 ) -> list[InteractMesh | None]:
-    """Interact mesh per frame (None where no interaction structure exists)."""
+    """Interact mesh per frame (None where no interaction structure exists).
+
+    Each frame's mesh is offered to the next as its topology hint, which the
+    tetrahedralizer keeps only when it is certified for the new coordinates.
+    """
     frames = len(src_joints)
     meshes: list[InteractMesh | None] = []
     template: InteractMesh | None = None
+    mesh: InteractMesh | None = None
     for t in range(frames):
         second = second_joints[t] if second_joints is not None else None
         if cfg.mesh_rebuild == "first-frame" and template is not None:
             meshes.append(_mesh_with_frame_coordinates(template, src_joints[t], second, obj_world[t]))
             continue
         try:
-            mesh = build_interact_mesh(src_joints[t], second, obj_world[t], cfg.retention)
+            mesh = build_interact_mesh(src_joints[t], second, obj_world[t], cfg.retention, previous=mesh)
         except EmptyInteractMeshError:
             mesh = None
         if cfg.mesh_rebuild == "first-frame" and mesh is not None:

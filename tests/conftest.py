@@ -213,6 +213,25 @@ def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return jac
 
 
+def circumsphere(p):
+    """Center and radius of the sphere through four points (direct solve)."""
+    rel = p[1:] - p[0]
+    sol = np.linalg.solve(2.0 * rel, np.einsum("ij,ij->i", rel, rel))
+    return p[0] + sol, np.linalg.norm(sol)
+
+
+def empty_circumsphere_ok(points, tets, rel_tol=1e-9):
+    """Brute-force empty-circumsphere check over every tetra and every point."""
+    for tet in tets:
+        center, radius = circumsphere(points[tet])
+        d = np.linalg.norm(points - center, axis=1)
+        inside = (radius - d) / radius > rel_tol
+        inside[list(tet)] = False
+        if np.any(inside):
+            return False
+    return True
+
+
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
     return float(np.max(np.abs(a - b)) / scale)

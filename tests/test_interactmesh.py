@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from retargetkit import interactmesh
 from retargetkit.errors import DataError, EmptyInteractMeshError
 from retargetkit.interactmesh import (
     RetentionRule,
@@ -15,28 +16,11 @@ from retargetkit.interactmesh import (
 )
 from retargetkit.rotations import expmap_to_mat
 
+from conftest import circumsphere, empty_circumsphere_ok
+
 
 # ---------------------------------------------------------------------------
 # oracles
-
-
-def circumsphere(p):
-    """Center and radius of the sphere through four points (direct solve)."""
-    rel = p[1:] - p[0]
-    sol = np.linalg.solve(2.0 * rel, np.einsum("ij,ij->i", rel, rel))
-    return p[0] + sol, np.linalg.norm(sol)
-
-
-def empty_circumsphere_ok(points, tets, rel_tol=1e-9):
-    """Brute-force empty-circumsphere check over every tetra and every point."""
-    for tet in tets:
-        center, radius = circumsphere(points[tet])
-        d = np.linalg.norm(points - center, axis=1)
-        inside = (radius - d) / radius > rel_tol
-        inside[list(tet)] = False
-        if np.any(inside):
-            return False
-    return True
 
 
 def brute_hull_volume(points):
@@ -160,6 +144,23 @@ class TestDelaunay3d:
             tets = delaunay3d(pts)
         assert tets.max() <= 3  # duplicate resolves to first occurrence
 
+    def test_duplicate_merge_is_greedy_in_input_order(self, rng):
+        # a chain 0.6 tolerance apart: each point is a duplicate of its
+        # predecessor, but a dropped point absorbs nothing, so every other
+        # point survives; the loop below is the reference
+        base = rng.uniform(-1, 1, size=(6, 3))
+        step = 0.6 * interactmesh.DUPLICATE_TOL
+        chain = base[0] + np.outer(np.arange(5), [step, 0.0, 0.0])
+        pts = np.vstack([base[:3], chain, base[3:], base[1:2]])
+        keep = []
+        for i, p in enumerate(pts):
+            if all(np.linalg.norm(p - pts[k]) >= interactmesh.DUPLICATE_TOL for k in keep):
+                keep.append(i)
+        with pytest.warns(UserWarning, match="duplicate"):
+            unique, index_map = interactmesh._merge_duplicates(pts)
+        np.testing.assert_array_equal(index_map, keep)
+        np.testing.assert_array_equal(unique, pts[keep])
+
     def test_too_few_points(self):
         with pytest.raises(DataError, match="4"):
             delaunay3d(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]))
@@ -193,6 +194,68 @@ class TestDelaunay3d:
         first = delaunay3d(pts)
         second = delaunay3d(pts.copy())
         np.testing.assert_array_equal(first, second)
+
+
+@pytest.fixture
+def fresh_builds(monkeypatch):
+    """Counts the Bowyer-Watson runs behind delaunay3d calls."""
+    calls = []
+    build = interactmesh._bowyer_watson
+
+    def counted(points, margin):
+        calls.append(len(points))
+        return build(points, margin)
+
+    monkeypatch.setattr(interactmesh, "_bowyer_watson", counted)
+    return calls
+
+
+class TestTopologyHint:
+    def test_valid_hint_returned_without_rebuild(self, rng, fresh_builds):
+        pts = rng.uniform(-1, 1, size=(30, 3))
+        tets = delaunay3d(pts)
+        moved = pts + rng.normal(scale=1e-6, size=pts.shape)
+        assert len(fresh_builds) == 1
+        np.testing.assert_array_equal(delaunay3d(moved, hint=tets), tets)
+        assert len(fresh_builds) == 1
+        np.testing.assert_array_equal(delaunay3d(moved), tets)
+
+    def test_hint_with_point_inside_a_circumsphere_rejected(self, rng, fresh_builds):
+        pts = rng.uniform(-1, 1, size=(30, 3))
+        tets = delaunay3d(pts)
+        # move a point that is no corner of tets[0] onto that tetrahedron's centroid
+        outsider = next(i for i in range(len(pts)) if i not in tets[0])
+        planted = pts.copy()
+        planted[outsider] = pts[tets[0]].mean(axis=0)
+        assert not empty_circumsphere_ok(planted, tets)
+        got = delaunay3d(planted, hint=tets)
+        assert len(fresh_builds) == 2
+        np.testing.assert_array_equal(got, delaunay3d(planted))
+        assert empty_circumsphere_ok(planted, got)
+
+    def test_hint_for_a_different_point_count_ignored(self, rng, fresh_builds):
+        pts = rng.uniform(-1, 1, size=(20, 3))
+        tets = delaunay3d(pts)
+        fewer, more = pts[:-1], np.vstack([pts, [[0.0, 0.0, 0.0]]])
+        np.testing.assert_array_equal(delaunay3d(fewer, hint=tets), delaunay3d(fewer))
+        np.testing.assert_array_equal(delaunay3d(more, hint=tets), delaunay3d(more))
+        assert len(fresh_builds) == 5
+
+    @pytest.mark.parametrize(
+        "hint",
+        [np.zeros((0, 4), dtype=int), np.zeros((3, 3), dtype=int), np.full((2, 4), 0.5)],
+        ids=["empty", "three-columns", "float"],
+    )
+    def test_malformed_hint_ignored(self, rng, fresh_builds, hint):
+        pts = rng.uniform(-1, 1, size=(10, 3))
+        np.testing.assert_array_equal(delaunay3d(pts, hint=hint), delaunay3d(pts))
+        assert len(fresh_builds) == 2
+
+    def test_repeated_tetrahedron_rejected(self, rng, fresh_builds):
+        pts = rng.uniform(-1, 1, size=(15, 3))
+        tets = delaunay3d(pts)
+        np.testing.assert_array_equal(delaunay3d(pts, hint=np.vstack([tets, tets[:1]])), tets)
+        assert len(fresh_builds) == 2
 
 
 # ---------------------------------------------------------------------------

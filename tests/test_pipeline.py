@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from retargetkit.errors import DataError
 from retargetkit.kinematics import fk_sequence
 from retargetkit.motionio import ShapeParams, load_motion, load_skeleton, save_motion, save_obj, save_skeleton
 from retargetkit.pipeline import load_manifest, run_pipeline, validate_manifest
@@ -84,12 +86,12 @@ class TestRunPipeline:
         skel = make_humanoid()
         shape = ShapeParams.ones(skel.joint_count)
         original = load_motion(tmp_path / "motion0.json", skel)
-        output = load_motion(tmp_path / "out" / "motion0.json", skel)
+        output = load_motion(tmp_path / "out" / "seq0.json", skel)
         err = np.linalg.norm(
             fk_sequence(skel, shape, original) - fk_sequence(skel, shape, output), axis=2
         )
         assert err.max() < 1e-3
-        assert (tmp_path / "out" / "motion0.losses.csv").exists()
+        assert (tmp_path / "out" / "seq0.losses.csv").exists()
         assert (tmp_path / "out" / "summary.csv").exists()
         assert (tmp_path / "out" / "summary.json").exists()
 
@@ -99,10 +101,42 @@ class TestRunPipeline:
         summary = run_pipeline(load_manifest(path))
         statuses = {e.entry_id: e.status for e in summary.entries}
         assert statuses == {"seq0": "ok", "seq1": "failed", "seq2": "ok"}
-        assert (tmp_path / "out" / "motion0.json").exists()
-        assert (tmp_path / "out" / "motion2.json").exists()
-        assert not (tmp_path / "out" / "motion1.json").exists()
+        assert (tmp_path / "out" / "seq0.json").exists()
+        assert (tmp_path / "out" / "seq2.json").exists()
+        assert not (tmp_path / "out" / "seq1.json").exists()
         assert not summary.all_failed
+
+    def test_one_clip_onto_two_targets_keeps_both_results(self, tmp_path):
+        # both entries read motion0.json; each output must hold its own
+        # entry's result, the same bytes a manifest of that entry alone writes
+        path = write_corpus(tmp_path, frames=3)
+        skel = make_humanoid()
+        save_skeleton(replace(skel, rest_offsets=skel.rest_offsets * 1.2), tmp_path / "tall.json")
+        manifest = json.loads(path.read_text())
+        entry = manifest["entries"][0]
+        manifest["entries"] = [dict(entry, id="same"), dict(entry, id="tall", target_skeleton="tall.json")]
+        path.write_text(json.dumps(manifest))
+        summary = run_pipeline(load_manifest(path))
+        assert [e.status for e in summary.entries] == ["ok", "ok"]
+        names = ("same.json", "same.losses.csv", "tall.json", "tall.losses.csv")
+        together = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+        assert together["same.json"] != together["tall.json"]
+        for single in manifest["entries"]:
+            alone = dict(manifest, entries=[single], output_dir=f"alone_{single['id']}")
+            path.write_text(json.dumps(alone))
+            run_pipeline(load_manifest(path))
+            for suffix in (".json", ".losses.csv"):
+                name = single["id"] + suffix
+                assert (tmp_path / alone["output_dir"] / name).read_bytes() == together[name]
+
+    @pytest.mark.parametrize("entry_id", ["", ".", "..", "a/b", "a\\b", "summary"])
+    def test_ids_that_are_not_plain_file_names_rejected(self, tmp_path, entry_id):
+        path = write_corpus(tmp_path, frames=2)
+        manifest = json.loads(path.read_text())
+        manifest["entries"][0]["id"] = entry_id
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="entry id"):
+            load_manifest(path)
 
     def test_rerun_byte_identical(self, tmp_path):
         path = write_corpus(tmp_path, frames=4)

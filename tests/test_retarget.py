@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from retargetkit import interactmesh
 from retargetkit.errors import DataError
 from retargetkit.interactmesh import RetentionRule, build_interact_mesh
 from retargetkit.kinematics import (
@@ -229,6 +230,27 @@ class TestRetargetSequence:
                 ShapeParams.ones(4),
                 box,
             )
+
+
+class TestTopologyReuse:
+    @pytest.mark.parametrize("gate", [None, 0.5])
+    def test_reused_frames_match_fresh_builds(self, humanoid, box, monkeypatch, gate):
+        seq = held_box_motion(humanoid, frames=40, amplitude=0.05)
+        joints = fk_sequence(humanoid, ShapeParams.ones(humanoid.joint_count), seq)
+        obj_world = object_world_vertices(box, seq, 64)
+        cfg = RetargetConfig(retention=RetentionRule(proximity_gate=gate))
+        builds = []
+        bowyer_watson = interactmesh._bowyer_watson
+        monkeypatch.setattr(interactmesh, "_bowyer_watson",
+                            lambda points, margin: builds.append(1) or bowyer_watson(points, margin))
+        meshes = build_frame_meshes(joints, None, obj_world, cfg)
+        assert len(builds) < len(meshes)  # some frames reused the previous topology
+        for t, mesh in enumerate(meshes):
+            fresh = build_interact_mesh(joints[t], None, obj_world[t], cfg.retention)
+            assert mesh.points.provenance == fresh.points.provenance
+            np.testing.assert_array_equal(mesh.delaunay, fresh.delaunay)
+            np.testing.assert_array_equal(mesh.tetrahedra, fresh.tetrahedra)
+            assert mesh.reference_laplacians.tobytes() == fresh.reference_laplacians.tobytes()
 
 
 class TestMeshRebuildModes:
