@@ -19,10 +19,17 @@ import numpy as np
 
 from .errors import DataError, EmptyInteractMeshError, NumericalError
 from .interactmesh import RetentionRule, build_interact_mesh, mesh_to_dict
-from .kinematics import fit_shape, fk, fk_sequence, tpose
-from .motionio import ShapeParams, load_motion, load_obj, load_skeleton, save_motion
+from .kinematics import fk_sequence
+from .motionio import ShapeParams, load_motion, load_obj, load_skeleton, read_json, save_motion
 from .optim import OptimizerConfig
-from .pipeline import load_manifest, run_pipeline, validate_manifest
+from .pipeline import (
+    fit_bridge,
+    load_manifest,
+    run_pipeline,
+    smooth_motion,
+    validate_manifest,
+    write_losses_csv,
+)
 from .retarget import (
     RetargetConfig,
     object_world_vertices,
@@ -44,7 +51,8 @@ from .schedule import (
     point_mass_env,
     run_schedule,
 )
-from .smoothing import SmoothConfig, smooth_root, smooth_rotations
+from .rotations import quat_log_relative
+from .smoothing import SmoothConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,13 +69,7 @@ def _add_common(parser: _Parser):
 
 
 def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{args.config}: invalid JSON: {exc.msg}") from exc
+    return read_json(args.config) if getattr(args, "config", None) else {}
 
 
 def _setting(args, config: dict, name: str, default):
@@ -230,16 +232,11 @@ def _cmd_fit_shape(args) -> int:
     config = _load_config(args)
     skeleton = load_skeleton(_setting(args, config, "skeleton", None))
     target = load_skeleton(_setting(args, config, "target", None))
-    if skeleton.joint_count != target.joint_count:
-        raise DataError(
-            f"skeleton has {skeleton.joint_count} joints but target has {target.joint_count}"
-        )
     opt = OptimizerConfig(
         learning_rate=float(_setting(args, config, "learning_rate", 1e-2)),
         max_iterations=int(_setting(args, config, "max_iterations", 500)),
     )
-    target_joints = fk(target, ShapeParams.ones(target.joint_count), tpose(target))
-    shape, residual = fit_shape(skeleton, target_joints, opt)
+    shape, residual = fit_bridge(skeleton, target, opt)
     doc = {"bone_scales": [float(s) for s in shape.bone_scales], "residual_m": residual}
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     if args.verbose:
@@ -276,30 +273,16 @@ def _cmd_retarget(args) -> int:
     obj = load_obj(args.obj)
     second = load_motion(args.second_src, src_skel) if args.second_src else None
     cfg = _retarget_config(args, config)
-
-    if src_skel.joint_count != tgt_skel.joint_count:
-        raise DataError(
-            f"source skeleton has {src_skel.joint_count} joints, "
-            f"target has {tgt_skel.joint_count}"
-        )
-    target_joints = fk(tgt_skel, ShapeParams.ones(tgt_skel.joint_count), tpose(tgt_skel))
-    bridge, residual = fit_shape(src_skel, target_joints)
+    bridge, residual = fit_bridge(src_skel, tgt_skel)
     ones = ShapeParams.ones(src_skel.joint_count)
-    result = retarget_sequence(
-        seq, src_skel, ones, src_skel, bridge, obj, cfg, second_seq=second
-    )
+    result = retarget_sequence(seq, src_skel, ones, src_skel, bridge, obj, cfg, second_seq=second)
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     motion_name = Path(args.src).name
     save_motion(result.sequence, out_dir / motion_name)
     losses_path = out_dir / f"{Path(args.src).stem}.losses.csv"
-    with open(losses_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "total", "laplacian", "temporal", "jlimit", "vlimit", "slide"])
-        for f in result.per_frame_losses:
-            writer.writerow([f.frame] + [repr(v) for v in (f.total, f.laplacian, f.temporal,
-                                                           f.jlimit, f.vlimit, f.slide)])
+    write_losses_csv(losses_path, result.per_frame_losses)
     if args.verbose:
         print(
             f"fit residual {residual:.3e} m; wrote {out_dir / motion_name} and {losses_path}",
@@ -319,19 +302,7 @@ def _cmd_smooth(args) -> int:
     skeleton = load_skeleton(args.skeleton)
     seq = load_motion(args.motion, skeleton)
 
-    smoothed_root = smooth_root(seq.root_pos, alpha)
-    smoothed = smooth_rotations(seq, window)
-    from .motionio import MotionSequence
-
-    final = MotionSequence(
-        fps=seq.fps,
-        root_pos=smoothed_root,
-        root_rot=smoothed.root_rot.copy(),
-        joint_rots=smoothed.joint_rots.copy(),
-        obj_pos=seq.obj_pos.copy(),
-        obj_rot=seq.obj_rot.copy(),
-        contacts=None if seq.contacts is None else seq.contacts.copy(),
-    )
+    final = smooth_motion(seq, SmoothConfig(alpha=alpha, rotation_window=window))
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_motion(final, out_dir / Path(args.motion).name)
@@ -366,29 +337,40 @@ def _reward_config(args, config) -> RewardConfig:
     )
 
 
-def _observe(seq, skeleton, obj, t, positions, obj_world_all):
-    """Observation frame t of a motion: FK positions, backward-difference
-    velocities, contacts from the motion's labels (1 -> in contact)."""
-    dt = seq.dt
-    prev = max(t - 1, 0)
-    lin_vel = (positions[t] - positions[prev]) / dt if t > 0 else np.zeros_like(positions[0])
-    ang_vel = (seq.joint_rots[t] - seq.joint_rots[prev]) / dt if t > 0 else np.zeros_like(seq.joint_rots[0])
-    contacts = np.zeros(skeleton.joint_count, dtype=int)
-    if seq.contacts is not None:
-        contacts = (seq.contacts[t] == 1).astype(int)
-    obj_world = obj_world_all[t]
-    return ObservationFrame(
-        joint_pos=positions[t],
-        joint_rot=seq.joint_rots[t].copy(),
-        joint_lin_vel=lin_vel,
-        joint_ang_vel=ang_vel,
-        contacts=contacts,
-        obj_pos=seq.obj_pos[t].copy(),
-        obj_rot=seq.obj_rot[t].copy(),
-        obj_lin_vel=(seq.obj_pos[t] - seq.obj_pos[prev]) / dt if t > 0 else np.zeros(3),
-        obj_ang_vel=(np.zeros(3) if t == 0 else (seq.obj_rot[t, 1:] - seq.obj_rot[prev, 1:]) / dt),
-        interaction_graph=interaction_graph(positions[t], obj_world),
+def _observe(seq, skeleton, obj) -> list[ObservationFrame]:
+    """Observation frames of a motion: FK positions, backward-difference
+    velocities (zero at frame 0), contacts from the motion's labels (1 -> in
+    contact). The object's angular velocity is the rotation vector of
+    conj(q_prev) * q_t over dt, so the sign of either quaternion is immaterial."""
+    positions = fk_sequence(skeleton, ShapeParams.ones(skeleton.joint_count), seq)
+    obj_world = object_world_vertices(obj, seq, len(obj.vertices))
+
+    def rate(deltas):  # per-frame change over dt, zero at frame 0
+        return np.concatenate([np.zeros((1,) + deltas.shape[1:]), deltas / seq.dt])
+
+    lin_vel, ang_vel, obj_lin_vel = (
+        rate(np.diff(a, axis=0)) for a in (positions, seq.joint_rots, seq.obj_pos)
     )
+    obj_ang_vel = rate(quat_log_relative(seq.obj_rot[:-1], seq.obj_rot[1:]))
+    if seq.contacts is not None:
+        contacts = (seq.contacts == 1).astype(int)
+    else:
+        contacts = np.zeros((seq.frame_count, skeleton.joint_count), dtype=int)
+    return [
+        ObservationFrame(
+            joint_pos=positions[t],
+            joint_rot=seq.joint_rots[t],
+            joint_lin_vel=lin_vel[t],
+            joint_ang_vel=ang_vel[t],
+            contacts=contacts[t],
+            obj_pos=seq.obj_pos[t],
+            obj_rot=seq.obj_rot[t],
+            obj_lin_vel=obj_lin_vel[t],
+            obj_ang_vel=obj_ang_vel[t],
+            interaction_graph=interaction_graph(positions[t], obj_world[t]),
+        )
+        for t in range(seq.frame_count)
+    ]
 
 
 def _cmd_reward_eval(args) -> int:
@@ -401,22 +383,12 @@ def _cmd_reward_eval(args) -> int:
     if seq.frame_count != ref.frame_count:
         raise DataError("motion and reference must have equal frame counts")
 
-    shape = ShapeParams.ones(skeleton.joint_count)
-    seq_pos = fk_sequence(skeleton, shape, seq)
-    ref_pos = fk_sequence(skeleton, shape, ref)
-    seq_obj = object_world_vertices(obj, seq, len(obj.vertices))
-    ref_obj = object_world_vertices(obj, ref, len(obj.vertices))
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["frame", "R", "imitation", "contact", "energy"])
-    for t in range(seq.frame_count):
-        obs = with_reference(
-            _observe(seq, skeleton, obj, t, seq_pos, seq_obj),
-            _observe(ref, skeleton, obj, t, ref_pos, ref_obj),
-        )
+    for t, (obs, ref_obs) in enumerate(zip(_observe(seq, skeleton, obj), _observe(ref, skeleton, obj))):
         ref_labels = ref.contacts[t] if ref.contacts is not None else np.zeros(skeleton.joint_count, dtype=int)
-        reward, factors = compute_reward(obs, ref_labels, None, cfg)
+        reward, factors = compute_reward(with_reference(obs, ref_obs), ref_labels, None, cfg)
         writer.writerow([t, repr(reward), repr(factors["imitation"]),
                          repr(factors["contact"]), repr(factors["energy"])])
     _emit(buf.getvalue(), args.output)
@@ -459,12 +431,7 @@ def _cmd_schedule_sim(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    with open(args.stats, "r", encoding="utf-8") as fh:
-        try:
-            stats = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{args.stats}: invalid JSON: {exc.msg}") from exc
-    state = filter_until_converged(make_filter_state(stats))
+    state = filter_until_converged(make_filter_state(read_json(args.stats)))
     if args.format == "json":
         doc = {
             "retained": sorted(c.clip_id for c in state.retained),

@@ -185,12 +185,17 @@ def _require(cond: bool, message: str):
         raise DataError(message)
 
 
-def load_skeleton(path) -> Skeleton:
+def read_json(path):
+    """Parsed JSON document; malformed JSON is a DataError naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def load_skeleton(path) -> Skeleton:
+    raw = read_json(path)
     _require(isinstance(raw, dict) and "joints" in raw, f"{path}: missing 'joints' field")
     joints = raw["joints"]
     _require(isinstance(joints, list) and joints, f"{path}: 'joints' must be a non-empty list")
@@ -236,11 +241,7 @@ def _renormalize(quats: np.ndarray, what: str) -> np.ndarray:
 
 
 def load_motion(path, skeleton: Skeleton) -> MotionSequence:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    raw = read_json(path)
     _require("fps" in raw and "frames" in raw, f"{path}: motion file needs 'fps' and 'frames'")
     fps = float(raw["fps"])
     _require(fps > 0, f"{path}: fps must be positive, got {fps}")

@@ -1,9 +1,11 @@
-"""Adaptive-moment gradient descent with monotone step acceptance.
+"""Adaptive-moment gradient descent and damped Gauss-Newton, both with
+monotone step acceptance.
 
-Both shape fitting and per-frame retargeting descend through this loop. A
-proposed step is accepted only if it does not increase the loss; rejected
-steps halve the learning rate, so the accepted loss sequence is non-increasing
-by construction.
+Shape fitting descends through the Adam loop, per-frame retargeting through
+Gauss-Newton by default. A proposed step is accepted only if it does not
+increase the loss; rejected steps halve the learning rate (Adam) or raise the
+damping (Gauss-Newton), so the accepted loss sequence is non-increasing by
+construction.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -31,13 +33,13 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.method not in ("adam", "gauss_newton"):
-            raise ValueError(f"unknown optimizer method {self.method!r}")
+            raise DataError(f"unknown optimizer method {self.method!r}")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise DataError("learning_rate must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+            raise DataError("betas must lie in [0, 1)")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise DataError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def adam_minimize(
 
 
 def levenberg_marquardt(
-    residual_jac_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    normal_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     loss_fn: Callable[[np.ndarray], float],
     extra_grad_fn: Callable[[np.ndarray], np.ndarray] | None,
     x0: np.ndarray,
@@ -122,10 +124,11 @@ def levenberg_marquardt(
 ) -> OptimizeResult:
     """Damped Gauss-Newton descent on a least-squares objective.
 
-    residual_jac_fn returns (r, J) with loss approx ||r||^2 (+ non-LSQ terms
-    covered by loss_fn and, linearly, by extra_grad_fn). Steps are accepted
-    only when the *full* loss does not increase, so the accepted sequence is
-    monotone even where the quadratic model is off.
+    normal_fn returns the normal equations (J^T J, J^T r) of the least-squares
+    part, loss approx ||r||^2 (+ non-LSQ terms covered by loss_fn and,
+    linearly, by extra_grad_fn). Steps are accepted only when the *full* loss
+    does not increase, so the accepted sequence is monotone even where the
+    quadratic model is off.
     """
     cfg = cfg or OptimizerConfig()
     x = np.asarray(x0, dtype=float).copy()
@@ -142,13 +145,12 @@ def levenberg_marquardt(
     cached: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     for it in range(1, cfg.max_iterations + 1):
         if cached is None:
-            r, jac = residual_jac_fn(x)
-            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
-                raise NumericalError(f"non-finite residuals at iteration {it}")
-            rhs = -(jac.T @ r)
+            jtj, jtr = normal_fn(x)
+            if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(jtr))):
+                raise NumericalError(f"non-finite normal equations at iteration {it}")
+            rhs = -jtr
             if extra_grad_fn is not None:
                 rhs -= 0.5 * extra_grad_fn(x)
-            jtj = jac.T @ jac
             diag = np.diag(jtj).copy()
             diag[diag <= 0.0] = 1.0
             cached = (jtj, rhs, diag)

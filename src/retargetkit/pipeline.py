@@ -16,7 +16,7 @@ import hashlib
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +27,15 @@ from .kinematics import fit_shape, fk, tpose
 from .motionio import (
     MotionSequence,
     ShapeParams,
+    Skeleton,
     load_motion,
     load_obj,
     load_skeleton,
+    read_json,
     save_motion,
 )
 from .optim import OptimizerConfig
-from .retarget import RetargetConfig, retarget_sequence
+from .retarget import TERM_NAMES, FrameLoss, RetargetConfig, retarget_sequence
 from .schedule import FilterState, filter_until_converged, make_filter_state
 from .smoothing import SmoothConfig, second_difference_energy, smooth_root, smooth_rotations
 
@@ -58,33 +60,34 @@ class PipelineManifest:
 
 
 def _config_from_dict(cls, raw: dict, **nested):
+    if not isinstance(raw, dict):
+        raise DataError(f"{cls.__name__} settings must be a JSON object, got {raw!r}")
     known = {f for f in cls.__dataclass_fields__}
     unknown = set(raw) - known
     if unknown:
         raise DataError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
     merged = dict(raw)
     merged.update(nested)
-    return cls(**merged)
+    try:
+        return cls(**merged)
+    except TypeError as exc:  # a value of the wrong type met a comparison
+        raise DataError(f"invalid {cls.__name__} settings {raw!r}: {exc}") from exc
 
 
 def retarget_config_from_dict(raw: dict) -> RetargetConfig:
-    raw = dict(raw)
     nested = {}
-    if "optimizer" in raw:
-        nested["optimizer"] = _config_from_dict(OptimizerConfig, raw.pop("optimizer"))
-    if "retention" in raw:
-        nested["retention"] = _config_from_dict(RetentionRule, raw.pop("retention"))
+    if isinstance(raw, dict):
+        for key, cls in (("optimizer", OptimizerConfig), ("retention", RetentionRule)):
+            if key in raw:
+                nested[key] = _config_from_dict(cls, raw[key])
+        raw = {k: v for k, v in raw.items() if k not in nested}
     return _config_from_dict(RetargetConfig, raw, **nested)
 
 
 def load_manifest(path) -> PipelineManifest:
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if "entries" not in raw or not raw["entries"]:
+    raw = read_json(path)
+    if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list) or not raw["entries"]:
         raise DataError(f"{path}: manifest needs a non-empty 'entries' list")
     base = path.parent
 
@@ -94,6 +97,8 @@ def load_manifest(path) -> PipelineManifest:
 
     entries = []
     for idx, e in enumerate(raw["entries"]):
+        if not isinstance(e, dict):
+            raise DataError(f"{path}: entry {idx} is not a JSON object")
         for key in ("motion", "source_skeleton", "target_skeleton", "object"):
             if key not in e:
                 raise DataError(f"{path}: entry {idx} missing field '{key}'")
@@ -119,8 +124,11 @@ def load_manifest(path) -> PipelineManifest:
 
     stats = raw.get("episode_stats")
     if isinstance(stats, str):
-        with open(resolve(stats), "r", encoding="utf-8") as fh:
-            stats = json.load(fh)
+        stats = read_json(resolve(stats))
+    if stats:
+        if not isinstance(stats, dict):
+            raise DataError(f"{path}: episode_stats must map clip ids to episode lengths")
+        make_filter_state(stats)  # reject malformed lengths before any entry runs
     return PipelineManifest(
         entries=tuple(entries),
         output_dir=resolve(raw.get("output_dir", "out")),
@@ -194,8 +202,43 @@ class PipelineSummary:
         return all(e.status != "ok" for e in self.entries)
 
 
+LOSS_COLUMNS = ("total",) + TERM_NAMES
+
+
+def fit_bridge(
+    source: Skeleton, target: Skeleton, opt: OptimizerConfig | None = None
+) -> tuple[ShapeParams, float]:
+    """Bone scales that give the source topology the target's T-pose joints.
+
+    Retargeting runs onto this bridge shape. Returns the scales and the fit's
+    RMS joint error in meters.
+    """
+    if source.joint_count != target.joint_count:
+        raise DataError(
+            f"cannot fit: source has {source.joint_count} joints, "
+            f"target has {target.joint_count}"
+        )
+    target_joints = fk(target, ShapeParams.ones(target.joint_count), tpose(target))
+    return fit_shape(source, target_joints, opt)
+
+
+def write_losses_csv(path, losses: tuple[FrameLoss, ...]) -> None:
+    """One row of weighted loss terms per frame."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("frame",) + LOSS_COLUMNS)
+        for f in losses:
+            writer.writerow([f.frame] + [repr(getattr(f, name)) for name in LOSS_COLUMNS])
+
+
+def smooth_motion(seq: MotionSequence, cfg: SmoothConfig) -> MotionSequence:
+    """The motion with its root trajectory and joint rotations smoothed."""
+    root_pos = smooth_root(seq.root_pos, cfg.alpha)
+    return replace(smooth_rotations(seq, cfg.rotation_window), root_pos=root_pos)
+
+
 class _ShapeFitCache:
-    """fit_shape results keyed by the two skeleton files' content hashes."""
+    """fit_bridge results keyed by the two skeleton files' content hashes."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -214,28 +257,10 @@ class _ShapeFitCache:
         with self._lock:
             if key in self._store:
                 return self._store[key]
-        source = load_skeleton(source_path)
-        target = load_skeleton(target_path)
-        if source.joint_count != target.joint_count:
-            raise DataError(
-                f"cannot fit: source has {source.joint_count} joints, "
-                f"target has {target.joint_count}"
-            )
-        target_joints = fk(target, ShapeParams.ones(target.joint_count), tpose(target))
-        result = fit_shape(source, target_joints)
+        result = fit_bridge(load_skeleton(source_path), load_skeleton(target_path))
         with self._lock:
             self._store.setdefault(key, result)
         return result
-
-
-def _write_losses_csv(path, losses):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "total", "laplacian", "temporal", "jlimit", "vlimit", "slide"])
-        for f in losses:
-            writer.writerow(
-                [f.frame] + [repr(v) for v in (f.total, f.laplacian, f.temporal, f.jlimit, f.vlimit, f.slide)]
-            )
 
 
 def _process_entry(entry: ManifestEntry, manifest: PipelineManifest, cache: _ShapeFitCache) -> EntrySummary:
@@ -263,29 +288,17 @@ def _process_entry(entry: ManifestEntry, manifest: PipelineManifest, cache: _Sha
             manifest.retarget,
             second_seq=second,
         )
-        smoothed_root = smooth_root(result.sequence.root_pos, manifest.smooth.alpha)
-        smoothed = smooth_rotations(result.sequence, manifest.smooth.rotation_window)
-        final = MotionSequence(
-            fps=smoothed.fps,
-            root_pos=smoothed_root,
-            root_rot=smoothed.root_rot.copy(),
-            joint_rots=smoothed.joint_rots.copy(),
-            obj_pos=smoothed.obj_pos.copy(),
-            obj_rot=smoothed.obj_rot.copy(),
-            contacts=None if smoothed.contacts is None else smoothed.contacts.copy(),
-        )
+        final = smooth_motion(result.sequence, manifest.smooth)
 
         out_dir = Path(manifest.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         out_motion = out_dir / f"{entry.entry_id}.json"
         save_motion(final, out_motion)
-        _write_losses_csv(out_dir / f"{entry.entry_id}.losses.csv", result.per_frame_losses)
+        write_losses_csv(out_dir / f"{entry.entry_id}.losses.csv", result.per_frame_losses)
 
         losses = result.per_frame_losses
-        summary.mean_terms = {
-            name: float(np.mean([getattr(f, name) for f in losses]))
-            for name in ("total", "laplacian", "temporal", "jlimit", "vlimit", "slide")
-        }
+        summary.mean_terms = {name: float(np.mean([getattr(f, name) for f in losses]))
+                              for name in LOSS_COLUMNS}
         summary.root_energy_before = float(second_difference_energy(result.sequence.root_pos).sum())
         summary.root_energy_after = float(second_difference_energy(final.root_pos).sum())
         summary.output_motion = str(out_motion)
@@ -317,18 +330,17 @@ def run_pipeline(manifest: PipelineManifest, jobs: int = 1) -> PipelineSummary:
 
 
 def _write_summary(summary: PipelineSummary, out_dir: Path) -> None:
-    term_names = ("total", "laplacian", "temporal", "jlimit", "vlimit", "slide")
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["entry", "status", "error", "fit_residual"]
-            + [f"mean_{t}" for t in term_names]
+            + [f"mean_{t}" for t in LOSS_COLUMNS]
             + ["root_energy_before", "root_energy_after", "output_motion"]
         )
         for e in summary.entries:
             writer.writerow(
                 [e.entry_id, e.status, e.error, repr(e.fit_residual)]
-                + [repr(e.mean_terms.get(t, float("nan"))) for t in term_names]
+                + [repr(e.mean_terms.get(t, float("nan"))) for t in LOSS_COLUMNS]
                 + [repr(e.root_energy_before), repr(e.root_energy_after), e.output_motion]
             )
     doc = {

@@ -1,6 +1,8 @@
 """Per-frame retargeting objective and the sequential sequence optimizer.
 
-The weighted objective per frame combines:
+Each frame minimizes the interaction-preserving deformation energy of Ho,
+Komura & Tai ("Spatial Relationship Preserving Character Motion Adaptation",
+SIGGRAPH 2010) on the frame's interact mesh, plus regularizers:
 
   laplacian   sum_tet || L(source tet) - L(target tet(q)) ||_F^2
   temporal    || x - x_prev ||^2 over the full parameter vector
@@ -8,6 +10,17 @@ The weighted objective per frame combines:
   vlimit      sum max(0, v_min*dt - dq) + max(0, dq - v_max*dt), dq = q - q_prev
   slide       sum_f || p_f(x) - p_f(x_prev) ||^2 over feet whose *source*
               horizontal speed is below the threshold (z up)
+
+`FrameModel` is the one implementation of this objective. For a parameter
+vector it runs FK and the Laplacian difference once, and derives from them
+the weighted terms (the loss), the gradient, or the Gauss-Newton normal
+equations of the least-squares terms. A tetrahedron's Laplacian is A P with
+A = 4I - 11^T acting on its four points, so the Laplacian block of J^T J is
+w * fk_jac^T (K ⊗ I3) fk_jac, where the joint-by-joint stiffness K sums
+A^T A = 16I - 4*11^T over each tetrahedron's agent-A slots; the slide term
+adds its weight on the gated feet's diagonal. K is built once per frame
+mesh, and the Laplacian part of J^T r is the scatter of 4*diff - sum(diff)
+onto the joints.
 
 Hinge terms use subgradient 0 at the kink. Frames are optimized in time
 order, warm-started from the previous frame's solution; joint limits are
@@ -135,46 +148,132 @@ def laplacian_residuals(mesh: InteractMesh, target_joints: np.ndarray) -> np.nda
     return np.sqrt(np.einsum("mij,mij->m", diff, diff))
 
 
-def _terms_core(
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    ctx: FrameContext,
-    skeleton: Skeleton,
-    shape: ShapeParams,
-    mesh: InteractMesh | None,
-    cfg: RetargetConfig,
-    prev_positions: np.ndarray | None = None,
-) -> dict[str, float]:
-    j = skeleton.joint_count
-    terms = dict.fromkeys(TERM_NAMES, 0.0)
+class FrameModel:
+    """One frame's weighted objective around the reference parameters x_ref.
 
-    need_fk = (mesh is not None and mesh.tet_count) or ctx.slide_feet
-    positions = fk_vector(skeleton, shape, x) if need_fk else None
-    if mesh is not None and mesh.tet_count:
-        coords = target_point_cloud(mesh, positions)
-        diff = laplacians(coords[mesh.tetrahedra]) - mesh.reference_laplacians
-        terms["laplacian"] = cfg.laplacian_weight * float(np.einsum("mij,mij->", diff, diff))
+    x_ref is the previous frame's solution (the first frame passes its own
+    start). The mesh, when it has tetrahedra, supplies the Laplacian term; the
+    context's slide feet are held to their positions under x_ref. Each
+    evaluation runs FK and the Laplacian difference once and derives the
+    terms, the gradient or the normal equations from them.
+    """
 
-    d = x - x_prev
-    terms["temporal"] = cfg.temporal_weight * float(d @ d)
+    def __init__(
+        self,
+        skeleton: Skeleton,
+        shape: ShapeParams,
+        x_ref: np.ndarray,
+        ctx: FrameContext,
+        mesh: InteractMesh | None,
+        cfg: RetargetConfig,
+    ):
+        self.skeleton, self.shape, self.x_ref, self.ctx, self.cfg = skeleton, shape, x_ref, ctx, cfg
+        self.mesh = mesh if mesh is not None and mesh.tet_count else None
+        self.feet = np.asarray(ctx.slide_feet, dtype=int)
+        self.feet_ref = fk_vector(skeleton, shape, x_ref)[self.feet] if self.feet.size else None
+        j = skeleton.joint_count
+        # joint_lap[j, (m, s)] = d L[m, s] / d p_j: the operator A = 4I - 11^T
+        # restricted to agent-A slots. J^T r pulls the joints by joint_lap @
+        # diff, and the Laplacian stiffness over joint positions is
+        # joint_lap @ joint_lap^T (A^T A = 16I - 4*11^T per tetrahedron);
+        # the slide term adds its weight on the gated feet's diagonal
+        self.stiffness = np.zeros((j, j))
+        if self.mesh is not None:
+            self.rows, self.joints = _agent_rows(self.mesh)
+            slot_joint = np.full(len(self.mesh.points.coordinates), -1)
+            slot_joint[self.rows] = self.joints
+            tet_joints = slot_joint[self.mesh.tetrahedra]
+            tet, slot = np.nonzero(tet_joints >= 0)
+            owner = np.zeros((j, self.mesh.tet_count, 4))
+            owner[tet_joints[tet, slot], tet, slot] = 1.0
+            self.joint_lap = (4.0 * owner - owner.sum(axis=2, keepdims=True)).reshape(j, -1)
+            self.stiffness += cfg.laplacian_weight * (self.joint_lap @ self.joint_lap.T)
+        np.add.at(self.stiffness, (self.feet, self.feet), cfg.foot_slide_weight)
 
-    r = x[7:].reshape(j - 1, 3)
-    low = np.maximum(0.0, skeleton.q_min[1:] - r)
-    high = np.maximum(0.0, r - skeleton.q_max[1:])
-    terms["jlimit"] = cfg.joint_limit_weight * float(low.sum() + high.sum())
+    def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Joint positions (None when no term needs them) and the (M, 4, 3)
+        Laplacian difference (None without a mesh)."""
+        if self.mesh is None and not self.feet.size:
+            return None, None
+        positions = fk_vector(self.skeleton, self.shape, x)
+        if self.mesh is None:
+            return positions, None
+        coords = self.mesh.points.coordinates.copy()
+        coords[self.rows] = positions[self.joints]
+        diff = laplacians(coords[self.mesh.tetrahedra]) - self.mesh.reference_laplacians
+        return positions, diff
 
-    dq = r - x_prev[7:].reshape(j - 1, 3)
-    vlow = np.maximum(0.0, skeleton.v_min[1:, None] * ctx.dt - dq)
-    vhigh = np.maximum(0.0, dq - skeleton.v_max[1:, None] * ctx.dt)
-    terms["vlimit"] = cfg.velocity_limit_weight * float(vlow.sum() + vhigh.sum())
+    def terms(self, x: np.ndarray) -> dict[str, float]:
+        """Per-term weighted objective at x."""
+        cfg, skeleton = self.cfg, self.skeleton
+        positions, diff = self._evaluate(x)
+        terms = dict.fromkeys(TERM_NAMES, 0.0)
+        if diff is not None:
+            terms["laplacian"] = cfg.laplacian_weight * float(np.einsum("mij,mij->", diff, diff))
+        d = x - self.x_ref
+        terms["temporal"] = cfg.temporal_weight * float(d @ d)
 
-    if ctx.slide_feet:
-        feet = np.asarray(ctx.slide_feet, dtype=int)
-        if prev_positions is None:
-            prev_positions = fk_vector(skeleton, shape, x_prev)
-        slide = positions[feet] - prev_positions[feet]
-        terms["slide"] = cfg.foot_slide_weight * float(np.einsum("ij,ij->", slide, slide))
-    return terms
+        r = x[7:].reshape(-1, 3)
+        low = np.maximum(0.0, skeleton.q_min[1:] - r)
+        high = np.maximum(0.0, r - skeleton.q_max[1:])
+        terms["jlimit"] = cfg.joint_limit_weight * float(low.sum() + high.sum())
+
+        dq = r - self.x_ref[7:].reshape(-1, 3)
+        vlow = np.maximum(0.0, skeleton.v_min[1:, None] * self.ctx.dt - dq)
+        vhigh = np.maximum(0.0, dq - skeleton.v_max[1:, None] * self.ctx.dt)
+        terms["vlimit"] = cfg.velocity_limit_weight * float(vlow.sum() + vhigh.sum())
+
+        if self.feet.size:
+            slide = positions[self.feet] - self.feet_ref
+            terms["slide"] = cfg.foot_slide_weight * float(np.einsum("ij,ij->", slide, slide))
+        return terms
+
+    def loss(self, x: np.ndarray) -> float:
+        return sum(self.terms(x).values())
+
+    def normal_equations(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(J^T J, J^T r) of the least-squares terms (laplacian, temporal,
+        slide), whose sum is ||r||^2; the hinge terms are not least-squares."""
+        cfg = self.cfg
+        positions, diff = self._evaluate(x)
+        jtj = cfg.temporal_weight * np.eye(len(x))
+        jtr = cfg.temporal_weight * (x - self.x_ref)
+        if positions is None:
+            return jtj, jtr
+        pull = np.zeros_like(positions)  # J^T r over joint positions
+        if diff is not None:
+            pull += cfg.laplacian_weight * (self.joint_lap @ diff.reshape(-1, 3))
+        if self.feet.size:
+            np.add.at(pull, self.feet, cfg.foot_slide_weight * (positions[self.feet] - self.feet_ref))
+        fk_jac = fk_jacobian_vector(self.skeleton, self.shape, x)  # (3J, P)
+        stiff_jac = (self.stiffness @ fk_jac.reshape(len(positions), -1)).reshape(fk_jac.shape)
+        return jtj + fk_jac.T @ stiff_jac, jtr + pull.ravel() @ fk_jac
+
+    def hinge_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Subgradient of the joint- and velocity-limit hinges (0 at the kink)."""
+        cfg, skeleton = self.cfg, self.skeleton
+        grad = np.zeros_like(x)
+        r = x[7:].reshape(-1, 3)
+        g_r = np.zeros_like(r)
+        g_r -= cfg.joint_limit_weight * (skeleton.q_min[1:] - r > 0)
+        g_r += cfg.joint_limit_weight * (r - skeleton.q_max[1:] > 0)
+        dq = r - self.x_ref[7:].reshape(-1, 3)
+        g_r -= cfg.velocity_limit_weight * (skeleton.v_min[1:, None] * self.ctx.dt - dq > 0)
+        g_r += cfg.velocity_limit_weight * (dq - skeleton.v_max[1:, None] * self.ctx.dt > 0)
+        grad[7:] = g_r.ravel()
+        return grad
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """Gradient of loss: 2 J^T r plus the hinge subgradient."""
+        return 2.0 * self.normal_equations(x)[1] + self.hinge_gradient(x)
+
+
+def _terms_core(x, x_prev, ctx, skeleton, shape, mesh, cfg) -> dict[str, float]:
+    return FrameModel(skeleton, shape, x_prev, ctx, mesh, cfg).terms(x)
+
+
+def _gradient_core(x, x_prev, ctx, skeleton, shape, mesh, cfg) -> np.ndarray:
+    return FrameModel(skeleton, shape, x_prev, ctx, mesh, cfg).gradient(x)
 
 
 def eval_objective(
@@ -191,114 +290,11 @@ def eval_objective(
     An absent/empty mesh zeroes the laplacian term; the caller carries the
     per-frame flag. The first frame passes itself as prev_pose.
     """
-    cfg = cfg or RetargetConfig()
     terms = _terms_core(
-        pose_to_vector(pose), pose_to_vector(prev_pose), ctx, skeleton, shape, mesh, cfg
+        pose_to_vector(pose), pose_to_vector(prev_pose), ctx, skeleton, shape, mesh,
+        cfg or RetargetConfig(),
     )
     return sum(terms.values()), terms
-
-
-def _hinge_gradient(
-    x: np.ndarray, x_prev: np.ndarray, ctx: FrameContext, skeleton: Skeleton, cfg: RetargetConfig
-) -> np.ndarray:
-    j = skeleton.joint_count
-    grad = np.zeros_like(x)
-    r = x[7:].reshape(j - 1, 3)
-    g_r = np.zeros_like(r)
-    g_r -= cfg.joint_limit_weight * (skeleton.q_min[1:] - r > 0)
-    g_r += cfg.joint_limit_weight * (r - skeleton.q_max[1:] > 0)
-    dq = r - x_prev[7:].reshape(j - 1, 3)
-    g_r -= cfg.velocity_limit_weight * (skeleton.v_min[1:, None] * ctx.dt - dq > 0)
-    g_r += cfg.velocity_limit_weight * (dq - skeleton.v_max[1:, None] * ctx.dt > 0)
-    grad[7:] = g_r.ravel()
-    return grad
-
-
-def _gradient_core(
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    ctx: FrameContext,
-    skeleton: Skeleton,
-    shape: ShapeParams,
-    mesh: InteractMesh | None,
-    cfg: RetargetConfig,
-    prev_positions: np.ndarray | None = None,
-) -> np.ndarray:
-    j = skeleton.joint_count
-    grad = np.zeros_like(x)
-
-    need_fk = (mesh is not None and mesh.tet_count) or ctx.slide_feet
-    if need_fk:
-        positions = fk_vector(skeleton, shape, x)
-        jac = fk_jacobian_vector(skeleton, shape, x)  # (3J, P)
-        g_pos = np.zeros((j, 3))
-        if mesh is not None and mesh.tet_count:
-            coords = target_point_cloud(mesh, positions)
-            diff = laplacians(coords[mesh.tetrahedra]) - mesh.reference_laplacians  # (M,4,3)
-            # dF/dp_slot = 8*diff_slot - 2*sum_slots diff
-            g_slots = 8.0 * diff - 2.0 * diff.sum(axis=1, keepdims=True)
-            g_points = np.zeros((len(mesh.points.coordinates), 3))
-            np.add.at(g_points, mesh.tetrahedra.ravel(), g_slots.reshape(-1, 3))
-            rows, joints = _agent_rows(mesh)
-            np.add.at(g_pos, joints, cfg.laplacian_weight * g_points[rows])
-        if ctx.slide_feet:
-            feet = np.asarray(ctx.slide_feet, dtype=int)
-            if prev_positions is None:
-                prev_positions = fk_vector(skeleton, shape, x_prev)
-            g_pos[feet] += cfg.foot_slide_weight * 2.0 * (positions[feet] - prev_positions[feet])
-        grad += g_pos.ravel() @ jac
-
-    grad += cfg.temporal_weight * 2.0 * (x - x_prev)
-    grad += _hinge_gradient(x, x_prev, ctx, skeleton, cfg)
-    return grad
-
-
-def _residuals_and_jacobian(
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    ctx: FrameContext,
-    skeleton: Skeleton,
-    shape: ShapeParams,
-    mesh: InteractMesh | None,
-    cfg: RetargetConfig,
-    prev_positions: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked least-squares residuals (laplacian, temporal, slide) and their
-    Jacobian; hinge terms are not least-squares and are handled separately."""
-    j = skeleton.joint_count
-    n_params = len(x)
-    res_blocks: list[np.ndarray] = []
-    jac_blocks: list[np.ndarray] = []
-
-    need_fk = (mesh is not None and mesh.tet_count) or ctx.slide_feet
-    if need_fk:
-        positions = fk_vector(skeleton, shape, x)
-        fk_jac = fk_jacobian_vector(skeleton, shape, x).reshape(j, 3, n_params)
-    if mesh is not None and mesh.tet_count:
-        w = np.sqrt(cfg.laplacian_weight)
-        coords = target_point_cloud(mesh, positions)
-        diff = laplacians(coords[mesh.tetrahedra]) - mesh.reference_laplacians
-        res_blocks.append(w * diff.ravel())
-        point_jac = np.zeros((len(mesh.points.coordinates), 3, n_params))
-        rows, joints = _agent_rows(mesh)
-        point_jac[rows] = fk_jac[joints]
-        tet_jac = point_jac[mesh.tetrahedra]  # (M, 4, 3, P)
-        lap_jac = 4.0 * tet_jac - tet_jac.sum(axis=1, keepdims=True)
-        jac_blocks.append(w * lap_jac.reshape(-1, n_params))
-
-    w = np.sqrt(cfg.temporal_weight)
-    res_blocks.append(w * (x - x_prev))
-    jac_blocks.append(w * np.eye(n_params))
-
-    if ctx.slide_feet:
-        feet = np.asarray(ctx.slide_feet, dtype=int)
-        if prev_positions is None:
-            prev_positions = fk_vector(skeleton, shape, x_prev)
-        w = np.sqrt(cfg.foot_slide_weight)
-        res_blocks.append(w * (positions[feet] - prev_positions[feet]).ravel())
-        jac_blocks.append(w * fk_jac[feet].reshape(-1, n_params))
-
-    return np.concatenate(res_blocks), np.vstack(jac_blocks)
 
 
 def objective_gradient(
@@ -311,9 +307,9 @@ def objective_gradient(
     cfg: RetargetConfig | None = None,
 ) -> np.ndarray:
     """Gradient of the weighted objective over the pose parameter vector."""
-    cfg = cfg or RetargetConfig()
     return _gradient_core(
-        pose_to_vector(pose), pose_to_vector(prev_pose), ctx, skeleton, shape, mesh, cfg
+        pose_to_vector(pose), pose_to_vector(prev_pose), ctx, skeleton, shape, mesh,
+        cfg or RetargetConfig(),
     )
 
 
@@ -450,56 +446,32 @@ def retarget_sequence(
         out[7:] = np.clip(out[7:], qmin, qmax)
         return out
 
-    solutions = np.empty((frames, len(pose_to_vector(motion_frame_pose(source_seq, 0)))))
+    x0 = pose_to_vector(motion_frame_pose(source_seq, 0))
+    solutions = np.empty((frames, len(x0)))
     losses: list[FrameLoss] = []
-    prev_x: np.ndarray | None = None
     total_iterations = 0
     for t in range(frames):
-        x_init = pose_to_vector(motion_frame_pose(source_seq, 0)) if t == 0 else solutions[t - 1]
-        x_ref = x_init if t == 0 else solutions[t - 1]
-        ctx = FrameContext(dt=dt, slide_feet=gates[t])
-        mesh = meshes[t]
-        prev_positions = None if prev_x is None else fk_vector(target_skeleton, target_shape, prev_x)
-
-        def loss_fn(x, _ref=x_ref, _ctx=ctx, _mesh=mesh, _prev=prev_positions):
-            terms = _terms_core(
-                x, _ref, _ctx, target_skeleton, target_shape, _mesh, cfg, prev_positions=_prev
-            )
-            return sum(terms.values())
-
-        def grad_fn(x, _ref=x_ref, _ctx=ctx, _mesh=mesh, _prev=prev_positions):
-            return _gradient_core(
-                x, _ref, _ctx, target_skeleton, target_shape, _mesh, cfg, prev_positions=_prev
-            )
-
-        def residual_jac_fn(x, _ref=x_ref, _ctx=ctx, _mesh=mesh, _prev=prev_positions):
-            return _residuals_and_jacobian(
-                x, _ref, _ctx, target_skeleton, target_shape, _mesh, cfg, prev_positions=_prev
-            )
-
-        def hinge_grad_fn(x, _ref=x_ref, _ctx=ctx):
-            return _hinge_gradient(x, _ref, _ctx, target_skeleton, cfg)
-
+        x_init = x0 if t == 0 else solutions[t - 1]
+        model = FrameModel(
+            target_skeleton, target_shape, x_init, FrameContext(dt=dt, slide_feet=gates[t]), meshes[t], cfg
+        )
         try:
             if cfg.optimizer.method == "gauss_newton":
                 result = levenberg_marquardt(
-                    residual_jac_fn, loss_fn, hinge_grad_fn, x_init, cfg.optimizer, project=project
+                    model.normal_equations, model.loss, model.hinge_gradient, x_init, cfg.optimizer,
+                    project=project,
                 )
             else:
-                result = adam_minimize(loss_fn, grad_fn, x_init, cfg.optimizer, project=project)
+                result = adam_minimize(model.loss, model.gradient, x_init, cfg.optimizer, project=project)
         except NumericalError as exc:
             raise NumericalError(f"frame {t}: {exc}") from exc
         solutions[t] = result.x
-        prev_x = result.x
-        terms = _terms_core(
-            result.x, x_ref, ctx, target_skeleton, target_shape, mesh, cfg,
-            prev_positions=prev_positions,
-        )
+        terms = model.terms(result.x)
         losses.append(
             FrameLoss(
                 frame=t,
                 total=sum(terms.values()),
-                mesh_empty=mesh is None,
+                mesh_empty=meshes[t] is None,
                 iterations=result.iterations,
                 converged=result.converged,
                 **{k: terms[k] for k in TERM_NAMES},

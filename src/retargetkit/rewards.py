@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .rotations import quat_log_relative
 
 DELTA_COMPONENTS = (
     "joint_pos",
@@ -98,14 +99,18 @@ class ObservationFrame:
 
 
 def observation_deltas(obs: ObservationFrame, ref: ObservationFrame) -> dict[str, np.ndarray]:
-    """Component-wise differences against a reference observation."""
+    """Component-wise differences against a reference observation.
+
+    The object rotation delta is the rotation vector taking the reference
+    orientation to the observed one, so q and -q count as the same rotation.
+    """
     return {
         "joint_pos": obs.joint_pos - ref.joint_pos,
         "joint_rot": obs.joint_rot - ref.joint_rot,
         "joint_lin_vel": obs.joint_lin_vel - ref.joint_lin_vel,
         "joint_ang_vel": obs.joint_ang_vel - ref.joint_ang_vel,
         "obj_pos": obs.obj_pos - ref.obj_pos,
-        "obj_rot": obs.obj_rot - ref.obj_rot,
+        "obj_rot": quat_log_relative(ref.obj_rot, obs.obj_rot),
         "obj_lin_vel": obs.obj_lin_vel - ref.obj_lin_vel,
         "obj_ang_vel": obs.obj_ang_vel - ref.obj_ang_vel,
         "interaction_graph": obs.interaction_graph - ref.interaction_graph,

@@ -56,6 +56,28 @@ def quat_from_expmap(e: np.ndarray) -> np.ndarray:
     return quat_from_axis_angle(e, angle)
 
 
+def quat_log_relative(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rotation vector of conj(a) * b, over the last axis of (..., 4) inputs.
+
+    The relative quaternion is sign-canonicalized (w >= 0) before the log map,
+    so negating either input leaves the result unchanged and the angle lies in
+    [0, pi]. Equal or opposite inputs give exactly zero.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, av = a[..., :1], -a[..., 1:]
+    bw, bv = b[..., :1], b[..., 1:]
+    w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
+    v = aw * bv + bw * av + np.cross(av, bv)
+    flip = np.where(w < 0.0, -1.0, 1.0)
+    w, v = flip * w, flip * v
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    axis = n > 0.0
+    # 2 atan2(n, w) / n, whose limit as n -> 0 is 2 / w
+    scale = np.where(axis, 2.0 * np.arctan2(n, w) / np.where(axis, n, 1.0), 2.0 / np.where(axis, 1.0, w))
+    return scale * v
+
+
 def quat_to_mat(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a (near-)unit quaternion via the polynomial formula."""
     w, x, y, z = q

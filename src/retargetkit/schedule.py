@@ -252,7 +252,11 @@ class FilterState:
 def make_filter_state(stats) -> FilterState:
     """Build the initial state from {clip_id: [lengths]} or ClipStats list."""
     if isinstance(stats, dict):
-        clips = tuple(ClipStats(str(k), tuple(float(x) for x in v)) for k, v in stats.items())
+        try:
+            lengths = {str(k): tuple(float(x) for x in v) for k, v in stats.items()}
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"episode lengths must be lists of numbers: {exc}") from exc
+        clips = tuple(ClipStats(k, v) for k, v in lengths.items())
     else:
         clips = tuple(stats)
     if not clips:

@@ -1,0 +1,44 @@
+"""The benchmark's tracer still finds the layer boundaries it patches.
+
+bench/workloads.py wraps functions by module attribute; a refactor that stops
+calling one of them through that attribute would silently drop its spans
+from `bench/run.py --trace 1`.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from retargetkit import pipeline, retarget
+from retargetkit.motionio import ShapeParams
+
+from conftest import held_box_motion, make_box, make_humanoid
+from test_pipeline import write_corpus
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    from tracer import Tracer
+
+    tracer = Tracer()
+    try:
+        workloads.instrument(tracer, None)
+        yield tracer
+    finally:
+        tracer.restore()
+
+
+def test_instrumented_layers_record_calls(traced, tmp_path):
+    skel = make_humanoid()
+    ones = ShapeParams.ones(skel.joint_count)
+    retarget.retarget_sequence(held_box_motion(skel, frames=3), skel, ones, skel, ones, make_box(subdiv=2))
+    summary = pipeline.run_pipeline(pipeline.load_manifest(write_corpus(tmp_path, frames=3)))
+    assert summary.entries[0].status == "ok"
+
+    for name in ("retarget.residual", "retarget.loss", "kinematics.fk", "kinematics.jacobian",
+                 "kinematics.fit_shape", "smoothing.root", "smoothing.rotations"):
+        assert traced.calls[name] > 0, name

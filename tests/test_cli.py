@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ from retargetkit.cli import build_parser, main
 from retargetkit.motionio import load_motion, save_motion, save_obj, save_skeleton
 
 from conftest import CARRY_BOX_HALF, held_box_motion, make_box, make_humanoid
+from retargetkit.pipeline import load_manifest, run_pipeline
+from retargetkit.rotations import quat_from_expmap
 from test_pipeline import write_corpus
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -169,6 +172,18 @@ class TestRetargetCommand:
         for name in ("motion.json", "motion.losses.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_matches_pipeline_entry_without_smoothing(self, tmp_path):
+        manifest = write_corpus(tmp_path, frames=5, smooth={"alpha": 0.0, "rotation_window": 1}, retarget={})
+        assert main([
+            "retarget", "--src", str(tmp_path / "motion0.json"),
+            "--src-skel", str(tmp_path / "skeleton.json"),
+            "--tgt-skel", str(tmp_path / "skeleton.json"),
+            "--obj", str(tmp_path / "box.obj"), "-o", str(tmp_path / "cli"),
+        ]) == 0
+        assert run_pipeline(load_manifest(manifest)).entries[0].status == "ok"
+        for cli_name, entry_name in (("motion0.json", "seq0.json"), ("motion0.losses.csv", "seq0.losses.csv")):
+            assert (tmp_path / "cli" / cli_name).read_bytes() == (tmp_path / "out" / entry_name).read_bytes()
+
 
 class TestSmoothCommand:
     def test_writes_motion_and_energy(self, tmp_path):
@@ -205,6 +220,28 @@ class TestRewardEvalCommand:
         assert rows[0] == "frame,R,imitation,contact,energy"
         for row in rows[1:]:
             assert float(row.split(",")[1]) == 1.0
+
+    def test_sign_flipped_reference_imitates_exactly(self, tmp_path):
+        # the box turns, so its angular velocity is non-zero; the reference
+        # writes every root and object quaternion as its negation
+        skel = make_humanoid()
+        seq = held_box_motion(skel, frames=6, amplitude=0.2)
+        turned = np.stack([quat_from_expmap((0.1, 0.0, 0.3 * t)) for t in range(6)])
+        seq = replace(seq, obj_rot=turned)
+        save_skeleton(skel, tmp_path / "skeleton.json")
+        save_motion(seq, tmp_path / "motion.json")
+        save_motion(replace(seq, root_rot=-seq.root_rot, obj_rot=-seq.obj_rot), tmp_path / "flipped.json")
+        save_obj(make_box(half=CARRY_BOX_HALF, subdiv=2), tmp_path / "box.obj")
+        out = tmp_path / "rewards.csv"
+        assert main([
+            "reward-eval", "--motion", str(tmp_path / "motion.json"),
+            "--ref", str(tmp_path / "flipped.json"),
+            "--skeleton", str(tmp_path / "skeleton.json"),
+            "--obj", str(tmp_path / "box.obj"), "-o", str(out),
+        ]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 6
+        assert [float(row.split(",")[2]) for row in rows] == [1.0] * 6
 
 
 class TestScheduleSimCommand:
@@ -248,6 +285,11 @@ class TestFilterCommand:
         assert doc["removed"] == ["a", "b"]
         assert doc["sigma_history"] == [40.0, 100.0]
 
+    def test_non_numeric_lengths_are_data_error(self, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({"a": [10], "b": ["long"]}))
+        assert main(["filter", "--stats", str(stats)]) == 2
+
     def test_csv_output(self, tmp_path, capsys):
         stats = tmp_path / "stats.json"
         stats.write_text(json.dumps({"a": [10], "c": [100]}))
@@ -266,6 +308,30 @@ class TestPipelineCommand:
         manifest = write_corpus(tmp_path, frames=3)
         assert main(["pipeline", "--manifest", str(manifest)]) == 0
         assert (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("case", ["stats_json", "stats_type", "stats_lengths", "optimizer_method",
+                                      "learning_rate", "smooth_alpha", "entries_type"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, case):
+        manifest = write_corpus(tmp_path, frames=2)
+        doc = json.loads(manifest.read_text())
+        if case == "stats_json":
+            (tmp_path / "stats.json").write_text("{broken")
+            doc["episode_stats"] = "stats.json"
+        elif case == "stats_type":
+            doc["episode_stats"] = [10.0, 20.0]
+        elif case == "stats_lengths":
+            doc["episode_stats"] = {"seq0": ["x"]}
+        elif case == "optimizer_method":
+            doc["retarget"]["optimizer"] = {"method": "sgd"}
+        elif case == "learning_rate":
+            doc["retarget"]["optimizer"] = {"learning_rate": -1}
+        elif case == "smooth_alpha":
+            doc["smooth"] = {"alpha": "x"}
+        else:
+            doc["entries"] = 5
+        manifest.write_text(json.dumps(doc))
+        assert main(["pipeline", "--manifest", str(manifest), "--validate-only"]) == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_all_failures_exit_two(self, tmp_path, capsys):
         manifest = write_corpus(tmp_path, frames=3)

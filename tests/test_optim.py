@@ -60,11 +60,12 @@ class TestLevenbergMarquardt:
         a = rng.normal(size=(10, 4))
         target = rng.normal(size=10)
 
-        def residual_jac(x):
-            return a @ x - target, a
+        def normal(x):
+            r, jac = a @ x - target, a
+            return jac.T @ jac, jac.T @ r
 
         loss = lambda x: float(np.sum((a @ x - target) ** 2))
-        res = levenberg_marquardt(residual_jac, loss, None, np.zeros(4),
+        res = levenberg_marquardt(normal, loss, None, np.zeros(4),
                                   OptimizerConfig(max_iterations=50, patience=5))
         expected, *_ = np.linalg.lstsq(a, target, rcond=None)
         np.testing.assert_allclose(res.x, expected, atol=1e-8)
@@ -76,8 +77,9 @@ class TestLevenbergMarquardt:
         # full loss, so the accepted sequence must still be monotone
         observed = []
 
-        def residual_jac(x):
-            return x - 2.0, np.eye(1)
+        def normal(x):
+            r, jac = x - 2.0, np.eye(1)
+            return jac.T @ jac, jac.T @ r
 
         def full_loss(x):
             value = float((x[0] - 2.0) ** 2 + 5.0 * max(0.0, x[0] - 1.0))
@@ -87,7 +89,7 @@ class TestLevenbergMarquardt:
         def hinge_grad(x):
             return np.array([5.0 if x[0] > 1.0 else 0.0])
 
-        levenberg_marquardt(residual_jac, full_loss, hinge_grad, np.zeros(1),
+        levenberg_marquardt(normal, full_loss, hinge_grad, np.zeros(1),
                             OptimizerConfig(max_iterations=60))
         best = np.inf
         accepted = []
@@ -101,12 +103,13 @@ class TestLevenbergMarquardt:
         a = rng.normal(size=(6, 3))
         target = a @ np.array([2.0, 2.0, 2.0])
 
-        def residual_jac(x):
-            return a @ x - target, a
+        def normal(x):
+            r, jac = a @ x - target, a
+            return jac.T @ jac, jac.T @ r
 
         loss = lambda x: float(np.sum((a @ x - target) ** 2))
         res = levenberg_marquardt(
-            residual_jac, loss, None, np.zeros(3), OptimizerConfig(max_iterations=80),
+            normal, loss, None, np.zeros(3), OptimizerConfig(max_iterations=80),
             project=lambda x: np.clip(x, 0.0, 1.0),
         )
         assert np.all(res.x <= 1.0 + 1e-12)

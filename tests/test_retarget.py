@@ -3,11 +3,12 @@ import pytest
 
 from retargetkit import interactmesh
 from retargetkit.errors import DataError
-from retargetkit.interactmesh import RetentionRule, build_interact_mesh
+from retargetkit.interactmesh import AGENT_B, RetentionRule, build_interact_mesh, laplacians
 from retargetkit.kinematics import (
     Pose,
     fk,
     fk_sequence,
+    fk_vector,
     motion_frame_pose,
     pose_to_vector,
 )
@@ -15,6 +16,7 @@ from retargetkit.motionio import MotionSequence, ShapeParams
 from retargetkit.optim import OptimizerConfig
 from retargetkit.retarget import (
     FrameContext,
+    FrameModel,
     RetargetConfig,
     build_frame_meshes,
     eval_objective,
@@ -23,6 +25,7 @@ from retargetkit.retarget import (
     objective_gradient,
     retarget_sequence,
     slide_gates,
+    target_point_cloud,
 )
 from retargetkit.retarget import _gradient_core, _terms_core
 
@@ -31,6 +34,7 @@ from conftest import (
     held_box_motion,
     make_chain,
     make_humanoid,
+    partner_motion,
     random_pose,
     relative_error,
 )
@@ -310,3 +314,67 @@ class TestSlideGates:
         gates = slide_gates(joints, humanoid, moving.dt, threshold=0.01)
         for t in range(1, 5):
             assert gates[t] == ()
+
+
+class TestNormalEquations:
+    """FrameModel's (J^T J, J^T r) against a dense reference: the stacked
+    least-squares residuals and their central-difference Jacobian."""
+
+    CFG = RetargetConfig(
+        laplacian_weight=2.0, temporal_weight=0.5, foot_slide_weight=3.0,
+        retention=RetentionRule(proximity_gate=None),
+    )
+
+    def _check(self, skel, shape, mesh, x_ref, x, feet):
+        cfg = self.CFG
+        feet = np.asarray(feet, dtype=int)
+        feet_ref = fk_vector(skel, shape, x_ref)[feet]
+
+        def residuals(v):
+            positions = fk_vector(skel, shape, v)
+            coords = target_point_cloud(mesh, positions)
+            diff = laplacians(coords[mesh.tetrahedra]) - mesh.reference_laplacians
+            return np.concatenate([
+                np.sqrt(cfg.laplacian_weight) * diff.ravel(),
+                np.sqrt(cfg.temporal_weight) * (v - x_ref),
+                np.sqrt(cfg.foot_slide_weight) * (positions[feet] - feet_ref).ravel(),
+            ])
+
+        r = residuals(x)
+        jac = central_difference(residuals, x)
+        model = FrameModel(skel, shape, x_ref, FrameContext(dt=1 / 30, slide_feet=tuple(feet)), mesh, cfg)
+        jtj, jtr = model.normal_equations(x)
+        assert relative_error(jtj, jac.T @ jac) < 1e-7
+        assert relative_error(jtr, jac.T @ r) < 1e-7
+        assert model.loss(x) == pytest.approx(
+            float(r @ r) + model.terms(x)["jlimit"] + model.terms(x)["vlimit"], rel=1e-12
+        )
+
+    def _frame(self, humanoid, seq, t, rng):
+        x_ref = pose_to_vector(motion_frame_pose(seq, t - 1))
+        x = pose_to_vector(motion_frame_pose(seq, t))
+        x[7:] += rng.normal(0.0, 0.05, size=len(x) - 7)
+        return x_ref, x
+
+    def test_held_box_frame_with_slide_feet(self, humanoid, box, rng):
+        seq = held_box_motion(humanoid, frames=6, amplitude=0.2)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        joints = fk_sequence(humanoid, ones, seq)
+        world = object_world_vertices(box, seq, 64)
+        t = 3
+        mesh = build_frame_meshes(joints, None, world, self.CFG)[t]
+        feet = slide_gates(joints, humanoid, seq.dt, 0.01)[t]
+        assert feet == (16, 19)
+        shape = ShapeParams(bone_scales=np.linspace(0.9, 1.2, humanoid.joint_count))
+        self._check(humanoid, shape, mesh, *self._frame(humanoid, seq, t, rng), feet)
+
+    def test_frame_with_second_agent(self, humanoid, box, rng):
+        seq = held_box_motion(humanoid, frames=6, amplitude=0.2)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        joints = fk_sequence(humanoid, ones, seq)
+        partner = fk_sequence(humanoid, ones, partner_motion(humanoid, seq))
+        world = object_world_vertices(box, seq, 64)
+        t = 2
+        mesh = build_frame_meshes(joints, partner, world, self.CFG)[t]
+        assert any(kind == AGENT_B for kind, _ in mesh.points.provenance)
+        self._check(humanoid, ones, mesh, *self._frame(humanoid, seq, t, rng), ())

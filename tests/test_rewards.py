@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,16 @@ def make_obs(j=4, rng=None, contacts=None, ang_vel=None):
         obj_ang_vel=gen(3),
         interaction_graph=gen(j, 3),
     )
+
+
+def test_object_rotation_delta_ignores_quaternion_sign(rng):
+    obs = make_obs(rng=rng)
+    obs = replace(obs, obj_rot=np.array([0.5, 0.5, -0.5, 0.5]))
+    flipped = replace(obs, obj_rot=-obs.obj_rot)
+    deltas = observation_deltas(obs, flipped)
+    assert not any(np.any(d) for d in deltas.values())
+    reward, factors = compute_reward(with_reference(obs, flipped), np.zeros(4, dtype=int))
+    assert factors["imitation"] == 1.0
 
 
 class TestInteractionGraph:

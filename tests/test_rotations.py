@@ -5,6 +5,8 @@ from retargetkit.rotations import (
     expmap_to_mat,
     expmap_to_mat_jac,
     quat_from_expmap,
+    quat_log_relative,
+    quat_mul,
     quat_normalize,
     quat_to_mat,
     quat_to_mat_jac,
@@ -56,3 +58,15 @@ def test_average_quaternions_sign_alignment():
     flipped = np.stack([q, -q, q])
     avg = average_quaternions(flipped, ref_index=0)
     np.testing.assert_allclose(np.abs(avg @ q), 1.0, atol=1e-12)
+
+
+def test_relative_log_inverts_expmap_for_either_sign(rng):
+    for _ in range(20):
+        q = quat_from_expmap(rng.uniform(-1.0, 1.0, size=3))
+        e = rng.uniform(-1.5, 1.5, size=3)
+        turned = quat_mul(q, quat_from_expmap(e))
+        for a, b in ((q, turned), (-q, turned), (q, -turned)):
+            np.testing.assert_allclose(quat_log_relative(a, b), e, atol=1e-12)
+        # equal or opposite quaternions give exactly zero
+        assert not np.any(quat_log_relative(turned, turned))
+        assert not np.any(quat_log_relative(turned, -turned))
