@@ -96,8 +96,6 @@ def build_parser() -> _Parser:
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--skeleton", required=True, help="skeleton whose scales are fitted")
     p.add_argument("--target", required=True, help="skeleton supplying the target T-pose joints")
-    p.add_argument("--learning-rate", type=float, default=None, help="descent step size (default 0.01)")
-    p.add_argument("--max-iterations", type=int, default=None, help="descent iteration cap (default 500)")
     p.add_argument("-o", "--output", default=None, help="output JSON path (default: stdout)")
     _add_common(p)
 
@@ -125,8 +123,6 @@ def build_parser() -> _Parser:
                    help="object subsample budget (default 64)")
     p.add_argument("--mesh-rebuild", choices=("per-frame", "first-frame"), default=None,
                    help="interact-mesh rebuild policy (default per-frame)")
-    p.add_argument("--optimizer", choices=("gauss_newton", "adam"), default=None,
-                   help="per-frame descent method (default gauss_newton)")
     p.add_argument("--max-iterations", type=int, default=None,
                    help="descent iteration cap per frame (default 100)")
     _add_common(p)
@@ -138,8 +134,6 @@ def build_parser() -> _Parser:
     p.add_argument("--skeleton", required=True, help="skeleton JSON the motion binds to")
     p.add_argument("--alpha", type=float, default=None, help="root regularization alpha (default 1.0)")
     p.add_argument("--window", type=int, default=None, help="odd rotation window (default 5)")
-    p.add_argument("--rot-filter", choices=("window",), default="window",
-                   help="rotation filter implementation")
     p.add_argument("-o", "--output", required=True, help="output directory")
     _add_common(p)
 
@@ -232,11 +226,7 @@ def _cmd_fit_shape(args) -> int:
     config = _load_config(args)
     skeleton = load_skeleton(_setting(args, config, "skeleton", None))
     target = load_skeleton(_setting(args, config, "target", None))
-    opt = OptimizerConfig(
-        learning_rate=float(_setting(args, config, "learning_rate", 1e-2)),
-        max_iterations=int(_setting(args, config, "max_iterations", 500)),
-    )
-    shape, residual = fit_bridge(skeleton, target, opt)
+    shape, residual = fit_bridge(skeleton, target)
     doc = {"bone_scales": [float(s) for s in shape.bone_scales], "residual_m": residual}
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     if args.verbose:
@@ -245,12 +235,6 @@ def _cmd_fit_shape(args) -> int:
 
 
 def _retarget_config(args, config) -> RetargetConfig:
-    optimizer = OptimizerConfig(
-        method=_setting(args, config, "optimizer", "gauss_newton"),
-        max_iterations=int(_setting(args, config, "max_iterations", 100)),
-        improvement_tol=1e-12,
-        patience=6,
-    )
     return RetargetConfig(
         laplacian_weight=float(_setting(args, config, "laplacian_weight", 1.0)),
         temporal_weight=float(_setting(args, config, "temporal_weight", 1.0)),
@@ -258,7 +242,9 @@ def _retarget_config(args, config) -> RetargetConfig:
         velocity_limit_weight=float(_setting(args, config, "vlimit_weight", 1.0)),
         foot_slide_weight=float(_setting(args, config, "slide_weight", 1.0)),
         foot_speed_threshold=float(_setting(args, config, "foot_speed_threshold", 0.01)),
-        optimizer=optimizer,
+        optimizer=OptimizerConfig(
+            max_iterations=int(_setting(args, config, "max_iterations", OptimizerConfig.max_iterations))
+        ),
         retention=_retention_rule(args, config),
         max_object_vertices=int(_setting(args, config, "max_object_vertices", 64)),
         mesh_rebuild=_setting(args, config, "mesh_rebuild", "per-frame"),

@@ -4,14 +4,15 @@ Transform convention: the root frame is Translate(root_pos) * Rotate(root_rot);
 each non-root joint i chains parent_transform * Rotate(expmap_i) *
 Translate(bone_scale_i * rest_offset_i). A joint's world position therefore
 responds to its own rotation whenever its offset is non-zero, and the world
-rotations are independent of the bone scales (which makes positions linear in
-the scales for a fixed pose).
+rotations are independent of the bone scales (which makes positions affine in
+the scales for a fixed pose, and shape fitting a box-bounded linear
+least-squares problem that fit_shape solves exactly).
 
 Pose parameter vector layout, used by fk_jacobian and the retargeting
 optimizer: [root_pos (3), root_rot (4, wxyz), joint 1 expmap (3), ...,
 joint J-1 expmap (3)] -> length 3 + 4 + 3*(J-1). The *_vector entry points
 evaluate raw parameter vectors without unit-quaternion validation, which is
-what both the descent loop and finite-difference probes need.
+what both the Gauss-Newton loop and finite-difference probes need.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .errors import DataError
 from .motionio import MotionSequence, ShapeParams, Skeleton
-from .optim import OptimizerConfig, adam_minimize
 from .rotations import expmap_to_mat, expmap_to_mat_jac, quat_to_mat, quat_to_mat_jac
 
 # JointPositions: a (J, 3) float array of world-frame joint positions in meters.
@@ -198,41 +198,59 @@ def scale_jacobian(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> np.nda
 SCALE_BOUNDS = (0.1, 10.0)
 
 
-def fit_shape(
-    skeleton: Skeleton,
-    source_tpose_joints: JointPositions,
-    opt: OptimizerConfig | None = None,
-) -> tuple[ShapeParams, float]:
+def fit_shape(skeleton: Skeleton, source_tpose_joints: JointPositions) -> tuple[ShapeParams, float]:
     """Fit bone scales so the skeleton's T-pose joints match the source's.
 
-    Descends the squared joint-position error from an all-ones initialization,
-    with scales clamped to [0.1, 10]. The T-pose root is pinned to the source
-    root position (scales cannot move the root). Returns the fitted scales and
-    the RMS joint error at the optimum in meters. Unreachable targets converge
-    to a best-effort fit with a positive residual; no error is raised.
+    Minimizes the squared joint-position error over scales in [0.1, 10], with
+    the T-pose root pinned to the source root position (scales cannot move
+    the root). Positions are affine in the scales, so this is a box-bounded
+    linear least-squares problem, solved exactly by the bounded-variable
+    active-set method (Stark & Parker, "Bounded-Variable Least-Squares",
+    Comp. Stat. 1995) for the step away from all-ones scales: a target equal
+    to the skeleton's own T-pose returns scales of exactly 1 and a residual of
+    exactly 0. Zero columns (the root, zero-length bones) keep scale 1. The
+    other columns have full rank (block-triangular along each chain with the
+    bone directions on the diagonal), so the optimum is unique. Returns the
+    fitted scales and the RMS joint error at the optimum in meters.
+    Unreachable targets get the best bounded fit with a positive residual; no
+    error is raised.
     """
     source = np.asarray(source_tpose_joints, dtype=float)
     j = skeleton.joint_count
     if source.shape != (j, 3):
         raise DataError(f"source T-pose joints have shape {source.shape}, expected ({j}, 3)")
     pose = tpose(skeleton, root_pos=source[0])
-    base = fk(skeleton, ShapeParams.ones(j), pose)
     jac = scale_jacobian(skeleton, ShapeParams.ones(j), pose)  # constant: FK affine in scales
-    offset = (base - source).ravel() - jac @ np.ones(j)
-
-    def loss_fn(s: np.ndarray) -> float:
-        r = jac @ s + offset
-        return float(r @ r)
-
-    def grad_fn(s: np.ndarray) -> np.ndarray:
-        return 2.0 * jac.T @ (jac @ s + offset)
-
-    def project(s: np.ndarray) -> np.ndarray:
-        return np.clip(s, SCALE_BOUNDS[0], SCALE_BOUNDS[1])
-
-    result = adam_minimize(loss_fn, grad_fn, np.ones(j), opt or OptimizerConfig(), project=project)
-    residual = float(np.sqrt(result.loss / j))
-    return ShapeParams(bone_scales=result.x), residual
+    b = (fk(skeleton, ShapeParams.ones(j), pose) - source).ravel()  # residual at all-ones
+    lo, hi = SCALE_BOUNDS[0] - 1.0, SCALE_BOUNDS[1] - 1.0
+    d = np.zeros(j)
+    movable = np.any(jac != 0.0, axis=0)
+    free = movable.copy()  # the others sit at lo or hi, or stay at 0 when not movable
+    while True:
+        # minimize over the free set with the bounded variables held
+        z = d.copy()
+        z[free] = np.linalg.lstsq(jac[:, free], -(b + jac[:, ~free] @ d[~free]), rcond=None)[0]
+        outside = free & ((z < lo) | (z > hi))
+        if outside.any():
+            # walk from d toward z until the first free variable meets its bound
+            step = z[outside] - d[outside]
+            alpha = np.min((np.where(step < 0.0, lo, hi) - d[outside]) / step)
+            if alpha <= 0.0:
+                break  # the variable just released cannot move: its multiplier was round-off
+            z = np.clip(d + alpha * (z - d), lo, hi)
+        d = z
+        free &= (d > lo) & (d < hi)
+        if outside.any():
+            continue
+        # release the bounded variable whose KKT multiplier has the wrong sign
+        grad = jac.T @ (jac @ d + b)
+        wrong = np.where(d <= lo, -grad, grad) * (movable & ~free)
+        if wrong.max() <= 0.0:
+            break
+        free[np.argmax(wrong)] = True
+    scales = np.clip(1.0 + d, *SCALE_BOUNDS)  # 1 + (0.1 - 1) rounds below 0.1
+    r = jac @ (scales - 1.0) + b
+    return ShapeParams(bone_scales=scales), float(np.sqrt(r @ r / j))
 
 
 def fk_sequence(skeleton: Skeleton, shape: ShapeParams, seq: MotionSequence) -> np.ndarray:

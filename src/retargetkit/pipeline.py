@@ -205,9 +205,7 @@ class PipelineSummary:
 LOSS_COLUMNS = ("total",) + TERM_NAMES
 
 
-def fit_bridge(
-    source: Skeleton, target: Skeleton, opt: OptimizerConfig | None = None
-) -> tuple[ShapeParams, float]:
+def fit_bridge(source: Skeleton, target: Skeleton) -> tuple[ShapeParams, float]:
     """Bone scales that give the source topology the target's T-pose joints.
 
     Retargeting runs onto this bridge shape. Returns the scales and the fit's
@@ -219,7 +217,7 @@ def fit_bridge(
             f"target has {target.joint_count}"
         )
     target_joints = fk(target, ShapeParams.ones(target.joint_count), tpose(target))
-    return fit_shape(source, target_joints, opt)
+    return fit_shape(source, target_joints)
 
 
 def write_losses_csv(path, losses: tuple[FrameLoss, ...]) -> None:

@@ -55,7 +55,7 @@ from .kinematics import (
     pose_to_vector,
 )
 from .motionio import MotionSequence, ObjectMesh, ShapeParams, Skeleton
-from .optim import OptimizerConfig, adam_minimize, levenberg_marquardt
+from .optim import OptimizerConfig, levenberg_marquardt
 from .rotations import quat_to_mat
 
 TERM_NAMES = ("laplacian", "temporal", "jlimit", "vlimit", "slide")
@@ -69,14 +69,7 @@ class RetargetConfig:
     velocity_limit_weight: float = 1.0
     foot_slide_weight: float = 1.0
     foot_speed_threshold: float = 0.01  # m/s, evaluated on the source feet
-    # damped Gauss-Newton exploits the least-squares structure of the frame
-    # subproblem and converges in a few steps where coordinate-wise descent
-    # dithers; "adam" remains available through the method field
-    optimizer: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(
-            method="gauss_newton", max_iterations=100, improvement_tol=1e-12, patience=6
-        )
-    )
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     retention: RetentionRule = field(default_factory=RetentionRule)
     max_object_vertices: int = 64
     mesh_rebuild: str = "per-frame"  # "per-frame" | "first-frame"
@@ -456,13 +449,10 @@ def retarget_sequence(
             target_skeleton, target_shape, x_init, FrameContext(dt=dt, slide_feet=gates[t]), meshes[t], cfg
         )
         try:
-            if cfg.optimizer.method == "gauss_newton":
-                result = levenberg_marquardt(
-                    model.normal_equations, model.loss, model.hinge_gradient, x_init, cfg.optimizer,
-                    project=project,
-                )
-            else:
-                result = adam_minimize(model.loss, model.gradient, x_init, cfg.optimizer, project=project)
+            result = levenberg_marquardt(
+                model.normal_equations, model.loss, model.hinge_gradient, x_init, cfg.optimizer,
+                project=project,
+            )
         except NumericalError as exc:
             raise NumericalError(f"frame {t}: {exc}") from exc
         solutions[t] = result.x

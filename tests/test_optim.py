@@ -2,57 +2,17 @@ import numpy as np
 import pytest
 
 from retargetkit.errors import NumericalError
-from retargetkit.optim import OptimizerConfig, adam_minimize, levenberg_marquardt
+from retargetkit.optim import OptimizerConfig, levenberg_marquardt
 
 
-def quadratic(center, scale=1.0):
-    loss = lambda x: float(scale * np.sum((x - center) ** 2))
-    grad = lambda x: scale * 2.0 * (x - center)
-    return loss, grad
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        loss, grad = quadratic(np.array([1.0, -2.0, 0.5]))
-        res = adam_minimize(loss, grad, np.zeros(3), OptimizerConfig(max_iterations=2000))
-        np.testing.assert_allclose(res.x, [1.0, -2.0, 0.5], atol=1e-3)
-        assert res.converged
-
-    def test_projection_respected(self):
-        loss, grad = quadratic(np.array([5.0]))
-        res = adam_minimize(
-            loss, grad, np.zeros(1), OptimizerConfig(max_iterations=3000),
-            project=lambda x: np.clip(x, -1.0, 2.0),
-        )
-        assert res.x[0] == pytest.approx(2.0, abs=1e-6)
-
-    def test_accepted_losses_monotone(self):
-        observed = []
-        loss, grad = quadratic(np.array([3.0, 3.0]), scale=4.0)
-
-        def probe(x):
-            value = loss(x)
-            observed.append(value)
-            return value
-
-        adam_minimize(probe, grad, np.zeros(2), OptimizerConfig(max_iterations=500))
-        best = np.inf
-        accepted = []
-        for v in observed:
-            if v <= best:
-                accepted.append(v)
-                best = v
-        assert accepted == sorted(accepted, reverse=True)
-
-    def test_non_finite_raises(self):
-        with pytest.raises(NumericalError):
-            adam_minimize(lambda x: float("nan"), lambda x: x, np.zeros(2))
-
+class TestOptimizerConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(method="newton")
-        with pytest.raises(ValueError):
-            OptimizerConfig(learning_rate=0.0)
+            OptimizerConfig(max_iterations=0)
+
+    def test_defaults_are_the_gauss_newton_settings(self):
+        cfg = OptimizerConfig()
+        assert (cfg.max_iterations, cfg.improvement_tol, cfg.patience) == (100, 1e-12, 6)
 
 
 class TestLevenbergMarquardt:
@@ -114,3 +74,10 @@ class TestLevenbergMarquardt:
         )
         assert np.all(res.x <= 1.0 + 1e-12)
         np.testing.assert_allclose(res.x, 1.0, atol=1e-6)
+
+    def test_non_finite_raises(self):
+        normal = lambda x: (np.eye(2), np.zeros(2))
+        with pytest.raises(NumericalError):
+            levenberg_marquardt(normal, lambda x: float("nan"), None, np.zeros(2))
+        with pytest.raises(NumericalError):  # non-finite normal equations
+            levenberg_marquardt(lambda x: (np.eye(2), np.full(2, np.inf)), lambda x: 1.0, None, np.zeros(2))

@@ -129,6 +129,19 @@ class TestRunPipeline:
                 name = single["id"] + suffix
                 assert (tmp_path / alone["output_dir"] / name).read_bytes() == together[name]
 
+    def test_partial_optimizer_section_keeps_the_default_solver(self, tmp_path):
+        # capping the iterations alone must leave the rest of the solver at its
+        # defaults: the same bytes as a manifest with no optimizer section
+        path = write_corpus(tmp_path, frames=4)
+        manifest = json.loads(path.read_text())
+        capped = dict(manifest["retarget"], optimizer={"max_iterations": 100})
+        written = {}
+        for name, retarget in (("default", manifest["retarget"]), ("capped", capped)):
+            path.write_text(json.dumps(dict(manifest, retarget=retarget, output_dir=name)))
+            run_pipeline(load_manifest(path))
+            written[name] = [(tmp_path / name / f"seq0{s}").read_bytes() for s in (".json", ".losses.csv")]
+        assert written["capped"] == written["default"]
+
     @pytest.mark.parametrize("entry_id", ["", ".", "..", "a/b", "a\\b", "summary"])
     def test_ids_that_are_not_plain_file_names_rejected(self, tmp_path, entry_id):
         path = write_corpus(tmp_path, frames=2)
