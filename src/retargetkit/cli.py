@@ -68,8 +68,16 @@ def _add_common(parser: _Parser):
     parser.add_argument("--verbose", type=int, default=0, help="verbosity level")
 
 
-def _load_config(args) -> dict:
-    return read_json(args.config) if getattr(args, "config", None) else {}
+def _load_config(args, unflagged: tuple[str, ...] = ()) -> dict:
+    """The --config settings; each key must name one of the command's flags
+    (with underscores) or one of the unflagged settings it reads."""
+    config = read_json(args.config) if getattr(args, "config", None) else {}
+    if not isinstance(config, dict):
+        raise DataError(f"{args.config}: config must be a JSON object")
+    unknown = sorted(set(config) - set(vars(args)) - set(unflagged) - {"command"})
+    if unknown:
+        raise DataError(f"{args.config}: unknown config keys for {args.command}: {', '.join(unknown)}")
+    return config
 
 
 def _setting(args, config: dict, name: str, default):
@@ -360,7 +368,7 @@ def _observe(seq, skeleton, obj) -> list[ObservationFrame]:
 
 
 def _cmd_reward_eval(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, unflagged=("omega",))
     cfg = _reward_config(args, config)
     skeleton = load_skeleton(args.skeleton)
     seq = load_motion(args.motion, skeleton)

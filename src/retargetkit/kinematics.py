@@ -8,22 +8,34 @@ rotations are independent of the bone scales (which makes positions affine in
 the scales for a fixed pose, and shape fitting a box-bounded linear
 least-squares problem that fit_shape solves exactly).
 
-Pose parameter vector layout, used by fk_jacobian and the retargeting
-optimizer: [root_pos (3), root_rot (4, wxyz), joint 1 expmap (3), ...,
-joint J-1 expmap (3)] -> length 3 + 4 + 3*(J-1). The *_vector entry points
-evaluate raw parameter vectors without unit-quaternion validation, which is
-what both the Gauss-Newton loop and finite-difference probes need.
+Two parameter layouts. The stored layout of poses, motion files and the
+*_vector entry points (which skip unit-quaternion validation) is [root_pos
+(3), root_rot (4, wxyz), joint 1..J-1 expmaps (3 each)], length 3+4+3(J-1).
+Jacobians and the retargeting solver use the tangent layout at a pose,
+[root_pos (3), delta (3), joint expmaps], length 3J+3, with root rotation
+root_rot * exp(delta): the root is a joint like the others, with parent
+rotation R(root_rot) and pivot root_pos.
+
+Each evaluation is one batched pass over the tree's depth levels (and over
+frames, in fk_sequence); one Rodrigues call gives every local rotation and
+its SO(3) left Jacobian J_l. Parameter (k, m) turns the joints d below joint
+k about k's pivot with world angular velocity w = R_parent(k) J_l(theta_k)
+e_m, so its Jacobian column is w x (p_d - pivot_k): the product-of-
+exponentials Jacobian (Murray, Li & Sastry, "A Mathematical Introduction to
+Robotic Manipulation", 1994, ch. 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
 from .motionio import MotionSequence, ShapeParams, Skeleton
-from .rotations import expmap_to_mat, expmap_to_mat_jac, quat_to_mat, quat_to_mat_jac
+from .rotations import quat_from_expmap, quat_mul, quat_to_mat, rodrigues, skew
 
 # JointPositions: a (J, 3) float array of world-frame joint positions in meters.
 JointPositions = np.ndarray
@@ -85,91 +97,95 @@ def _check_binding(skeleton: Skeleton, shape: ShapeParams, joint_rots: np.ndarra
     j = skeleton.joint_count
     if shape.bone_scales.shape != (j,):
         raise DataError(f"shape has {shape.bone_scales.shape[0]} scales for {j} joints")
-    if joint_rots.shape != (j - 1, 3):
-        raise DataError(f"pose has {joint_rots.shape[0]} joint rotations, expected {j - 1}")
+    if joint_rots.shape[-2:] != (j - 1, 3):
+        raise DataError(f"pose has {joint_rots.shape[-2]} joint rotations, expected {j - 1}")
 
 
 def _split_vector(x: np.ndarray, joint_count: int):
+    x = np.asarray(x, dtype=float)
     return x[0:3], x[3:7], x[7:].reshape(joint_count - 1, 3)
 
 
-def _fk_core(skeleton, shape, root_pos, root_rot, joint_rots) -> JointPositions:
+class _Tree(NamedTuple):
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]  # (joints, their parents) per depth
+    pivot: np.ndarray  # (J,) joint each rotation parameter turns about
+    below: np.ndarray  # (J, J) below[k, d] = 1.0 when d is k or one of its descendants
+
+
+@lru_cache(maxsize=64)
+def _tree(parents: tuple[int, ...]) -> _Tree:
+    parent, j = np.array(parents), len(parents)
+    depth, below = np.zeros(j, dtype=int), np.eye(j)
+    for d in range(1, j):  # parents come before their children
+        depth[d] = depth[parent[d]] + 1
+        below[:, d] += below[:, parent[d]]
+    levels = tuple((np.flatnonzero(depth == n), parent[depth == n]) for n in range(1, depth.max() + 1))
+    tree = _Tree(levels, np.maximum(parent, 0), below)
+    for array in (tree.pivot, tree.below, *(a for level in levels for a in level)):
+        array.flags.writeable = False  # shared by every caller through the cache
+    return tree
+
+
+def _kinematics(skeleton, shape, root_pos, root_rot, joint_rots):
+    """One batched pass over T frames (stored-layout parts with a leading
+    frame axis): the tree, world rotations (T, J, 3, 3), world positions
+    (T, J, 3) and the joints' left Jacobians (T, J-1, 3, 3)."""
     _check_binding(skeleton, shape, joint_rots)
-    j = skeleton.joint_count
-    world_rot = np.empty((j, 3, 3))
-    positions = np.empty((j, 3))
-    world_rot[0] = quat_to_mat(root_rot)
-    positions[0] = root_pos
-    scaled = shape.bone_scales[:, None] * skeleton.rest_offsets
-    for i in range(1, j):
-        p = skeleton.parents[i]
-        world_rot[i] = world_rot[p] @ expmap_to_mat(joint_rots[i - 1])
-        positions[i] = positions[p] + world_rot[i] @ scaled[i]
-    return positions
+    tree = _tree(tuple(skeleton.parents.tolist()))
+    local, left_jac = rodrigues(joint_rots)
+    world = np.empty((len(root_pos), skeleton.joint_count, 3, 3))
+    world[:, 0] = quat_to_mat(root_rot)
+    for joints, parents in tree.levels:
+        world[:, joints] = world[:, parents] @ local[:, joints - 1]
+    # each position is the root plus the world bone vectors on its chain
+    bones = world @ (shape.bone_scales[:, None] * skeleton.rest_offsets)[:, :, None]
+    bones[:, 0, :, 0] = root_pos
+    return tree, world, tree.below.T @ bones[..., 0], left_jac
 
 
 def fk(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> JointPositions:
     """World joint positions for a pose under the given bone scales."""
-    return _fk_core(skeleton, shape, pose.root_pos, pose.root_rot, pose.joint_rots)
+    return _kinematics(skeleton, shape, pose.root_pos[None], pose.root_rot[None], pose.joint_rots[None])[2][0]
 
 
 def fk_vector(skeleton: Skeleton, shape: ShapeParams, x: np.ndarray) -> JointPositions:
-    """fk on a raw parameter vector; skips unit-quaternion validation."""
-    root_pos, root_rot, joint_rots = _split_vector(np.asarray(x, dtype=float), skeleton.joint_count)
-    return _fk_core(skeleton, shape, root_pos, root_rot, joint_rots)
+    """fk on a raw stored-layout parameter vector."""
+    root_pos, root_rot, joint_rots = _split_vector(x, skeleton.joint_count)
+    return _kinematics(skeleton, shape, root_pos[None], root_rot[None], joint_rots[None])[2][0]
 
 
-def _fk_jacobian_core(skeleton, shape, root_pos, root_rot, joint_rots) -> np.ndarray:
-    _check_binding(skeleton, shape, joint_rots)
-    j = skeleton.joint_count
-    n_params = pose_param_count(j)
-    scaled = shape.bone_scales[:, None] * skeleton.rest_offsets
-
-    world_rot = np.empty((j, 3, 3))
-    # d_rot[i]: (P, 3, 3) derivative of world_rot[i]; d_pos[i]: (P, 3).
-    # Only the root block and the joint's ancestor chain ever hold non-zero
-    # derivative columns, so propagation is restricted to those.
-    d_rot = np.zeros((j, n_params, 3, 3))
-    d_pos = np.zeros((j, n_params, 3))
-    active: list[np.ndarray] = [np.arange(3, 7)]
-
-    world_rot[0] = quat_to_mat(root_rot)
-    d_pos[0, 0:3] = np.eye(3)
-    d_rot[0, 3:7] = quat_to_mat_jac(root_rot)
-
-    for i in range(1, j):
-        p = skeleton.parents[i]
-        local = expmap_to_mat(joint_rots[i - 1])
-        world_rot[i] = world_rot[p] @ local
-        offset_local = local @ scaled[i]
-
-        cols = active[p]
-        d_rot[i, cols] = d_rot[p, cols] @ local
-        d_pos[i, cols] = d_pos[p, cols] + np.einsum("pab,b->pa", d_rot[p, cols], offset_local)
-        d_pos[i, 0:3] = np.eye(3)
-        # own exponential-map parameters enter through the local rotation only
-        own = np.arange(7 + 3 * (i - 1), 7 + 3 * i)
-        d_local = expmap_to_mat_jac(joint_rots[i - 1])  # (3, 3, 3)
-        d_rot[i, own] += np.einsum("ab,pbc->pac", world_rot[p], d_local)
-        d_pos[i, own] += np.einsum("ab,pbc,c->pa", world_rot[p], d_local, scaled[i])
-        active.append(np.concatenate([cols, own]))
-
-    return d_pos.transpose(0, 2, 1).reshape(3 * j, n_params)
+def fk_jacobian_vector(skeleton: Skeleton, shape: ShapeParams, x: np.ndarray) -> tuple[JointPositions, np.ndarray]:
+    """World joint positions (J, 3) and their Jacobian (3*J, 3*J + 3) over
+    the tangent layout at the stored-layout vector x, from one pass."""
+    root_pos, root_rot, joint_rots = _split_vector(x, skeleton.joint_count)
+    tree, world, positions, left_jac = _kinematics(skeleton, shape, root_pos[None], root_rot[None], joint_rots[None])
+    positions, j = positions[0], skeleton.joint_count
+    # column m of axes[k] is the world axis omega of rotation parameter (k, m);
+    # J_l(0) = I at the root
+    axes = world[0, tree.pivot]
+    axes[1:] = axes[1:] @ left_jac[0]
+    # omega x (p_d - pivot_k) = [pivot_k - p_d]x omega on the joints d below k
+    lever = (positions[tree.pivot][:, None, :] - positions[None, :, :]) * tree.below[:, :, None]
+    columns = skew(lever) @ axes[:, None]  # (k, d, xyz, m)
+    return positions, np.hstack([np.tile(np.eye(3), (j, 1)), columns.transpose(1, 2, 0, 3).reshape(3 * j, 3 * j)])
 
 
 def fk_jacobian(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> np.ndarray:
-    """d(world positions)/d(pose parameters), shape (3*J, 3 + 4 + 3*(J-1)).
-
-    Forward-mode accumulation of the exact derivatives of the polynomial
-    quaternion formula and the Rodrigues map; agrees with central finite
-    differences on the raw parameter vector.
-    """
-    return _fk_jacobian_core(skeleton, shape, pose.root_pos, pose.root_rot, pose.joint_rots)
+    """d(world positions)/d(tangent layout at pose), shape (3*J, 3*J + 3):
+    root_pos, the right-perturbation delta of root_rot * exp(delta), then
+    each joint's exponential map."""
+    return fk_jacobian_vector(skeleton, shape, pose_to_vector(pose))[1]
 
 
-def fk_jacobian_vector(skeleton: Skeleton, shape: ShapeParams, x: np.ndarray) -> np.ndarray:
-    root_pos, root_rot, joint_rots = _split_vector(np.asarray(x, dtype=float), skeleton.joint_count)
-    return _fk_jacobian_core(skeleton, shape, root_pos, root_rot, joint_rots)
+def tangent_vector(x: np.ndarray) -> np.ndarray:
+    """Tangent-layout vector of the stored-layout x at its own root rotation."""
+    return np.concatenate([x[0:3], np.zeros(3), x[7:]])
+
+
+def stored_vector(xi: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Stored-layout vector of the tangent-layout xi in the chart at the
+    anchor quaternion: root rotation anchor * exp(delta), not renormalized."""
+    return np.concatenate([xi[0:3], quat_mul(anchor, quat_from_expmap(xi[3:6])), xi[6:]])
 
 
 def scale_jacobian(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> np.ndarray:
@@ -179,20 +195,10 @@ def scale_jacobian(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> np.nda
     them: d p_i / d s_k = world_rot[k] @ rest_offset_k for k on the root->i
     chain (k != root), else zero.
     """
-    _check_binding(skeleton, shape, pose.joint_rots)
-    j = skeleton.joint_count
-    world_rot = np.empty((j, 3, 3))
-    world_rot[0] = quat_to_mat(pose.root_rot)
-    for i in range(1, j):
-        world_rot[i] = world_rot[skeleton.parents[i]] @ expmap_to_mat(pose.joint_rots[i - 1])
-    bone_dirs = np.einsum("jab,jb->ja", world_rot, skeleton.rest_offsets)  # (J, 3)
-
-    jac = np.zeros((j, 3, j))
-    for i in range(1, j):
-        p = skeleton.parents[i]
-        jac[i] = jac[p]
-        jac[i, :, i] += bone_dirs[i]
-    return jac.reshape(3 * j, j)
+    tree, world, _, _ = _kinematics(skeleton, shape, pose.root_pos[None], pose.root_rot[None], pose.joint_rots[None])
+    bone_dirs = np.einsum("jab,jb->ja", world[0], skeleton.rest_offsets)  # (J, 3)
+    bone_dirs[0] = 0.0  # the root's scale moves nothing
+    return (tree.below.T[:, None, :] * bone_dirs.T[None]).reshape(3 * skeleton.joint_count, -1)
 
 
 SCALE_BOUNDS = (0.1, 10.0)
@@ -254,8 +260,5 @@ def fit_shape(skeleton: Skeleton, source_tpose_joints: JointPositions) -> tuple[
 
 
 def fk_sequence(skeleton: Skeleton, shape: ShapeParams, seq: MotionSequence) -> np.ndarray:
-    """(T, J, 3) world joint positions over a whole sequence."""
-    out = np.empty((seq.frame_count, skeleton.joint_count, 3))
-    for t in range(seq.frame_count):
-        out[t] = fk(skeleton, shape, motion_frame_pose(seq, t))
-    return out
+    """(T, J, 3) world joint positions over a whole sequence, in one pass."""
+    return _kinematics(skeleton, shape, seq.root_pos, seq.root_rot, seq.joint_rots)[2]

@@ -5,16 +5,22 @@ Komura & Tai ("Spatial Relationship Preserving Character Motion Adaptation",
 SIGGRAPH 2010) on the frame's interact mesh, plus regularizers:
 
   laplacian   sum_tet || L(source tet) - L(target tet(q)) ||_F^2
-  temporal    || x - x_prev ||^2 over the full parameter vector
+  temporal    || x - x_prev ||^2 over the full stored parameter vector
   jlimit      sum max(0, q_min - q) + max(0, q - q_max)     (per joint axis)
   vlimit      sum max(0, v_min*dt - dq) + max(0, dq - v_max*dt), dq = q - q_prev
   slide       sum_f || p_f(x) - p_f(x_prev) ||^2 over feet whose *source*
               horizontal speed is below the threshold (z up)
 
-`FrameModel` is the one implementation of this objective. For a parameter
-vector it runs FK and the Laplacian difference once, and derives from them
-the weighted terms (the loss), the gradient, or the Gauss-Newton normal
-equations of the least-squares terms. A tetrahedron's Laplacian is A P with
+`FrameModel` is the one implementation of this objective. Its terms are
+functions of the stored parameters, but Gauss-Newton steps in kinematics'
+tangent layout, (root_pos, delta, joint exp-maps) with root rotation
+q_a * exp(delta) around the warm start's quaternion q_a: no step can scale
+the quaternion, so the solve does not depend on the scene's heading, and the
+stored quaternion is normalized once, when a frame's result is written. For
+a vector the model runs FK (with its Jacobian, for the normal equations) and
+the Laplacian difference once, and derives from them the weighted terms (the
+loss), the gradient, or the Gauss-Newton normal equations of the
+least-squares terms. A tetrahedron's Laplacian is A P with
 A = 4I - 11^T acting on its four points, so the Laplacian block of J^T J is
 w * fk_jac^T (K ⊗ I3) fk_jac, where the joint-by-joint stiffness K sums
 A^T A = 16I - 4*11^T over each tetrahedron's agent-A slots; the slide term
@@ -53,10 +59,12 @@ from .kinematics import (
     fk_vector,
     motion_frame_pose,
     pose_to_vector,
+    stored_vector,
+    tangent_vector,
 )
 from .motionio import MotionSequence, ObjectMesh, ShapeParams, Skeleton
 from .optim import OptimizerConfig, levenberg_marquardt
-from .rotations import quat_to_mat
+from .rotations import quat_left_matrix, quat_normalize, quat_to_mat, rodrigues
 
 TERM_NAMES = ("laplacian", "temporal", "jlimit", "vlimit", "slide")
 
@@ -146,9 +154,9 @@ class FrameModel:
 
     x_ref is the previous frame's solution (the first frame passes its own
     start). The mesh, when it has tetrahedra, supplies the Laplacian term; the
-    context's slide feet are held to their positions under x_ref. Each
-    evaluation runs FK and the Laplacian difference once and derives the
-    terms, the gradient or the normal equations from them.
+    context's slide feet are held to their positions under x_ref. `terms`
+    takes stored parameters; the other evaluations take tangent vectors at
+    the anchor quaternion (by default x_ref's), see kinematics.stored_vector.
     """
 
     def __init__(
@@ -159,8 +167,10 @@ class FrameModel:
         ctx: FrameContext,
         mesh: InteractMesh | None,
         cfg: RetargetConfig,
+        anchor: np.ndarray | None = None,
     ):
         self.skeleton, self.shape, self.x_ref, self.ctx, self.cfg = skeleton, shape, x_ref, ctx, cfg
+        self.anchor = x_ref[3:7] if anchor is None else anchor
         self.mesh = mesh if mesh is not None and mesh.tet_count else None
         self.feet = np.asarray(ctx.slide_feet, dtype=int)
         self.feet_ref = fk_vector(skeleton, shape, x_ref)[self.feet] if self.feet.size else None
@@ -183,24 +193,20 @@ class FrameModel:
             self.stiffness += cfg.laplacian_weight * (self.joint_lap @ self.joint_lap.T)
         np.add.at(self.stiffness, (self.feet, self.feet), cfg.foot_slide_weight)
 
-    def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Joint positions (None when no term needs them) and the (M, 4, 3)
-        Laplacian difference (None without a mesh)."""
-        if self.mesh is None and not self.feet.size:
-            return None, None
-        positions = fk_vector(self.skeleton, self.shape, x)
+    def _laplacian_difference(self, positions: np.ndarray) -> np.ndarray | None:
+        """The (M, 4, 3) Laplacian difference (None without a mesh)."""
         if self.mesh is None:
-            return positions, None
+            return None
         coords = self.mesh.points.coordinates.copy()
         coords[self.rows] = positions[self.joints]
-        diff = laplacians(coords[self.mesh.tetrahedra]) - self.mesh.reference_laplacians
-        return positions, diff
+        return laplacians(coords[self.mesh.tetrahedra]) - self.mesh.reference_laplacians
 
     def terms(self, x: np.ndarray) -> dict[str, float]:
         """Per-term weighted objective at x."""
         cfg, skeleton = self.cfg, self.skeleton
-        positions, diff = self._evaluate(x)
         terms = dict.fromkeys(TERM_NAMES, 0.0)
+        positions = fk_vector(skeleton, self.shape, x) if self.mesh is not None or self.feet.size else None
+        diff = self._laplacian_difference(positions)
         if diff is not None:
             terms["laplacian"] = cfg.laplacian_weight * float(np.einsum("mij,mij->", diff, diff))
         d = x - self.x_ref
@@ -221,44 +227,54 @@ class FrameModel:
             terms["slide"] = cfg.foot_slide_weight * float(np.einsum("ij,ij->", slide, slide))
         return terms
 
-    def loss(self, x: np.ndarray) -> float:
-        return sum(self.terms(x).values())
+    def loss(self, xi: np.ndarray) -> float:
+        return sum(self.terms(stored_vector(xi, self.anchor)).values())
 
-    def normal_equations(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(J^T J, J^T r) of the least-squares terms (laplacian, temporal,
-        slide), whose sum is ||r||^2; the hinge terms are not least-squares."""
+    def normal_equations(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(J^T J, J^T r) over the tangent vector xi of the least-squares
+        terms (laplacian, temporal, slide), whose sum is ||r||^2; the hinge
+        terms are not least-squares."""
         cfg = self.cfg
-        positions, diff = self._evaluate(x)
-        jtj = cfg.temporal_weight * np.eye(len(x))
-        jtr = cfg.temporal_weight * (x - self.x_ref)
-        if positions is None:
+        x = stored_vector(xi, self.anchor)
+        # d(q_a * exp(delta))/d(delta) = 1/2 L(q)[:, 1:] J_r(delta) at
+        # q = q_a * exp(delta); the FK Jacobian's root-rotation columns, over
+        # the right perturbation at q, take the same J_r(delta)
+        right_jac = rodrigues(xi[3:6])[1].T
+        quat_jac = 0.5 * quat_left_matrix(x[3:7])[:, 1:] @ right_jac
+        d = x - self.x_ref
+        jtj = cfg.temporal_weight * np.eye(len(xi))
+        jtj[3:6, 3:6] = cfg.temporal_weight * (quat_jac.T @ quat_jac)
+        jtr = cfg.temporal_weight * np.concatenate([d[:3], quat_jac.T @ d[3:7], d[7:]])
+        if self.mesh is None and not self.feet.size:
             return jtj, jtr
+        positions, fk_jac = fk_jacobian_vector(self.skeleton, self.shape, x)  # fk_jac (3J, 3J + 3)
+        fk_jac[:, 3:6] = fk_jac[:, 3:6] @ right_jac
         pull = np.zeros_like(positions)  # J^T r over joint positions
+        diff = self._laplacian_difference(positions)
         if diff is not None:
             pull += cfg.laplacian_weight * (self.joint_lap @ diff.reshape(-1, 3))
         if self.feet.size:
             np.add.at(pull, self.feet, cfg.foot_slide_weight * (positions[self.feet] - self.feet_ref))
-        fk_jac = fk_jacobian_vector(self.skeleton, self.shape, x)  # (3J, P)
         stiff_jac = (self.stiffness @ fk_jac.reshape(len(positions), -1)).reshape(fk_jac.shape)
         return jtj + fk_jac.T @ stiff_jac, jtr + pull.ravel() @ fk_jac
 
-    def hinge_gradient(self, x: np.ndarray) -> np.ndarray:
+    def hinge_gradient(self, xi: np.ndarray) -> np.ndarray:
         """Subgradient of the joint- and velocity-limit hinges (0 at the kink)."""
         cfg, skeleton = self.cfg, self.skeleton
-        grad = np.zeros_like(x)
-        r = x[7:].reshape(-1, 3)
+        grad = np.zeros_like(xi)
+        r = xi[6:].reshape(-1, 3)
         g_r = np.zeros_like(r)
         g_r -= cfg.joint_limit_weight * (skeleton.q_min[1:] - r > 0)
         g_r += cfg.joint_limit_weight * (r - skeleton.q_max[1:] > 0)
         dq = r - self.x_ref[7:].reshape(-1, 3)
         g_r -= cfg.velocity_limit_weight * (skeleton.v_min[1:, None] * self.ctx.dt - dq > 0)
         g_r += cfg.velocity_limit_weight * (dq - skeleton.v_max[1:, None] * self.ctx.dt > 0)
-        grad[7:] = g_r.ravel()
+        grad[6:] = g_r.ravel()
         return grad
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def gradient(self, xi: np.ndarray) -> np.ndarray:
         """Gradient of loss: 2 J^T r plus the hinge subgradient."""
-        return 2.0 * self.normal_equations(x)[1] + self.hinge_gradient(x)
+        return 2.0 * self.normal_equations(xi)[1] + self.hinge_gradient(xi)
 
 
 def _terms_core(x, x_prev, ctx, skeleton, shape, mesh, cfg) -> dict[str, float]:
@@ -266,7 +282,8 @@ def _terms_core(x, x_prev, ctx, skeleton, shape, mesh, cfg) -> dict[str, float]:
 
 
 def _gradient_core(x, x_prev, ctx, skeleton, shape, mesh, cfg) -> np.ndarray:
-    return FrameModel(skeleton, shape, x_prev, ctx, mesh, cfg).gradient(x)
+    """Gradient over the tangent layout at the stored parameters x."""
+    return FrameModel(skeleton, shape, x_prev, ctx, mesh, cfg, anchor=x[3:7]).gradient(tangent_vector(x))
 
 
 def eval_objective(
@@ -299,7 +316,8 @@ def objective_gradient(
     mesh: InteractMesh | None,
     cfg: RetargetConfig | None = None,
 ) -> np.ndarray:
-    """Gradient of the weighted objective over the pose parameter vector."""
+    """Gradient of the weighted objective over the tangent layout at pose:
+    root_pos, the root's right-perturbation rotation vector, joint exp-maps."""
     return _gradient_core(
         pose_to_vector(pose), pose_to_vector(prev_pose), ctx, skeleton, shape, mesh,
         cfg or RetargetConfig(),
@@ -313,11 +331,7 @@ def object_world_vertices(obj: ObjectMesh, seq: MotionSequence, subsample: int) 
     stable across frames.
     """
     idx = farthest_point_subsample(obj.vertices, subsample)
-    local = obj.vertices[idx]
-    out = np.empty((seq.frame_count, len(local), 3))
-    for t in range(seq.frame_count):
-        out[t] = local @ quat_to_mat(seq.obj_rot[t]).T + seq.obj_pos[t]
-    return out
+    return obj.vertices[idx] @ quat_to_mat(seq.obj_rot).transpose(0, 2, 1) + seq.obj_pos[:, None]
 
 
 def _mesh_with_frame_coordinates(
@@ -430,16 +444,11 @@ def retarget_sequence(
     qmin = target_skeleton.q_min[1:].ravel()
     qmax = target_skeleton.q_max[1:].ravel()
 
-    def project(x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        norm = np.linalg.norm(out[3:7])
-        if norm == 0.0:
-            raise NumericalError("root quaternion collapsed to zero")
-        out[3:7] /= norm
-        out[7:] = np.clip(out[7:], qmin, qmax)
-        return out
+    def project(xi: np.ndarray) -> np.ndarray:
+        return np.concatenate([xi[:6], np.clip(xi[6:], qmin, qmax)])
 
     x0 = pose_to_vector(motion_frame_pose(source_seq, 0))
+    x0[3:7] = quat_normalize(x0[3:7])
     solutions = np.empty((frames, len(x0)))
     losses: list[FrameLoss] = []
     total_iterations = 0
@@ -450,13 +459,14 @@ def retarget_sequence(
         )
         try:
             result = levenberg_marquardt(
-                model.normal_equations, model.loss, model.hinge_gradient, x_init, cfg.optimizer,
-                project=project,
+                model.normal_equations, model.loss, model.hinge_gradient, tangent_vector(x_init),
+                cfg.optimizer, project=project,
             )
         except NumericalError as exc:
             raise NumericalError(f"frame {t}: {exc}") from exc
-        solutions[t] = result.x
-        terms = model.terms(result.x)
+        solutions[t] = stored_vector(result.x, x_init[3:7])
+        solutions[t, 3:7] = quat_normalize(solutions[t, 3:7])
+        terms = model.terms(solutions[t])
         losses.append(
             FrameLoss(
                 frame=t,

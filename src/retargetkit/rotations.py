@@ -3,19 +3,15 @@
 Quaternions are stored as (w, x, y, z). Exponential maps are 3-vectors whose
 direction is the rotation axis and whose magnitude is the angle in radians.
 
-The quaternion-to-matrix conversion uses the plain polynomial formula (valid
-for unit quaternions); its partial derivatives below differentiate that same
-polynomial, so finite differences on raw quaternion components agree with the
-analytic Jacobian.
+The quaternion-to-matrix conversion uses the plain polynomial formula, valid
+for unit quaternions. Rotations are differentiated on the manifold, through
+the SO(3) left Jacobian that `rodrigues` returns with each rotation, never
+through raw quaternion components.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Below this angle the Rodrigues coefficients switch to their Taylor series.
-_SMALL_ANGLE = 1e-4
-
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
@@ -78,77 +74,58 @@ def quat_log_relative(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scale * v
 
 
+# _SKEW_BASIS[k] is the flattened cross-product matrix of the k-th basis vector
+_SKEW_BASIS = np.array([[0.0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0, 0]])
+
+
+def skew(v: np.ndarray) -> np.ndarray:
+    """(..., 3, 3) cross-product matrices [v]x of (..., 3) vectors."""
+    v = np.asarray(v, dtype=float)
+    return (v @ _SKEW_BASIS).reshape(v.shape[:-1] + (3, 3))
+
+
 def quat_to_mat(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a (near-)unit quaternion via the polynomial formula."""
+    """Rotation matrices of (..., 4) (near-)unit quaternions via the polynomial
+    formula, I + 2 w [v]x + 2 [v]x^2 for q = (w, v)."""
+    q = np.asarray(q, dtype=float)
+    k = skew(q[..., 1:])
+    return np.eye(3) + 2.0 * (q[..., 0, None, None] * k + k @ k)
+
+
+def quat_left_matrix(q: np.ndarray) -> np.ndarray:
+    """(4, 4) matrix L(q) with L(q) @ p = q * p (Hamilton product)."""
     w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]], dtype=float)
 
 
-def quat_to_mat_jac(q: np.ndarray) -> np.ndarray:
-    """(4, 3, 3) partials of quat_to_mat with respect to w, x, y, z."""
-    w, x, y, z = q
-    dw = np.array([[0, -2 * z, 2 * y], [2 * z, 0, -2 * x], [-2 * y, 2 * x, 0]], dtype=float)
-    dx = np.array([[0, 2 * y, 2 * z], [2 * y, -4 * x, -2 * w], [2 * z, 2 * w, -4 * x]], dtype=float)
-    dy = np.array([[-4 * y, 2 * x, 2 * w], [2 * x, 0, 2 * z], [-2 * w, 2 * z, -4 * y]], dtype=float)
-    dz = np.array([[-4 * z, -2 * w, 2 * x], [2 * w, -4 * z, 2 * y], [2 * x, 2 * y, 0]], dtype=float)
-    return np.stack([dw, dx, dy, dz])
+def rodrigues(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation matrices exp([e]x) and SO(3) left Jacobians J_l(e) of (..., 3)
+    rotation vectors, in one batched pass.
 
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]], dtype=float)
-
-
-_BASIS_SKEWS = np.stack([_skew(np.eye(3)[i]) for i in range(3)])
-
-
-def _rodrigues_coeffs(theta: float) -> tuple[float, float]:
-    # a = sin(t)/t, b = (1 - cos(t))/t^2, with Taylor fallbacks near zero.
-    if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0, 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    return np.sin(theta) / theta, (1.0 - np.cos(theta)) / (theta * theta)
+    With K = [e]x and t = |e|: R = I + a K + b K^2, J_l = I + b K + c K^2 for
+    a = sin(t)/t, b = 2 (sin(t/2)/t)^2 and c = (1 - a)/t^2, whose round-off
+    in c K^2 stays absolute at small t. exp(e + d) = exp(J_l(e) d) exp(e) to
+    first order, and J_r(e) = J_l(e)^T (Sola et al., "A micro Lie theory for
+    state estimation in robotics", 2018).
+    """
+    e = np.asarray(e, dtype=float)
+    t2 = np.einsum("...i,...i->...", e, e)[..., None, None]
+    turned = t2 > 0.0
+    t2 = np.where(turned, t2, 1.0)
+    t = np.sqrt(t2)
+    a = np.where(turned, np.sin(t) / t, 1.0)
+    half = np.where(turned, np.sin(0.5 * t) / t, 0.5)
+    b = 2.0 * half * half
+    c = np.where(turned, (1.0 - a) / t2, 1.0 / 6.0)
+    k = skew(e)
+    k2 = k @ k
+    eye = np.eye(3)
+    return eye + a * k + b * k2, eye + b * k + c * k2
 
 
 def expmap_to_mat(e: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation matrix of an exponential-map vector."""
-    e = np.asarray(e, dtype=float)
-    theta = np.linalg.norm(e)
-    a, b = _rodrigues_coeffs(theta)
-    k = _skew(e)
-    return np.eye(3) + a * k + b * (k @ k)
-
-
-def expmap_to_mat_jac(e: np.ndarray) -> np.ndarray:
-    """(3, 3, 3) partials of expmap_to_mat with respect to the three components.
-
-    Differentiates R = I + a(t) K + b(t) K^2 directly:
-      dR/de_i = c1 e_i K + a E_i + c2 e_i K^2 + b (E_i K + K E_i)
-    with c1 = a'(t)/t and c2 = b'(t)/t, E_i the skew of the i-th basis vector.
-    """
-    e = np.asarray(e, dtype=float)
-    theta = np.linalg.norm(e)
-    a, b = _rodrigues_coeffs(theta)
-    if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        c1 = -1.0 / 3.0 + t2 / 30.0
-        c2 = -1.0 / 12.0 + t2 / 180.0
-    else:
-        s, c = np.sin(theta), np.cos(theta)
-        c1 = (theta * c - s) / theta**3
-        c2 = (theta * s - 2.0 * (1.0 - c)) / theta**4
-    k = _skew(e)
-    k2 = k @ k
-    out = np.empty((3, 3, 3))
-    for i in range(3):
-        ei = _BASIS_SKEWS[i]
-        out[i] = c1 * e[i] * k + a * ei + c2 * e[i] * k2 + b * (ei @ k + k @ ei)
-    return out
+    """Rodrigues rotation matrices of (..., 3) exponential-map vectors."""
+    return rodrigues(e)[0]
 
 
 def average_quaternions(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from retargetkit.kinematics import Pose, fk, tpose
+from retargetkit.kinematics import Pose, fk, stored_vector, tangent_vector, tpose
 from retargetkit.motionio import MotionSequence, ObjectMesh, ShapeParams, Skeleton
 from retargetkit.rotations import quat_from_expmap
 
@@ -211,6 +211,12 @@ def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
         lo[k] -= step
         jac[:, k] = (np.asarray(f(hi), dtype=float).ravel() - np.asarray(f(lo), dtype=float).ravel()) / (2 * step)
     return jac
+
+
+def tangent_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """central_difference of f(stored parameters) over the tangent layout at
+    the stored vector x, through root_rot * exp(delta) at delta = 0."""
+    return central_difference(lambda v: f(stored_vector(v, x[3:7])), tangent_vector(x), step)
 
 
 def circumsphere(p):

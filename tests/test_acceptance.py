@@ -60,7 +60,6 @@ from retargetkit.smoothing import second_diff_matrix, smooth_root
 
 from conftest import (
     CARRY_BOX_HALF,
-    central_difference,
     held_box_motion,
     make_box,
     make_chain,
@@ -68,6 +67,7 @@ from conftest import (
     partner_motion,
     random_pose,
     relative_error,
+    tangent_difference,
 )
 from test_interactmesh import brute_hull_volume, empty_circumsphere_ok
 from test_pipeline import write_corpus
@@ -147,7 +147,9 @@ def test_criterion_03_delaunay_correctness(rng):
 def test_criterion_04_gradient_fidelity(rng):
     """fk_jacobian and objective_gradient match central finite differences
     (step 1e-5) with relative error < 1e-4 on 10 random configurations per
-    corpus skeleton, outside hinge-kink neighborhoods of radius 1e-4."""
+    corpus skeleton, outside hinge-kink neighborhoods of radius 1e-4. Both
+    are over the tangent at the pose, so the differences run through
+    root_rot * exp(delta) at delta = 0."""
     corpus = [make_chain(2), make_chain(4, foot_joints=(3,)), make_humanoid()]
     cfg = RetargetConfig()
     worst_fk = worst_obj = 0.0
@@ -172,8 +174,8 @@ def test_criterion_04_gradient_fidelity(rng):
             if kink < 1e-4:
                 continue
             fk_err = relative_error(
-                fk_jacobian_vector(skeleton, shape, x),
-                central_difference(lambda v: fk_vector(skeleton, shape, v), x),
+                fk_jacobian_vector(skeleton, shape, x)[1],
+                tangent_difference(lambda v: fk_vector(skeleton, shape, v), x),
             )
             joints = fk(skeleton, shape, pose)
             obj_pts = joints.mean(axis=0) + rng.uniform(-0.3, 0.3, size=(5, 3))
@@ -184,7 +186,7 @@ def test_criterion_04_gradient_fidelity(rng):
             )
             ctx = FrameContext(dt=dt, slide_feet=tuple(sorted(skeleton.foot_joints)))
             grad = _gradient_core(x, x_prev, ctx, skeleton, shape, mesh, cfg)
-            fd = central_difference(
+            fd = tangent_difference(
                 lambda v: sum(_terms_core(v, x_prev, ctx, skeleton, shape, mesh, cfg).values()),
                 x,
             ).ravel()

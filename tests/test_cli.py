@@ -128,6 +128,36 @@ class TestConfigFile:
         assert not np.array_equal(smoothed.root_pos, reloaded.root_pos)
 
 
+    def test_unknown_key_is_data_error(self, tmp_path, capsys):
+        # a misspelt setting must not be dropped without a word
+        write_assets(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"max_iteratons": 3}))
+        code = main([
+            "retarget", "--src", str(tmp_path / "motion.json"),
+            "--src-skel", str(tmp_path / "skeleton.json"),
+            "--tgt-skel", str(tmp_path / "skeleton.json"),
+            "--obj", str(tmp_path / "box.obj"),
+            "--config", str(config), "-o", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "max_iteratons" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unflagged_setting_is_accepted(self, tmp_path):
+        # reward-eval's per-component omega weights have no flag form
+        write_assets(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"omega": {"joint_pos": 2.0}, "lambda_c": 0.5}))
+        assert main([
+            "reward-eval", "--motion", str(tmp_path / "motion.json"),
+            "--ref", str(tmp_path / "motion.json"),
+            "--skeleton", str(tmp_path / "skeleton.json"),
+            "--obj", str(tmp_path / "box.obj"),
+            "--config", str(config), "-o", str(tmp_path / "rewards.csv"),
+        ]) == 0
+
+
 class TestFitShapeCommand:
     def test_writes_scales_and_residual(self, tmp_path, capsys):
         write_assets(tmp_path)

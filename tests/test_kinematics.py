@@ -9,7 +9,9 @@ from retargetkit.kinematics import (
     Pose,
     fit_shape,
     fk,
+    fk_jacobian,
     fk_jacobian_vector,
+    fk_sequence,
     fk_vector,
     pose_param_count,
     pose_to_vector,
@@ -18,9 +20,9 @@ from retargetkit.kinematics import (
     vector_to_pose,
 )
 from retargetkit.motionio import ShapeParams
-from retargetkit.rotations import quat_from_expmap, quat_to_mat
+from retargetkit.rotations import expmap_to_mat, quat_from_expmap, quat_to_mat
 
-from conftest import central_difference, make_chain, make_humanoid, random_pose, relative_error
+from conftest import held_box_motion, make_chain, make_humanoid, random_pose, relative_error, tangent_difference
 
 
 def rot_x(angle):
@@ -94,25 +96,28 @@ class TestFkJacobian:
     def test_translation_block_is_identity(self, chain4, rng):
         shape = ShapeParams.ones(4)
         x = pose_to_vector(random_pose(chain4, rng))
-        jac = fk_jacobian_vector(chain4, shape, x)
+        _, jac = fk_jacobian_vector(chain4, shape, x)
         for i in range(4):
             np.testing.assert_allclose(jac[3 * i : 3 * i + 3, 0:3], np.eye(3), atol=1e-12)
 
     def test_matches_central_differences(self, chain4, rng):
-        # finite-difference oracle, step 1e-5
+        # finite-difference oracle, step 1e-5, through root_rot * exp(delta)
         shape = ShapeParams.ones(4)
         for _ in range(5):
             x = pose_to_vector(random_pose(chain4, rng))
-            jac = fk_jacobian_vector(chain4, shape, x)
-            fd = central_difference(lambda v: fk_vector(chain4, shape, v), x)
+            _, jac = fk_jacobian_vector(chain4, shape, x)
+            fd = tangent_difference(lambda v: fk_vector(chain4, shape, v), x)
             assert relative_error(jac, fd) < 1e-4
 
     def test_matches_fd_on_humanoid(self, humanoid, rng):
         shape = ShapeParams(bone_scales=rng.uniform(0.5, 2.0, humanoid.joint_count))
         x = pose_to_vector(random_pose(humanoid, rng))
-        jac = fk_jacobian_vector(humanoid, shape, x)
-        fd = central_difference(lambda v: fk_vector(humanoid, shape, v), x)
+        positions, jac = fk_jacobian_vector(humanoid, shape, x)
+        fd = tangent_difference(lambda v: fk_vector(humanoid, shape, v), x)
+        assert jac.shape == (3 * humanoid.joint_count, 3 * humanoid.joint_count + 3)
         assert relative_error(jac, fd) < 1e-4
+        np.testing.assert_array_equal(positions, fk_vector(humanoid, shape, x))
+        np.testing.assert_array_equal(fk_jacobian(humanoid, shape, vector_to_pose(x, humanoid.joint_count)), jac)
 
     def test_zero_length_bone_rotation_columns(self):
         skel = make_chain(3)
@@ -121,9 +126,37 @@ class TestFkJacobian:
         skel2 = make_chain(3)
         object.__setattr__(skel2, "rest_offsets", offsets)
         x = pose_to_vector(tpose(skel2))
-        jac = fk_jacobian_vector(skel2, ShapeParams.ones(3), x)
-        own_cols = jac[3 : 6, 7 : 10]  # joint 1 position vs its own rotation
+        _, jac = fk_jacobian_vector(skel2, ShapeParams.ones(3), x)
+        own_cols = jac[3 : 6, 6 : 9]  # joint 1 position vs its own rotation
         np.testing.assert_allclose(own_cols, 0.0, atol=1e-15)
+
+
+def loop_fk(skeleton, shape, pose):
+    """Reference FK: one joint at a time down the chain."""
+    rot, pos = [quat_to_mat(pose.root_rot)], [pose.root_pos]
+    for i in range(1, skeleton.joint_count):
+        p = skeleton.parents[i]
+        rot.append(rot[p] @ expmap_to_mat(pose.joint_rots[i - 1]))
+        pos.append(pos[p] + rot[i] @ (shape.bone_scales[i] * skeleton.rest_offsets[i]))
+    return np.array(pos)
+
+
+class TestFkSequence:
+    def test_matches_per_frame_fk(self, humanoid, rng):
+        shape = ShapeParams(bone_scales=rng.uniform(0.5, 2.0, humanoid.joint_count))
+        seq = held_box_motion(humanoid, frames=12)
+        poses = [random_pose(humanoid, rng) for _ in range(seq.frame_count)]
+        seq = replace(
+            seq,
+            root_pos=np.stack([p.root_pos for p in poses]),
+            root_rot=np.stack([p.root_rot for p in poses]),
+            joint_rots=np.stack([p.joint_rots for p in poses]),
+        )
+        batched = fk_sequence(humanoid, shape, seq)
+        for t, pose in enumerate(poses):
+            np.testing.assert_allclose(batched[t], fk(humanoid, shape, pose), rtol=0.0, atol=1e-15)
+            # summation order differs from the chain loop: round-off of ~1 m sums
+            np.testing.assert_allclose(batched[t], loop_fk(humanoid, shape, pose), rtol=0.0, atol=1e-14)
 
 
 class TestFitShape:

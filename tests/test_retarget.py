@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from retargetkit.kinematics import (
     fk_vector,
     motion_frame_pose,
     pose_to_vector,
+    stored_vector,
+    tangent_vector,
 )
 from retargetkit.motionio import MotionSequence, ShapeParams
 from retargetkit.optim import OptimizerConfig
@@ -28,6 +32,7 @@ from retargetkit.retarget import (
     target_point_cloud,
 )
 from retargetkit.retarget import _gradient_core, _terms_core
+from retargetkit.rotations import quat_from_expmap, quat_mul, quat_to_mat
 
 from conftest import (
     central_difference,
@@ -37,6 +42,7 @@ from conftest import (
     partner_motion,
     random_pose,
     relative_error,
+    tangent_difference,
 )
 
 
@@ -130,7 +136,7 @@ class TestObjectiveGradient:
             ctx = FrameContext(dt=dt, slide_feet=(3,))
             x, x_prev = pose_to_vector(pose), pose_to_vector(prev)
             grad = _gradient_core(x, x_prev, ctx, skel, shape, mesh, cfg)
-            fd = central_difference(
+            fd = tangent_difference(
                 lambda v: sum(_terms_core(v, x_prev, ctx, skel, shape, mesh, cfg).values()),
                 x,
             ).ravel()
@@ -236,6 +242,61 @@ class TestRetargetSequence:
             )
 
 
+def turned(seq: MotionSequence, angle: float) -> tuple[MotionSequence, np.ndarray]:
+    """The whole scene turned by angle about the world z axis, and the turn."""
+    q = quat_from_expmap((0.0, 0.0, angle))
+    rot = quat_to_mat(q)
+    return replace(
+        seq,
+        root_pos=seq.root_pos @ rot.T,
+        root_rot=np.stack([quat_mul(q, r) for r in seq.root_rot]),
+        obj_pos=seq.obj_pos @ rot.T,
+        obj_rot=np.stack([quat_mul(q, r) for r in seq.obj_rot]),
+    ), rot
+
+
+class TestHeadingInvariance:
+    """The solver steps the root rotation on the rotation manifold, so a
+    scene turned about z retargets to the turned result. Stepping raw
+    quaternion components made the solve depend on the heading."""
+
+    GATE_OFF = RetargetConfig(retention=RetentionRule(proximity_gate=None))
+
+    def _pair(self, humanoid, box, target):
+        ones = ShapeParams.ones(humanoid.joint_count)
+        seq = held_box_motion(humanoid, frames=30, amplitude=0.04)
+        seq_turned, rot = turned(seq, 0.7)
+        results = [retarget_sequence(s, humanoid, ones, target, ones, box, self.GATE_OFF)
+                   for s in (seq, seq_turned)]
+        joints = [fk_sequence(target, ones, r.sequence) for r in results]
+        assert np.max(np.abs(joints[0] @ rot.T - joints[1])) < 1e-6
+        for result in results:
+            assert all(f.converged for f in result.per_frame_losses)
+            np.testing.assert_allclose(np.linalg.norm(result.sequence.root_rot, axis=1), 1.0, rtol=0, atol=1e-12)
+        return results
+
+    def test_identity_target(self, humanoid, box):
+        plain, turned_result = self._pair(humanoid, box, humanoid)
+        # identity retargeting converges to a loss near 2e-7, where evaluation
+        # round-off crosses the optimizer's 1e-12 relative stall tolerance, so
+        # a frame's stopping point can move by a few iterations either way
+        assert abs(plain.iterations - turned_result.iterations) <= 10
+
+    def test_scaled_target(self, humanoid, box):
+        target = replace(humanoid, rest_offsets=humanoid.rest_offsets * 1.15)
+        plain, turned_result = self._pair(humanoid, box, target)
+        assert abs(plain.iterations - turned_result.iterations) <= 2
+        totals = [sum(f.total for f in r.per_frame_losses) for r in (plain, turned_result)]
+        assert totals[1] == pytest.approx(totals[0], rel=1e-9)
+
+    def test_scaled_target_under_the_default_gate_converges(self, humanoid, box):
+        target = replace(humanoid, rest_offsets=humanoid.rest_offsets * 1.15)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        seq = held_box_motion(humanoid, frames=25)
+        result = retarget_sequence(seq, humanoid, ones, target, ones, box, RetargetConfig())
+        assert not any(f.iterations == OptimizerConfig().max_iterations for f in result.per_frame_losses)
+
+
 class TestTopologyReuse:
     @pytest.mark.parametrize("gate", [None, 0.5])
     def test_reused_frames_match_fresh_builds(self, humanoid, box, monkeypatch, gate):
@@ -325,36 +386,39 @@ class TestNormalEquations:
         retention=RetentionRule(proximity_gate=None),
     )
 
-    def _check(self, skel, shape, mesh, x_ref, x, feet):
+    def _check(self, skel, shape, mesh, x_ref, xi, feet):
+        # xi is a tangent vector in the chart at x_ref's root rotation
         cfg = self.CFG
         feet = np.asarray(feet, dtype=int)
         feet_ref = fk_vector(skel, shape, x_ref)[feet]
+        model = FrameModel(skel, shape, x_ref, FrameContext(dt=1 / 30, slide_feet=tuple(feet)), mesh, cfg)
 
         def residuals(v):
-            positions = fk_vector(skel, shape, v)
+            stored = stored_vector(v, model.anchor)
+            positions = fk_vector(skel, shape, stored)
             coords = target_point_cloud(mesh, positions)
             diff = laplacians(coords[mesh.tetrahedra]) - mesh.reference_laplacians
             return np.concatenate([
                 np.sqrt(cfg.laplacian_weight) * diff.ravel(),
-                np.sqrt(cfg.temporal_weight) * (v - x_ref),
+                np.sqrt(cfg.temporal_weight) * (stored - x_ref),
                 np.sqrt(cfg.foot_slide_weight) * (positions[feet] - feet_ref).ravel(),
             ])
 
-        r = residuals(x)
-        jac = central_difference(residuals, x)
-        model = FrameModel(skel, shape, x_ref, FrameContext(dt=1 / 30, slide_feet=tuple(feet)), mesh, cfg)
-        jtj, jtr = model.normal_equations(x)
+        r = residuals(xi)
+        jac = central_difference(residuals, xi)
+        jtj, jtr = model.normal_equations(xi)
         assert relative_error(jtj, jac.T @ jac) < 1e-7
         assert relative_error(jtr, jac.T @ r) < 1e-7
-        assert model.loss(x) == pytest.approx(
-            float(r @ r) + model.terms(x)["jlimit"] + model.terms(x)["vlimit"], rel=1e-12
-        )
+        terms = model.terms(stored_vector(xi, model.anchor))
+        assert model.loss(xi) == pytest.approx(float(r @ r) + terms["jlimit"] + terms["vlimit"], rel=1e-12)
 
     def _frame(self, humanoid, seq, t, rng):
+        # a turned root (delta away from the chart's origin) and moved joints
         x_ref = pose_to_vector(motion_frame_pose(seq, t - 1))
-        x = pose_to_vector(motion_frame_pose(seq, t))
-        x[7:] += rng.normal(0.0, 0.05, size=len(x) - 7)
-        return x_ref, x
+        xi = tangent_vector(pose_to_vector(motion_frame_pose(seq, t)))
+        xi[3:6] = rng.normal(0.0, 0.3, size=3)
+        xi[6:] += rng.normal(0.0, 0.05, size=len(xi) - 6)
+        return x_ref, xi
 
     def test_held_box_frame_with_slide_feet(self, humanoid, box, rng):
         seq = held_box_motion(humanoid, frames=6, amplitude=0.2)
