@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Flags override config-file values (--config, JSON keyed by flag names with
-underscores); machine output goes to stdout or the -o target, human-readable
-diagnostics to stderr.
+A flag backed by a config dataclass field (RetargetConfig, RetentionRule,
+OptimizerConfig, SmoothConfig, RewardConfig, ScheduleConfig) takes its
+default from that field. Every command takes --config, a JSON object keyed by
+flag names with underscores; its values are read as the flags' own arguments
+would be, flags override them, and they override the defaults. Machine output
+goes to stdout or the -o target, human-readable diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -62,30 +65,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(parser: _Parser):
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--config", type=str, default=None, help="JSON config file mirroring flag names")
-    parser.add_argument("--verbose", type=int, default=0, help="verbosity level")
-
-
-def _load_config(args, unflagged: tuple[str, ...] = ()) -> dict:
-    """The --config settings; each key must name one of the command's flags
-    (with underscores) or one of the unflagged settings it reads."""
-    config = read_json(args.config) if getattr(args, "config", None) else {}
-    if not isinstance(config, dict):
-        raise DataError(f"{args.config}: config must be a JSON object")
-    unknown = sorted(set(config) - set(vars(args)) - set(unflagged) - {"command"})
-    if unknown:
-        raise DataError(f"{args.config}: unknown config keys for {args.command}: {', '.join(unknown)}")
-    return config
-
-
-def _setting(args, config: dict, name: str, default):
-    """CLI flag if given, else config-file value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
+def _proximity_gate(text: str) -> float | None:
+    """A gate in meters, or None for 'none'."""
+    if text.lower() == "none":
+        return None
+    try:
+        gate = float(text)
+        if gate > 0:
+            return gate
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is neither a positive distance nor 'none'")
 
 
 def _emit(text: str, out: str | None):
@@ -96,144 +86,162 @@ def _emit(text: str, out: str | None):
 
 
 def build_parser() -> _Parser:
+    """The CLI. A flag backed by a config dataclass field takes that field's
+    default, so the dataclass is the one declaration of the setting."""
     parser = _Parser(prog="retargetkit", description="Interaction-preserving motion retargeting toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
 
-    p = sub.add_parser("fit-shape",
-                       help="fit bone scales of a skeleton to another skeleton's T-pose",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    def command(name: str, help: str) -> _Parser:
+        return sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+
+    def add_retention(p: _Parser):
+        p.add_argument("--retention", choices=("strict", "loose"), default=RetentionRule.mode,
+                       help="tetrahedron retention rule")
+        p.add_argument("--proximity-gate", type=_proximity_gate, default=RetentionRule.proximity_gate,
+                       help="joint-to-object gate in meters, or 'none'")
+        p.add_argument("--max-object-vertices", type=int, default=RetargetConfig.max_object_vertices,
+                       help="object subsample budget")
+
+    p = command("fit-shape", "fit bone scales of a skeleton to another skeleton's T-pose")
     p.add_argument("--skeleton", required=True, help="skeleton whose scales are fitted")
     p.add_argument("--target", required=True, help="skeleton supplying the target T-pose joints")
     p.add_argument("-o", "--output", default=None, help="output JSON path (default: stdout)")
-    _add_common(p)
+    p.add_argument("--verbose", type=int, default=0, help="verbosity level")
 
-    p = sub.add_parser("retarget",
-                       help="retarget a motion onto a target skeleton",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("retarget", "retarget a motion onto a target skeleton")
     p.add_argument("--src", required=True, help="source motion JSON")
     p.add_argument("--src-skel", required=True, help="source skeleton JSON")
     p.add_argument("--tgt-skel", required=True, help="target skeleton JSON")
     p.add_argument("--obj", required=True, help="object mesh OBJ")
     p.add_argument("--second-src", default=None, help="second-agent motion JSON (context)")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--laplacian-weight", type=float, default=None, help="laplacian term weight (default 1.0)")
-    p.add_argument("--temporal-weight", type=float, default=None, help="temporal term weight (default 1.0)")
-    p.add_argument("--jlimit-weight", type=float, default=None, help="joint-limit term weight (default 1.0)")
-    p.add_argument("--vlimit-weight", type=float, default=None, help="velocity-limit term weight (default 1.0)")
-    p.add_argument("--slide-weight", type=float, default=None, help="foot-slide term weight (default 1.0)")
-    p.add_argument("--foot-speed-threshold", type=float, default=None,
-                   help="source horizontal foot speed gate, m/s (default 0.01)")
-    p.add_argument("--retention", choices=("strict", "loose"), default=None,
-                   help="tetrahedron retention rule (default strict)")
-    p.add_argument("--proximity-gate", default=None,
-                   help="joint-to-object gate in meters, or 'none' (default 0.5)")
-    p.add_argument("--max-object-vertices", type=int, default=None,
-                   help="object subsample budget (default 64)")
-    p.add_argument("--mesh-rebuild", choices=("per-frame", "first-frame"), default=None,
-                   help="interact-mesh rebuild policy (default per-frame)")
-    p.add_argument("--max-iterations", type=int, default=None,
-                   help="descent iteration cap per frame (default 100)")
-    _add_common(p)
+    p.add_argument("--laplacian-weight", type=float, default=RetargetConfig.laplacian_weight,
+                   help="laplacian term weight")
+    p.add_argument("--temporal-weight", type=float, default=RetargetConfig.temporal_weight,
+                   help="temporal term weight")
+    p.add_argument("--jlimit-weight", type=float, default=RetargetConfig.joint_limit_weight,
+                   help="joint-limit term weight")
+    p.add_argument("--vlimit-weight", type=float, default=RetargetConfig.velocity_limit_weight,
+                   help="velocity-limit term weight")
+    p.add_argument("--slide-weight", type=float, default=RetargetConfig.foot_slide_weight,
+                   help="foot-slide term weight")
+    p.add_argument("--foot-speed-threshold", type=float, default=RetargetConfig.foot_speed_threshold,
+                   help="source horizontal foot speed gate, m/s")
+    add_retention(p)
+    p.add_argument("--max-iterations", type=int, default=OptimizerConfig.max_iterations,
+                   help="descent iteration cap per frame")
+    p.add_argument("--verbose", type=int, default=0, help="verbosity level")
 
-    p = sub.add_parser("smooth",
-                       help="smooth a motion's root trajectory and rotations",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("smooth", "smooth a motion's root trajectory and rotations")
     p.add_argument("--motion", required=True, help="motion JSON")
     p.add_argument("--skeleton", required=True, help="skeleton JSON the motion binds to")
-    p.add_argument("--alpha", type=float, default=None, help="root regularization alpha (default 1.0)")
-    p.add_argument("--window", type=int, default=None, help="odd rotation window (default 5)")
+    p.add_argument("--alpha", type=float, default=SmoothConfig.alpha, help="root regularization alpha")
+    p.add_argument("--window", type=int, default=SmoothConfig.rotation_window, help="odd rotation window")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    _add_common(p)
 
-    p = sub.add_parser("reward-eval",
-                       help="evaluate the tracking reward of a motion against a reference",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("reward-eval", "evaluate the tracking reward of a motion against a reference")
     p.add_argument("--motion", required=True, help="simulated/retargeted motion JSON")
     p.add_argument("--ref", required=True, help="reference motion JSON")
     p.add_argument("--skeleton", required=True, help="skeleton JSON")
     p.add_argument("--obj", required=True, help="object mesh OBJ")
-    p.add_argument("--lambda-delta", type=float, default=None, help="imitation coefficient (default 1.0)")
-    p.add_argument("--lambda-c", type=float, default=None, help="contact coefficient (default 1.0)")
-    p.add_argument("--lambda-v", type=float, default=None, help="velocity coefficient (default 1.0)")
-    p.add_argument("--lambda-f", type=float, default=None, help="force coefficient (default 1.0)")
-    p.add_argument("--contact-near", type=float, default=None, help="contact zone bound, m (default 0.07)")
-    p.add_argument("--contact-far", type=float, default=None, help="penalty zone bound, m (default 0.2)")
-    p.add_argument("--energy-velocity", choices=("angular", "linear"), default=None,
-                   help="velocity source for the energy factor (default angular)")
+    p.add_argument("--lambda-delta", type=float, default=RewardConfig.lambda_delta, help="imitation coefficient")
+    p.add_argument("--lambda-c", type=float, default=RewardConfig.lambda_c, help="contact coefficient")
+    p.add_argument("--lambda-v", type=float, default=RewardConfig.lambda_v, help="velocity coefficient")
+    p.add_argument("--lambda-f", type=float, default=RewardConfig.lambda_f, help="force coefficient")
+    p.add_argument("--contact-near", type=float, default=RewardConfig.contact_near, help="contact zone bound, m")
+    p.add_argument("--contact-far", type=float, default=RewardConfig.contact_far, help="penalty zone bound, m")
+    p.add_argument("--energy-velocity", choices=("angular", "linear"), default=RewardConfig.energy_velocity,
+                   help="velocity source for the energy factor")
     p.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
-    _add_common(p)
+    # per-component weights have no flag form; only a config file sets them
+    p.set_defaults(omega=RewardConfig().omega)
 
-    p = sub.add_parser("schedule-sim",
-                       help="run the distillation schedule over stub policies",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--epsilon", type=float, default=None, help="annealing span in rounds (default 10)")
-    p.add_argument("--kappa", type=float, default=None, help="pure-teacher span in rounds (default 5)")
-    p.add_argument("--t-imit", type=int, default=None, help="reward switch round (default 10)")
-    p.add_argument("--horizon", type=int, default=None, help="steps per round (default 100)")
-    p.add_argument("--rounds", type=int, default=None, help="rounds to simulate (default 20)")
+    p = command("schedule-sim", "run the distillation schedule over stub policies")
+    p.add_argument("--epsilon", type=float, default=ScheduleConfig.epsilon, help="annealing span in rounds")
+    p.add_argument("--kappa", type=float, default=ScheduleConfig.kappa, help="pure-teacher span in rounds")
+    p.add_argument("--t-imit", type=int, default=ScheduleConfig.t_imit, help="reward switch round")
+    p.add_argument("--horizon", type=int, default=ScheduleConfig.horizon, help="steps per round")
+    p.add_argument("--rounds", type=int, default=20, help="rounds to simulate")
+    p.add_argument("--seed", type=int, default=ScheduleConfig.seed, help="random seed")
     p.add_argument("-o", "--output", default=None,
                    help="output prefix; writes PREFIX.csv and PREFIX.transitions.jsonl "
                         "(default: CSV to stdout)")
-    _add_common(p)
 
-    p = sub.add_parser("filter",
-                       help="performance-driven curation over clip episode statistics",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("filter", "performance-driven curation over clip episode statistics")
     p.add_argument("--stats", required=True, help="clip stats JSON: {id: [episode lengths]}")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     p.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
-    _add_common(p)
 
-    p = sub.add_parser("pipeline",
-                       help="run the fit/retarget/smooth/filter pipeline over a manifest",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("pipeline", "run the fit/retarget/smooth/filter pipeline over a manifest")
     p.add_argument("--manifest", required=True, help="pipeline manifest JSON")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers over entries")
     p.add_argument("--validate-only", action="store_true", help="validate the manifest and exit")
-    _add_common(p)
 
-    p = sub.add_parser("mesh-inspect",
-                       help="dump the interact mesh of one frame as JSON",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("mesh-inspect", "dump the interact mesh of one frame as JSON")
     p.add_argument("--motion", required=True, help="motion JSON")
     p.add_argument("--skeleton", required=True, help="skeleton JSON")
     p.add_argument("--obj", required=True, help="object mesh OBJ")
     p.add_argument("--second-motion", default=None, help="second-agent motion JSON")
     p.add_argument("--frame", type=int, default=0, help="frame index")
-    p.add_argument("--retention", choices=("strict", "loose"), default=None,
-                   help="tetrahedron retention rule (default strict)")
-    p.add_argument("--proximity-gate", default=None,
-                   help="joint-to-object gate in meters, or 'none' (default 0.5)")
-    p.add_argument("--max-object-vertices", type=int, default=None,
-                   help="object subsample budget (default 64)")
+    add_retention(p)
     p.add_argument("-o", "--output", default=None, help="output JSON path (default: stdout)")
-    _add_common(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None,
+                       help="JSON file of settings keyed by flag names with underscores")
+    parser.commands = sub.choices
     return parser
 
 
-def _parse_gate(value):
-    if value is None:
-        return 0.5
-    if isinstance(value, str) and value.lower() == "none":
-        return None
-    gate = float(value)
-    if gate <= 0:
-        raise DataError("--proximity-gate must be positive or 'none'")
-    return gate
+def _config_value(command: _Parser, key: str, value):
+    """A --config value read as the text its flag would carry, converted and
+    checked as that flag's argument is. JSON null reads as 'none', so it turns
+    the proximity gate off, as it does in a manifest."""
+    action = next((a for a in command._actions if a.dest == key), None)
+    if action is None:  # reward-eval's omega, a setting without a flag, keeps its JSON value
+        expected = type(command.get_default(key))
+        if not isinstance(value, expected):
+            raise ValueError(f"expected a {expected.__name__}, got {value!r}")
+        return value
+    if action.nargs == 0:  # a switch such as --validate-only
+        if not isinstance(value, bool):
+            raise ValueError("expected true or false")
+        return value
+    converted = (action.type or str)("none" if value is None else str(value))
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"{converted!r} is not one of {', '.join(map(str, action.choices))}")
+    return converted
 
 
-def _retention_rule(args, config) -> RetentionRule:
-    return RetentionRule(
-        mode=_setting(args, config, "retention", "strict"),
-        proximity_gate=_parse_gate(_setting(args, config, "proximity_gate", 0.5)),
-    )
+def _apply_config(parser: _Parser, args: argparse.Namespace, argv) -> argparse.Namespace:
+    """Parse again with the --config file's settings as the command's
+    defaults, so flags override the file and the file overrides the dataclass
+    defaults. A key must name an optional flag of the command that has a
+    default, or reward-eval's omega; paths stay on the command line."""
+    config = read_json(args.config)
+    if not isinstance(config, dict):
+        raise DataError(f"{args.config}: config must be a JSON object")
+    command = parser.commands[args.command]
+    unknown = sorted(k for k in config if command.get_default(k) in (None, argparse.SUPPRESS))
+    if unknown:
+        raise DataError(f"{args.config}: unknown config keys for {args.command}: {', '.join(unknown)}")
+    settings = {}
+    for key, value in config.items():
+        try:
+            settings[key] = _config_value(command, key, value)
+        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+            raise DataError(f"{args.config}: config key {key!r}: {exc}") from exc
+    command.set_defaults(**settings)
+    return parser.parse_args(argv)
+
+
+def _retention_rule(args) -> RetentionRule:
+    return RetentionRule(mode=args.retention, proximity_gate=args.proximity_gate)
 
 
 def _cmd_fit_shape(args) -> int:
-    config = _load_config(args)
-    skeleton = load_skeleton(_setting(args, config, "skeleton", None))
-    target = load_skeleton(_setting(args, config, "target", None))
+    skeleton = load_skeleton(args.skeleton)
+    target = load_skeleton(args.target)
     shape, residual = fit_bridge(skeleton, target)
     doc = {"bone_scales": [float(s) for s in shape.bone_scales], "residual_m": residual}
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
@@ -242,31 +250,27 @@ def _cmd_fit_shape(args) -> int:
     return 0
 
 
-def _retarget_config(args, config) -> RetargetConfig:
+def _retarget_config(args) -> RetargetConfig:
     return RetargetConfig(
-        laplacian_weight=float(_setting(args, config, "laplacian_weight", 1.0)),
-        temporal_weight=float(_setting(args, config, "temporal_weight", 1.0)),
-        joint_limit_weight=float(_setting(args, config, "jlimit_weight", 1.0)),
-        velocity_limit_weight=float(_setting(args, config, "vlimit_weight", 1.0)),
-        foot_slide_weight=float(_setting(args, config, "slide_weight", 1.0)),
-        foot_speed_threshold=float(_setting(args, config, "foot_speed_threshold", 0.01)),
-        optimizer=OptimizerConfig(
-            max_iterations=int(_setting(args, config, "max_iterations", OptimizerConfig.max_iterations))
-        ),
-        retention=_retention_rule(args, config),
-        max_object_vertices=int(_setting(args, config, "max_object_vertices", 64)),
-        mesh_rebuild=_setting(args, config, "mesh_rebuild", "per-frame"),
+        laplacian_weight=args.laplacian_weight,
+        temporal_weight=args.temporal_weight,
+        joint_limit_weight=args.jlimit_weight,
+        velocity_limit_weight=args.vlimit_weight,
+        foot_slide_weight=args.slide_weight,
+        foot_speed_threshold=args.foot_speed_threshold,
+        optimizer=OptimizerConfig(max_iterations=args.max_iterations),
+        retention=_retention_rule(args),
+        max_object_vertices=args.max_object_vertices,
     )
 
 
 def _cmd_retarget(args) -> int:
-    config = _load_config(args)
     src_skel = load_skeleton(args.src_skel)
     tgt_skel = load_skeleton(args.tgt_skel)
     seq = load_motion(args.src, src_skel)
     obj = load_obj(args.obj)
     second = load_motion(args.second_src, src_skel) if args.second_src else None
-    cfg = _retarget_config(args, config)
+    cfg = _retarget_config(args)
     bridge, residual = fit_bridge(src_skel, tgt_skel)
     ones = ShapeParams.ones(src_skel.joint_count)
     result = retarget_sequence(seq, src_skel, ones, src_skel, bridge, obj, cfg, second_seq=second)
@@ -286,17 +290,14 @@ def _cmd_retarget(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
-    config = _load_config(args)
-    alpha = float(_setting(args, config, "alpha", 1.0))
-    window = int(_setting(args, config, "window", 5))
-    if alpha < 0:
+    if args.alpha < 0:
         raise SystemExit(_usage_error("--alpha must be nonnegative"))
-    if window < 1 or window % 2 == 0:
+    if args.window < 1 or args.window % 2 == 0:
         raise SystemExit(_usage_error("--window must be an odd integer >= 1"))
     skeleton = load_skeleton(args.skeleton)
     seq = load_motion(args.motion, skeleton)
 
-    final = smooth_motion(seq, SmoothConfig(alpha=alpha, rotation_window=window))
+    final = smooth_motion(seq, SmoothConfig(alpha=args.alpha, rotation_window=args.window))
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_motion(final, out_dir / Path(args.motion).name)
@@ -317,17 +318,20 @@ def _usage_error(message: str) -> int:
     return 1
 
 
-def _reward_config(args, config) -> RewardConfig:
+def _reward_config(args) -> RewardConfig:
+    try:
+        omega = {k: float(v) for k, v in args.omega.items()}
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"omega weights must be numbers: {exc}") from exc
     return RewardConfig(
-        lambda_delta=float(_setting(args, config, "lambda_delta", 1.0)),
-        lambda_c=float(_setting(args, config, "lambda_c", 1.0)),
-        lambda_v=float(_setting(args, config, "lambda_v", 1.0)),
-        lambda_f=float(_setting(args, config, "lambda_f", 1.0)),
-        # per-component weights have no flag form; the config file carries them
-        omega={k: float(v) for k, v in config.get("omega", {}).items()},
-        contact_near=float(_setting(args, config, "contact_near", 0.07)),
-        contact_far=float(_setting(args, config, "contact_far", 0.2)),
-        energy_velocity=_setting(args, config, "energy_velocity", "angular"),
+        lambda_delta=args.lambda_delta,
+        lambda_c=args.lambda_c,
+        lambda_v=args.lambda_v,
+        lambda_f=args.lambda_f,
+        omega=omega,
+        contact_near=args.contact_near,
+        contact_far=args.contact_far,
+        energy_velocity=args.energy_velocity,
     )
 
 
@@ -368,8 +372,7 @@ def _observe(seq, skeleton, obj) -> list[ObservationFrame]:
 
 
 def _cmd_reward_eval(args) -> int:
-    config = _load_config(args, unflagged=("omega",))
-    cfg = _reward_config(args, config)
+    cfg = _reward_config(args)
     skeleton = load_skeleton(args.skeleton)
     seq = load_motion(args.motion, skeleton)
     ref = load_motion(args.ref, skeleton)
@@ -390,16 +393,10 @@ def _cmd_reward_eval(args) -> int:
 
 
 def _cmd_schedule_sim(args) -> int:
-    config = _load_config(args)
     cfg = ScheduleConfig(
-        epsilon=float(_setting(args, config, "epsilon", 10.0)),
-        kappa=float(_setting(args, config, "kappa", 5.0)),
-        t_imit=int(_setting(args, config, "t_imit", 10)),
-        horizon=int(_setting(args, config, "horizon", 100)),
-        seed=args.seed,
+        epsilon=args.epsilon, kappa=args.kappa, t_imit=args.t_imit, horizon=args.horizon, seed=args.seed,
     )
-    rounds = int(_setting(args, config, "rounds", 20))
-    log = run_schedule(pd_teacher(), lazy_student(), point_mass_env, cfg, rounds=rounds)
+    log = run_schedule(pd_teacher(), lazy_student(), point_mass_env, cfg, rounds=args.rounds)
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -461,7 +458,6 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_mesh_inspect(args) -> int:
-    config = _load_config(args)
     skeleton = load_skeleton(args.skeleton)
     seq = load_motion(args.motion, skeleton)
     obj = load_obj(args.obj)
@@ -469,15 +465,14 @@ def _cmd_mesh_inspect(args) -> int:
     t = args.frame
     if not 0 <= t < seq.frame_count:
         raise DataError(f"frame {t} outside [0, {seq.frame_count})")
-    rule = _retention_rule(args, config)
-    budget = int(_setting(args, config, "max_object_vertices", 64))
+    rule = _retention_rule(args)
 
     shape = ShapeParams.ones(skeleton.joint_count)
     joints = fk_sequence(skeleton, shape, seq)[t]
     second_joints = None
     if second is not None:
         second_joints = fk_sequence(skeleton, shape, second)[t]
-    obj_world = object_world_vertices(obj, seq, budget)[t]
+    obj_world = object_world_vertices(obj, seq, args.max_object_vertices)[t]
     try:
         mesh = build_interact_mesh(joints, second_joints, obj_world, rule)
         doc = mesh_to_dict(mesh)
@@ -509,6 +504,8 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
+        if args.config:
+            args = _apply_config(parser, args, argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

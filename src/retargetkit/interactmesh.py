@@ -481,9 +481,7 @@ class InteractMesh:
     points: PointCloud
     tetrahedra: np.ndarray  # (M, 4) indices into points
     reference_laplacians: np.ndarray  # (M, 4, 3)
-    # the full Delaunay tetrahedralization the retained set was cut from;
-    # None when the topology came from another frame's coordinates
-    delaunay: np.ndarray | None = None
+    delaunay: np.ndarray  # the full Delaunay tetrahedralization the retained set was cut from
 
     @property
     def tet_count(self) -> int:

@@ -44,9 +44,7 @@ import numpy as np
 from .errors import DataError, EmptyInteractMeshError, NumericalError
 from .interactmesh import (
     AGENT_A,
-    AGENT_B,
     InteractMesh,
-    PointCloud,
     RetentionRule,
     build_interact_mesh,
     farthest_point_subsample,
@@ -80,7 +78,6 @@ class RetargetConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     retention: RetentionRule = field(default_factory=RetentionRule)
     max_object_vertices: int = 64
-    mesh_rebuild: str = "per-frame"  # "per-frame" | "first-frame"
 
     def __post_init__(self):
         weights = (
@@ -94,8 +91,6 @@ class RetargetConfig:
             raise DataError("term weights must be nonnegative")
         if self.foot_speed_threshold <= 0:
             raise DataError("foot speed threshold must be positive")
-        if self.mesh_rebuild not in ("per-frame", "first-frame"):
-            raise DataError(f"unknown mesh_rebuild mode {self.mesh_rebuild!r}")
 
 
 @dataclass(frozen=True)
@@ -334,28 +329,6 @@ def object_world_vertices(obj: ObjectMesh, seq: MotionSequence, subsample: int) 
     return obj.vertices[idx] @ quat_to_mat(seq.obj_rot).transpose(0, 2, 1) + seq.obj_pos[:, None]
 
 
-def _mesh_with_frame_coordinates(
-    template: InteractMesh,
-    joints_a: np.ndarray,
-    joints_b: np.ndarray | None,
-    obj_world: np.ndarray,
-) -> InteractMesh:
-    """Reuse a mesh's topology with this frame's source coordinates."""
-    coords = template.points.coordinates.copy()
-    for row, (kind, idx) in enumerate(template.points.provenance):
-        if kind == AGENT_A:
-            coords[row] = joints_a[idx]
-        elif kind == AGENT_B:
-            coords[row] = joints_b[idx]
-        else:
-            coords[row] = obj_world[idx]
-    return InteractMesh(
-        points=PointCloud(coordinates=coords, provenance=template.points.provenance),
-        tetrahedra=template.tetrahedra,
-        reference_laplacians=laplacians(coords[template.tetrahedra]),
-    )
-
-
 def build_frame_meshes(
     src_joints: np.ndarray,
     second_joints: np.ndarray | None,
@@ -367,21 +340,14 @@ def build_frame_meshes(
     Each frame's mesh is offered to the next as its topology hint, which the
     tetrahedralizer keeps only when it is certified for the new coordinates.
     """
-    frames = len(src_joints)
     meshes: list[InteractMesh | None] = []
-    template: InteractMesh | None = None
     mesh: InteractMesh | None = None
-    for t in range(frames):
+    for t in range(len(src_joints)):
         second = second_joints[t] if second_joints is not None else None
-        if cfg.mesh_rebuild == "first-frame" and template is not None:
-            meshes.append(_mesh_with_frame_coordinates(template, src_joints[t], second, obj_world[t]))
-            continue
         try:
             mesh = build_interact_mesh(src_joints[t], second, obj_world[t], cfg.retention, previous=mesh)
         except EmptyInteractMeshError:
             mesh = None
-        if cfg.mesh_rebuild == "first-frame" and mesh is not None:
-            template = mesh
         meshes.append(mesh)
     return meshes
 

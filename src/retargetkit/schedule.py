@@ -34,10 +34,10 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    epsilon: float  # annealing span, rounds
-    kappa: float  # pure-teacher span, rounds
-    t_imit: int  # reward-switch round
-    horizon: int  # steps per round
+    epsilon: float = 10.0  # annealing span, rounds
+    kappa: float = 5.0  # pure-teacher span, rounds
+    t_imit: int = 10  # reward-switch round
+    horizon: int = 100  # steps per round
     seed: int = 0
 
     def __post_init__(self):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from dataclasses import replace
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 
 from retargetkit.cli import build_parser, main
+from retargetkit.interactmesh import RetentionRule
 from retargetkit.motionio import load_motion, save_motion, save_obj, save_skeleton
+from retargetkit.optim import OptimizerConfig
+from retargetkit.retarget import RetargetConfig
+from retargetkit.rewards import RewardConfig
+from retargetkit.schedule import ScheduleConfig
+from retargetkit.smoothing import SmoothConfig
 
 from conftest import CARRY_BOX_HALF, held_box_motion, make_box, make_humanoid
 from retargetkit.pipeline import load_manifest, run_pipeline
@@ -25,6 +32,41 @@ SUBCOMMANDS = (
     "pipeline",
     "mesh-inspect",
 )
+# arguments that run each command on write_assets' files, from their directory
+COMMAND_ARGS = {
+    "fit-shape": ["--skeleton", "skeleton.json", "--target", "skeleton.json"],
+    "retarget": ["--src", "motion.json", "--src-skel", "skeleton.json", "--tgt-skel", "skeleton.json",
+                 "--obj", "box.obj", "-o", "out"],
+    "smooth": ["--motion", "motion.json", "--skeleton", "skeleton.json", "-o", "out"],
+    "reward-eval": ["--motion", "motion.json", "--ref", "motion.json", "--skeleton", "skeleton.json",
+                    "--obj", "box.obj", "-o", "rewards.csv"],
+    "schedule-sim": ["-o", "sim"],
+    "filter": ["--stats", "stats.json"],
+    "pipeline": ["--manifest", "manifest.json", "--validate-only"],
+    "mesh-inspect": ["--motion", "motion.json", "--skeleton", "skeleton.json", "--obj", "box.obj"],
+}
+# (command, flag dest, config dataclass, field) for every dataclass-backed flag
+FIELD_FLAGS = (
+    [("retarget", dest, RetargetConfig, name) for dest, name in (
+        ("laplacian_weight", "laplacian_weight"), ("temporal_weight", "temporal_weight"),
+        ("jlimit_weight", "joint_limit_weight"), ("vlimit_weight", "velocity_limit_weight"),
+        ("slide_weight", "foot_slide_weight"), ("foot_speed_threshold", "foot_speed_threshold"))]
+    + [("retarget", "max_iterations", OptimizerConfig, "max_iterations")]
+    + [(command, dest, cls, name) for command in ("retarget", "mesh-inspect") for dest, cls, name in (
+        ("retention", RetentionRule, "mode"), ("proximity_gate", RetentionRule, "proximity_gate"),
+        ("max_object_vertices", RetargetConfig, "max_object_vertices"))]
+    + [("smooth", "alpha", SmoothConfig, "alpha"), ("smooth", "window", SmoothConfig, "rotation_window")]
+    + [("reward-eval", name, RewardConfig, name) for name in (
+        "lambda_delta", "lambda_c", "lambda_v", "lambda_f", "omega", "contact_near", "contact_far",
+        "energy_velocity")]
+    + [("schedule-sim", name, ScheduleConfig, name) for name in ("epsilon", "kappa", "t_imit", "horizon", "seed")]
+)
+
+
+def subparser(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
 
 
 def write_assets(root, frames=4):
@@ -39,11 +81,7 @@ class TestHelpGolden:
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_subcommand_help_matches_golden(self, command, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        parser = build_parser()
-        sub = next(
-            a for a in parser._actions if isinstance(a, type(parser._subparsers._group_actions[0]))
-        )
-        text = sub.choices[command].format_help()
+        text = subparser(command).format_help()
         golden = GOLDEN_DIR / f"{command}.txt"
         assert text == golden.read_text(), f"help text for {command} drifted from golden file"
 
@@ -80,6 +118,67 @@ class TestExitCodes:
 
 
 class TestConfigFile:
+    def test_flag_defaults_are_dataclass_defaults(self):
+        # the dataclass field is the one declaration of a setting's default
+        drifted = []
+        for command, dest, cls, name in FIELD_FLAGS:
+            default = subparser(command).get_default(dest)
+            expected = getattr(cls(), name)
+            if default != expected or type(default) is not type(expected):
+                drifted.append(f"{command} {dest}: {default!r} != {cls.__name__}.{name} {expected!r}")
+        assert not drifted
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("retarget", "laplacian_weight", "abc"),
+        ("smooth", "window", "five"),
+        ("schedule-sim", "horizon", "x"),
+        ("reward-eval", "omega", {"joint_pos": "heavy"}),
+    ])
+    def test_wrong_typed_value_is_data_error(self, tmp_path, monkeypatch, capsys, command, key, value):
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        assert main([command] + COMMAND_ARGS[command] + ["--config", "cfg.json"]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_every_command_rejects_unknown_keys(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"bogus_key": 1}))
+        assert main([command] + COMMAND_ARGS[command] + ["--config", "cfg.json"]) == 2
+        assert "bogus_key" in capsys.readouterr().err
+
+    def test_filter_reads_config(self, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({"a": [10], "c": [100]}))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"format": "csv"}))
+        assert main(["filter", "--stats", str(stats), "--config", str(config)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "clip,mean_length,status"
+
+    def test_pipeline_switch_takes_a_boolean(self, tmp_path, capsys):
+        manifest = write_corpus(tmp_path, frames=2)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"validate_only": True}))
+        assert main(["pipeline", "--manifest", str(manifest), "--config", str(config)]) == 0
+        assert "seq0: ok" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+        config.write_text(json.dumps({"validate_only": "yes"}))
+        assert main(["pipeline", "--manifest", str(manifest), "--config", str(config)]) == 2
+        assert "validate_only" in capsys.readouterr().err
+
+    def test_null_gate_turns_the_gate_off(self, tmp_path, monkeypatch):
+        # as a manifest's retention section reads it, not as the 0.5 m default
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"proximity_gate": None}))
+        args = ["mesh-inspect"] + COMMAND_ARGS["mesh-inspect"]
+        assert main(args + ["--config", "cfg.json", "-o", "null.json"]) == 0
+        assert main(args + ["--proximity-gate", "none", "-o", "none.json"]) == 0
+        doc = json.loads((tmp_path / "null.json").read_text())
+        assert sum(p["kind"] == "A" for p in doc["points"]) == 20
+        assert (tmp_path / "null.json").read_bytes() == (tmp_path / "none.json").read_bytes()
+
     def test_config_supplies_values_and_flags_override(self, tmp_path):
         write_assets(tmp_path, frames=10)
         config = tmp_path / "cfg.json"
@@ -340,7 +439,7 @@ class TestPipelineCommand:
         assert (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.parametrize("case", ["stats_json", "stats_type", "stats_lengths", "optimizer_method",
-                                      "learning_rate", "smooth_alpha", "entries_type"])
+                                      "learning_rate", "smooth_alpha", "entries_type", "mesh_rebuild"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, case):
         manifest = write_corpus(tmp_path, frames=2)
         doc = json.loads(manifest.read_text())
@@ -357,6 +456,8 @@ class TestPipelineCommand:
             doc["retarget"]["optimizer"] = {"learning_rate": -1}
         elif case == "smooth_alpha":
             doc["smooth"] = {"alpha": "x"}
+        elif case == "mesh_rebuild":  # the setting was removed; every frame reuses certified topology
+            doc["retarget"]["mesh_rebuild"] = "first-frame"
         else:
             doc["entries"] = 5
         manifest.write_text(json.dumps(doc))
@@ -384,6 +485,16 @@ class TestMeshInspectCommand:
         assert doc["tetrahedra"]
         assert {p["kind"] for p in doc["points"]} == {"A", "obj"}
         assert len(doc["reference_laplacians"]) == len(doc["tetrahedra"])
+
+    def test_malformed_gate_is_usage_error(self, tmp_path, capsys):
+        write_assets(tmp_path)
+        code = main([
+            "mesh-inspect", "--motion", str(tmp_path / "motion.json"),
+            "--skeleton", str(tmp_path / "skeleton.json"),
+            "--obj", str(tmp_path / "box.obj"), "--proximity-gate", "abc",
+        ])
+        assert code == 1
+        assert "--proximity-gate" in capsys.readouterr().err
 
     def test_frame_out_of_range(self, tmp_path, capsys):
         write_assets(tmp_path)

@@ -318,38 +318,6 @@ class TestTopologyReuse:
             assert mesh.reference_laplacians.tobytes() == fresh.reference_laplacians.tobytes()
 
 
-class TestMeshRebuildModes:
-    def test_first_frame_reuses_topology(self, humanoid, box):
-        seq = held_box_motion(humanoid, frames=8, amplitude=0.1)
-        shape = ShapeParams.ones(humanoid.joint_count)
-        joints = fk_sequence(humanoid, shape, seq)
-        obj_world = object_world_vertices(box, seq, 64)
-        cfg = RetargetConfig(mesh_rebuild="first-frame")
-        meshes = build_frame_meshes(joints, None, obj_world, cfg)
-        assert all(m is not None for m in meshes)
-        for m in meshes[1:]:
-            np.testing.assert_array_equal(m.tetrahedra, meshes[0].tetrahedra)
-            assert m.points.provenance == meshes[0].points.provenance
-        # reference laplacians still track each frame's source coordinates
-        # (frame 2 sits at the sinusoid peak, away from the base pose)
-        assert not np.allclose(meshes[0].reference_laplacians, meshes[2].reference_laplacians)
-        from retargetkit.interactmesh import laplacians
-
-        np.testing.assert_allclose(
-            meshes[2].reference_laplacians,
-            laplacians(meshes[2].points.coordinates[meshes[2].tetrahedra]),
-            atol=1e-12,
-        )
-
-    def test_first_frame_retarget_runs(self, humanoid, box):
-        seq = held_box_motion(humanoid, frames=5, amplitude=0.05)
-        shape = ShapeParams.ones(humanoid.joint_count)
-        cfg = RetargetConfig(mesh_rebuild="first-frame")
-        result = retarget_sequence(seq, humanoid, shape, humanoid, shape, box, cfg)
-        assert result.sequence.frame_count == 5
-        assert not any(f.mesh_empty for f in result.per_frame_losses)
-
-
 class TestSlideGates:
     def test_static_feet_gated(self, humanoid):
         seq = held_box_motion(humanoid, frames=5)
