@@ -65,6 +65,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _DefaultsHelp(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows each flag's default, except None: such a flag's help says what
+    leaving it out does, or it is required."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def _proximity_gate(text: str) -> float | None:
     """A gate in meters, or None for 'none'."""
     if text.lower() == "none":
@@ -76,6 +84,28 @@ def _proximity_gate(text: str) -> float | None:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"{text!r} is neither a positive distance nor 'none'")
+
+
+def _nonnegative(text: str) -> float:
+    """A float >= 0."""
+    try:
+        value = float(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative number")
+
+
+def _odd_window(text: str) -> int:
+    """An odd integer >= 1."""
+    try:
+        value = int(text)
+        if value >= 1 and value % 2 == 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an odd integer >= 1")
 
 
 def _emit(text: str, out: str | None):
@@ -92,7 +122,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
 
     def command(name: str, help: str) -> _Parser:
-        return sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        return sub.add_parser(name, help=help, formatter_class=_DefaultsHelp)
 
     def add_retention(p: _Parser):
         p.add_argument("--retention", choices=("strict", "loose"), default=RetentionRule.mode,
@@ -135,8 +165,8 @@ def build_parser() -> _Parser:
     p = command("smooth", "smooth a motion's root trajectory and rotations")
     p.add_argument("--motion", required=True, help="motion JSON")
     p.add_argument("--skeleton", required=True, help="skeleton JSON the motion binds to")
-    p.add_argument("--alpha", type=float, default=SmoothConfig.alpha, help="root regularization alpha")
-    p.add_argument("--window", type=int, default=SmoothConfig.rotation_window, help="odd rotation window")
+    p.add_argument("--alpha", type=_nonnegative, default=SmoothConfig.alpha, help="root regularization alpha")
+    p.add_argument("--window", type=_odd_window, default=SmoothConfig.rotation_window, help="odd rotation window")
     p.add_argument("-o", "--output", required=True, help="output directory")
 
     p = command("reward-eval", "evaluate the tracking reward of a motion against a reference")
@@ -290,10 +320,6 @@ def _cmd_retarget(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
-    if args.alpha < 0:
-        raise SystemExit(_usage_error("--alpha must be nonnegative"))
-    if args.window < 1 or args.window % 2 == 0:
-        raise SystemExit(_usage_error("--window must be an odd integer >= 1"))
     skeleton = load_skeleton(args.skeleton)
     seq = load_motion(args.motion, skeleton)
 
@@ -311,11 +337,6 @@ def _cmd_smooth(args) -> int:
         for k in range(len(before)):
             writer.writerow([k] + [repr(abs(v)) for v in before[k]] + [repr(abs(v)) for v in after[k]])
     return 0
-
-
-def _usage_error(message: str) -> int:
-    print(f"retargetkit: error: {message}", file=sys.stderr)
-    return 1
 
 
 def _reward_config(args) -> RewardConfig:

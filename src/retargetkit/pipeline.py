@@ -1,9 +1,13 @@
 """End-to-end data refinement: fit -> retarget -> smooth (-> filter).
 
 A manifest lists sequences to process plus stage configuration. Shape fits
-are cached per (source skeleton, target skeleton) content hash; the fitted
+are shared per (source skeleton, target skeleton) file contents; the fitted
 scales act as the bridge shape on the source topology, and retargeting runs
-onto that bridge. Each entry writes <id>.json and <id>.losses.csv, so one
+onto that bridge. Source interact meshes do not depend on the target, so they
+are shared per (motion, second motion, source skeleton, object) file
+contents: one clip onto N targets builds its meshes once. Both live in one
+memo for the run, which drops a value when the last entry that needs it has
+finished. Each entry writes <id>.json and <id>.losses.csv, so one
 clip can go to several targets under distinct ids. Entry failures are
 isolated: one broken entry never blocks or alters the others, and the summary
 records what happened.
@@ -15,8 +19,10 @@ import csv
 import hashlib
 import json
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +41,7 @@ from .motionio import (
     save_motion,
 )
 from .optim import OptimizerConfig
-from .retarget import TERM_NAMES, FrameLoss, RetargetConfig, retarget_sequence
+from .retarget import TERM_NAMES, FrameLoss, RetargetConfig, retarget_sequence, source_meshes
 from .schedule import FilterState, filter_until_converged, make_filter_state
 from .smoothing import SmoothConfig, second_difference_energy, smooth_root, smooth_rotations
 
@@ -235,33 +241,54 @@ def smooth_motion(seq: MotionSequence, cfg: SmoothConfig) -> MotionSequence:
     return replace(smooth_rotations(seq, cfg.rotation_window), root_pos=root_pos)
 
 
-class _ShapeFitCache:
-    """fit_bridge results keyed by the two skeleton files' content hashes."""
+def _file_digest(path: Path | None) -> str:
+    return "-" if path is None else hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._store: dict[str, tuple[ShapeParams, float]] = {}
 
-    @staticmethod
-    def key(source_path, target_path) -> str:
-        h = hashlib.sha256()
-        for p in (source_path, target_path):
-            h.update(Path(p).read_bytes())
-            h.update(b"\x00")
-        return h.hexdigest()
+def _entry_keys(entry: ManifestEntry) -> tuple[tuple, tuple]:
+    """The entry's shape-fit and source-mesh keys, from its files' contents.
+    The retarget config is manifest-wide, so it is no part of a key."""
+    source, target, motion, second, obj = (
+        _file_digest(p) for p in (entry.source_skeleton, entry.target_skeleton, entry.motion,
+                                  entry.second_motion, entry.object_path)
+    )
+    return ("fit", source, target), ("meshes", motion, second, source, obj)
 
-    def fit(self, source_path, target_path):
-        key = self.key(source_path, target_path)
+
+class _Memo:
+    """Values built once per key and shared by the entries that need them.
+
+    Each key's users are counted before any entry runs, and a value is
+    dropped when its last user releases the key, so a long manifest holds
+    only the values of the entries still to finish. Concurrent users of one
+    key wait for a single build; a build that raises is not kept, so every
+    user of a broken input gets its own error.
+    """
+
+    def __init__(self, users: Counter):
+        self._lock = threading.Lock()  # guards the counts and the key locks
+        self._users = users
+        self._key_locks: dict[tuple, threading.Lock] = {}
+        self._values: dict[tuple, object] = {}
+
+    def get(self, key: tuple, build):
         with self._lock:
-            if key in self._store:
-                return self._store[key]
-        result = fit_bridge(load_skeleton(source_path), load_skeleton(target_path))
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            if key not in self._values:
+                self._values[key] = build()
+            return self._values[key]
+
+    def release(self, key: tuple) -> None:
         with self._lock:
-            self._store.setdefault(key, result)
-        return result
+            self._users[key] -= 1
+            if self._users[key] <= 0:
+                self._key_locks.pop(key, None)
+                self._values.pop(key, None)
 
 
-def _process_entry(entry: ManifestEntry, manifest: PipelineManifest, cache: _ShapeFitCache) -> EntrySummary:
+def _process_entry(entry: ManifestEntry, keys: tuple | None, manifest: PipelineManifest,
+                   memo: _Memo) -> EntrySummary:
     summary = EntrySummary(entry_id=entry.entry_id, status="failed")
     try:
         source_skel = load_skeleton(entry.source_skeleton)
@@ -272,10 +299,18 @@ def _process_entry(entry: ManifestEntry, manifest: PipelineManifest, cache: _Sha
             if entry.second_motion is not None
             else None
         )
-        bridge_shape, residual = cache.fit(entry.source_skeleton, entry.target_skeleton)
+        keys = keys or _entry_keys(entry)  # a file that could not be read fails here
+        fit_key, mesh_key = keys
+        bridge_shape, residual = memo.get(
+            fit_key, lambda: fit_bridge(source_skel, load_skeleton(entry.target_skeleton))
+        )
         summary.fit_residual = residual
 
         ones = ShapeParams.ones(source_skel.joint_count)
+        meshes = memo.get(
+            mesh_key,
+            lambda: source_meshes(seq, source_skel, ones, obj, manifest.retarget, second_seq=second),
+        )
         result = retarget_sequence(
             seq,
             source_skel,
@@ -284,7 +319,7 @@ def _process_entry(entry: ManifestEntry, manifest: PipelineManifest, cache: _Sha
             bridge_shape,
             obj,
             manifest.retarget,
-            second_seq=second,
+            meshes=meshes,
         )
         final = smooth_motion(result.sequence, manifest.smooth)
 
@@ -303,18 +338,28 @@ def _process_entry(entry: ManifestEntry, manifest: PipelineManifest, cache: _Sha
         summary.status = "ok"
     except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
         summary.error = f"{type(exc).__name__}: {exc}"
+    finally:
+        for key in keys or ():
+            memo.release(key)
     return summary
 
 
 def run_pipeline(manifest: PipelineManifest, jobs: int = 1) -> PipelineSummary:
     """Process every entry, write outputs and summary files, run the filter
     when episode statistics are supplied. Deterministic for a fixed manifest."""
-    cache = _ShapeFitCache()
+    keys = []
+    for entry in manifest.entries:
+        try:
+            keys.append(_entry_keys(entry))
+        except OSError:  # the entry reports it when it runs
+            keys.append(None)
+    memo = _Memo(Counter(key for pair in keys if pair for key in pair))
+    process = partial(_process_entry, manifest=manifest, memo=memo)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda e: _process_entry(e, manifest, cache), manifest.entries))
+            results = list(pool.map(process, manifest.entries, keys))
     else:
-        results = [_process_entry(e, manifest, cache) for e in manifest.entries]
+        results = list(map(process, manifest.entries, keys))
 
     filter_state = None
     if manifest.episode_stats:

@@ -352,6 +352,34 @@ def build_frame_meshes(
     return meshes
 
 
+def source_meshes(
+    source_seq: MotionSequence,
+    source_skeleton: Skeleton,
+    source_shape: ShapeParams,
+    obj: ObjectMesh,
+    cfg: RetargetConfig,
+    second_seq: MotionSequence | None = None,
+    second_skeleton: Skeleton | None = None,
+    second_shape: ShapeParams | None = None,
+) -> list[InteractMesh | None]:
+    """The source scene's interact mesh per frame, as `build_frame_meshes`.
+
+    Nothing of the target enters it, so one build serves every target the
+    clip is retargeted onto. The second agent defaults to the source's
+    skeleton and shape.
+    """
+    if second_seq is not None and second_seq.frame_count != source_seq.frame_count:
+        raise DataError("second-agent sequence is not time-aligned with the source")
+    src_joints = fk_sequence(source_skeleton, source_shape, source_seq)
+    second_joints = None
+    if second_seq is not None:
+        second_joints = fk_sequence(
+            second_skeleton or source_skeleton, second_shape or source_shape, second_seq
+        )
+    obj_world = object_world_vertices(obj, source_seq, cfg.max_object_vertices)
+    return build_frame_meshes(src_joints, second_joints, obj_world, cfg)
+
+
 def slide_gates(src_joints: np.ndarray, skeleton: Skeleton, dt: float, threshold: float) -> list[tuple[int, ...]]:
     """Per frame, the foot joints whose source horizontal speed is below threshold."""
     feet = sorted(skeleton.foot_joints)
@@ -377,6 +405,7 @@ def retarget_sequence(
     second_seq: MotionSequence | None = None,
     second_skeleton: Skeleton | None = None,
     second_shape: ShapeParams | None = None,
+    meshes: list[InteractMesh | None] | None = None,
 ) -> RetargetResult:
     """Retarget one agent's motion onto the target skeleton/shape.
 
@@ -385,6 +414,10 @@ def retarget_sequence(
     sequentially, each warm-started from the previous solution; frame 0 starts
     from the source pose and serves as its own predecessor, which zeroes the
     temporal, velocity, and slide terms there. Deterministic for fixed inputs.
+
+    `meshes`, when given, are the source's `source_meshes` for this `cfg`,
+    one per frame; they stand in for building the meshes from `obj` and the
+    second agent, so one build can serve every target of a clip.
     """
     cfg = cfg or RetargetConfig()
     if source_skeleton.joint_count != target_skeleton.joint_count:
@@ -392,19 +425,15 @@ def retarget_sequence(
             f"source has {source_skeleton.joint_count} joints, "
             f"target has {target_skeleton.joint_count}"
         )
-    if second_seq is not None and second_seq.frame_count != source_seq.frame_count:
-        raise DataError("second-agent sequence is not time-aligned with the source")
-
     frames = source_seq.frame_count
+    if meshes is None:
+        meshes = source_meshes(source_seq, source_skeleton, source_shape, obj, cfg,
+                               second_seq, second_skeleton, second_shape)
+    elif len(meshes) != frames:
+        raise DataError(f"{len(meshes)} prebuilt interact meshes for {frames} source frames")
+
     dt = source_seq.dt
     src_joints = fk_sequence(source_skeleton, source_shape, source_seq)
-    second_joints = None
-    if second_seq is not None:
-        second_joints = fk_sequence(
-            second_skeleton or source_skeleton, second_shape or source_shape, second_seq
-        )
-    obj_world = object_world_vertices(obj, source_seq, cfg.max_object_vertices)
-    meshes = build_frame_meshes(src_joints, second_joints, obj_world, cfg)
     gates = slide_gates(src_joints, source_skeleton, dt, cfg.foot_speed_threshold)
 
     qmin = target_skeleton.q_min[1:].ravel()

@@ -141,6 +141,19 @@ class TestConfigFile:
         assert main([command] + COMMAND_ARGS[command] + ["--config", "cfg.json"]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("alpha", -1), ("window", 4), ("window", 0)])
+    def test_out_of_range_smooth_setting(self, tmp_path, monkeypatch, capsys, key, value):
+        # a bad flag is a usage error (1); the same value from a file is a data error (2)
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        args = ["smooth"] + COMMAND_ARGS["smooth"]
+        assert main(args + [f"--{key}", str(value)]) == 1
+        assert f"--{key}" in capsys.readouterr().err
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        assert main(args + ["--config", "cfg.json"]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_every_command_rejects_unknown_keys(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)

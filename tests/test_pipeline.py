@@ -1,15 +1,20 @@
+import gc
 import json
+import sys
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from retargetkit import retarget
 from retargetkit.errors import DataError
 from retargetkit.kinematics import fk_sequence
 from retargetkit.motionio import ShapeParams, load_motion, load_skeleton, save_motion, save_obj, save_skeleton
 from retargetkit.pipeline import load_manifest, run_pipeline, validate_manifest
 
-from conftest import CARRY_BOX_HALF, held_box_motion, make_box, make_chain, make_humanoid
+from conftest import CARRY_BOX_HALF, held_box_motion, make_box, make_chain, make_humanoid, partner_motion
 
 
 def write_corpus(root, frames=50, amplitude=0.02, entries=1, episode_stats=None,
@@ -216,3 +221,161 @@ class TestRunPipeline:
         entry = summary.entries[0]
         assert entry.status == "ok"
         assert entry.root_energy_after < entry.root_energy_before
+
+
+FRAMES = 3
+OUTPUTS = (".json", ".losses.csv")
+
+
+@pytest.fixture
+def mesh_builds(monkeypatch):
+    """One item per interact-mesh build."""
+    calls = []
+    original = retarget.build_interact_mesh
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(retarget, "build_interact_mesh", counting)
+    return calls
+
+
+class TestSourceMeshCache:
+    """Entries that share a source scene share its interact meshes in a run."""
+
+    @staticmethod
+    def carry_corpus(root):
+        """A two-agent carry clip, targets and variant inputs; returns the
+        manifest path, its JSON and the carry entry onto the source skeleton."""
+        path = write_corpus(root, frames=FRAMES)
+        skel = make_humanoid()
+        partner = partner_motion(skel, load_motion(root / "motion0.json", skel))
+        save_motion(partner, root / "partner.json")
+        save_motion(replace(partner, root_pos=partner.root_pos + (0.0, 0.05, 0.0)), root / "partner_far.json")
+        short = replace(partner, root_pos=partner.root_pos[:-1], root_rot=partner.root_rot[:-1],
+                        joint_rots=partner.joint_rots[:-1], obj_pos=partner.obj_pos[:-1],
+                        obj_rot=partner.obj_rot[:-1])
+        save_motion(short, root / "partner_short.json")
+        save_obj(make_box(half=CARRY_BOX_HALF, subdiv=2), root / "box2.obj")
+        for name, scale in (("tall", 1.2), ("short", 0.9)):
+            save_skeleton(replace(skel, rest_offsets=skel.rest_offsets * scale), root / f"{name}.json")
+        manifest = json.loads(path.read_text())
+        carry = dict(manifest["entries"][0], id="same", second_motion="partner.json")
+        return path, manifest, carry
+
+    @staticmethod
+    def run(path, manifest, entries, output_dir="out", jobs=1):
+        path.write_text(json.dumps(dict(manifest, entries=entries, output_dir=output_dir)))
+        return run_pipeline(load_manifest(path), jobs=jobs)
+
+    def assert_outputs_match_alone(self, path, manifest, entries):
+        root = path.parent
+        together = {e["id"] + s: (root / "out" / (e["id"] + s)).read_bytes() for e in entries for s in OUTPUTS}
+        for entry in entries:
+            self.run(path, manifest, [entry], output_dir=f"alone_{entry['id']}")
+            for suffix in OUTPUTS:
+                name = entry["id"] + suffix
+                assert (root / f"alone_{entry['id']}" / name).read_bytes() == together[name], name
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_clip_onto_three_targets_builds_its_meshes_once(self, tmp_path, mesh_builds, jobs):
+        path, manifest, carry = self.carry_corpus(tmp_path)
+        entries = [carry] + [dict(carry, id=t, target_skeleton=f"{t}.json") for t in ("tall", "short")]
+        summary = self.run(path, manifest, entries, jobs=jobs)
+        assert [e.status for e in summary.entries] == ["ok"] * 3
+        assert [e.entry_id for e in summary.entries] == ["same", "tall", "short"]
+        assert len(mesh_builds) == FRAMES
+        self.assert_outputs_match_alone(path, manifest, entries)
+
+    @pytest.mark.parametrize("field, value", [("object", "box2.obj"), ("second_motion", "partner_far.json")])
+    def test_entries_with_another_scene_build_their_own(self, tmp_path, mesh_builds, field, value):
+        path, manifest, carry = self.carry_corpus(tmp_path)
+        entries = [carry, dict(carry, id="other", **{field: value})]
+        summary = self.run(path, manifest, entries)
+        assert [e.status for e in summary.entries] == ["ok", "ok"]
+        assert len(mesh_builds) == 2 * FRAMES
+        self.assert_outputs_match_alone(path, manifest, entries)
+
+    def test_broken_shared_source_fails_each_of_its_entries(self, tmp_path):
+        # the partner is a frame short: both entries on it fail as each does
+        # alone, and the entry on another partner is untouched
+        path, manifest, carry = self.carry_corpus(tmp_path)
+        broken = dict(carry, second_motion="partner_short.json")
+        entries = [dict(broken, id="a"), dict(broken, id="b", target_skeleton="tall.json"), carry]
+        summary = self.run(path, manifest, entries)
+        error = "DataError: second-agent sequence is not time-aligned with the source"
+        assert [(e.status, e.error) for e in summary.entries] == [("failed", error)] * 2 + [("ok", "")]
+        for entry in entries[:2]:
+            assert self.run(path, manifest, [entry], output_dir="alone").entries[0].error == error
+
+    def test_failed_build_is_not_kept(self, tmp_path, monkeypatch):
+        # the first build raises; the next entry of the same source builds
+        # again and gets the result it gets alone
+        path, manifest, carry = self.carry_corpus(tmp_path)
+        original = retarget.build_interact_mesh
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("transient")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(retarget, "build_interact_mesh", first_fails)
+        entries = [carry, dict(carry, id="tall", target_skeleton="tall.json")]
+        summary = self.run(path, manifest, entries)
+        assert [(e.status, e.error) for e in summary.entries] == [("failed", "RuntimeError: transient"), ("ok", "")]
+        assert len(calls) == 1 + FRAMES
+        monkeypatch.setattr(retarget, "build_interact_mesh", original)
+        self.assert_outputs_match_alone(path, manifest, entries[1:])
+
+    def test_meshes_dropped_after_their_last_entry(self, tmp_path, monkeypatch):
+        # clip 0 goes to two targets, then clip 1 runs: by clip 1's build no
+        # mesh of clip 0 is alive any more
+        path, manifest, carry = self.carry_corpus(tmp_path)
+        save_motion(held_box_motion(make_humanoid(), frames=FRAMES, amplitude=0.05), tmp_path / "motion1.json")
+        original = retarget.build_frame_meshes
+        built, alive_at_build = [], []
+
+        def tracking(*args, **kwargs):
+            gc.collect()
+            alive_at_build.append([ref() is not None for ref in built])
+            meshes = original(*args, **kwargs)
+            built.append(weakref.ref(meshes[0]))
+            return meshes
+
+        monkeypatch.setattr(retarget, "build_frame_meshes", tracking)
+        entries = [carry, dict(carry, id="tall", target_skeleton="tall.json"),
+                   dict(carry, id="clip1", motion="motion1.json", second_motion=None)]
+        summary = self.run(path, manifest, entries)
+        assert [e.status for e in summary.entries] == ["ok"] * 3
+        assert alive_at_build == [[], [False]]
+
+    def test_concurrent_entries_build_each_scene_once(self, tmp_path, mesh_builds):
+        # more workers than cores and frequent thread switches: each of the two
+        # scenes is still built once, and the results keep manifest order
+        path, manifest, carry = self.carry_corpus(tmp_path)
+        entries = [dict(carry, id=f"{k}{t}", object=obj, target_skeleton=f"{t}.json")
+                   for k, obj in enumerate(("box.obj", "box2.obj")) for t in ("skeleton", "tall", "short")]
+        summaries = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: summaries.append(self.run(path, manifest, entries, jobs=4)))
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert [(e.entry_id, e.status) for e in summaries[0].entries] == [(e["id"], "ok") for e in entries]
+        assert len(mesh_builds) == 2 * FRAMES
+
+    def test_prebuilt_meshes_need_one_per_frame(self):
+        skel = make_humanoid()
+        ones = ShapeParams.ones(skel.joint_count)
+        seq = held_box_motion(skel, frames=FRAMES)
+        box = make_box(subdiv=2)
+        meshes = retarget.source_meshes(seq, skel, ones, box, retarget.RetargetConfig())
+        with pytest.raises(DataError, match="2 prebuilt interact meshes for 3 source frames"):
+            retarget.retarget_sequence(seq, skel, ones, skel, ones, box, meshes=meshes[:2])
