@@ -21,10 +21,24 @@ a Delaunay tetrahedralization of them; otherwise it builds afresh. Where the
 Delaunay tetrahedralization is unique the two agree. build_frame_meshes
 hands each frame's full topology to the next while the gated point set is
 unchanged.
+
+The object is rigid, and a rigid motion leaves Delaunay topology unchanged.
+When the caller gives the object's pose, build_interact_mesh triangulates
+the cloud in the object's frame, where the object's vertices never move. A
+DelaunaySeed holds the Bowyer-Watson state with only those vertices
+inserted, built once per clip on first use, and a fresh build copies it and
+inserts just the agents' joints. One insertion loop serves both builds: a
+build of all the points starts from the empty seed, the super-tetrahedron
+alone. delaunay3d tries, in order, the certified hint, the seeded build
+(checked by the same self-checks) and the fresh build with its escalating
+super-tetrahedron margin. Where ties leave the tetrahedralization non-unique
+(cospherical box vertices), object-first insertion may break them
+differently from a build in input order; both are Delaunay.
 """
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +53,9 @@ DEGENERATE_VOLUME = 1e-9  # m^3
 # the four faces of a tetrahedron (a, b, c, d), as corner positions
 _FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 _CHECK_BLOCK = 1 << 13  # elements per (rows x points) temporary in the checks
+_MARGIN = 1e3  # super-tetrahedron insphere radius over the points' radius, first try
+# unit directions from a super-tetrahedron's center to its vertices
+_SUPER_DIRS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) / np.sqrt(3)
 
 AGENT_A = "A"
 AGENT_B = "B"
@@ -146,9 +163,18 @@ def _merge_duplicates(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _super_tetrahedron(points: np.ndarray, margin: float) -> np.ndarray:
     center = points.mean(axis=0)
     radius = max(np.max(np.linalg.norm(points - center, axis=1)), 1.0)
-    dirs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) / np.sqrt(3)
     # a regular tetrahedron with vertex distance L has insphere radius L/3
-    return center + dirs * (3.0 * margin * radius)
+    return center + _SUPER_DIRS * (3.0 * margin * radius)
+
+
+def _inside_super(points: np.ndarray, super_vertices: np.ndarray) -> bool:
+    """True when every point lies strictly inside the super-tetrahedron.
+
+    The face opposite vertex c + L d_i is the plane (x - c) . d_i = -L/3.
+    """
+    center = super_vertices.mean(axis=0)
+    reach = np.linalg.norm(super_vertices[0] - center) / 3.0
+    return bool(np.all((points - center) @ _SUPER_DIRS.T > -reach))
 
 
 def _sorted_faces(tets: np.ndarray) -> np.ndarray:
@@ -170,9 +196,10 @@ def _circumcircle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarr
 
 
 class _TetStore:
-    """Tetrahedra in preallocated arrays, plus the data their in-sphere
-    predicate needs, computed once when a cell is created.
+    """Bowyer-Watson state: tetrahedra in preallocated arrays, plus the data
+    their in-sphere predicate needs, computed once when a cell is created.
 
+    coords holds the n_input inserted points, then the four super vertices.
     Slots [0, size) are in use; `alive` marks the cells of the current
     triangulation. An insertion kills its cavity and writes the new cells
     into the freed slots first, so the arrays hardly grow.
@@ -185,9 +212,12 @@ class _TetStore:
     finite super vertices actually sit.
     """
 
-    def __init__(self, coords: np.ndarray, n_input: int, capacity: int):
-        self.coords = coords
-        self.n_input = n_input
+    _ARRAYS = ("tets", "alive", "centers", "rad2", "sym", "normals", "faces")
+
+    def __init__(self, super_vertices: np.ndarray, capacity: int = 1):
+        """The empty seed: no point yet, one cell, the super-tetrahedron."""
+        self.coords = np.asarray(super_vertices, dtype=float)
+        self.n_input = 0
         self.size = 0
         self.tets = np.zeros((capacity, 4), dtype=int)
         self.alive = np.zeros(capacity, dtype=bool)
@@ -196,17 +226,55 @@ class _TetStore:
         self.sym = np.zeros(capacity, dtype=bool)
         self.normals = np.zeros((capacity, 3))  # super-side normal of the finite face
         self.faces = np.zeros((capacity, 3), dtype=int)  # finite face, oriented along normals
+        self.refill(np.zeros(0, dtype=int), np.array([[0, 1, 2, 3]]))
 
     def _grow(self, size: int) -> None:
         capacity = len(self.alive)
         if size <= capacity:
             return
         capacity = max(size, 2 * capacity)
-        for name in ("tets", "alive", "centers", "rad2", "sym", "normals", "faces"):
+        for name in self._ARRAYS:
             old = getattr(self, name)
             new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
             new[: len(old)] = old
             setattr(self, name, new)
+
+    def extended(self, points: np.ndarray) -> "_TetStore":
+        """A copy of this state with points inserted, in order, after the
+        ones it holds; this state is left as it was.
+
+        The new points take the indices before the super vertices, so every
+        super index shifts up by len(points).
+        """
+        k, n = len(points), self.n_input
+        out = copy.copy(self)
+        out.coords = np.vstack([self.coords[:n], points, self.coords[n:]])
+        out.n_input = n + k
+        # each insertion into a ball-shaped cavity adds two cells net
+        capacity = self.size + 2 * k + 16
+        for name in self._ARRAYS:
+            old = getattr(self, name)[: self.size]
+            new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[: self.size] = old
+            setattr(out, name, new)
+        out.tets[: out.size][out.tets[: out.size] >= n] += k
+        for i in range(n, n + k):
+            out.insert(i)
+        return out
+
+    def insert(self, i: int) -> None:
+        """Bowyer-Watson step: replace the cells whose circumsphere holds
+        point i by the cone from i over the cavity's boundary."""
+        cavity = np.nonzero(self.inside(self.coords[i]))[0]
+        if len(cavity) == 0:
+            # the tetrahedra tile the super-tetrahedron, so every inserted
+            # point sits inside at least one circumsphere
+            raise DataError("point outside triangulation; input may be degenerate")
+        face_count: dict[tuple[int, int, int], int] = {}
+        for face in map(tuple, _sorted_faces(self.tets[cavity]).tolist()):
+            face_count[face] = face_count.get(face, 0) + 1
+        boundary = [f + (i,) for f, cnt in face_count.items() if cnt == 1]
+        self.refill(cavity, np.array(boundary, dtype=int))
 
     def refill(self, cavity: np.ndarray, new: np.ndarray) -> None:
         """Kill the cavity's cells and store the new ones, freed slots first."""
@@ -269,31 +337,22 @@ class _TetStore:
         return cells[cells.max(axis=1) < self.n_input]
 
 
-def _bowyer_watson(points: np.ndarray, margin: float) -> np.ndarray:
-    n = len(points)
-    coords = np.vstack([points, _super_tetrahedron(points, margin)])
-    # each insertion into a ball-shaped cavity adds two cells net
-    store = _TetStore(coords, n, capacity=2 * n + 16)
-    store.refill(np.zeros(0, dtype=int), np.array([[n, n + 1, n + 2, n + 3]]))
-
-    for i in range(n):
-        cavity = np.nonzero(store.inside(coords[i]))[0]
-        if len(cavity) == 0:
-            # the tetrahedra tile the super-tetrahedron, so every inserted
-            # point sits inside at least one circumsphere
-            raise DataError("point outside triangulation; input may be degenerate")
-        face_count: dict[tuple[int, int, int], int] = {}
-        for face in map(tuple, _sorted_faces(store.tets[cavity]).tolist()):
-            face_count[face] = face_count.get(face, 0) + 1
-        boundary = [f + (i,) for f, cnt in face_count.items() if cnt == 1]
-        store.refill(cavity, np.array(boundary, dtype=int))
-
-    final = store.finite_cells()
+def _triangulation(points: np.ndarray, store: _TetStore, order: np.ndarray) -> np.ndarray:
+    """The store's finite cells as canonical indices into points, where the
+    store's point k is points[order[k]]."""
+    final = order[store.finite_cells()]
     if len(final):
         # cospherical shells can leave flat slivers behind; they carry no
         # volume and an unbounded circumsphere, so drop them
         final = final[np.abs(tet_volumes(points, final)) > 1e-12 * _extent(points) ** 3]
     return _canonical(final)
+
+
+def _bowyer_watson(points: np.ndarray, margin: float) -> np.ndarray:
+    """A fresh build: every point inserted, in input order, into the empty
+    seed of a super-tetrahedron sized from the points."""
+    store = _TetStore(_super_tetrahedron(points, margin)).extended(points)
+    return _triangulation(points, store, np.arange(len(points)))
 
 
 def _canonical(tets: np.ndarray) -> np.ndarray:
@@ -381,7 +440,54 @@ def _certified_hint(points: np.ndarray, hint) -> np.ndarray | None:
     return tets if _passes_self_checks(points, tets) else None
 
 
-def delaunay3d(points, hint=None) -> np.ndarray:
+class DelaunaySeed:
+    """Bowyer-Watson state holding only a rigid object's vertices, in the
+    object's own frame.
+
+    A rigid motion leaves Delaunay topology unchanged, so a clip whose
+    clouds are triangulated in the object's frame can start every fresh
+    build from the object's vertices already inserted, and insert only the
+    agents' joints. The state is built on first use, once, inside a
+    super-tetrahedron sized from the object; each build copies it.
+    """
+
+    def __init__(self, vertices):
+        self.vertices = np.array(vertices, dtype=float).reshape(-1, 3)
+        self._store: _TetStore | None = None
+        self._built = False
+
+    def store(self) -> _TetStore | None:
+        """The state (None when the object's vertices cannot seed a build)."""
+        if not self._built:
+            self._built = True
+            try:
+                self._store = _TetStore(_super_tetrahedron(self.vertices, _MARGIN)).extended(self.vertices)
+            except DataError:
+                pass
+        return self._store
+
+
+def _seeded(points: np.ndarray, seed: DelaunaySeed) -> np.ndarray | None:
+    """A build of points that ends with the seed's vertices, from the seed's
+    state; None when the seed does not apply or the result fails the
+    self-checks."""
+    n_joints = len(points) - len(seed.vertices)
+    if n_joints < 0 or not np.array_equal(points[n_joints:], seed.vertices):
+        return None
+    store = seed.store()
+    if store is None or not _inside_super(points[:n_joints], store.coords[store.n_input:]):
+        return None
+    try:
+        store = store.extended(points[:n_joints])
+    except DataError:
+        return None
+    # the store holds the seed's vertices first, then the joints
+    order = np.concatenate([np.arange(n_joints, len(points)), np.arange(n_joints)])
+    tets = _triangulation(points, store, order)
+    return tets if _passes_self_checks(points, tets) else None
+
+
+def delaunay3d(points, hint=None, seed: DelaunaySeed | None = None) -> np.ndarray:
     """Delaunay tetrahedralization of >= 4 non-coplanar points.
 
     Returns an (M, 4) int array of indices into the input, rows ascending
@@ -391,8 +497,11 @@ def delaunay3d(points, hint=None) -> np.ndarray:
 
     hint is an optional candidate result for these points, typically the
     previous frame's tetrahedralization of a moving cloud. It is returned
-    when it passes the checks a fresh build must pass (see _certified_hint);
-    otherwise, and whenever the input holds duplicates, it is ignored.
+    when it passes the checks a fresh build must pass (see _certified_hint).
+    seed, when the points end with its vertices, starts the build from them
+    already inserted. Either is ignored whenever the input holds duplicates.
+    A seeded build that fails (a point outside the seed's super-tetrahedron,
+    or the self-checks) falls back to a fresh build of all the points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -406,12 +515,14 @@ def delaunay3d(points, hint=None) -> np.ndarray:
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals[2] <= COPLANAR_TOL * max(svals[0], 1e-300):
         raise DataError("points are coplanar within tolerance; cannot tetrahedralize")
-    if hint is not None and len(unique) == len(pts):
-        tets = _certified_hint(unique, hint)
+    if len(unique) == len(pts):
+        tets = None if hint is None else _certified_hint(unique, hint)
+        if tets is None and seed is not None:
+            tets = _seeded(unique, seed)
         if tets is not None:
             return tets
 
-    margin = 1e3
+    margin = _MARGIN
     for _ in range(3):
         try:
             tets = _bowyer_watson(unique, margin)
@@ -507,6 +618,7 @@ def build_interact_mesh(
     obj_vertices: np.ndarray,
     rule: RetentionRule | None = None,
     previous: InteractMesh | None = None,
+    object_frame: tuple[DelaunaySeed, np.ndarray, np.ndarray] | None = None,
 ) -> InteractMesh:
     """Delaunay over the combined cloud, filtered by the retention rule.
 
@@ -515,6 +627,11 @@ def build_interact_mesh(
     signals the caller to skip the Laplacian term for this frame. previous,
     the mesh of the preceding frame, lends its full topology to delaunay3d
     as a hint when its points have the same provenance.
+
+    object_frame, (seed, rotation, position), is the object's pose this
+    frame, obj_vertices = seed.vertices @ rotation.T + position. The cloud is
+    then triangulated in the object's frame, from the seed's state; the
+    mesh's coordinates and Laplacians stay in the world frame.
     """
     rule = rule or RetentionRule()
     joints_a = np.asarray(joints_a, dtype=float).reshape(-1, 3)
@@ -546,8 +663,13 @@ def build_interact_mesh(
     hint = None
     if previous is not None and previous.points.provenance == provenance:
         hint = previous.delaunay
+    seed, local = None, coords
+    if object_frame is not None:
+        seed, rotation, position = object_frame
+        n_joints = len(coords) - len(obj_vertices)
+        local = np.vstack([(coords[:n_joints] - position) @ rotation, seed.vertices])
     try:
-        tets = delaunay3d(coords, hint=hint)
+        tets = delaunay3d(local, hint=hint, seed=seed)
     except DataError as exc:
         raise EmptyInteractMeshError(f"degenerate interaction cloud: {exc}") from exc
 

@@ -44,6 +44,7 @@ import numpy as np
 from .errors import DataError, EmptyInteractMeshError, NumericalError
 from .interactmesh import (
     AGENT_A,
+    DelaunaySeed,
     InteractMesh,
     RetentionRule,
     build_interact_mesh,
@@ -319,14 +320,24 @@ def objective_gradient(
     )
 
 
-def object_world_vertices(obj: ObjectMesh, seq: MotionSequence, subsample: int) -> np.ndarray:
-    """(T, V_sub, 3) world-frame object vertices along the sequence's object track.
+def _object_track(obj: ObjectMesh, seq: MotionSequence, subsample: int):
+    """The subsampled object vertices in the object's frame, with the
+    sequence's (T, 3, 3) object rotations and (T, 3) positions.
 
     Subsampling happens once in the object frame so the vertex subset is
     stable across frames.
     """
     idx = farthest_point_subsample(obj.vertices, subsample)
-    return obj.vertices[idx] @ quat_to_mat(seq.obj_rot).transpose(0, 2, 1) + seq.obj_pos[:, None]
+    return obj.vertices[idx], quat_to_mat(seq.obj_rot), seq.obj_pos
+
+
+def _posed(local: np.ndarray, rotations: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    return local @ rotations.transpose(0, 2, 1) + positions[:, None]
+
+
+def object_world_vertices(obj: ObjectMesh, seq: MotionSequence, subsample: int) -> np.ndarray:
+    """(T, V_sub, 3) world-frame object vertices along the sequence's object track."""
+    return _posed(*_object_track(obj, seq, subsample))
 
 
 def build_frame_meshes(
@@ -334,18 +345,28 @@ def build_frame_meshes(
     second_joints: np.ndarray | None,
     obj_world: np.ndarray,
     cfg: RetargetConfig,
+    object_track: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> list[InteractMesh | None]:
     """Interact mesh per frame (None where no interaction structure exists).
 
     Each frame's mesh is offered to the next as its topology hint, which the
     tetrahedralizer keeps only when it is certified for the new coordinates.
+    object_track, (object-frame vertices, (T, 3, 3) rotations, (T, 3)
+    positions) with obj_world their posed vertices, has every frame
+    triangulated in the object's frame, from one DelaunaySeed of the object.
     """
+    seed = None
+    if object_track is not None:
+        local, rotations, positions = object_track
+        seed = DelaunaySeed(local)
     meshes: list[InteractMesh | None] = []
     mesh: InteractMesh | None = None
     for t in range(len(src_joints)):
         second = second_joints[t] if second_joints is not None else None
+        frame = None if seed is None else (seed, rotations[t], positions[t])
         try:
-            mesh = build_interact_mesh(src_joints[t], second, obj_world[t], cfg.retention, previous=mesh)
+            mesh = build_interact_mesh(src_joints[t], second, obj_world[t], cfg.retention,
+                                       previous=mesh, object_frame=frame)
         except EmptyInteractMeshError:
             mesh = None
         meshes.append(mesh)
@@ -376,8 +397,8 @@ def source_meshes(
         second_joints = fk_sequence(
             second_skeleton or source_skeleton, second_shape or source_shape, second_seq
         )
-    obj_world = object_world_vertices(obj, source_seq, cfg.max_object_vertices)
-    return build_frame_meshes(src_joints, second_joints, obj_world, cfg)
+    track = _object_track(obj, source_seq, cfg.max_object_vertices)
+    return build_frame_meshes(src_joints, second_joints, _posed(*track), cfg, object_track=track)
 
 
 def slide_gates(src_joints: np.ndarray, skeleton: Skeleton, dt: float, threshold: float) -> list[tuple[int, ...]]:

@@ -6,6 +6,7 @@ import pytest
 from retargetkit import interactmesh
 from retargetkit.errors import DataError, EmptyInteractMeshError
 from retargetkit.interactmesh import (
+    DelaunaySeed,
     RetentionRule,
     build_interact_mesh,
     delaunay3d,
@@ -16,7 +17,7 @@ from retargetkit.interactmesh import (
 )
 from retargetkit.rotations import expmap_to_mat
 
-from conftest import circumsphere, empty_circumsphere_ok
+from conftest import CARRY_BOX_HALF, circumsphere, empty_circumsphere_ok, make_box
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,70 @@ class TestTopologyHint:
         tets = delaunay3d(pts)
         np.testing.assert_array_equal(delaunay3d(pts, hint=np.vstack([tets, tets[:1]])), tets)
         assert len(fresh_builds) == 2
+
+
+class TestSeededBuild:
+    """delaunay3d from a DelaunaySeed: the object's vertices already
+    inserted, only the leading joints inserted per build."""
+
+    @pytest.fixture
+    def scene(self, rng):
+        verts = make_box(half=CARRY_BOX_HALF, subdiv=3).vertices + rng.normal(scale=1e-3, size=(56, 3))
+        joints = rng.uniform(-0.4, 0.4, size=(20, 3))
+        return DelaunaySeed(verts), joints
+
+    def test_seeded_build_matches_plain_build(self, scene, fresh_builds):
+        seed, joints = scene
+        points = np.vstack([joints, seed.vertices])
+        tets = delaunay3d(points, seed=seed)
+        assert fresh_builds == []  # no fresh build of all 76 points
+        np.testing.assert_array_equal(tets, delaunay3d(points))
+        assert empty_circumsphere_ok(points, tets)
+
+    def test_seed_built_once_and_left_unchanged(self, scene, rng, monkeypatch):
+        seed, joints = scene
+        inserted = []
+        extended = interactmesh._TetStore.extended
+        monkeypatch.setattr(interactmesh._TetStore, "extended",
+                            lambda store, points: inserted.append(len(points)) or extended(store, points))
+        for _ in range(3):
+            moved = joints + rng.normal(scale=0.05, size=joints.shape)
+            points = np.vstack([moved, seed.vertices])
+            np.testing.assert_array_equal(delaunay3d(points, seed=seed), delaunay3d(points))
+        assert inserted == [56, 20, 76, 20, 76, 20, 76]
+
+    def test_points_not_ending_with_the_seed_ignore_it(self, scene, fresh_builds):
+        seed, joints = scene
+        points = np.vstack([seed.vertices, joints])
+        np.testing.assert_array_equal(delaunay3d(points, seed=seed), delaunay3d(points))
+        assert len(fresh_builds) == 2
+
+    def test_joint_outside_super_tetrahedron_falls_back(self, scene, fresh_builds, monkeypatch):
+        seed, joints = scene
+        far = joints.copy()
+        far[3] = (1e5, 0.0, 0.0)
+        points = np.vstack([far, seed.vertices])
+        inserted = []
+        extended = interactmesh._TetStore.extended
+        monkeypatch.setattr(interactmesh._TetStore, "extended",
+                            lambda store, points: inserted.append(len(points)) or extended(store, points))
+        # the fresh build, at every margin, fails its self-checks on this cloud too
+        for kwargs in ({"seed": seed}, {}):
+            with pytest.raises(DataError, match="self-check"):
+                delaunay3d(points, **kwargs)
+        assert 20 not in inserted  # the joints never went into the seed's state
+        assert len(fresh_builds) == 6
+
+    def test_joint_on_an_object_vertex_falls_back(self, scene, fresh_builds):
+        seed, joints = scene
+        dup = joints.copy()
+        dup[3] = seed.vertices[7]
+        points = np.vstack([dup, seed.vertices])
+        with pytest.warns(UserWarning, match="duplicate"):
+            tets = delaunay3d(points, seed=seed)
+        assert len(fresh_builds) == 1
+        with pytest.warns(UserWarning, match="duplicate"):
+            np.testing.assert_array_equal(tets, delaunay3d(points))
 
 
 # ---------------------------------------------------------------------------

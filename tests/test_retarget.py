@@ -16,7 +16,7 @@ from retargetkit.kinematics import (
     stored_vector,
     tangent_vector,
 )
-from retargetkit.motionio import MotionSequence, ShapeParams
+from retargetkit.motionio import MotionSequence, ObjectMesh, ShapeParams
 from retargetkit.optim import OptimizerConfig
 from retargetkit.retarget import (
     FrameContext,
@@ -29,6 +29,7 @@ from retargetkit.retarget import (
     objective_gradient,
     retarget_sequence,
     slide_gates,
+    source_meshes,
     target_point_cloud,
 )
 from retargetkit.retarget import _gradient_core, _terms_core
@@ -36,6 +37,7 @@ from retargetkit.rotations import quat_from_expmap, quat_mul, quat_to_mat
 
 from conftest import (
     central_difference,
+    empty_circumsphere_ok,
     held_box_motion,
     make_chain,
     make_humanoid,
@@ -316,6 +318,79 @@ class TestTopologyReuse:
             np.testing.assert_array_equal(mesh.delaunay, fresh.delaunay)
             np.testing.assert_array_equal(mesh.tetrahedra, fresh.tetrahedra)
             assert mesh.reference_laplacians.tobytes() == fresh.reference_laplacians.tobytes()
+
+
+class TestSeededSourceMeshes:
+    """source_meshes triangulates in the object's frame from one DelaunaySeed
+    per clip; the meshes must be those of world-frame builds."""
+
+    @staticmethod
+    def jittered_scene(humanoid, box, rng, frames=30):
+        """The held-box clip with noisy joints, a turning object and a
+        jittered box: no mirror symmetry and no cospherical ties."""
+        seq = held_box_motion(humanoid, frames=frames, amplitude=0.2)
+        t = np.linspace(0.0, 1.0, frames)[:, None]
+        turn = np.array([quat_from_expmap(v) for v in t * (0.3, -0.2, 0.6)])
+        seq = replace(seq, joint_rots=seq.joint_rots + rng.normal(scale=0.03, size=seq.joint_rots.shape),
+                      obj_rot=turn)
+        obj = ObjectMesh(vertices=box.vertices + rng.normal(scale=1e-3, size=box.vertices.shape),
+                         faces=box.faces)
+        return seq, obj
+
+    @staticmethod
+    def count_insertions(monkeypatch) -> list:
+        """Lengths of the point batches inserted into Bowyer-Watson states."""
+        inserted = []
+        extended = interactmesh._TetStore.extended
+        monkeypatch.setattr(interactmesh._TetStore, "extended",
+                            lambda store, points: inserted.append(len(points)) or extended(store, points))
+        return inserted
+
+    @pytest.mark.parametrize("gate", [None, 0.5])
+    def test_seeded_meshes_equal_world_frame_builds(self, humanoid, box, rng, monkeypatch, gate):
+        seq, obj = self.jittered_scene(humanoid, box, rng)
+        partner = partner_motion(humanoid, seq)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        cfg = RetargetConfig(retention=RetentionRule(proximity_gate=gate))
+        inserted = self.count_insertions(monkeypatch)
+        seeded = source_meshes(seq, humanoid, ones, obj, cfg, second_seq=partner)
+        assert inserted[0] == 56 and len(inserted) > 1
+        assert 56 not in inserted[1:]  # every later build started from the seed
+        world = build_frame_meshes(fk_sequence(humanoid, ones, seq), fk_sequence(humanoid, ones, partner),
+                                   object_world_vertices(obj, seq, 64), cfg)
+        assert sum(m is not None for m in world) > 0
+        for a, b in zip(seeded, world):
+            assert (a is None) == (b is None)
+            if a is None:
+                continue
+            assert a.points.provenance == b.points.provenance
+            assert a.points.coordinates.tobytes() == b.points.coordinates.tobytes()
+            np.testing.assert_array_equal(a.tetrahedra, b.tetrahedra)
+            assert a.reference_laplacians.tobytes() == b.reference_laplacians.tobytes()
+
+    def test_held_box_topology_is_delaunay_in_world_frame(self, humanoid, box):
+        spatial = pytest.importorskip("scipy.spatial")
+        seq = held_box_motion(humanoid, frames=25)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        cfg = RetargetConfig(retention=RetentionRule(proximity_gate=None))
+        for mesh in source_meshes(seq, humanoid, ones, box, cfg):
+            coords = mesh.points.coordinates
+            assert empty_circumsphere_ok(coords, mesh.delaunay, rel_tol=1e-9)
+            hull = spatial.ConvexHull(coords).volume
+            volume = np.sum(np.abs(interactmesh.tet_volumes(coords, mesh.delaunay)))
+            assert abs(volume - hull) <= 1e-9 * hull
+
+    def test_object_inserted_once_per_clip(self, humanoid, box, rng, monkeypatch):
+        seq, obj = self.jittered_scene(humanoid, box, rng)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        cfg = RetargetConfig(retention=RetentionRule(proximity_gate=None))
+        inserted = self.count_insertions(monkeypatch)
+        source_meshes(seq, humanoid, ones, obj, cfg)
+        assert inserted.count(56) == 1
+        assert inserted.count(20) >= 2 and set(inserted) == {56, 20}
+        inserted.clear()
+        source_meshes(seq, humanoid, ones, obj, cfg)  # a new clip builds its own seed
+        assert inserted.count(56) == 1
 
 
 class TestSlideGates:
