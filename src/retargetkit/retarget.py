@@ -17,16 +17,17 @@ tangent layout, (root_pos, delta, joint exp-maps) with root rotation
 q_a * exp(delta) around the warm start's quaternion q_a: no step can scale
 the quaternion, so the solve does not depend on the scene's heading, and the
 stored quaternion is normalized once, when a frame's result is written. For
-a vector the model runs FK (with its Jacobian, for the normal equations) and
-the Laplacian difference once, and derives from them the weighted terms (the
-loss), the gradient, or the Gauss-Newton normal equations of the
-least-squares terms. A tetrahedron's Laplacian is A P with
-A = 4I - 11^T acting on its four points, so the Laplacian block of J^T J is
-w * fk_jac^T (K ⊗ I3) fk_jac, where the joint-by-joint stiffness K sums
-A^T A = 16I - 4*11^T over each tetrahedron's agent-A slots; the slide term
-adds its weight on the gated feet's diagonal. K is built once per frame
-mesh, and the Laplacian part of J^T r is the scatter of 4*diff - sum(diff)
-onto the joints.
+a vector the model runs FK (with its Jacobian, for the normal equations)
+once, and derives from it the weighted terms (the loss), the gradient, or
+the Gauss-Newton normal equations of the least-squares terms. A
+tetrahedron's Laplacian is A P with A = 4I - 11^T acting on its four points,
+so the Laplacian difference is linear in the offsets dP of the agent's
+joints from their source coordinates in the mesh. With the joint-by-joint
+stiffness K_lap, which sums A^T A = 16I - 4*11^T over each tetrahedron's
+agent-A slots, the term is w * sum dP . (K_lap dP), its part of J^T r is
+w * K_lap dP, and its block of J^T J is w * fk_jac^T (K_lap ⊗ I3) fk_jac;
+the slide term adds its weight on the gated feet's diagonal. K_lap is built
+once per frame mesh.
 
 Hinge terms use subgradient 0 at the kink. Frames are optimized in time
 order, warm-started from the previous frame's solution; joint limits are
@@ -172,39 +173,43 @@ class FrameModel:
         self.feet_ref = fk_vector(skeleton, shape, x_ref)[self.feet] if self.feet.size else None
         j = skeleton.joint_count
         # joint_lap[j, (m, s)] = d L[m, s] / d p_j: the operator A = 4I - 11^T
-        # restricted to agent-A slots. J^T r pulls the joints by joint_lap @
-        # diff, and the Laplacian stiffness over joint positions is
-        # joint_lap @ joint_lap^T (A^T A = 16I - 4*11^T per tetrahedron);
-        # the slide term adds its weight on the gated feet's diagonal
-        self.stiffness = np.zeros((j, j))
+        # restricted to agent-A slots. The Laplacian difference is linear in
+        # the joints' offsets dP from their source coordinates in the mesh,
+        # diff = joint_lap^T dP, so the term is dP . (K_lap dP) and J^T r
+        # pulls the joints by K_lap dP, with the Laplacian stiffness
+        # K_lap = joint_lap @ joint_lap^T (A^T A = 16I - 4*11^T per
+        # tetrahedron); the slide term adds its weight on the gated feet's
+        # diagonal
+        self.source = np.zeros((j, 3))
+        self.lap_stiffness = np.zeros((j, j))
         if self.mesh is not None:
-            self.rows, self.joints = _agent_rows(self.mesh)
+            rows, joints = _agent_rows(self.mesh)
+            self.source[joints] = self.mesh.points.coordinates[rows]
             slot_joint = np.full(len(self.mesh.points.coordinates), -1)
-            slot_joint[self.rows] = self.joints
+            slot_joint[rows] = joints
             tet_joints = slot_joint[self.mesh.tetrahedra]
             tet, slot = np.nonzero(tet_joints >= 0)
             owner = np.zeros((j, self.mesh.tet_count, 4))
             owner[tet_joints[tet, slot], tet, slot] = 1.0
-            self.joint_lap = (4.0 * owner - owner.sum(axis=2, keepdims=True)).reshape(j, -1)
-            self.stiffness += cfg.laplacian_weight * (self.joint_lap @ self.joint_lap.T)
+            joint_lap = (4.0 * owner - owner.sum(axis=2, keepdims=True)).reshape(j, -1)
+            self.lap_stiffness = joint_lap @ joint_lap.T
+        self.stiffness = cfg.laplacian_weight * self.lap_stiffness
         np.add.at(self.stiffness, (self.feet, self.feet), cfg.foot_slide_weight)
 
-    def _laplacian_difference(self, positions: np.ndarray) -> np.ndarray | None:
-        """The (M, 4, 3) Laplacian difference (None without a mesh)."""
-        if self.mesh is None:
-            return None
-        coords = self.mesh.points.coordinates.copy()
-        coords[self.rows] = positions[self.joints]
-        return laplacians(coords[self.mesh.tetrahedra]) - self.mesh.reference_laplacians
+    def _laplacian_pull(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The joint offsets dP from the mesh's source coordinates and the
+        unweighted pull K_lap dP."""
+        offsets = positions - self.source
+        return offsets, self.lap_stiffness @ offsets
 
     def terms(self, x: np.ndarray) -> dict[str, float]:
         """Per-term weighted objective at x."""
         cfg, skeleton = self.cfg, self.skeleton
         terms = dict.fromkeys(TERM_NAMES, 0.0)
         positions = fk_vector(skeleton, self.shape, x) if self.mesh is not None or self.feet.size else None
-        diff = self._laplacian_difference(positions)
-        if diff is not None:
-            terms["laplacian"] = cfg.laplacian_weight * float(np.einsum("mij,mij->", diff, diff))
+        if self.mesh is not None:
+            offsets, pull = self._laplacian_pull(positions)
+            terms["laplacian"] = cfg.laplacian_weight * float(np.einsum("ij,ij->", offsets, pull))
         d = x - self.x_ref
         terms["temporal"] = cfg.temporal_weight * float(d @ d)
 
@@ -246,9 +251,8 @@ class FrameModel:
         positions, fk_jac = fk_jacobian_vector(self.skeleton, self.shape, x)  # fk_jac (3J, 3J + 3)
         fk_jac[:, 3:6] = fk_jac[:, 3:6] @ right_jac
         pull = np.zeros_like(positions)  # J^T r over joint positions
-        diff = self._laplacian_difference(positions)
-        if diff is not None:
-            pull += cfg.laplacian_weight * (self.joint_lap @ diff.reshape(-1, 3))
+        if self.mesh is not None:
+            pull += cfg.laplacian_weight * self._laplacian_pull(positions)[1]
         if self.feet.size:
             np.add.at(pull, self.feet, cfg.foot_slide_weight * (positions[self.feet] - self.feet_ref))
         stiff_jac = (self.stiffness @ fk_jac.reshape(len(positions), -1)).reshape(fk_jac.shape)
