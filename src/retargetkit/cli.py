@@ -97,6 +97,17 @@ def _nonnegative(text: str) -> float:
     raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative number")
 
 
+def _positive_int(text: str) -> int:
+    """An integer >= 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+
+
 def _odd_window(text: str) -> int:
     """An odd integer >= 1."""
     try:
@@ -129,7 +140,7 @@ def build_parser() -> _Parser:
                        help="tetrahedron retention rule")
         p.add_argument("--proximity-gate", type=_proximity_gate, default=RetentionRule.proximity_gate,
                        help="joint-to-object gate in meters, or 'none'")
-        p.add_argument("--max-object-vertices", type=int, default=RetargetConfig.max_object_vertices,
+        p.add_argument("--max-object-vertices", type=_positive_int, default=RetargetConfig.max_object_vertices,
                        help="object subsample budget")
 
     p = command("fit-shape", "fit bone scales of a skeleton to another skeleton's T-pose")

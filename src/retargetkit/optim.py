@@ -26,6 +26,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DataError("max_iterations must be >= 1")
+        if self.patience < 1:
+            raise DataError("patience must be >= 1")
 
 
 @dataclass(frozen=True)

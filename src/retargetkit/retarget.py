@@ -93,6 +93,8 @@ class RetargetConfig:
             raise DataError("term weights must be nonnegative")
         if self.foot_speed_threshold <= 0:
             raise DataError("foot speed threshold must be positive")
+        if self.max_object_vertices < 1:
+            raise DataError("max_object_vertices must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,20 @@ class TestConfigFile:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["retarget", "mesh-inspect"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_out_of_range_object_vertex_budget(self, tmp_path, monkeypatch, capsys, command, value):
+        # a budget below one would silently run with a single object vertex
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        args = [command] + COMMAND_ARGS[command] + ["-o", "out"] * (command == "mesh-inspect")
+        assert main(args + ["--max-object-vertices", str(value)]) == 1
+        assert "--max-object-vertices" in capsys.readouterr().err
+        (tmp_path / "cfg.json").write_text(json.dumps({"max_object_vertices": value}))
+        assert main(args + ["--config", "cfg.json"]) == 2
+        assert "config key 'max_object_vertices'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_every_command_rejects_unknown_keys(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from retargetkit.errors import NumericalError
+from retargetkit.errors import DataError, NumericalError
 from retargetkit.optim import OptimizerConfig, levenberg_marquardt
 
 
@@ -9,6 +9,12 @@ class TestOptimizerConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("patience", [0, -1])
+    def test_patience_below_one_rejected(self, patience):
+        # patience 0 would stop after one iteration and report convergence
+        with pytest.raises(DataError, match="patience"):
+            OptimizerConfig(patience=patience)
 
     def test_defaults_are_the_gauss_newton_settings(self):
         cfg = OptimizerConfig()

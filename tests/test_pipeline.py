@@ -156,6 +156,16 @@ class TestRunPipeline:
         with pytest.raises(DataError, match="entry id"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("retarget_settings, key", [
+        ({"max_object_vertices": 0}, "max_object_vertices"),
+        ({"max_object_vertices": -2}, "max_object_vertices"),
+        ({"optimizer": {"patience": 0}}, "patience"),
+    ])
+    def test_out_of_range_retarget_setting_rejected(self, tmp_path, retarget_settings, key):
+        path = write_corpus(tmp_path, frames=4, retarget=retarget_settings)
+        with pytest.raises(DataError, match=key):
+            load_manifest(path)
+
     def test_rerun_byte_identical(self, tmp_path):
         path = write_corpus(tmp_path, frames=4)
         manifest = load_manifest(path)
