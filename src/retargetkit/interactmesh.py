@@ -39,6 +39,7 @@ differently from a build in input order; both are Delaunay.
 from __future__ import annotations
 
 import copy
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -214,30 +215,31 @@ class _TetStore:
 
     _ARRAYS = ("tets", "alive", "centers", "rad2", "sym", "normals", "faces")
 
-    def __init__(self, super_vertices: np.ndarray, capacity: int = 1):
+    def __init__(self, super_vertices: np.ndarray):
         """The empty seed: no point yet, one cell, the super-tetrahedron."""
         self.coords = np.asarray(super_vertices, dtype=float)
         self.n_input = 0
         self.size = 0
-        self.tets = np.zeros((capacity, 4), dtype=int)
-        self.alive = np.zeros(capacity, dtype=bool)
-        self.centers = np.zeros((capacity, 3))
-        self.rad2 = np.zeros(capacity)
-        self.sym = np.zeros(capacity, dtype=bool)
-        self.normals = np.zeros((capacity, 3))  # super-side normal of the finite face
-        self.faces = np.zeros((capacity, 3), dtype=int)  # finite face, oriented along normals
+        self.tets = np.zeros((1, 4), dtype=int)
+        self.alive = np.zeros(1, dtype=bool)
+        self.centers = np.zeros((1, 3))
+        self.rad2 = np.zeros(1)
+        self.sym = np.zeros(1, dtype=bool)
+        self.normals = np.zeros((1, 3))  # super-side normal of the finite face
+        self.faces = np.zeros((1, 3), dtype=int)  # finite face, oriented along normals
         self.refill(np.zeros(0, dtype=int), np.array([[0, 1, 2, 3]]))
 
-    def _grow(self, size: int) -> None:
-        capacity = len(self.alive)
-        if size <= capacity:
-            return
-        capacity = max(size, 2 * capacity)
+    def _reallocate(self, capacity: int) -> None:
+        """Fresh arrays of the given capacity, holding the cells in use."""
         for name in self._ARRAYS:
-            old = getattr(self, name)
+            old = getattr(self, name)[: self.size]
             new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
-            new[: len(old)] = old
+            new[: self.size] = old
             setattr(self, name, new)
+
+    def _grow(self, size: int) -> None:
+        if size > len(self.alive):
+            self._reallocate(max(size, 2 * len(self.alive)))
 
     def extended(self, points: np.ndarray) -> "_TetStore":
         """A copy of this state with points inserted, in order, after the
@@ -251,12 +253,7 @@ class _TetStore:
         out.coords = np.vstack([self.coords[:n], points, self.coords[n:]])
         out.n_input = n + k
         # each insertion into a ball-shaped cavity adds two cells net
-        capacity = self.size + 2 * k + 16
-        for name in self._ARRAYS:
-            old = getattr(self, name)[: self.size]
-            new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
-            new[: self.size] = old
-            setattr(out, name, new)
+        out._reallocate(self.size + 2 * k + 16)
         out.tets[: out.size][out.tets[: out.size] >= n] += k
         for i in range(n, n + k):
             out.insert(i)
@@ -453,18 +450,14 @@ class DelaunaySeed:
 
     def __init__(self, vertices):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 3)
-        self._store: _TetStore | None = None
-        self._built = False
 
+    @functools.cached_property
     def store(self) -> _TetStore | None:
         """The state (None when the object's vertices cannot seed a build)."""
-        if not self._built:
-            self._built = True
-            try:
-                self._store = _TetStore(_super_tetrahedron(self.vertices, _MARGIN)).extended(self.vertices)
-            except DataError:
-                pass
-        return self._store
+        try:
+            return _TetStore(_super_tetrahedron(self.vertices, _MARGIN)).extended(self.vertices)
+        except DataError:
+            return None
 
 
 def _seeded(points: np.ndarray, seed: DelaunaySeed) -> np.ndarray | None:
@@ -474,7 +467,7 @@ def _seeded(points: np.ndarray, seed: DelaunaySeed) -> np.ndarray | None:
     n_joints = len(points) - len(seed.vertices)
     if n_joints < 0 or not np.array_equal(points[n_joints:], seed.vertices):
         return None
-    store = seed.store()
+    store = seed.store
     if store is None or not _inside_super(points[:n_joints], store.coords[store.n_input:]):
         return None
     try:
