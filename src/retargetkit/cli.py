@@ -169,7 +169,7 @@ def build_parser() -> _Parser:
     p.add_argument("--foot-speed-threshold", type=float, default=RetargetConfig.foot_speed_threshold,
                    help="source horizontal foot speed gate, m/s")
     add_retention(p)
-    p.add_argument("--max-iterations", type=int, default=OptimizerConfig.max_iterations,
+    p.add_argument("--max-iterations", type=_positive_int, default=OptimizerConfig.max_iterations,
                    help="descent iteration cap per frame")
     p.add_argument("--verbose", type=int, default=0, help="verbosity level")
 
@@ -201,8 +201,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=ScheduleConfig.epsilon, help="annealing span in rounds")
     p.add_argument("--kappa", type=float, default=ScheduleConfig.kappa, help="pure-teacher span in rounds")
     p.add_argument("--t-imit", type=int, default=ScheduleConfig.t_imit, help="reward switch round")
-    p.add_argument("--horizon", type=int, default=ScheduleConfig.horizon, help="steps per round")
-    p.add_argument("--rounds", type=int, default=20, help="rounds to simulate")
+    p.add_argument("--horizon", type=_positive_int, default=ScheduleConfig.horizon, help="steps per round")
+    p.add_argument("--rounds", type=_positive_int, default=20, help="rounds to simulate")
     p.add_argument("--seed", type=int, default=ScheduleConfig.seed, help="random seed")
     p.add_argument("-o", "--output", default=None,
                    help="output prefix; writes PREFIX.csv and PREFIX.transitions.jsonl "
@@ -215,7 +215,6 @@ def build_parser() -> _Parser:
 
     p = command("pipeline", "run the fit/retarget/smooth/filter pipeline over a manifest")
     p.add_argument("--manifest", required=True, help="pipeline manifest JSON")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over entries")
     p.add_argument("--validate-only", action="store_true", help="validate the manifest and exit")
 
     p = command("mesh-inspect", "dump the interact mesh of one frame as JSON")
@@ -482,7 +481,7 @@ def _cmd_pipeline(args) -> int:
             status = "ok" if r.ok else "; ".join(r.problems)
             print(f"{r.entry_id}: {status}")
         return 0 if all(r.ok for r in reports) else 2
-    summary = run_pipeline(manifest, jobs=args.jobs)
+    summary = run_pipeline(manifest)
     for e in summary.entries:
         line = f"{e.entry_id}: {e.status}" + (f" ({e.error})" if e.error else "")
         print(line, file=sys.stderr)

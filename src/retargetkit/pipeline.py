@@ -18,11 +18,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -260,31 +257,23 @@ class _Memo:
 
     Each key's users are counted before any entry runs, and a value is
     dropped when its last user releases the key, so a long manifest holds
-    only the values of the entries still to finish. Concurrent users of one
-    key wait for a single build; a build that raises is not kept, so every
-    user of a broken input gets its own error.
+    only the values of the entries still to finish. A build that raises is
+    not kept, so every user of a broken input gets its own error.
     """
 
     def __init__(self, users: Counter):
-        self._lock = threading.Lock()  # guards the counts and the key locks
         self._users = users
-        self._key_locks: dict[tuple, threading.Lock] = {}
         self._values: dict[tuple, object] = {}
 
     def get(self, key: tuple, build):
-        with self._lock:
-            key_lock = self._key_locks.setdefault(key, threading.Lock())
-        with key_lock:
-            if key not in self._values:
-                self._values[key] = build()
-            return self._values[key]
+        if key not in self._values:
+            self._values[key] = build()
+        return self._values[key]
 
     def release(self, key: tuple) -> None:
-        with self._lock:
-            self._users[key] -= 1
-            if self._users[key] <= 0:
-                self._key_locks.pop(key, None)
-                self._values.pop(key, None)
+        self._users[key] -= 1
+        if self._users[key] <= 0:
+            self._values.pop(key, None)
 
 
 def _process_entry(entry: ManifestEntry, keys: tuple | None, manifest: PipelineManifest,
@@ -345,8 +334,11 @@ def _process_entry(entry: ManifestEntry, keys: tuple | None, manifest: PipelineM
 
 
 def run_pipeline(manifest: PipelineManifest, jobs: int = 1) -> PipelineSummary:
-    """Process every entry, write outputs and summary files, run the filter
-    when episode statistics are supplied. Deterministic for a fixed manifest."""
+    """Process the entries one at a time in manifest order, write outputs and
+    summary files, run the filter when episode statistics are supplied.
+    Deterministic for a fixed manifest."""
+    if jobs != 1:  # the keyword stays only while the benchmark passes jobs=1
+        raise ValueError(f"entries run one at a time; jobs must be 1, got {jobs!r}")
     keys = []
     for entry in manifest.entries:
         try:
@@ -354,12 +346,7 @@ def run_pipeline(manifest: PipelineManifest, jobs: int = 1) -> PipelineSummary:
         except OSError:  # the entry reports it when it runs
             keys.append(None)
     memo = _Memo(Counter(key for pair in keys if pair for key in pair))
-    process = partial(_process_entry, manifest=manifest, memo=memo)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(process, manifest.entries, keys))
-    else:
-        results = list(map(process, manifest.entries, keys))
+    results = [_process_entry(entry, pair, manifest, memo) for entry, pair in zip(manifest.entries, keys)]
 
     filter_state = None
     if manifest.episode_stats:

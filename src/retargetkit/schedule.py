@@ -17,6 +17,7 @@ stays non-empty and sigma never decreases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -230,6 +231,8 @@ class ClipStats:
     def __post_init__(self):
         if not self.episode_lengths:
             raise DataError(f"clip {self.clip_id!r} has no episode lengths")
+        if not all(0.0 <= x < math.inf for x in self.episode_lengths):  # NaN fails both
+            raise DataError(f"clip {self.clip_id!r} has a negative or non-finite episode length")
 
     @property
     def mean_length(self) -> float:
@@ -249,16 +252,24 @@ class FilterState:
         return tuple(c for c in self.clips if c.clip_id not in self.removed)
 
 
+def _clip_stats(clip_id: str, lengths) -> ClipStats:
+    if not isinstance(lengths, (list, tuple)):
+        raise DataError(f"clip {clip_id!r}: episode lengths must be a list of numbers, got {lengths!r}")
+    try:
+        floats = tuple(float(x) for x in lengths)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"clip {clip_id!r}: episode lengths must be numbers: {exc}") from exc
+    return ClipStats(clip_id, floats)
+
+
 def make_filter_state(stats) -> FilterState:
-    """Build the initial state from {clip_id: [lengths]} or ClipStats list."""
+    """Build the initial state from {clip_id: [lengths]} or a sequence of ClipStats."""
     if isinstance(stats, dict):
-        try:
-            lengths = {str(k): tuple(float(x) for x in v) for k, v in stats.items()}
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"episode lengths must be lists of numbers: {exc}") from exc
-        clips = tuple(ClipStats(k, v) for k, v in lengths.items())
-    else:
+        clips = tuple(_clip_stats(str(k), v) for k, v in stats.items())
+    elif isinstance(stats, (list, tuple)) and all(isinstance(c, ClipStats) for c in stats):
         clips = tuple(stats)
+    else:
+        raise DataError(f"clip stats must map clip ids to lists of episode lengths, got {type(stats).__name__}")
     if not clips:
         raise DataError("need at least one clip")
     ids = [c.clip_id for c in clips]

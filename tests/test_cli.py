@@ -154,19 +154,26 @@ class TestConfigFile:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["retarget", "mesh-inspect"])
+    @pytest.mark.parametrize("command, flag, key", [
+        ("retarget", "--max-object-vertices", "max_object_vertices"),
+        ("mesh-inspect", "--max-object-vertices", "max_object_vertices"),
+        ("retarget", "--max-iterations", "max_iterations"),
+        ("schedule-sim", "--horizon", "horizon"),
+        ("schedule-sim", "--rounds", "rounds"),
+    ], ids=["retarget", "mesh-inspect", "retarget-max-iterations", "schedule-sim-horizon", "schedule-sim-rounds"])
     @pytest.mark.parametrize("value", [0, -3])
-    def test_out_of_range_object_vertex_budget(self, tmp_path, monkeypatch, capsys, command, value):
-        # a budget below one would silently run with a single object vertex
+    def test_out_of_range_object_vertex_budget(self, tmp_path, monkeypatch, capsys, command, flag, key, value):
+        # a count below one, the object vertex budget first among them, is
+        # refused as the smooth settings are: 1 from the flag, 2 from a file
         monkeypatch.chdir(tmp_path)
         write_assets(tmp_path)
         args = [command] + COMMAND_ARGS[command] + ["-o", "out"] * (command == "mesh-inspect")
-        assert main(args + ["--max-object-vertices", str(value)]) == 1
-        assert "--max-object-vertices" in capsys.readouterr().err
-        (tmp_path / "cfg.json").write_text(json.dumps({"max_object_vertices": value}))
+        assert main(args + [flag, str(value)]) == 1
+        assert flag in capsys.readouterr().err
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
         assert main(args + ["--config", "cfg.json"]) == 2
-        assert "config key 'max_object_vertices'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["box.obj", "cfg.json", "motion.json", "skeleton.json"]
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_every_command_rejects_unknown_keys(self, tmp_path, monkeypatch, capsys, command):
@@ -446,6 +453,19 @@ class TestFilterCommand:
         stats.write_text(json.dumps({"a": [10], "b": ["long"]}))
         assert main(["filter", "--stats", str(stats)]) == 2
 
+    @pytest.mark.parametrize("doc, named", [
+        ("[1, 2]", "got list"), ("3", "got int"), ('"abc"', "got str"),
+        ('{"a": [10], "b": [NaN]}', "clip 'b'"), ('{"a": [10], "b": [Infinity]}', "clip 'b'"),
+        ('{"a": [10], "b": [-1]}', "clip 'b'"), ('{"a": [10], "b": "12"}', "clip 'b'"),
+    ], ids=["array", "number", "string", "nan", "infinity", "negative", "lengths-string"])
+    def test_malformed_stats_are_data_error(self, tmp_path, capsys, doc, named):
+        stats = tmp_path / "stats.json"
+        stats.write_text(doc)
+        out = tmp_path / "filter.json"
+        assert main(["filter", "--stats", str(stats), "-o", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_output(self, tmp_path, capsys):
         stats = tmp_path / "stats.json"
         stats.write_text(json.dumps({"a": [10], "c": [100]}))
@@ -490,6 +510,16 @@ class TestPipelineCommand:
         manifest.write_text(json.dumps(doc))
         assert main(["pipeline", "--manifest", str(manifest), "--validate-only"]) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_jobs_is_neither_a_flag_nor_a_config_key(self, tmp_path, capsys):
+        # there is no worker count to set, by flag or by config file
+        manifest = write_corpus(tmp_path, frames=2)
+        assert main(["pipeline", "--manifest", str(manifest), "--jobs", "2"]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        (tmp_path / "cfg.json").write_text(json.dumps({"jobs": 2}))
+        assert main(["pipeline", "--manifest", str(manifest), "--config", str(tmp_path / "cfg.json")]) == 2
+        assert "unknown config keys for pipeline: jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_all_failures_exit_two(self, tmp_path, capsys):
         manifest = write_corpus(tmp_path, frames=3)

@@ -1,14 +1,12 @@
 import gc
 import json
-import sys
-import threading
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from retargetkit import retarget
+from retargetkit import pipeline, retarget
 from retargetkit.errors import DataError
 from retargetkit.kinematics import fk_sequence
 from retargetkit.motionio import ShapeParams, load_motion, load_skeleton, save_motion, save_obj, save_skeleton
@@ -166,6 +164,12 @@ class TestRunPipeline:
         with pytest.raises(DataError, match=key):
             load_manifest(path)
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), -1.0])
+    def test_malformed_episode_length_rejected(self, tmp_path, length):
+        path = write_corpus(tmp_path, frames=2, episode_stats={"seq0": [10.0], "other": [length]})
+        with pytest.raises(DataError, match="clip 'other'"):
+            load_manifest(path)
+
     def test_rerun_byte_identical(self, tmp_path):
         path = write_corpus(tmp_path, frames=4)
         manifest = load_manifest(path)
@@ -185,15 +189,6 @@ class TestRunPipeline:
         doc = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert doc["filter"]["removed"] == ["seq0"]
         assert doc["filter"]["sigma_history"] == [55.0, 100.0]
-
-    def test_jobs_parallel_matches_serial(self, tmp_path):
-        path = write_corpus(tmp_path, frames=3, entries=2)
-        manifest = load_manifest(path)
-        run_pipeline(manifest, jobs=1)
-        serial = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())}
-        run_pipeline(manifest, jobs=2)
-        parallel = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())}
-        assert serial == parallel
 
     def test_shape_cache_matches_fresh_fit(self, tmp_path):
         # two entries share the skeleton pair: the second is served from cache
@@ -275,9 +270,9 @@ class TestSourceMeshCache:
         return path, manifest, carry
 
     @staticmethod
-    def run(path, manifest, entries, output_dir="out", jobs=1):
+    def run(path, manifest, entries, output_dir="out"):
         path.write_text(json.dumps(dict(manifest, entries=entries, output_dir=output_dir)))
-        return run_pipeline(load_manifest(path), jobs=jobs)
+        return run_pipeline(load_manifest(path))
 
     def assert_outputs_match_alone(self, path, manifest, entries):
         root = path.parent
@@ -288,11 +283,10 @@ class TestSourceMeshCache:
                 name = entry["id"] + suffix
                 assert (root / f"alone_{entry['id']}" / name).read_bytes() == together[name], name
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_clip_onto_three_targets_builds_its_meshes_once(self, tmp_path, mesh_builds, jobs):
+    def test_one_clip_onto_three_targets_builds_its_meshes_once(self, tmp_path, mesh_builds):
         path, manifest, carry = self.carry_corpus(tmp_path)
         entries = [carry] + [dict(carry, id=t, target_skeleton=f"{t}.json") for t in ("tall", "short")]
-        summary = self.run(path, manifest, entries, jobs=jobs)
+        summary = self.run(path, manifest, entries)
         assert [e.status for e in summary.entries] == ["ok"] * 3
         assert [e.entry_id for e in summary.entries] == ["same", "tall", "short"]
         assert len(mesh_builds) == FRAMES
@@ -362,24 +356,37 @@ class TestSourceMeshCache:
         assert [e.status for e in summary.entries] == ["ok"] * 3
         assert alive_at_build == [[], [False]]
 
-    def test_concurrent_entries_build_each_scene_once(self, tmp_path, mesh_builds):
-        # more workers than cores and frequent thread switches: each of the two
-        # scenes is still built once, and the results keep manifest order
+    def test_interleaved_sources_build_once_and_drop_after_their_last_entry(self, tmp_path, monkeypatch):
+        # s0 -> t0, s1 -> t0, s0 -> t1: s0's meshes outlive s1's entry, and by
+        # the time the summary is written neither source's meshes are alive
         path, manifest, carry = self.carry_corpus(tmp_path)
-        entries = [dict(carry, id=f"{k}{t}", object=obj, target_skeleton=f"{t}.json")
-                   for k, obj in enumerate(("box.obj", "box2.obj")) for t in ("skeleton", "tall", "short")]
-        summaries = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=lambda: summaries.append(self.run(path, manifest, entries, jobs=4)))
-            runner.start()
-            runner.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive()
-        assert [(e.entry_id, e.status) for e in summaries[0].entries] == [(e["id"], "ok") for e in entries]
-        assert len(mesh_builds) == 2 * FRAMES
+        save_motion(held_box_motion(make_humanoid(), frames=FRAMES, amplitude=0.05), tmp_path / "motion1.json")
+        original_build, original_summary = retarget.build_frame_meshes, pipeline._write_summary
+        built, alive_at_build, alive_at_summary = [], [], []
+
+        def alive():
+            gc.collect()
+            return [ref() is not None for ref in built]
+
+        def tracking(*args, **kwargs):
+            alive_at_build.append(alive())
+            meshes = original_build(*args, **kwargs)
+            built.append(weakref.ref(meshes[0]))
+            return meshes
+
+        def summary_tracking(*args):
+            alive_at_summary.append(alive())
+            return original_summary(*args)
+
+        monkeypatch.setattr(retarget, "build_frame_meshes", tracking)
+        monkeypatch.setattr(pipeline, "_write_summary", summary_tracking)
+        entries = [carry, dict(carry, id="s1", motion="motion1.json"),
+                   dict(carry, id="s0-tall", target_skeleton="tall.json")]
+        summary = self.run(path, manifest, entries)
+        assert [(e.entry_id, e.status) for e in summary.entries] == [(e["id"], "ok") for e in entries]
+        assert alive_at_build == [[], [True]]
+        assert alive_at_summary == [[False, False]]
+        self.assert_outputs_match_alone(path, manifest, entries)
 
     def test_prebuilt_meshes_need_one_per_frame(self):
         skel = make_humanoid()
