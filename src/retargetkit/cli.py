@@ -3,10 +3,13 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 A flag backed by a config dataclass field (RetargetConfig, RetentionRule,
 OptimizerConfig, SmoothConfig, RewardConfig, ScheduleConfig) takes its
-default from that field. Every command takes --config, a JSON object keyed by
-flag names with underscores; its values are read as the flags' own arguments
-would be, flags override them, and they override the defaults. Machine output
-goes to stdout or the -o target, human-readable diagnostics to stderr.
+default and its valid range from that field (errors.setting). Every command
+takes --config, a JSON object keyed by flag names with underscores; its values
+are read as the flags' own arguments would be, flags override them, and they
+override the defaults. A value outside its field's range exits 1 naming the
+flag, exits 2 naming the key when it comes from --config, and is a DataError
+naming the field when it comes from a pipeline manifest. Machine output goes
+to stdout or the -o target, human-readable diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, EmptyInteractMeshError, NumericalError
+from .errors import DataError, EmptyInteractMeshError, NumericalError, Range
 from .interactmesh import RetentionRule, build_interact_mesh, mesh_to_dict
 from .kinematics import fk_sequence
 from .motionio import ShapeParams, load_motion, load_obj, load_skeleton, read_json, save_motion
@@ -73,52 +76,6 @@ class _DefaultsHelp(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
-def _proximity_gate(text: str) -> float | None:
-    """A gate in meters, or None for 'none'."""
-    if text.lower() == "none":
-        return None
-    try:
-        gate = float(text)
-        if gate > 0:
-            return gate
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is neither a positive distance nor 'none'")
-
-
-def _nonnegative(text: str) -> float:
-    """A float >= 0."""
-    try:
-        value = float(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative number")
-
-
-def _positive_int(text: str) -> int:
-    """An integer >= 1."""
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-
-
-def _odd_window(text: str) -> int:
-    """An odd integer >= 1."""
-    try:
-        value = int(text)
-        if value >= 1 and value % 2 == 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not an odd integer >= 1")
-
-
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -128,20 +85,24 @@ def _emit(text: str, out: str | None):
 
 def build_parser() -> _Parser:
     """The CLI. A flag backed by a config dataclass field takes that field's
-    default, so the dataclass is the one declaration of the setting."""
+    default and declared range, so the dataclass is the one declaration of
+    the setting."""
     parser = _Parser(prog="retargetkit", description="Interaction-preserving motion retargeting toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
 
     def command(name: str, help: str) -> _Parser:
         return sub.add_parser(name, help=help, formatter_class=_DefaultsHelp)
 
+    def add_setting(p: _Parser, flag: str, cls, name: str, help: str):
+        declared = cls.__dataclass_fields__[name]
+        valid = declared.metadata["range"]
+        p.add_argument(flag, type=valid.parse, choices=valid.choices, default=declared.default, help=help)
+
     def add_retention(p: _Parser):
-        p.add_argument("--retention", choices=("strict", "loose"), default=RetentionRule.mode,
-                       help="tetrahedron retention rule")
-        p.add_argument("--proximity-gate", type=_proximity_gate, default=RetentionRule.proximity_gate,
-                       help="joint-to-object gate in meters, or 'none'")
-        p.add_argument("--max-object-vertices", type=_positive_int, default=RetargetConfig.max_object_vertices,
-                       help="object subsample budget")
+        add_setting(p, "--retention", RetentionRule, "mode", "tetrahedron retention rule")
+        add_setting(p, "--proximity-gate", RetentionRule, "proximity_gate",
+                    "joint-to-object gate in meters, or 'none'")
+        add_setting(p, "--max-object-vertices", RetargetConfig, "max_object_vertices", "object subsample budget")
 
     p = command("fit-shape", "fit bone scales of a skeleton to another skeleton's T-pose")
     p.add_argument("--skeleton", required=True, help="skeleton whose scales are fitted")
@@ -156,28 +117,22 @@ def build_parser() -> _Parser:
     p.add_argument("--obj", required=True, help="object mesh OBJ")
     p.add_argument("--second-src", default=None, help="second-agent motion JSON (context)")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--laplacian-weight", type=float, default=RetargetConfig.laplacian_weight,
-                   help="laplacian term weight")
-    p.add_argument("--temporal-weight", type=float, default=RetargetConfig.temporal_weight,
-                   help="temporal term weight")
-    p.add_argument("--jlimit-weight", type=float, default=RetargetConfig.joint_limit_weight,
-                   help="joint-limit term weight")
-    p.add_argument("--vlimit-weight", type=float, default=RetargetConfig.velocity_limit_weight,
-                   help="velocity-limit term weight")
-    p.add_argument("--slide-weight", type=float, default=RetargetConfig.foot_slide_weight,
-                   help="foot-slide term weight")
-    p.add_argument("--foot-speed-threshold", type=float, default=RetargetConfig.foot_speed_threshold,
-                   help="source horizontal foot speed gate, m/s")
+    add_setting(p, "--laplacian-weight", RetargetConfig, "laplacian_weight", "laplacian term weight")
+    add_setting(p, "--temporal-weight", RetargetConfig, "temporal_weight", "temporal term weight")
+    add_setting(p, "--jlimit-weight", RetargetConfig, "joint_limit_weight", "joint-limit term weight")
+    add_setting(p, "--vlimit-weight", RetargetConfig, "velocity_limit_weight", "velocity-limit term weight")
+    add_setting(p, "--slide-weight", RetargetConfig, "foot_slide_weight", "foot-slide term weight")
+    add_setting(p, "--foot-speed-threshold", RetargetConfig, "foot_speed_threshold",
+                "source horizontal foot speed gate, m/s")
     add_retention(p)
-    p.add_argument("--max-iterations", type=_positive_int, default=OptimizerConfig.max_iterations,
-                   help="descent iteration cap per frame")
+    add_setting(p, "--max-iterations", OptimizerConfig, "max_iterations", "descent iteration cap per frame")
     p.add_argument("--verbose", type=int, default=0, help="verbosity level")
 
     p = command("smooth", "smooth a motion's root trajectory and rotations")
     p.add_argument("--motion", required=True, help="motion JSON")
     p.add_argument("--skeleton", required=True, help="skeleton JSON the motion binds to")
-    p.add_argument("--alpha", type=_nonnegative, default=SmoothConfig.alpha, help="root regularization alpha")
-    p.add_argument("--window", type=_odd_window, default=SmoothConfig.rotation_window, help="odd rotation window")
+    add_setting(p, "--alpha", SmoothConfig, "alpha", "root regularization alpha")
+    add_setting(p, "--window", SmoothConfig, "rotation_window", "odd rotation window")
     p.add_argument("-o", "--output", required=True, help="output directory")
 
     p = command("reward-eval", "evaluate the tracking reward of a motion against a reference")
@@ -185,32 +140,32 @@ def build_parser() -> _Parser:
     p.add_argument("--ref", required=True, help="reference motion JSON")
     p.add_argument("--skeleton", required=True, help="skeleton JSON")
     p.add_argument("--obj", required=True, help="object mesh OBJ")
-    p.add_argument("--lambda-delta", type=float, default=RewardConfig.lambda_delta, help="imitation coefficient")
-    p.add_argument("--lambda-c", type=float, default=RewardConfig.lambda_c, help="contact coefficient")
-    p.add_argument("--lambda-v", type=float, default=RewardConfig.lambda_v, help="velocity coefficient")
-    p.add_argument("--lambda-f", type=float, default=RewardConfig.lambda_f, help="force coefficient")
-    p.add_argument("--contact-near", type=float, default=RewardConfig.contact_near, help="contact zone bound, m")
-    p.add_argument("--contact-far", type=float, default=RewardConfig.contact_far, help="penalty zone bound, m")
-    p.add_argument("--energy-velocity", choices=("angular", "linear"), default=RewardConfig.energy_velocity,
-                   help="velocity source for the energy factor")
+    add_setting(p, "--lambda-delta", RewardConfig, "lambda_delta", "imitation coefficient")
+    add_setting(p, "--lambda-c", RewardConfig, "lambda_c", "contact coefficient")
+    add_setting(p, "--lambda-v", RewardConfig, "lambda_v", "velocity coefficient")
+    add_setting(p, "--lambda-f", RewardConfig, "lambda_f", "force coefficient")
+    add_setting(p, "--contact-near", RewardConfig, "contact_near", "contact zone bound, m")
+    add_setting(p, "--contact-far", RewardConfig, "contact_far", "penalty zone bound, m")
+    add_setting(p, "--energy-velocity", RewardConfig, "energy_velocity", "velocity source for the energy factor")
     p.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
     # per-component weights have no flag form; only a config file sets them
     p.set_defaults(omega=RewardConfig().omega)
 
     p = command("schedule-sim", "run the distillation schedule over stub policies")
-    p.add_argument("--epsilon", type=float, default=ScheduleConfig.epsilon, help="annealing span in rounds")
-    p.add_argument("--kappa", type=float, default=ScheduleConfig.kappa, help="pure-teacher span in rounds")
-    p.add_argument("--t-imit", type=int, default=ScheduleConfig.t_imit, help="reward switch round")
-    p.add_argument("--horizon", type=_positive_int, default=ScheduleConfig.horizon, help="steps per round")
-    p.add_argument("--rounds", type=_positive_int, default=20, help="rounds to simulate")
-    p.add_argument("--seed", type=int, default=ScheduleConfig.seed, help="random seed")
+    add_setting(p, "--epsilon", ScheduleConfig, "epsilon", "annealing span in rounds")
+    add_setting(p, "--kappa", ScheduleConfig, "kappa", "pure-teacher span in rounds")
+    add_setting(p, "--t-imit", ScheduleConfig, "t_imit", "reward switch round")
+    add_setting(p, "--horizon", ScheduleConfig, "horizon", "steps per round")
+    p.add_argument("--rounds", type=Range(int, ge=1).parse, default=20, help="rounds to simulate")
+    add_setting(p, "--seed", ScheduleConfig, "seed", "random seed")
     p.add_argument("-o", "--output", default=None,
                    help="output prefix; writes PREFIX.csv and PREFIX.transitions.jsonl "
                         "(default: CSV to stdout)")
 
     p = command("filter", "performance-driven curation over clip episode statistics")
     p.add_argument("--stats", required=True, help="clip stats JSON: {id: [episode lengths]}")
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    formats = Range(str, choices=("json", "csv"))
+    p.add_argument("--format", type=formats.parse, choices=formats.choices, default="json", help="output format")
     p.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
 
     p = command("pipeline", "run the fit/retarget/smooth/filter pipeline over a manifest")
@@ -247,10 +202,7 @@ def _config_value(command: _Parser, key: str, value):
         if not isinstance(value, bool):
             raise ValueError("expected true or false")
         return value
-    converted = (action.type or str)("none" if value is None else str(value))
-    if action.choices is not None and converted not in action.choices:
-        raise ValueError(f"{converted!r} is not one of {', '.join(map(str, action.choices))}")
-    return converted
+    return (action.type or str)("none" if value is None else str(value))
 
 
 def _apply_config(parser: _Parser, args: argparse.Namespace, argv) -> argparse.Namespace:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyInteractMeshError
+from .errors import DataError, EmptyInteractMeshError, check_settings, setting
 
 DUPLICATE_TOL = 1e-12
 COPLANAR_TOL = 1e-9
@@ -558,14 +558,11 @@ class RetentionRule:
     (already subsampled) object vertex before triangulating.
     """
 
-    mode: str = "strict"  # "strict" | "loose"
-    proximity_gate: float | None = 0.5  # meters
+    mode: str = setting("strict", choices=("strict", "loose"))
+    proximity_gate: float | None = setting(0.5, gt=0, none_ok=True)  # meters
 
     def __post_init__(self):
-        if self.mode not in ("strict", "loose"):
-            raise DataError(f"unknown retention mode {self.mode!r}")
-        if self.proximity_gate is not None and self.proximity_gate <= 0:
-            raise DataError("proximity gate must be positive when set")
+        check_settings(self)
 
 
 @dataclass(frozen=True)

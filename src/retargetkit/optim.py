@@ -12,22 +12,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import NumericalError, check_settings, setting
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    max_iterations: int = 100
+    max_iterations: int = setting(100, ge=1)
     # Early stop once the relative improvement stays below improvement_tol
     # for `patience` consecutive iterations (rejected steps count as stalls).
-    improvement_tol: float = 1e-12
-    patience: int = 6
+    improvement_tol: float = setting(1e-12, ge=0)
+    patience: int = setting(6, ge=1)
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise DataError("max_iterations must be >= 1")
-        if self.patience < 1:
-            raise DataError("patience must be >= 1")
+        check_settings(self)
 
 
 @dataclass(frozen=True)

@@ -69,12 +69,7 @@ def _config_from_dict(cls, raw: dict, **nested):
     unknown = set(raw) - known
     if unknown:
         raise DataError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    merged = dict(raw)
-    merged.update(nested)
-    try:
-        return cls(**merged)
-    except TypeError as exc:  # a value of the wrong type met a comparison
-        raise DataError(f"invalid {cls.__name__} settings {raw!r}: {exc}") from exc
+    return cls(**raw, **nested)
 
 
 def retarget_config_from_dict(raw: dict) -> RetargetConfig:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, EmptyInteractMeshError, NumericalError
+from .errors import DataError, EmptyInteractMeshError, NumericalError, check_settings, setting
 from .interactmesh import (
     AGENT_A,
     DelaunaySeed,
@@ -71,30 +71,18 @@ TERM_NAMES = ("laplacian", "temporal", "jlimit", "vlimit", "slide")
 
 @dataclass(frozen=True)
 class RetargetConfig:
-    laplacian_weight: float = 1.0
-    temporal_weight: float = 1.0
-    joint_limit_weight: float = 1.0
-    velocity_limit_weight: float = 1.0
-    foot_slide_weight: float = 1.0
-    foot_speed_threshold: float = 0.01  # m/s, evaluated on the source feet
+    laplacian_weight: float = setting(1.0, ge=0)
+    temporal_weight: float = setting(1.0, ge=0)
+    joint_limit_weight: float = setting(1.0, ge=0)
+    velocity_limit_weight: float = setting(1.0, ge=0)
+    foot_slide_weight: float = setting(1.0, ge=0)
+    foot_speed_threshold: float = setting(0.01, gt=0)  # m/s, evaluated on the source feet
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     retention: RetentionRule = field(default_factory=RetentionRule)
-    max_object_vertices: int = 64
+    max_object_vertices: int = setting(64, ge=1)
 
     def __post_init__(self):
-        weights = (
-            self.laplacian_weight,
-            self.temporal_weight,
-            self.joint_limit_weight,
-            self.velocity_limit_weight,
-            self.foot_slide_weight,
-        )
-        if any(w < 0 for w in weights):
-            raise DataError("term weights must be nonnegative")
-        if self.foot_speed_threshold <= 0:
-            raise DataError("foot speed threshold must be positive")
-        if self.max_object_vertices < 1:
-            raise DataError("max_object_vertices must be >= 1")
+        check_settings(self)
 
 
 @dataclass(frozen=True)

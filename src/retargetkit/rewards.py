@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_settings, setting
 from .rotations import quat_log_relative
 
 DELTA_COMPONENTS = (
@@ -39,27 +39,24 @@ DELTA_COMPONENTS = (
 
 @dataclass(frozen=True)
 class RewardConfig:
-    lambda_delta: float = 1.0
-    lambda_c: float = 1.0
-    lambda_v: float = 1.0
-    lambda_f: float = 1.0
+    lambda_delta: float = setting(1.0, ge=0)
+    lambda_c: float = setting(1.0, ge=0)
+    lambda_v: float = setting(1.0, ge=0)
+    lambda_f: float = setting(1.0, ge=0)
     omega: dict[str, float] = field(default_factory=dict)  # per-component, default 1.0
-    contact_near: float = 0.07  # meters: closer counts as contact
-    contact_far: float = 0.2  # meters: farther counts as penalty zone
-    energy_velocity: str = "angular"  # "angular" | "linear"
+    contact_near: float = setting(0.07, gt=0)  # meters: closer counts as contact
+    contact_far: float = setting(0.2, gt=0)  # meters: farther counts as penalty zone
+    energy_velocity: str = setting("angular", choices=("angular", "linear"))
 
     def __post_init__(self):
-        if min(self.lambda_delta, self.lambda_c, self.lambda_v, self.lambda_f) < 0:
-            raise DataError("lambda coefficients must be nonnegative")
-        if not 0 < self.contact_near < self.contact_far:
+        check_settings(self)
+        if not self.contact_near < self.contact_far:
             raise DataError("need 0 < contact_near < contact_far")
-        if any(w < 0 for w in self.omega.values()):
-            raise DataError("omega weights must be nonnegative")
+        if not all(0 <= w < np.inf for w in self.omega.values()):
+            raise DataError("omega weights must be finite and nonnegative")
         unknown = set(self.omega) - set(DELTA_COMPONENTS)
         if unknown:
             raise DataError(f"unknown delta components in omega: {sorted(unknown)}")
-        if self.energy_velocity not in ("angular", "linear"):
-            raise DataError(f"unknown energy velocity source {self.energy_velocity!r}")
 
     def weight(self, component: str) -> float:
         return self.omega.get(component, 1.0)

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_settings, setting
 
 TEACHER = "teacher"
 STUDENT = "student"
@@ -35,19 +35,14 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    epsilon: float = 10.0  # annealing span, rounds
-    kappa: float = 5.0  # pure-teacher span, rounds
-    t_imit: int = 10  # reward-switch round
-    horizon: int = 100  # steps per round
-    seed: int = 0
+    epsilon: float = setting(10.0, gt=0)  # annealing span, rounds
+    kappa: float = setting(5.0, ge=0)  # pure-teacher span, rounds
+    t_imit: int = setting(10, ge=0)  # reward-switch round
+    horizon: int = setting(100, ge=1)  # steps per round
+    seed: int = setting(0, ge=0)  # PCG64 takes no negative seed
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DataError("epsilon must be positive")
-        if self.kappa < 0 or self.t_imit < 0:
-            raise DataError("kappa and t_imit must be nonnegative")
-        if self.horizon < 1:
-            raise DataError("horizon must be >= 1")
+        check_settings(self)
 
 
 def dagger_gate(t: float, cfg: ScheduleConfig) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_settings, setting
 from .motionio import MotionSequence
 from .rotations import average_quaternions
 
@@ -25,14 +25,11 @@ SOLVE_RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SmoothConfig:
-    alpha: float = 1.0
-    rotation_window: int = 5
+    alpha: float = setting(1.0, ge=0)
+    rotation_window: int = setting(5, ge=1, odd=True)
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise DataError("alpha must be nonnegative")
-        if self.rotation_window < 1 or self.rotation_window % 2 == 0:
-            raise DataError("rotation window must be an odd integer >= 1")
+        check_settings(self)
 
 
 def second_diff_matrix(n: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from retargetkit.cli import build_parser, main
+from retargetkit.errors import Range
 from retargetkit.interactmesh import RetentionRule
 from retargetkit.motionio import load_motion, save_motion, save_obj, save_skeleton
 from retargetkit.optim import OptimizerConfig
@@ -61,6 +62,25 @@ FIELD_FLAGS = (
         "energy_velocity")]
     + [("schedule-sim", name, ScheduleConfig, name) for name in ("epsilon", "kappa", "t_imit", "horizon", "seed")]
 )
+
+
+def out_of_range(valid: Range) -> list[str]:
+    """Flag texts a declared range refuses: JSON texts too, but for a word."""
+    if valid.choices:
+        return ["bogus"]
+    low = valid.ge - 1 if valid.ge is not None else valid.gt
+    texts = [str(low), str(low - 3)] + ["4"] * valid.odd
+    return texts + (["2.5"] if valid.kind is int else ["NaN", "Infinity"])
+
+
+# (command, flag, config key, text) for every flag whose type is a declared range
+RANGE_CASES = [
+    (command, action.option_strings[0], action.dest, text)
+    for command, p in build_parser().commands.items()
+    for action in p._actions
+    if isinstance(getattr(action.type, "__self__", None), Range)
+    for text in out_of_range(action.type.__self__)
+]
 
 
 def subparser(command):
@@ -173,6 +193,35 @@ class TestConfigFile:
         (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
         assert main(args + ["--config", "cfg.json"]) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["box.obj", "cfg.json", "motion.json", "skeleton.json"]
+
+    def test_flag_ranges_are_field_ranges(self):
+        # the dataclass field is the one declaration of a setting's valid values
+        for command, dest, cls, name in FIELD_FLAGS:
+            if name == "omega":  # no flag
+                continue
+            action = next(a for a in subparser(command)._actions if a.dest == dest)
+            declared = cls.__dataclass_fields__[name].metadata["range"]
+            assert action.type.__self__ is declared and action.choices == declared.choices, (command, dest)
+
+    @pytest.mark.parametrize("command, flag, key, text", RANGE_CASES,
+                             ids=[f"{c}{f}={t}" for c, f, _, t in RANGE_CASES])
+    def test_out_of_range_setting(self, tmp_path, monkeypatch, capsys, command, flag, key, text):
+        # a bad flag is a usage error (1) naming the flag; the same value from
+        # a file is a data error (2) naming the key; neither writes anything
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        args = [command] + COMMAND_ARGS[command] + ["-o", "out"] * (command == "mesh-inspect")
+        assert main(args + [flag, text]) == 1
+        assert flag in capsys.readouterr().err
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:  # a word, such as a choice
+            value = text
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        assert main(args + ["--config", "cfg.json"]) == 2
+        captured = capsys.readouterr()
+        assert f"config key {key!r}" in captured.err and not captured.out
         assert sorted(os.listdir(tmp_path)) == ["box.obj", "cfg.json", "motion.json", "skeleton.json"]
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)

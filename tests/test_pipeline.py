@@ -164,6 +164,22 @@ class TestRunPipeline:
         with pytest.raises(DataError, match=key):
             load_manifest(path)
 
+    @pytest.mark.parametrize("section, settings, key", [
+        ("retarget", {"optimizer": {"max_iterations": 2.5}}, "max_iterations"),
+        ("smooth", {"alpha": 1.0, "rotation_window": 3.0}, "rotation_window"),
+        ("retarget", {"laplacian_weight": float("nan")}, "laplacian_weight"),
+        ("retarget", {"foot_speed_threshold": float("inf")}, "foot_speed_threshold"),
+        ("retarget", {"retention": {"proximity_gate": float("nan")}}, "proximity_gate"),
+        ("smooth", {"alpha": float("inf")}, "alpha"),
+        ("smooth", {"alpha": True}, "alpha"),
+    ], ids=["fractional-iterations", "float-window", "nan-weight", "inf-threshold", "nan-gate",
+            "inf-alpha", "boolean-alpha"])
+    def test_mistyped_or_non_finite_setting_rejected(self, tmp_path, section, settings, key):
+        # refused when the manifest is read, not by every entry when it runs
+        path = write_corpus(tmp_path, frames=4, **{section: settings})
+        with pytest.raises(DataError, match=key):
+            load_manifest(path)
+
     @pytest.mark.parametrize("length", [float("nan"), float("inf"), -1.0])
     def test_malformed_episode_length_rejected(self, tmp_path, length):
         path = write_corpus(tmp_path, frames=2, episode_stats={"seq0": [10.0], "other": [length]})

@@ -231,3 +231,6 @@ class TestRewardConfig:
             RewardConfig(contact_near=0.3, contact_far=0.2)
         with pytest.raises(DataError):
             RewardConfig(omega={"bogus": 1.0})
+        for weight in (float("nan"), float("inf")):
+            with pytest.raises(DataError, match="omega"):
+                RewardConfig(omega={"joint_pos": weight})

@@ -119,6 +119,12 @@ class TestRunSchedule:
         b = self._run()
         assert a == b
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # the PCG64 generator refuses a negative seed; the config refuses it first
+        with pytest.raises(DataError, match="seed"):
+            ScheduleConfig(seed=seed)
+
     def test_transitions_recorded_every_step(self):
         log = self._run()
         assert len(log.transitions) == 6 * 10
