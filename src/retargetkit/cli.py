@@ -8,8 +8,10 @@ takes --config, a JSON object keyed by flag names with underscores; its values
 are read as the flags' own arguments would be, flags override them, and they
 override the defaults. A value outside its field's range exits 1 naming the
 flag, exits 2 naming the key when it comes from --config, and is a DataError
-naming the field when it comes from a pipeline manifest. Machine output goes
-to stdout or the -o target, human-readable diagnostics to stderr.
+naming the field when it comes from a pipeline manifest; reward-eval's
+contact_near < contact_far, which spans two flags, is reported the same way.
+Machine output goes to stdout or the -o target, human-readable diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .retarget import (
     retarget_sequence,
 )
 from .rewards import (
+    OMEGA_WEIGHT,
     ObservationFrame,
     RewardConfig,
     compute_reward,
@@ -205,11 +208,12 @@ def _config_value(command: _Parser, key: str, value):
     return (action.type or str)("none" if value is None else str(value))
 
 
-def _apply_config(parser: _Parser, args: argparse.Namespace, argv) -> argparse.Namespace:
+def _apply_config(parser: _Parser, args: argparse.Namespace, argv) -> tuple[argparse.Namespace, dict]:
     """Parse again with the --config file's settings as the command's
     defaults, so flags override the file and the file overrides the dataclass
-    defaults. A key must name an optional flag of the command that has a
-    default, or reward-eval's omega; paths stay on the command line."""
+    defaults; returns the new arguments and the file's converted settings. A
+    key must name an optional flag of the command that has a default, or
+    reward-eval's omega; paths stay on the command line."""
     config = read_json(args.config)
     if not isinstance(config, dict):
         raise DataError(f"{args.config}: config must be a JSON object")
@@ -224,7 +228,20 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, argv) -> argparse.N
         except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
             raise DataError(f"{args.config}: config key {key!r}: {exc}") from exc
     command.set_defaults(**settings)
-    return parser.parse_args(argv)
+    return parser.parse_args(argv), settings
+
+
+def _check_contact_zone(parser: _Parser, args: argparse.Namespace, settings: dict) -> None:
+    """reward-eval's contact_near < contact_far, reported where the values
+    came from: exit 2 naming the --config keys that set either, else a usage
+    error naming the flags."""
+    if args.command != "reward-eval" or args.contact_near < args.contact_far:
+        return
+    rule = f"contact_near {args.contact_near!r} must be below contact_far {args.contact_far!r}"
+    keys = [k for k in ("contact_near", "contact_far") if k in settings and settings[k] == getattr(args, k)]
+    if keys:
+        raise DataError(f"{args.config}: config key {' and '.join(map(repr, keys))}: {rule}")
+    parser.commands[args.command].error(f"argument --contact-near/--contact-far: {rule}")
 
 
 def _retention_rule(args) -> RetentionRule:
@@ -302,10 +319,12 @@ def _cmd_smooth(args) -> int:
 
 
 def _reward_config(args) -> RewardConfig:
+    """The reward settings; each omega weight is read from its JSON value's
+    text, as a flag's argument is, so true and false are refused."""
     try:
-        omega = {k: float(v) for k, v in args.omega.items()}
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"omega weights must be numbers: {exc}") from exc
+        omega = {k: OMEGA_WEIGHT.parse(str(v)) for k, v in args.omega.items()}
+    except argparse.ArgumentTypeError as exc:
+        raise DataError(f"{args.config}: config key 'omega': {exc}") from exc
     return RewardConfig(
         lambda_delta=args.lambda_delta,
         lambda_c=args.lambda_c,
@@ -487,8 +506,10 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
+        settings = {}
         if args.config:
-            args = _apply_config(parser, args, argv)
+            args, settings = _apply_config(parser, args, argv)
+        _check_contact_zone(parser, args, settings)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -3,6 +3,12 @@
 Per-frame retargeting descends through this loop. A proposed step is
 accepted only if it does not increase the loss; rejected steps raise the
 damping, so the accepted loss sequence is non-increasing by construction.
+The solve converges on an accepted step h with ||h|| <= STEP_TOL * (||x|| +
+STEP_TOL), the step test of Madsen, Nielsen & Tingleff ("Methods for
+Non-Linear Least Squares Problems", IMM DTU 2004), or after `patience`
+stalls. The step test does not depend on the loss's scale, so a solve that
+starts at its optimum stops after one iteration, however close to zero the
+loss is.
 """
 
 from __future__ import annotations
@@ -14,12 +20,16 @@ import numpy as np
 
 from .errors import NumericalError, check_settings, setting
 
+STEP_TOL = 1e-10  # Madsen, Nielsen & Tingleff's epsilon_2
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iterations: int = setting(100, ge=1)
-    # Early stop once the relative improvement stays below improvement_tol
-    # for `patience` consecutive iterations (rejected steps count as stalls).
+    # Converged on an accepted step within STEP_TOL of x (relative), or once
+    # the relative improvement stays below improvement_tol for `patience`
+    # consecutive iterations (rejected steps count as stalls); the stall rule
+    # ends the frames that never take such a step.
     improvement_tol: float = setting(1e-12, ge=0)
     patience: int = setting(6, ge=1)
 
@@ -94,7 +104,11 @@ def levenberg_marquardt(
         if loss_new <= loss:
             rel = (loss - loss_new) / max(abs(loss), 1e-300)
             stall = stall + 1 if rel < cfg.improvement_tol else 0
+            small = np.linalg.norm(x_new - x) <= STEP_TOL * (np.linalg.norm(x) + STEP_TOL)
             x, loss = x_new, loss_new
+            if small:
+                converged = True
+                break
             lam = max(lam / 3.0, 1e-12)
             cached = None
         else:

@@ -219,7 +219,8 @@ def fit_bridge(source: Skeleton, target: Skeleton) -> tuple[ShapeParams, float]:
 
 
 def write_losses_csv(path, losses: tuple[FrameLoss, ...]) -> None:
-    """One row of weighted loss terms per frame."""
+    """One row of weighted loss terms per frame; `temporal` is the distance
+    from the frame's prediction (see retarget.predict_frame)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("frame",) + LOSS_COLUMNS)

@@ -5,16 +5,23 @@ Komura & Tai ("Spatial Relationship Preserving Character Motion Adaptation",
 SIGGRAPH 2010) on the frame's interact mesh, plus regularizers:
 
   laplacian   sum_tet || L(source tet) - L(target tet(q)) ||_F^2
-  temporal    || x - x_prev ||^2 over the full stored parameter vector
+  temporal    || x - x_pred ||^2 over the full stored parameter vector
   jlimit      sum max(0, q_min - q) + max(0, q - q_max)     (per joint axis)
   vlimit      sum max(0, v_min*dt - dq) + max(0, dq - v_max*dt), dq = q - q_prev
   slide       sum_f || p_f(x) - p_f(x_prev) ||^2 over feet whose *source*
               horizontal speed is below the threshold (z up)
 
+x_prev is the previous frame's solution and x_pred its prediction from the
+source's own motion (`predict_frame`): x_prev moved by the source's change
+from the previous frame, so the temporal term tracks the source's velocity
+rather than holding the pose still (velocity-level tracking, Choi & Ko,
+"Online Motion Retargetting", JVCA 2000). With target = source every term is
+zero at the source pose, so identity retargeting reproduces the source.
+
 `FrameModel` is the one implementation of this objective. Its terms are
 functions of the stored parameters, but Gauss-Newton steps in kinematics'
 tangent layout, (root_pos, delta, joint exp-maps) with root rotation
-q_a * exp(delta) around the warm start's quaternion q_a: no step can scale
+q_a * exp(delta) around the prediction's quaternion q_a: no step can scale
 the quaternion, so the solve does not depend on the scene's heading, and the
 stored quaternion is normalized once, when a frame's result is written. For
 a vector the model runs FK (with its Jacobian, for the normal equations)
@@ -30,9 +37,9 @@ the slide term adds its weight on the gated feet's diagonal. K_lap is built
 once per frame mesh.
 
 Hinge terms use subgradient 0 at the kink. Frames are optimized in time
-order, warm-started from the previous frame's solution; joint limits are
-enforced by projection (clamping) inside the descent loop, so outputs satisfy
-them to round-off rather than only up to the soft penalty.
+order, each warm-started at its prediction x_pred; joint limits are enforced
+by projection (clamping) inside the descent loop, so outputs satisfy them to
+round-off rather than only up to the soft penalty.
 """
 
 from __future__ import annotations
@@ -57,14 +64,13 @@ from .kinematics import (
     fk_jacobian_vector,
     fk_sequence,
     fk_vector,
-    motion_frame_pose,
     pose_to_vector,
     stored_vector,
     tangent_vector,
 )
 from .motionio import MotionSequence, ObjectMesh, ShapeParams, Skeleton
 from .optim import OptimizerConfig, levenberg_marquardt
-from .rotations import quat_left_matrix, quat_normalize, quat_to_mat, rodrigues
+from .rotations import quat_left_matrix, quat_mul, quat_normalize, quat_to_mat, rodrigues
 
 TERM_NAMES = ("laplacian", "temporal", "jlimit", "vlimit", "slide")
 
@@ -136,31 +142,47 @@ def laplacian_residuals(mesh: InteractMesh, target_joints: np.ndarray) -> np.nda
     return np.sqrt(np.einsum("mij,mij->m", diff, diff))
 
 
-class FrameModel:
-    """One frame's weighted objective around the reference parameters x_ref.
+def predict_frame(x_prev: np.ndarray, source_prev: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """The stored-layout x_prev moved by the source's change from source_prev
+    to source: root position and joint exp-maps add the source's difference,
+    and the root quaternion becomes q_prev * conj(q^s_prev) * q^s, normalized
+    and taken in q_prev's hemisphere, so the signs of the source quaternions
+    do not matter."""
+    x = x_prev + (source - source_prev)
+    q = quat_normalize(quat_mul(x_prev[3:7], quat_mul(source_prev[3:7] * (1.0, -1.0, -1.0, -1.0), source[3:7])))
+    x[3:7] = q if q @ x_prev[3:7] >= 0.0 else -q
+    return x
 
-    x_ref is the previous frame's solution (the first frame passes its own
-    start). The mesh, when it has tetrahedra, supplies the Laplacian term; the
-    context's slide feet are held to their positions under x_ref. `terms`
+
+class FrameModel:
+    """One frame's weighted objective around the previous frame's solution
+    x_prev and the prediction x_pred.
+
+    The first frame passes its own start as both. The temporal term measures
+    from x_pred; the velocity hinges and the slide anchor measure from x_prev.
+    The mesh, when it has tetrahedra, supplies the Laplacian term; the
+    context's slide feet are held to their positions under x_prev. `terms`
     takes stored parameters; the other evaluations take tangent vectors at
-    the anchor quaternion (by default x_ref's), see kinematics.stored_vector.
+    the anchor quaternion (by default x_pred's), see kinematics.stored_vector.
     """
 
     def __init__(
         self,
         skeleton: Skeleton,
         shape: ShapeParams,
-        x_ref: np.ndarray,
+        x_prev: np.ndarray,
         ctx: FrameContext,
         mesh: InteractMesh | None,
         cfg: RetargetConfig,
+        x_pred: np.ndarray | None = None,
         anchor: np.ndarray | None = None,
     ):
-        self.skeleton, self.shape, self.x_ref, self.ctx, self.cfg = skeleton, shape, x_ref, ctx, cfg
-        self.anchor = x_ref[3:7] if anchor is None else anchor
+        self.skeleton, self.shape, self.x_prev, self.ctx, self.cfg = skeleton, shape, x_prev, ctx, cfg
+        self.x_pred = x_prev if x_pred is None else x_pred
+        self.anchor = self.x_pred[3:7] if anchor is None else anchor
         self.mesh = mesh if mesh is not None and mesh.tet_count else None
         self.feet = np.asarray(ctx.slide_feet, dtype=int)
-        self.feet_ref = fk_vector(skeleton, shape, x_ref)[self.feet] if self.feet.size else None
+        self.feet_ref = fk_vector(skeleton, shape, x_prev)[self.feet] if self.feet.size else None
         j = skeleton.joint_count
         # joint_lap[j, (m, s)] = d L[m, s] / d p_j: the operator A = 4I - 11^T
         # restricted to agent-A slots. The Laplacian difference is linear in
@@ -200,7 +222,7 @@ class FrameModel:
         if self.mesh is not None:
             offsets, pull = self._laplacian_pull(positions)
             terms["laplacian"] = cfg.laplacian_weight * float(np.einsum("ij,ij->", offsets, pull))
-        d = x - self.x_ref
+        d = x - self.x_pred
         terms["temporal"] = cfg.temporal_weight * float(d @ d)
 
         r = x[7:].reshape(-1, 3)
@@ -208,7 +230,7 @@ class FrameModel:
         high = np.maximum(0.0, r - skeleton.q_max[1:])
         terms["jlimit"] = cfg.joint_limit_weight * float(low.sum() + high.sum())
 
-        dq = r - self.x_ref[7:].reshape(-1, 3)
+        dq = r - self.x_prev[7:].reshape(-1, 3)
         vlow = np.maximum(0.0, skeleton.v_min[1:, None] * self.ctx.dt - dq)
         vhigh = np.maximum(0.0, dq - skeleton.v_max[1:, None] * self.ctx.dt)
         terms["vlimit"] = cfg.velocity_limit_weight * float(vlow.sum() + vhigh.sum())
@@ -232,7 +254,7 @@ class FrameModel:
         # the right perturbation at q, take the same J_r(delta)
         right_jac = rodrigues(xi[3:6])[1].T
         quat_jac = 0.5 * quat_left_matrix(x[3:7])[:, 1:] @ right_jac
-        d = x - self.x_ref
+        d = x - self.x_pred
         jtj = cfg.temporal_weight * np.eye(len(xi))
         jtj[3:6, 3:6] = cfg.temporal_weight * (quat_jac.T @ quat_jac)
         jtr = cfg.temporal_weight * np.concatenate([d[:3], quat_jac.T @ d[3:7], d[7:]])
@@ -256,7 +278,7 @@ class FrameModel:
         g_r = np.zeros_like(r)
         g_r -= cfg.joint_limit_weight * (skeleton.q_min[1:] - r > 0)
         g_r += cfg.joint_limit_weight * (r - skeleton.q_max[1:] > 0)
-        dq = r - self.x_ref[7:].reshape(-1, 3)
+        dq = r - self.x_prev[7:].reshape(-1, 3)
         g_r -= cfg.velocity_limit_weight * (skeleton.v_min[1:, None] * self.ctx.dt - dq > 0)
         g_r += cfg.velocity_limit_weight * (dq - skeleton.v_max[1:, None] * self.ctx.dt > 0)
         grad[6:] = g_r.ravel()
@@ -288,7 +310,9 @@ def eval_objective(
     """Weighted objective total and per-term (already weighted) breakdown.
 
     An absent/empty mesh zeroes the laplacian term; the caller carries the
-    per-frame flag. The first frame passes itself as prev_pose.
+    per-frame flag. The first frame passes itself as prev_pose. prev_pose
+    also serves as the prediction the temporal term measures from, as at
+    retarget_sequence's frame 0; FrameModel takes a separate prediction.
     """
     terms = _terms_core(
         pose_to_vector(pose), pose_to_vector(prev_pose), ctx, skeleton, shape, mesh,
@@ -426,9 +450,12 @@ def retarget_sequence(
 
     The optional second agent supplies fixed context joints to the interact
     mesh (its own retargeting is a separate call). Frames are optimized
-    sequentially, each warm-started from the previous solution; frame 0 starts
-    from the source pose and serves as its own predecessor, which zeroes the
-    temporal, velocity, and slide terms there. Deterministic for fixed inputs.
+    sequentially. Frame t > 0 is warm-started at, and its temporal term
+    measured from, the prediction `predict_frame(x_{t-1}, s_{t-1}, s_t)`: the
+    previous solution moved by the source's change s_t - s_{t-1}. Frame 0
+    starts from the source pose and serves as its own predecessor and
+    prediction, which zeroes the temporal, velocity, and slide terms there.
+    Deterministic for fixed inputs.
 
     `meshes`, when given, are the source's `source_meshes` for this `cfg`,
     one per frame; they stand in for building the meshes from `obj` and the
@@ -457,24 +484,29 @@ def retarget_sequence(
     def project(xi: np.ndarray) -> np.ndarray:
         return np.concatenate([xi[:6], np.clip(xi[6:], qmin, qmax)])
 
-    x0 = pose_to_vector(motion_frame_pose(source_seq, 0))
+    source = np.concatenate(
+        [source_seq.root_pos, source_seq.root_rot, source_seq.joint_rots.reshape(frames, -1)], axis=1
+    )
+    x0 = source[0].copy()
     x0[3:7] = quat_normalize(x0[3:7])
     solutions = np.empty((frames, len(x0)))
     losses: list[FrameLoss] = []
     total_iterations = 0
     for t in range(frames):
-        x_init = x0 if t == 0 else solutions[t - 1]
+        x_prev = x0 if t == 0 else solutions[t - 1]
+        x_pred = x0 if t == 0 else predict_frame(x_prev, source[t - 1], source[t])
         model = FrameModel(
-            target_skeleton, target_shape, x_init, FrameContext(dt=dt, slide_feet=gates[t]), meshes[t], cfg
+            target_skeleton, target_shape, x_prev, FrameContext(dt=dt, slide_feet=gates[t]), meshes[t], cfg,
+            x_pred,
         )
         try:
             result = levenberg_marquardt(
-                model.normal_equations, model.loss, model.hinge_gradient, tangent_vector(x_init),
+                model.normal_equations, model.loss, model.hinge_gradient, tangent_vector(x_pred),
                 cfg.optimizer, project=project,
             )
         except NumericalError as exc:
             raise NumericalError(f"frame {t}: {exc}") from exc
-        solutions[t] = stored_vector(result.x, x_init[3:7])
+        solutions[t] = stored_vector(result.x, x_pred[3:7])
         solutions[t, 3:7] = quat_normalize(solutions[t, 3:7])
         terms = model.terms(solutions[t])
         losses.append(

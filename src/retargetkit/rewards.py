@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, check_settings, setting
+from .errors import DataError, Range, check_settings, setting
 from .rotations import quat_log_relative
 
 DELTA_COMPONENTS = (
@@ -35,6 +35,7 @@ DELTA_COMPONENTS = (
     "obj_ang_vel",
     "interaction_graph",
 )
+OMEGA_WEIGHT = Range(float, ge=0)  # the valid values of each per-component weight
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,8 @@ class RewardConfig:
         check_settings(self)
         if not self.contact_near < self.contact_far:
             raise DataError("need 0 < contact_near < contact_far")
-        if not all(0 <= w < np.inf for w in self.omega.values()):
-            raise DataError("omega weights must be finite and nonnegative")
+        if not all(OMEGA_WEIGHT.admits(w) for w in self.omega.values()):
+            raise DataError(f"omega weights must each be {OMEGA_WEIGHT}")
         unknown = set(self.omega) - set(DELTA_COMPONENTS)
         if unknown:
             raise DataError(f"unknown delta components in omega: {sorted(unknown)}")

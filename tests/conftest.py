@@ -131,12 +131,13 @@ def _carry_pose(skeleton: Skeleton) -> np.ndarray:
     return base
 
 
-def held_box_motion(skeleton: Skeleton, frames=100, fps=30.0, amplitude=0.2) -> MotionSequence:
+def held_box_motion(skeleton: Skeleton, frames=100, fps=30.0, amplitude=0.2, phase=0.0) -> MotionSequence:
     """Standing humanoid gently swaying a box gripped between its hands.
 
     Arm joints move sinusoidally; legs, head, and root stay put so the motion
     is interaction-dominated. The box center rides the wrist midpoint, with
     the wrists resting just outside its +-x faces (CARRY_BOX_HALF geometry).
+    The arms' sine starts at `phase` rad.
     """
     j = skeleton.joint_count
     names = list(skeleton.names)
@@ -148,7 +149,7 @@ def held_box_motion(skeleton: Skeleton, frames=100, fps=30.0, amplitude=0.2) -> 
     root_pos = np.tile((0.0, 0.0, 1.0), (frames, 1))
     root_rots = np.tile((1.0, 0.0, 0.0, 0.0), (frames, 1))
     joint_rots = np.tile(base, (frames, 1, 1))
-    phases = amplitude * np.sin(2.0 * np.pi * np.arange(frames) / frames)
+    phases = amplitude * np.sin(2.0 * np.pi * np.arange(frames) / frames + phase)
     for jid, axis in arm_axes.items():
         joint_rots[:, jid - 1, :] = base[jid - 1] + phases[:, None] * axis
 

@@ -326,6 +326,56 @@ class TestConfigFile:
         assert "max_iteratons" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("weight", [True, False])
+    def test_boolean_omega_weight_is_data_error(self, tmp_path, monkeypatch, capsys, weight):
+        # every declared float setting refuses true and false; so does a weight
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"omega": {"joint_pos": weight}}))
+        assert main(["reward-eval"] + COMMAND_ARGS["reward-eval"] + ["--config", "cfg.json"]) == 2
+        assert "config key 'omega'" in capsys.readouterr().err
+        assert not (tmp_path / "rewards.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--contact-far", "0.05"],
+        ["--contact-near", "0.3"],
+        ["--contact-near", "0.1", "--contact-far", "0.1"],
+    ])
+    def test_contact_zone_from_flags_is_usage_error(self, tmp_path, monkeypatch, capsys, flags):
+        # contact_near < contact_far spans two flags: a pair the flags (and the
+        # defaults) break exits 1 naming the flags
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        assert main(["reward-eval"] + COMMAND_ARGS["reward-eval"] + flags) == 1
+        err = capsys.readouterr().err
+        assert "--contact-near" in err and "--contact-far" in err
+        assert not (tmp_path / "rewards.csv").exists()
+
+    @pytest.mark.parametrize("config, flags, keys", [
+        ({"contact_far": 0.05}, [], ["contact_far"]),
+        ({"contact_near": 0.3}, [], ["contact_near"]),
+        ({"contact_near": 0.1, "contact_far": 0.05}, [], ["contact_near", "contact_far"]),
+        ({"contact_near": 0.1}, ["--contact-far", "0.08"], ["contact_near"]),
+    ])
+    def test_contact_zone_from_config_is_data_error(self, tmp_path, monkeypatch, capsys, config, flags, keys):
+        # a --config that sets either bound of a broken pair exits 2 naming its keys
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["reward-eval"] + COMMAND_ARGS["reward-eval"] + flags + ["--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert all(repr(k) in err for k in keys)
+        assert "config key" in err
+        assert not (tmp_path / "rewards.csv").exists()
+
+    def test_contact_zone_flag_mends_config(self, tmp_path, monkeypatch):
+        # flags override the file, so a flag can restore the rule
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"contact_far": 0.05}))
+        args = ["reward-eval"] + COMMAND_ARGS["reward-eval"] + ["--config", "cfg.json"]
+        assert main(args + ["--contact-near", "0.01"]) == 0
+
     def test_unflagged_setting_is_accepted(self, tmp_path):
         # reward-eval's per-component omega weights have no flag form
         write_assets(tmp_path)

@@ -38,6 +38,23 @@ class TestLevenbergMarquardt:
         assert res.converged
         assert res.iterations < 20
 
+    def test_start_at_the_minimum_converges_in_one_iteration(self, rng):
+        # the step test is scale-free: at the exact minimum the accepted zero
+        # step ends the solve, where the relative stall rule would wait out
+        # its patience
+        a = rng.normal(size=(10, 4))
+        x_min = rng.normal(size=4)
+        target = a @ x_min
+
+        def normal(x):
+            r, jac = a @ x - target, a
+            return jac.T @ jac, jac.T @ r
+
+        loss = lambda x: float(np.sum((a @ x - target) ** 2))
+        res = levenberg_marquardt(normal, loss, None, x_min, OptimizerConfig())
+        assert (res.iterations, res.converged) == (1, True)
+        np.testing.assert_allclose(res.x, x_min, rtol=0, atol=1e-12)
+
     def test_accepted_full_loss_monotone_with_hinges(self):
         # LSQ part pulls toward 2, hinge penalizes x > 1: acceptance uses the
         # full loss, so the accepted sequence must still be monotone

@@ -224,6 +224,11 @@ class TestCriticLoss:
 
 
 class TestRewardConfig:
+    @pytest.mark.parametrize("weight", [True, False, "1.0", None, -1.0])
+    def test_omega_weight_must_be_a_nonnegative_number(self, weight):
+        with pytest.raises(DataError, match="omega"):
+            RewardConfig(omega={"joint_pos": weight})
+
     def test_validation(self):
         with pytest.raises(DataError):
             RewardConfig(lambda_c=-1.0)
