@@ -21,14 +21,15 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, EmptyInteractMeshError, NumericalError, Range
-from .interactmesh import RetentionRule, build_interact_mesh, mesh_to_dict
+from .interactmesh import RetentionRule, mesh_to_dict
 from .kinematics import fk_sequence
-from .motionio import ShapeParams, load_motion, load_obj, load_skeleton, read_json, save_motion
+from .motionio import MotionSequence, ShapeParams, load_motion, load_obj, load_skeleton, read_json, save_motion
 from .optim import OptimizerConfig
 from .pipeline import (
     fit_bridge,
@@ -42,6 +43,7 @@ from .retarget import (
     RetargetConfig,
     object_world_vertices,
     retarget_sequence,
+    source_meshes,
 )
 from .rewards import (
     OMEGA_WEIGHT,
@@ -467,19 +469,18 @@ def _cmd_mesh_inspect(args) -> int:
     t = args.frame
     if not 0 <= t < seq.frame_count:
         raise DataError(f"frame {t} outside [0, {seq.frame_count})")
-    rule = _retention_rule(args)
 
-    shape = ShapeParams.ones(skeleton.joint_count)
-    joints = fk_sequence(skeleton, shape, seq)[t]
-    second_joints = None
-    if second is not None:
-        second_joints = fk_sequence(skeleton, shape, second)[t]
-    obj_world = object_world_vertices(obj, seq, args.max_object_vertices)[t]
-    try:
-        mesh = build_interact_mesh(joints, second_joints, obj_world, rule)
-        doc = mesh_to_dict(mesh)
-    except EmptyInteractMeshError as exc:
-        doc = {"empty": True, "reason": str(exc)}
+    # frame t as retargeting meshes it: built along frames 0..t, each
+    # offering its topology to the next, from the object's seed
+    def head(motion: MotionSequence) -> MotionSequence:
+        return replace(motion, contacts=None, **{
+            k: getattr(motion, k)[: t + 1] for k in ("root_pos", "root_rot", "joint_rots", "obj_pos", "obj_rot")})
+
+    cfg = RetargetConfig(retention=_retention_rule(args), max_object_vertices=args.max_object_vertices)
+    reasons: dict[int, str] = {}
+    mesh = source_meshes(head(seq), skeleton, ShapeParams.ones(skeleton.joint_count), obj, cfg,
+                         second_seq=None if second is None else head(second), empty_reasons=reasons)[t]
+    doc = {"empty": True, "reason": reasons[t]} if mesh is None else mesh_to_dict(mesh)
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 

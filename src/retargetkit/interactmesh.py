@@ -4,15 +4,15 @@ object vertices, with per-tetrahedron Laplacian coordinates.
 The tetrahedralizer is an incremental Bowyer-Watson (Bowyer 1981, Watson
 1981) with a super-tetrahedron. Cells live in preallocated arrays with an
 alive mask. Inserting a point kills the cells whose circumsphere holds it
-(the cavity) and joins the cavity's boundary faces, counted in a small dict
-over the cavity cells, to the new point; the new cells take the freed slots,
+(the cavity) and joins the cavity's boundary faces, found by integer face keys
+and np.unique counts, to the new point; the new cells take the freed slots,
 and only they get circumspheres and point-at-infinity planes computed. The
-in-sphere tests run on those cached circumcenters/radii in double precision.
-After stripping the super vertices the result is self-checked (no input
-point strictly inside any surviving circumsphere at 1e-9 relative, boundary
-faces on the convex hull) and rebuilt with a larger super-tetrahedron if the
-check fails. The checks work on (tetrahedra x points) blocks of bounded size.
-Exact-arithmetic predicates are out of scope at this point-count scale.
+in-sphere tests run on those cached circumcenters/radii in double precision,
+and an insertion's ties on point-at-infinity planes go to one batched
+in-circle test. After stripping the super vertices the result is self-checked
+(no input point strictly inside any surviving circumsphere at 1e-9 relative,
+boundary faces on the convex hull) and rebuilt with a larger super-tetrahedron
+if the check fails. The checks work on (tetrahedra x points) blocks of bounded size.
 
 Motion is smooth, so a frame's Delaunay topology usually still holds at the
 next frame. delaunay3d takes the previous result as a hint and returns it when
@@ -86,7 +86,13 @@ def tet_volumes(points: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """Signed volumes of index tetrahedra."""
     p = points[tets]
     a, b, c = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]
-    return np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+    return np.einsum("ij,ij->i", a, _cross(b, c)) / 6.0
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u x v of (k, 3) arrays: np.cross's products, without its overhead."""
+    return np.column_stack([u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1], u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
+                            u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]])
 
 
 def _circumspheres(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,22 +105,13 @@ def _circumspheres(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rel = p[:, 1:] - p[:, 0:1]  # (k, 3, 3)
     mat = 2.0 * rel
     rhs = np.einsum("kij,kij->ki", rel, rel)
-    det = np.linalg.det(mat)
-    centers = np.empty((len(p), 3))
-    rad2 = np.empty(len(p))
-    good = np.abs(det) > 1e-300
-    if np.any(good):
-        sol = np.linalg.solve(mat[good], rhs[good][..., None])[..., 0]
-        centers[good] = p[good, 0] + sol
-        rad2[good] = np.einsum("ki,ki->k", sol, sol)
-    bad = ~good
-    if np.any(bad):
-        centers[bad] = p[bad, 0]
-        rad2[bad] = np.inf
-    finite = np.isfinite(rad2) & np.all(np.isfinite(centers), axis=1)
-    centers[~finite] = p[~finite, 0]
+    good = np.abs(np.linalg.det(mat)) > 1e-300
+    sol = np.full((len(p), 3), np.inf)
+    sol[good] = np.linalg.solve(mat[good], rhs[good][..., None])[..., 0]
+    rad2 = np.einsum("ki,ki->k", sol, sol)
+    finite = np.isfinite(rad2)  # then the centre is finite too
     rad2[~finite] = np.inf
-    return centers, rad2
+    return np.where(finite[:, None], p[:, 0] + sol, p[:, 0]), rad2
 
 
 def _extent(points: np.ndarray) -> float:
@@ -178,22 +175,35 @@ def _inside_super(points: np.ndarray, super_vertices: np.ndarray) -> bool:
     return bool(np.all((points - center) @ _SUPER_DIRS.T > -reach))
 
 
-def _sorted_faces(tets: np.ndarray) -> np.ndarray:
-    """(4 M, 3) faces of (M, 4) tetrahedra, each face's indices ascending."""
-    return np.sort(tets[:, _FACES], axis=2).reshape(-1, 3)
+def _boundary_faces(tets: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The faces of (M, 4) tetrahedra over n vertices that one tetrahedron
+    owns, each face's indices ascending, and the most tetrahedra sharing a face."""
+    faces = np.sort(tets[:, _FACES], axis=2).reshape(-1, 3)
+    keys = (faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2]
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return faces[first[counts == 1]], int(counts.max(initial=0))
 
 
-def _circumcircle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Circumcircle of a 3D triangle via the 2x2 Gram solve in its plane."""
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u . v of (k, 3) arrays, each the BLAS dot a 1-D u @ v takes."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _in_circumcircles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Whether p lies within 1e-12 relative in the circumcircle of each
+    triangle (a, b, c), as (k, 3) corner rows: a 2x2 Gram solve in its plane,
+    row by row as for one triangle alone. Collinear triangles hold nothing."""
     ab, ac = b - a, c - a
-    g11, g12, g22 = ab @ ab, ab @ ac, ac @ ac
+    g11, g12, g22 = _dots(ab, ab), _dots(ab, ac), _dots(ac, ac)
     det = g11 * g22 - g12 * g12
-    if abs(det) < 1e-300:
-        return a, np.inf
+    collinear = np.abs(det) < 1e-300
+    det[collinear] = 1.0  # any finite divisor: these rows hold nothing
     x = (0.5 * g11 * g22 - 0.5 * g22 * g12) / det
     y = (0.5 * g22 * g11 - 0.5 * g11 * g12) / det
-    center = a + x * ab + y * ac
-    return center, float(np.linalg.norm(center - a))
+    center = a + x[:, None] * ab + y[:, None] * ac
+    radius = np.sqrt(_dots(center - a, center - a))
+    dist = np.sqrt(_dots(p - center, p - center))
+    return ~collinear & np.isfinite(radius) & (dist <= radius * (1.0 + 1e-12))
 
 
 class _TetStore:
@@ -208,9 +218,11 @@ class _TetStore:
     Cells with exactly one super vertex use the point-at-infinity predicate:
     a point is inside the (limit) circumsphere iff it lies strictly on the
     super side of the plane through the three finite vertices, with coplanar
-    ties resolved by the in-circle test on that face. All other cells use the
-    numeric circumsphere. This keeps hull coverage independent of where the
-    finite super vertices actually sit.
+    ties resolved by the in-circle test on that face, one batch for all of a
+    point's tied cells. All other cells use the numeric circumsphere. This
+    keeps hull coverage independent of where the finite super vertices sit.
+    A cavity's boundary is its faces with one owner (integer face keys,
+    np.unique counts); each new cell is such a face, ascending, then the point.
     """
 
     _ARRAYS = ("tets", "alive", "centers", "rad2", "sym", "normals", "faces")
@@ -236,10 +248,6 @@ class _TetStore:
             new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
             new[: self.size] = old
             setattr(self, name, new)
-
-    def _grow(self, size: int) -> None:
-        if size > len(self.alive):
-            self._reallocate(max(size, 2 * len(self.alive)))
 
     def extended(self, points: np.ndarray) -> "_TetStore":
         """A copy of this state with points inserted, in order, after the
@@ -267,18 +275,18 @@ class _TetStore:
             # the tetrahedra tile the super-tetrahedron, so every inserted
             # point sits inside at least one circumsphere
             raise DataError("point outside triangulation; input may be degenerate")
-        face_count: dict[tuple[int, int, int], int] = {}
-        for face in map(tuple, _sorted_faces(self.tets[cavity]).tolist()):
-            face_count[face] = face_count.get(face, 0) + 1
-        boundary = [f + (i,) for f, cnt in face_count.items() if cnt == 1]
-        self.refill(cavity, np.array(boundary, dtype=int))
+        boundary, _ = _boundary_faces(self.tets[cavity], len(self.coords))
+        # the face, then i: a cell's plane and sphere arithmetic follow its vertex order
+        self.refill(cavity, np.column_stack([boundary, np.full(len(boundary), i)]))
 
     def refill(self, cavity: np.ndarray, new: np.ndarray) -> None:
-        """Kill the cavity's cells and store the new ones, freed slots first."""
+        """Kill the cavity's cells and store the new ones, freed slots first.
+        Each new cell is a face, ascending, then a point (or [0, 1, 2, 3])."""
         self.alive[cavity] = False
         extra = len(new) - len(cavity)
         if extra > 0:
-            self._grow(self.size + extra)
+            if self.size + extra > len(self.alive):
+                self._reallocate(max(self.size + extra, 2 * len(self.alive)))
             slots = np.concatenate([cavity, np.arange(self.size, self.size + extra)])
             self.size += extra
         else:
@@ -286,17 +294,15 @@ class _TetStore:
         self.tets[slots] = new
         self.alive[slots] = True
         self.centers[slots], self.rad2[slots] = _circumspheres(self.coords[new])
-        is_super = new >= self.n_input
-        sym = np.count_nonzero(is_super, axis=1) == 1
+        # super vertices have the highest indices: a cell with exactly one holds it third
+        sym = (new[:, 2] >= self.n_input) & (new[:, 1] < self.n_input)
         self.sym[slots] = sym
         if not np.any(sym):
             return
         # the finite vertices in cell order, then the super vertex
-        order = np.argsort(is_super[sym], axis=1, kind="stable")
-        cells = np.take_along_axis(new[sym], order, axis=1)
-        fin, sup = cells[:, :3], cells[:, 3]
+        fin, sup = new[sym][:, [0, 1, 3]], new[sym, 2]
         a, b, c = (self.coords[fin[:, k]] for k in range(3))
-        normal = np.cross(b - a, c - a)
+        normal = _cross(b - a, c - a)
         flip = np.einsum("kj,kj->k", normal, self.coords[sup] - a) < 0
         fin[flip] = fin[flip][:, [0, 2, 1]]
         normal[flip] = -normal[flip]
@@ -320,13 +326,10 @@ class _TetStore:
             scale = np.linalg.norm(normals, axis=1) * (np.linalg.norm(d, axis=1) + 1e-30)
             tol = 1e-12 * scale
             out[sym_idx] = val > tol
-            for k in sym_idx[np.abs(val) <= tol]:
-                a, b, c = (self.coords[v] for v in self.faces[k])
-                center, radius = _circumcircle(a, b, c)
-                out[k] = bool(
-                    np.isfinite(radius)
-                    and np.linalg.norm(p - center) <= radius * (1.0 + 1e-12)
-                )
+            tied = sym_idx[np.abs(val) <= tol]
+            if len(tied):
+                a, b, c = (self.coords[v] for v in self.faces[tied].T)
+                out[tied] = _in_circumcircles(p, a, b, c)
         return out
 
     def finite_cells(self) -> np.ndarray:
@@ -389,15 +392,12 @@ def _coverage_violation(points: np.ndarray, tets: np.ndarray) -> bool:
     """
     if len(tets) == 0:
         return True
-    faces = _sorted_faces(tets)
     n = len(points)
-    keys = (faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2]
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    if np.any(counts > 2):
+    boundary, shared = _boundary_faces(tets, n)
+    if shared > 2:
         return True
-    boundary = faces[first[counts == 1]]
     a = points[boundary[:, 0]]
-    normal = np.cross(points[boundary[:, 1]] - a, points[boundary[:, 2]] - a)
+    normal = _cross(points[boundary[:, 1]] - a, points[boundary[:, 2]] - a)
     tol = 1e-9 * np.linalg.norm(normal, axis=1) * _extent(points)
     for rows in _row_blocks(len(boundary), n):
         base, nrm = a[rows], normal[rows]

@@ -364,8 +364,10 @@ def build_frame_meshes(
     obj_world: np.ndarray,
     cfg: RetargetConfig,
     object_track: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    empty_reasons: dict[int, str] | None = None,
 ) -> list[InteractMesh | None]:
-    """Interact mesh per frame (None where no interaction structure exists).
+    """Interact mesh per frame (None where no interaction structure exists;
+    empty_reasons, when given, receives why, keyed by frame).
 
     Each frame's mesh is offered to the next as its topology hint, which the
     tetrahedralizer keeps only when it is certified for the new coordinates.
@@ -385,8 +387,10 @@ def build_frame_meshes(
         try:
             mesh = build_interact_mesh(src_joints[t], second, obj_world[t], cfg.retention,
                                        previous=mesh, object_frame=frame)
-        except EmptyInteractMeshError:
+        except EmptyInteractMeshError as exc:
             mesh = None
+            if empty_reasons is not None:
+                empty_reasons[t] = str(exc)
         meshes.append(mesh)
     return meshes
 
@@ -400,6 +404,7 @@ def source_meshes(
     second_seq: MotionSequence | None = None,
     second_skeleton: Skeleton | None = None,
     second_shape: ShapeParams | None = None,
+    empty_reasons: dict[int, str] | None = None,
 ) -> list[InteractMesh | None]:
     """The source scene's interact mesh per frame, as `build_frame_meshes`.
 
@@ -416,7 +421,8 @@ def source_meshes(
             second_skeleton or source_skeleton, second_shape or source_shape, second_seq
         )
     track = _object_track(obj, source_seq, cfg.max_object_vertices)
-    return build_frame_meshes(src_joints, second_joints, _posed(*track), cfg, object_track=track)
+    return build_frame_meshes(src_joints, second_joints, _posed(*track), cfg, object_track=track,
+                              empty_reasons=empty_reasons)
 
 
 def slide_gates(src_joints: np.ndarray, skeleton: Skeleton, dt: float, threshold: float) -> list[tuple[int, ...]]:

@@ -9,10 +9,18 @@ import pytest
 
 from retargetkit.cli import build_parser, main
 from retargetkit.errors import Range
-from retargetkit.interactmesh import RetentionRule
-from retargetkit.motionio import load_motion, save_motion, save_obj, save_skeleton
+from retargetkit.interactmesh import RetentionRule, mesh_to_dict
+from retargetkit.motionio import (
+    ShapeParams,
+    load_motion,
+    load_obj,
+    load_skeleton,
+    save_motion,
+    save_obj,
+    save_skeleton,
+)
 from retargetkit.optim import OptimizerConfig
-from retargetkit.retarget import RetargetConfig
+from retargetkit.retarget import RetargetConfig, source_meshes
 from retargetkit.rewards import RewardConfig
 from retargetkit.schedule import ScheduleConfig
 from retargetkit.smoothing import SmoothConfig
@@ -641,6 +649,35 @@ class TestMeshInspectCommand:
         assert doc["tetrahedra"]
         assert {p["kind"] for p in doc["points"]} == {"A", "obj"}
         assert len(doc["reference_laplacians"]) == len(doc["tetrahedra"])
+
+    @pytest.mark.parametrize("gate", [None, 0.5], ids=["gate-off", "gate-0.5"])
+    def test_frame_is_the_one_retargeting_uses(self, tmp_path, gate):
+        # frame 1 of this clip tetrahedralizes differently in the world frame
+        # with no hint than along the seeded, hinted chain retargeting builds
+        write_assets(tmp_path)
+        skeleton = load_skeleton(tmp_path / "skeleton.json")
+        cfg = RetargetConfig(retention=RetentionRule(proximity_gate=gate))
+        meshes = source_meshes(load_motion(tmp_path / "motion.json", skeleton), skeleton,
+                               ShapeParams.ones(skeleton.joint_count), load_obj(tmp_path / "box.obj"), cfg)
+        out = tmp_path / "mesh.json"
+        assert main([
+            "mesh-inspect", "--motion", str(tmp_path / "motion.json"),
+            "--skeleton", str(tmp_path / "skeleton.json"),
+            "--obj", str(tmp_path / "box.obj"), "--frame", "1",
+            "--proximity-gate", "none" if gate is None else str(gate), "-o", str(out),
+        ]) == 0
+        assert json.loads(out.read_text()) == json.loads(json.dumps(mesh_to_dict(meshes[1])))
+
+    def test_empty_frame_reports_its_reason(self, tmp_path):
+        write_assets(tmp_path)
+        out = tmp_path / "mesh.json"
+        assert main([
+            "mesh-inspect", "--motion", str(tmp_path / "motion.json"),
+            "--skeleton", str(tmp_path / "skeleton.json"),
+            "--obj", str(tmp_path / "box.obj"), "--frame", "2", "--proximity-gate", "1e-6", "-o", str(out),
+        ]) == 0
+        assert json.loads(out.read_text()) == {
+            "empty": True, "reason": "no tetrahedron satisfied the retention rule"}
 
     def test_malformed_gate_is_usage_error(self, tmp_path, capsys):
         write_assets(tmp_path)

@@ -327,6 +327,54 @@ class TestSeededBuild:
 # interact mesh
 
 
+def reference_in_circumcircle(p, a, b, c) -> bool:
+    """The point-at-infinity tie rule for one cell, as the Bowyer-Watson
+    insertion decided it cell by cell: the finite face's circumcircle from the
+    2x2 Gram solve in its plane, and nothing inside a collinear face."""
+    ab, ac = b - a, c - a
+    g11, g12, g22 = ab @ ab, ab @ ac, ac @ ac
+    det = g11 * g22 - g12 * g12
+    if abs(det) < 1e-300:
+        return False
+    x = (0.5 * g11 * g22 - 0.5 * g22 * g12) / det
+    y = (0.5 * g22 * g11 - 0.5 * g11 * g12) / det
+    center = a + x * ab + y * ac
+    radius = float(np.linalg.norm(center - a))
+    return bool(np.isfinite(radius) and np.linalg.norm(p - center) <= radius * (1.0 + 1e-12))
+
+
+class TestTieRule:
+    """_TetStore.inside decides the tied point-at-infinity cells of an
+    insertion in one batch; each decision must be the per-cell rule's."""
+
+    def test_batched_decisions_match_the_per_cell_rule_in_a_seed_build(self, monkeypatch):
+        decisions = []
+        batched = interactmesh._in_circumcircles
+
+        def compared(p, a, b, c):
+            got = batched(p, a, b, c)
+            assert got.tolist() == [reference_in_circumcircle(p, *corners) for corners in zip(a, b, c)]
+            decisions.extend(got.tolist())
+            return got
+
+        monkeypatch.setattr(interactmesh, "_in_circumcircles", compared)
+        # box-surface vertices inserted one by one tie with hull faces all the time
+        assert DelaunaySeed(make_box(half=CARRY_BOX_HALF, subdiv=3).vertices).store is not None
+        assert len(decisions) > 500
+        assert any(decisions) and not all(decisions)
+
+    def test_collinear_face_holds_nothing(self):
+        a = np.zeros((3, 3))
+        b = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.25, 0.25, 0.25]])
+        c = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.5, 0.5, 0.5]])
+        # rows 0 and 2 are collinear (a zero Gram determinant), row 1 a right
+        # triangle whose circle holds both points
+        for p in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0])):
+            got = interactmesh._in_circumcircles(p, a, b, c)
+            assert got.tolist() == [False, True, False]
+            assert got.tolist() == [reference_in_circumcircle(p, *corners) for corners in zip(a, b, c)]
+
+
 class TestBuildInteractMesh:
     def test_minimal_two_one_one_pattern(self):
         joints_a = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
