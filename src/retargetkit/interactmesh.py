@@ -281,7 +281,7 @@ class _TetStore:
 
     def refill(self, cavity: np.ndarray, new: np.ndarray) -> None:
         """Kill the cavity's cells and store the new ones, freed slots first.
-        Each new cell is a face, ascending, then a point (or [0, 1, 2, 3])."""
+        Each new cell is a face, ascending, then the inserted point, or [0, 1, 2, 3]."""
         self.alive[cavity] = False
         extra = len(new) - len(cavity)
         if extra > 0:

@@ -679,6 +679,16 @@ class TestMeshInspectCommand:
         assert json.loads(out.read_text()) == {
             "empty": True, "reason": "no tetrahedron satisfied the retention rule"}
 
+    def test_second_motion_ending_before_the_frame_is_data_error(self, tmp_path, capsys):
+        write_assets(tmp_path)
+        save_motion(held_box_motion(make_humanoid(), frames=2, amplitude=0.02), tmp_path / "second.json")
+        assert main([
+            "mesh-inspect", "--motion", str(tmp_path / "motion.json"),
+            "--skeleton", str(tmp_path / "skeleton.json"), "--obj", str(tmp_path / "box.obj"),
+            "--second-motion", str(tmp_path / "second.json"), "--frame", "3",
+        ]) == 2
+        assert "not time-aligned" in capsys.readouterr().err
+
     def test_malformed_gate_is_usage_error(self, tmp_path, capsys):
         write_assets(tmp_path)
         code = main([
