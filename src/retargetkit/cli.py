@@ -339,11 +339,12 @@ def _reward_config(args) -> RewardConfig:
     )
 
 
-def _observe(seq, skeleton, obj) -> list[ObservationFrame]:
-    """Observation frames of a motion: FK positions, backward-difference
-    velocities (zero at frame 0), contacts from the motion's labels (1 -> in
-    contact). The object's angular velocity is the rotation vector of
-    conj(q_prev) * q_t over dt, so the sign of either quaternion is immaterial."""
+def _observe(seq, skeleton, obj) -> ObservationFrame:
+    """The stacked observation of a motion, one leading row per frame: FK
+    positions, backward-difference velocities (zero at frame 0), contacts from
+    the motion's labels (1 -> in contact). The object's angular velocity is the
+    rotation vector of conj(q_prev) * q_t over dt, so the sign of either
+    quaternion is immaterial."""
     positions = fk_sequence(skeleton, ShapeParams.ones(skeleton.joint_count), seq)
     obj_world = object_world_vertices(obj, seq, len(obj.vertices))
 
@@ -358,21 +359,18 @@ def _observe(seq, skeleton, obj) -> list[ObservationFrame]:
         contacts = (seq.contacts == 1).astype(int)
     else:
         contacts = np.zeros((seq.frame_count, skeleton.joint_count), dtype=int)
-    return [
-        ObservationFrame(
-            joint_pos=positions[t],
-            joint_rot=seq.joint_rots[t],
-            joint_lin_vel=lin_vel[t],
-            joint_ang_vel=ang_vel[t],
-            contacts=contacts[t],
-            obj_pos=seq.obj_pos[t],
-            obj_rot=seq.obj_rot[t],
-            obj_lin_vel=obj_lin_vel[t],
-            obj_ang_vel=obj_ang_vel[t],
-            interaction_graph=interaction_graph(positions[t], obj_world[t]),
-        )
-        for t in range(seq.frame_count)
-    ]
+    return ObservationFrame(
+        joint_pos=positions,
+        joint_rot=seq.joint_rots,
+        joint_lin_vel=lin_vel,
+        joint_ang_vel=ang_vel,
+        contacts=contacts,
+        obj_pos=seq.obj_pos,
+        obj_rot=seq.obj_rot,
+        obj_lin_vel=obj_lin_vel,
+        obj_ang_vel=obj_ang_vel,
+        interaction_graph=interaction_graph(positions, obj_world),
+    )
 
 
 def _cmd_reward_eval(args) -> int:
@@ -384,14 +382,15 @@ def _cmd_reward_eval(args) -> int:
     if seq.frame_count != ref.frame_count:
         raise DataError("motion and reference must have equal frame counts")
 
+    obs = with_reference(_observe(seq, skeleton, obj), _observe(ref, skeleton, obj))
+    ref_labels = ref.contacts if ref.contacts is not None else np.zeros(obs.contacts.shape, dtype=int)
+    reward, factors = compute_reward(obs, ref_labels, None, cfg)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["frame", "R", "imitation", "contact", "energy"])
-    for t, (obs, ref_obs) in enumerate(zip(_observe(seq, skeleton, obj), _observe(ref, skeleton, obj))):
-        ref_labels = ref.contacts[t] if ref.contacts is not None else np.zeros(skeleton.joint_count, dtype=int)
-        reward, factors = compute_reward(with_reference(obs, ref_obs), ref_labels, None, cfg)
-        writer.writerow([t, repr(reward), repr(factors["imitation"]),
-                         repr(factors["contact"]), repr(factors["energy"])])
+    columns = (reward, factors["imitation"], factors["contact"], factors["energy"])
+    for t, row in enumerate(zip(*(c.tolist() for c in columns))):
+        writer.writerow([t] + [repr(v) for v in row])
     _emit(buf.getvalue(), args.output)
     return 0
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -266,6 +267,9 @@ def load_motion(path, skeleton: Skeleton) -> MotionSequence:
             labels = frame.get("contacts")
             _require(labels is not None and len(labels) == j, f"{path}: frame {t} contacts must list {j} labels")
             contacts.append(labels)
+    if not set(map(type, chain.from_iterable(contacts))) <= {int}:  # as errors.Range(int): no bool, no 1.0
+        t = next(t for t, row in enumerate(contacts) if not set(map(type, row)) <= {int})
+        raise DataError(f"{path}: frame {t} contact labels must be integers, got {contacts[t]!r}")
     return MotionSequence(
         fps=fps,
         root_pos=np.array(root_pos, dtype=float),
@@ -273,7 +277,7 @@ def load_motion(path, skeleton: Skeleton) -> MotionSequence:
         joint_rots=np.array(joint_rots, dtype=float),
         obj_pos=np.array(obj_pos, dtype=float),
         obj_rot=_renormalize(np.array(obj_rot, dtype=float), "object"),
-        contacts=np.array(contacts, dtype=int) if has_contacts else None,
+        contacts=np.array(contacts) if has_contacts else None,
     )
 
 

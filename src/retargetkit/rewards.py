@@ -13,6 +13,9 @@ A reference label of 1 penalizes a missing contact, -1 penalizes a present
 one, and 0 ignores the joint. Contact indicators come from the caller (a
 simulator or labels carried in the motion file); no collision detection
 happens here.
+
+Observations, contacts and labels may carry a leading frame axis: a stack of
+T frames is scored in one call, as T single-frame calls would score it.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ class RewardConfig:
 
 @dataclass(frozen=True)
 class ObservationFrame:
-    """One agent-object observation with deltas against the reference."""
+    """One agent-object observation with deltas against the reference, or a
+    stack of T of them: every array then has a leading (T,) axis."""
 
     joint_pos: np.ndarray  # (J, 3) m
     joint_rot: np.ndarray  # (J-1, 3) exp-map rad
@@ -80,14 +84,14 @@ class ObservationFrame:
     deltas: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        j = self.joint_pos.shape[0]
-        if self.joint_pos.shape != (j, 3) or self.joint_lin_vel.shape != (j, 3):
+        shape = self.joint_pos.shape
+        if len(shape) < 2 or shape[-1] != 3 or self.joint_lin_vel.shape != shape:
             raise DataError("joint position/velocity shapes inconsistent")
         if self.joint_rot.shape != self.joint_ang_vel.shape:
             raise DataError("joint rotation/angular velocity shapes inconsistent")
-        if self.contacts.shape != (j,) or not np.all(np.isin(self.contacts, (0, 1))):
+        if self.contacts.shape != shape[:-1] or not np.all(np.isin(self.contacts, (0, 1))):
             raise DataError("contact indicators must be per-joint values in {0, 1}")
-        if self.interaction_graph.shape != (j, 3):
+        if self.interaction_graph.shape != shape:
             raise DataError("interaction graph must be (J, 3)")
         for arr in (self.joint_pos, self.joint_rot, self.joint_lin_vel, self.joint_ang_vel,
                     self.obj_pos, self.obj_rot, self.obj_lin_vel, self.obj_ang_vel,
@@ -123,14 +127,17 @@ def with_reference(obs: ObservationFrame, ref: ObservationFrame) -> ObservationF
 
 
 def interaction_graph(joints: np.ndarray, obj_vertices: np.ndarray) -> np.ndarray:
-    """Per-joint vector to the nearest object vertex (ties: lowest index)."""
-    joints = np.asarray(joints, dtype=float).reshape(-1, 3)
-    verts = np.asarray(obj_vertices, dtype=float).reshape(-1, 3)
-    if len(verts) == 0:
+    """Per-joint vector to the nearest object vertex (ties: lowest index);
+    joints (..., J, 3) and obj_vertices (..., V, 3) broadcast over frames."""
+    joints = np.asarray(joints, dtype=float)
+    verts = np.asarray(obj_vertices, dtype=float)
+    if verts.shape[-2] == 0:
         raise DataError("object has no vertices")
-    d2 = np.einsum("jvi,jvi->jv", joints[:, None] - verts[None], joints[:, None] - verts[None])
-    nearest = np.argmin(d2, axis=1)  # argmin returns the first minimum
-    return verts[nearest] - joints
+    diff = joints[..., :, None, :] - verts[..., None, :, :]
+    d2 = np.einsum("...jvi,...jvi->...jv", diff, diff)
+    nearest = np.argmin(d2, axis=-1)  # argmin returns the first minimum
+    verts = np.broadcast_to(verts, d2.shape[:-2] + verts.shape[-2:])
+    return np.take_along_axis(verts, nearest[..., None], axis=-2) - joints
 
 
 def contact_label(distance: float, cfg: RewardConfig | None = None) -> int:
@@ -139,7 +146,7 @@ def contact_label(distance: float, cfg: RewardConfig | None = None) -> int:
     Both boundary values land in the buffer zone.
     """
     cfg = cfg or RewardConfig()
-    if distance < 0:
+    if not distance >= 0:  # NaN fails too
         raise DataError(f"distance must be nonnegative, got {distance}")
     if distance < cfg.contact_near:
         return 1
@@ -168,38 +175,44 @@ def compute_reward(
     ref_contacts: np.ndarray,
     forces: np.ndarray | None = None,
     cfg: RewardConfig | None = None,
-) -> tuple[float, dict[str, float]]:
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Composite reward and its factors: (R, {imitation, contact, energy}).
 
     forces is the list of contact-force magnitudes; empty or None means no
     force penalty. Perfect tracking (zero deltas, matching contacts, zero
     velocities and forces) yields exactly 1.0.
+
+    One frame gives np.float64 scalars (a float subclass); a stack of T
+    frames, with (T, J) ref_contacts and (T, K) forces, gives (T,) arrays
+    equal bit for bit to T single-frame calls.
     """
     cfg = cfg or RewardConfig()
-    delta_penalty = 0.0
+    lead = obs.joint_pos.shape[:-2]
+    delta_penalty = np.zeros(lead)
     for name in DELTA_COMPONENTS:
         delta = obs.deltas.get(name)
         if delta is None:
             continue
         if not np.all(np.isfinite(delta)):
             raise DataError(f"delta component {name!r} contains non-finite values")
-        delta_penalty += cfg.weight(name) * float(np.linalg.norm(delta))
+        flat = np.reshape(delta, lead + (1, -1))  # each frame's norm as np.linalg.norm's sqrt(x.dot(x))
+        delta_penalty += cfg.weight(name) * np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
 
     mismatch = contact_mismatch(ref_contacts, obs.contacts)
 
     vel = obs.joint_ang_vel if cfg.energy_velocity == "angular" else obs.joint_lin_vel
-    speed_sum = float(np.linalg.norm(vel, axis=1).sum())
+    speed_sum = np.linalg.norm(vel, axis=-1).sum(axis=-1)
     force_max = 0.0
-    if forces is not None and len(np.atleast_1d(forces)):
-        forces = np.abs(np.atleast_1d(np.asarray(forces, dtype=float)))
+    if forces is not None and np.size(forces):
+        forces = np.abs(np.reshape(np.asarray(forces, dtype=float), lead + (-1,)))
         if not np.all(np.isfinite(forces)):
             raise DataError("forces contain non-finite values")
-        force_max = float(forces.max())
+        force_max = forces.max(axis=-1)
 
     factors = {
-        "imitation": float(np.exp(-cfg.lambda_delta * delta_penalty)),
-        "contact": float(np.exp(-cfg.lambda_c * mismatch.sum())),
-        "energy": float(np.exp(-cfg.lambda_v * speed_sum - cfg.lambda_f * force_max)),
+        "imitation": np.exp(-cfg.lambda_delta * delta_penalty),
+        "contact": np.exp(-cfg.lambda_c * mismatch.sum(axis=-1)),
+        "energy": np.exp(-cfg.lambda_v * speed_sum - cfg.lambda_f * force_max),
     }
     reward = factors["imitation"] * factors["contact"] * factors["energy"]
     return reward, factors

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -229,7 +230,7 @@ class ClipStats:
         if not all(0.0 <= x < math.inf for x in self.episode_lengths):  # NaN fails both
             raise DataError(f"clip {self.clip_id!r} has a negative or non-finite episode length")
 
-    @property
+    @cached_property
     def mean_length(self) -> float:
         return float(np.mean(self.episode_lengths))
 

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from retargetkit import pipeline, retarget
-from retargetkit.motionio import ShapeParams
+from retargetkit import cli, pipeline, retarget
+from retargetkit.motionio import ShapeParams, save_motion, save_obj, save_skeleton
 
 from conftest import held_box_motion, make_box, make_humanoid
 from test_pipeline import write_corpus
@@ -41,4 +41,17 @@ def test_instrumented_layers_record_calls(traced, tmp_path):
 
     for name in ("retarget.residual", "retarget.loss", "kinematics.fk", "kinematics.jacobian",
                  "kinematics.fit_shape", "smoothing.root", "smoothing.rotations"):
+        assert traced.calls[name] > 0, name
+
+
+def test_reward_eval_records_reward_calls(traced, tmp_path):
+    skel = make_humanoid()
+    save_skeleton(skel, tmp_path / "skeleton.json")
+    save_motion(held_box_motion(skel, frames=3), tmp_path / "motion.json")
+    save_obj(make_box(subdiv=2), tmp_path / "box.obj")
+    assert cli.main(["reward-eval", "--motion", str(tmp_path / "motion.json"),
+                     "--ref", str(tmp_path / "motion.json"), "--skeleton", str(tmp_path / "skeleton.json"),
+                     "--obj", str(tmp_path / "box.obj"), "-o", str(tmp_path / "rewards.csv")]) == 0
+
+    for name in ("rewards.compute", "rewards.graph"):
         assert traced.calls[name] > 0, name

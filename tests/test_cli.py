@@ -513,6 +513,19 @@ class TestRewardEvalCommand:
         assert len(rows) == 6
         assert [float(row.split(",")[2]) for row in rows] == [1.0] * 6
 
+    @pytest.mark.parametrize("label", [0.9, True])
+    def test_non_integer_contact_label_is_data_error(self, tmp_path, capsys, monkeypatch, label):
+        write_assets(tmp_path)
+        doc = json.loads((tmp_path / "motion.json").read_text())
+        for frame in doc["frames"]:
+            frame["contacts"] = [0] * len(frame["joint_rots"]) + [1]
+        doc["frames"][2]["contacts"][0] = label
+        (tmp_path / "motion.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert main(["reward-eval"] + COMMAND_ARGS["reward-eval"]) == 2
+        assert "frame 2 contact labels must be integers" in capsys.readouterr().err
+        assert not (tmp_path / "rewards.csv").exists()
+
 
 class TestScheduleSimCommand:
     def test_csv_and_transitions(self, tmp_path):

@@ -148,6 +148,21 @@ class TestLoadMotion:
         with pytest.raises(DataError, match="contact"):
             load_motion(path, skel)
 
+    @pytest.mark.parametrize("labels", [[0, 0.9], [True, 0], [1, False], [0, 1.0], [1, "1"], [0, None], [0, [1]]])
+    def test_contact_labels_must_be_integers(self, tmp_path, labels):
+        skel = make_chain(2)
+        frames = [dict(_frame(2), contacts=[0, 1]), dict(_frame(2), contacts=labels)]
+        path = _write_json(tmp_path / "m.json", {"fps": 30.0, "frames": frames})
+        with pytest.raises(DataError, match=r"m\.json: frame 1 contact labels must be integers"):
+            load_motion(path, skel)
+
+    def test_integer_contact_labels_load(self, tmp_path):
+        skel = make_chain(2)
+        frames = [dict(_frame(2), contacts=[0, 1]), dict(_frame(2), contacts=[-1, 0])]
+        seq = load_motion(_write_json(tmp_path / "m.json", {"fps": 30.0, "frames": frames}), skel)
+        assert seq.contacts.dtype == int
+        assert seq.contacts.tolist() == [[0, 1], [-1, 0]]
+
 
 class TestLoadObj:
     def test_unit_tetrahedron(self, tmp_path):

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ def make_obs(j=4, rng=None, contacts=None, ang_vel=None):
         obj_ang_vel=gen(3),
         interaction_graph=gen(j, 3),
     )
+
+
+def stack(frames):
+    """One ObservationFrame holding the frames along a leading axis."""
+    return ObservationFrame(**{f.name: np.stack([getattr(o, f.name) for o in frames])
+                               for f in fields(ObservationFrame) if f.name != "deltas"})
 
 
 def test_object_rotation_delta_ignores_quaternion_sign(rng):
@@ -75,11 +82,32 @@ class TestInteractionGraph:
         with pytest.raises(DataError):
             interaction_graph(np.zeros((1, 3)), np.zeros((0, 3)))
 
+    def test_stack_matches_per_frame_calls(self, rng):
+        joints = rng.normal(size=(4, 5, 3))
+        verts = rng.normal(size=(4, 9, 3))
+        # frame 2, joint 0 lies halfway between vertices 3 and 6, all others farther
+        joints[2, 0] = 0.0
+        verts[2] = 5.0 + rng.uniform(size=(9, 3))
+        verts[2, 3], verts[2, 6] = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)
+        ig = interaction_graph(joints, verts)
+        assert ig.shape == joints.shape
+        for t in range(4):
+            np.testing.assert_array_equal(ig[t], interaction_graph(joints[t], verts[t]))
+        np.testing.assert_array_equal(ig[2, 0], [1.0, 0.0, 0.0])
+
+    def test_one_object_broadcasts_over_frames(self, rng):
+        joints = rng.normal(size=(3, 5, 3))
+        verts = rng.normal(size=(9, 3))
+        ig = interaction_graph(joints, verts)
+        for t in range(3):
+            np.testing.assert_array_equal(ig[t], interaction_graph(joints[t], verts))
+
 
 class TestContactLabel:
     @pytest.mark.parametrize(
         "distance,label",
-        [(0.05, 1), (0.10, 0), (0.25, -1), (0.07, 0), (0.2, 0), (0.0, 1), (0.069999, 1), (0.200001, -1)],
+        [(0.05, 1), (0.10, 0), (0.25, -1), (0.07, 0), (0.2, 0), (0.0, 1), (0.069999, 1), (0.200001, -1),
+         (math.inf, -1)],
     )
     def test_zones(self, distance, label):
         assert contact_label(distance) == label
@@ -87,6 +115,10 @@ class TestContactLabel:
     def test_negative_distance(self):
         with pytest.raises(DataError):
             contact_label(-0.01)
+
+    def test_nan_distance(self):
+        with pytest.raises(DataError, match="nonnegative"):
+            contact_label(math.nan)
 
     def test_dense_grid_partitions_axis(self):
         cfg = RewardConfig()
@@ -189,6 +221,53 @@ class TestComputeReward:
         obs = replace(obs, deltas=bad)
         with pytest.raises(DataError):
             compute_reward(obs, np.zeros(4, dtype=int), None)
+
+
+class TestStackedFrames:
+    """A stack of T frames scores exactly as T single-frame calls."""
+
+    @staticmethod
+    def frames(rng, t, j):
+        def one():
+            obs = make_obs(j=j, rng=rng, contacts=rng.integers(0, 2, size=j))
+            quat = rng.normal(size=4)
+            return replace(obs, obj_rot=quat / np.linalg.norm(quat))
+
+        return [one() for _ in range(t)], [one() for _ in range(t)]
+
+    @pytest.mark.parametrize("energy_velocity", ["angular", "linear"])
+    @pytest.mark.parametrize("with_forces", [False, True])
+    def test_stack_equals_single_frame_calls(self, rng, energy_velocity, with_forces):
+        t, j = 9, 5
+        cfg = RewardConfig(lambda_delta=0.3, lambda_c=0.7, lambda_v=0.2, lambda_f=0.01,
+                           omega={"joint_rot": 0.5, "obj_pos": 2.0, "interaction_graph": 1.5},
+                           energy_velocity=energy_velocity)
+        obs, refs = self.frames(rng, t, j)
+        labels = rng.integers(-1, 2, size=(t, j))
+        forces = rng.uniform(0.0, 20.0, size=(t, 3)) if with_forces else None
+        rewards, factors = compute_reward(with_reference(stack(obs), stack(refs)), labels, forces, cfg)
+        assert rewards.shape == (t,)
+        assert np.all(rewards < 1.0)  # every delta is non-zero
+        for k in range(t):
+            reward, single = compute_reward(with_reference(obs[k], refs[k]), labels[k],
+                                            None if forces is None else forces[k], cfg)
+            assert type(reward) is np.float64 and all(type(f) is np.float64 for f in single.values())
+            assert rewards[k] == reward
+            assert {name: factors[name][k] for name in single} == single
+
+    def test_stack_of_identical_frames_scores_one(self):
+        frame = make_obs()
+        obs = stack([frame] * 3)
+        rewards, factors = compute_reward(with_reference(obs, obs), np.zeros((3, 4), dtype=int))
+        assert rewards.tolist() == [1.0] * 3
+        assert all(f.tolist() == [1.0] * 3 for f in factors.values())
+
+    def test_stacked_contacts_must_match_joints(self):
+        obs = stack([make_obs()] * 3)
+        with pytest.raises(DataError, match="contact"):
+            replace(obs, contacts=np.zeros((3, 5), dtype=int))
+        with pytest.raises(DataError, match="interaction graph"):
+            replace(obs, interaction_graph=np.zeros((2, 4, 3)))
 
 
 class TestCriticLoss:
