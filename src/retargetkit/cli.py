@@ -22,6 +22,7 @@ import io
 import json
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> _Parser:
+    """The parser every command shares, built once per process. Parsing
+    leaves a parser as it was; --config sets defaults, so it gets a parser of
+    its own (_apply_config)."""
+    return build_parser()
+
+
 def _config_value(command: _Parser, key: str, value):
     """A --config value read as the text its flag would carry, converted and
     checked as that flag's argument is. JSON null reads as 'none', so it turns
@@ -210,15 +219,17 @@ def _config_value(command: _Parser, key: str, value):
     return (action.type or str)("none" if value is None else str(value))
 
 
-def _apply_config(parser: _Parser, args: argparse.Namespace, argv) -> tuple[argparse.Namespace, dict]:
-    """Parse again with the --config file's settings as the command's
-    defaults, so flags override the file and the file overrides the dataclass
-    defaults; returns the new arguments and the file's converted settings. A
-    key must name an optional flag of the command that has a default, or
-    reward-eval's omega; paths stay on the command line."""
+def _apply_config(args: argparse.Namespace, argv) -> tuple[argparse.Namespace, dict]:
+    """Parse again, on a parser of its own, with the --config file's settings
+    as the command's defaults, so flags override the file and the file
+    overrides the dataclass defaults; returns the new arguments and the
+    file's converted settings. A key must name an optional flag of the
+    command that has a default, or reward-eval's omega; paths stay on the
+    command line."""
     config = read_json(args.config)
     if not isinstance(config, dict):
         raise DataError(f"{args.config}: config must be a JSON object")
+    parser = build_parser()
     command = parser.commands[args.command]
     unknown = sorted(k for k in config if command.get_default(k) in (None, argparse.SUPPRESS))
     if unknown:
@@ -497,7 +508,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage errors exit 1, --help exits 0
@@ -508,7 +519,7 @@ def main(argv=None) -> int:
     try:
         settings = {}
         if args.config:
-            args, settings = _apply_config(parser, args, argv)
+            args, settings = _apply_config(args, argv)
         _check_contact_zone(parser, args, settings)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyInteractMeshError, check_settings, setting
+from .rotations import row_dots
 
 DUPLICATE_TOL = 1e-12
 COPLANAR_TOL = 1e-9
@@ -184,25 +185,20 @@ def _boundary_faces(tets: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return faces[first[counts == 1]], int(counts.max(initial=0))
 
 
-def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise u . v of (k, 3) arrays, each the BLAS dot a 1-D u @ v takes."""
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
 def _in_circumcircles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Whether p lies within 1e-12 relative in the circumcircle of each
     triangle (a, b, c), as (k, 3) corner rows: a 2x2 Gram solve in its plane,
     row by row as for one triangle alone. Collinear triangles hold nothing."""
     ab, ac = b - a, c - a
-    g11, g12, g22 = _dots(ab, ab), _dots(ab, ac), _dots(ac, ac)
+    g11, g12, g22 = row_dots(ab, ab), row_dots(ab, ac), row_dots(ac, ac)
     det = g11 * g22 - g12 * g12
     collinear = np.abs(det) < 1e-300
     det[collinear] = 1.0  # any finite divisor: these rows hold nothing
     x = (0.5 * g11 * g22 - 0.5 * g22 * g12) / det
     y = (0.5 * g22 * g11 - 0.5 * g11 * g12) / det
     center = a + x[:, None] * ab + y[:, None] * ac
-    radius = np.sqrt(_dots(center - a, center - a))
-    dist = np.sqrt(_dots(p - center, p - center))
+    radius = np.sqrt(row_dots(center - a, center - a))
+    dist = np.sqrt(row_dots(p - center, p - center))
     return ~collinear & np.isfinite(radius) & (dist <= radius * (1.0 + 1e-12))
 
 

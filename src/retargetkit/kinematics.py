@@ -148,17 +148,28 @@ def fk(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> JointPositions:
     return _kinematics(skeleton, shape, pose.root_pos[None], pose.root_rot[None], pose.joint_rots[None])[2][0]
 
 
+def vector_kinematics(skeleton: Skeleton, shape: ShapeParams, x: np.ndarray):
+    """The kinematics pass of one raw stored-layout parameter vector, as
+    _kinematics returns it with a frame axis of length 1."""
+    root_pos, root_rot, joint_rots = _split_vector(x, skeleton.joint_count)
+    return _kinematics(skeleton, shape, root_pos[None], root_rot[None], joint_rots[None])
+
+
 def fk_vector(skeleton: Skeleton, shape: ShapeParams, x: np.ndarray) -> JointPositions:
     """fk on a raw stored-layout parameter vector."""
-    root_pos, root_rot, joint_rots = _split_vector(x, skeleton.joint_count)
-    return _kinematics(skeleton, shape, root_pos[None], root_rot[None], joint_rots[None])[2][0]
+    return vector_kinematics(skeleton, shape, x)[2][0]
 
 
-def fk_jacobian_vector(skeleton: Skeleton, shape: ShapeParams, x: np.ndarray) -> tuple[JointPositions, np.ndarray]:
+def fk_jacobian_vector(
+    skeleton: Skeleton, shape: ShapeParams, x: np.ndarray, kinematics=None
+) -> tuple[JointPositions, np.ndarray]:
     """World joint positions (J, 3) and their Jacobian (3*J, 3*J + 3) over
-    the tangent layout at the stored-layout vector x, from one pass."""
-    root_pos, root_rot, joint_rots = _split_vector(x, skeleton.joint_count)
-    tree, world, positions, left_jac = _kinematics(skeleton, shape, root_pos[None], root_rot[None], joint_rots[None])
+    the tangent layout at the stored-layout vector x, from one pass: the
+    given kinematics, vector_kinematics(skeleton, shape, x) made earlier,
+    or a new one."""
+    if kinematics is None:
+        kinematics = vector_kinematics(skeleton, shape, x)
+    tree, world, positions, left_jac = kinematics
     positions, j = positions[0], skeleton.joint_count
     # column m of axes[k] is the world axis omega of rotation parameter (k, m);
     # J_l(0) = I at the root

@@ -24,9 +24,11 @@ tangent layout, (root_pos, delta, joint exp-maps) with root rotation
 q_a * exp(delta) around the prediction's quaternion q_a: no step can scale
 the quaternion, so the solve does not depend on the scene's heading, and the
 stored quaternion is normalized once, when a frame's result is written. For
-a vector the model runs FK (with its Jacobian, for the normal equations)
-once, and derives from it the weighted terms (the loss), the gradient, or
-the Gauss-Newton normal equations of the least-squares terms. A
+a vector the model runs one kinematics pass, kept until it is asked about
+another vector, and derives from it the weighted terms (the loss), the
+gradient, or the Gauss-Newton normal equations of the least-squares terms
+(with the FK Jacobian); Gauss-Newton asks for the normal equations only at
+the point whose loss it has just evaluated, so each point costs one pass. A
 tetrahedron's Laplacian is A P with A = 4I - 11^T acting on its four points,
 so the Laplacian difference is linear in the offsets dP of the agent's
 joints from their source coordinates in the mesh. With the joint-by-joint
@@ -67,6 +69,7 @@ from .kinematics import (
     pose_to_vector,
     stored_vector,
     tangent_vector,
+    vector_kinematics,
 )
 from .motionio import MotionSequence, ObjectMesh, ShapeParams, Skeleton
 from .optim import OptimizerConfig, levenberg_marquardt
@@ -207,6 +210,17 @@ class FrameModel:
             self.lap_stiffness = joint_lap @ joint_lap.T
         self.stiffness = cfg.laplacian_weight * self.lap_stiffness
         np.add.at(self.stiffness, (self.feet, self.feet), cfg.foot_slide_weight)
+        self._pass_key, self._pass = None, None
+
+    def _pass_at(self, x: np.ndarray):
+        """The kinematics pass at the stored vector x, kept for the next call
+        at the same bytes."""
+        key = np.asarray(x, dtype=float).tobytes()
+        if key != self._pass_key:
+            self._pass_key, self._pass = key, vector_kinematics(self.skeleton, self.shape, x)
+            for array in self._pass[1:]:
+                array.flags.writeable = False  # served again to later calls
+        return self._pass
 
     def _laplacian_pull(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The joint offsets dP from the mesh's source coordinates and the
@@ -218,7 +232,7 @@ class FrameModel:
         """Per-term weighted objective at x."""
         cfg, skeleton = self.cfg, self.skeleton
         terms = dict.fromkeys(TERM_NAMES, 0.0)
-        positions = fk_vector(skeleton, self.shape, x) if self.mesh is not None or self.feet.size else None
+        positions = self._pass_at(x)[2][0] if self.mesh is not None or self.feet.size else None
         if self.mesh is not None:
             offsets, pull = self._laplacian_pull(positions)
             terms["laplacian"] = cfg.laplacian_weight * float(np.einsum("ij,ij->", offsets, pull))
@@ -260,7 +274,8 @@ class FrameModel:
         jtr = cfg.temporal_weight * np.concatenate([d[:3], quat_jac.T @ d[3:7], d[7:]])
         if self.mesh is None and not self.feet.size:
             return jtj, jtr
-        positions, fk_jac = fk_jacobian_vector(self.skeleton, self.shape, x)  # fk_jac (3J, 3J + 3)
+        # fk_jac (3J, 3J + 3), from the pass the loss made at x
+        positions, fk_jac = fk_jacobian_vector(self.skeleton, self.shape, x, self._pass_at(x))
         fk_jac[:, 3:6] = fk_jac[:, 3:6] @ right_jac
         pull = np.zeros_like(positions)  # J^T r over joint positions
         if self.mesh is not None:

@@ -13,6 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
+
+def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v over the last axis of (..., 3) arrays, each the BLAS dot that a
+    1-D u @ v and np.linalg.norm take, so batched norms match per-vector
+    ones bit for bit."""
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError, check_settings, setting
 from .motionio import MotionSequence
-from .rotations import average_quaternions
+from .rotations import average_quaternions, row_dots
 
 SOLVE_RESIDUAL_TOL = 1e-10
 
@@ -165,20 +165,24 @@ def smooth_root(traj: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _unwrap_toward(e: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Re-express exp-map e (same rotation) as the representative nearest center."""
-    theta = np.linalg.norm(e)
-    if theta < 1e-12:
-        return e
-    axis = e / theta
-    best = e
-    best_d = np.linalg.norm(e - center)
-    for k in (-2, -1, 1, 2):
-        cand = (theta + 2.0 * np.pi * k) * axis
-        d = np.linalg.norm(cand - center)
-        if d < best_d:
-            best, best_d = cand, d
-    return best
+_TURNS = 2.0 * np.pi * np.array([-2, -1, 1, 2])
+
+
+def _unwrapped(e: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Each exp-map of e (..., 3) re-expressed as the representative of its
+    rotation nearest the broadcast center: angle theta + 2 pi k along its
+    axis, k in -2..2. e itself (k = 0) is kept unless another is strictly
+    nearer, then the first of the nearest; rotations under 1e-12 rad stay
+    as they are. Norms are the BLAS dot of np.linalg.norm (row_dots), so
+    each vector comes out as it would alone."""
+    theta = np.sqrt(row_dots(e, e))
+    small = theta < 1e-12
+    axis = e / np.where(small, 1.0, theta)[..., None]
+    candidates = np.stack([e, *((theta + turn)[..., None] * axis for turn in _TURNS)])
+    offsets = candidates - center
+    nearest = np.argmin(np.sqrt(row_dots(offsets, offsets)), axis=0)
+    best = np.take_along_axis(candidates, nearest[None, ..., None], axis=0)[0]
+    return np.where(small[..., None], e, best)
 
 
 def smooth_rotations(seq: MotionSequence, window: int) -> MotionSequence:
@@ -199,18 +203,16 @@ def smooth_rotations(seq: MotionSequence, window: int) -> MotionSequence:
         return seq
     half = window // 2
 
+    frame = np.arange(frames)
+    reaches = np.minimum(half, np.minimum(frame, frames - 1 - frame))
     joint_rots = np.empty_like(seq.joint_rots)
+    for reach in range(half + 1):  # the frames whose windows reach as far, in one batch
+        centers = np.flatnonzero(reaches == reach)
+        windows = seq.joint_rots[centers[:, None] + np.arange(-reach, reach + 1)]  # (n, w, J-1, 3)
+        joint_rots[centers] = _unwrapped(windows, seq.joint_rots[centers, None]).mean(axis=1)
     root_rot = np.empty_like(seq.root_rot)
-    for t in range(frames):
-        reach = min(half, t, frames - 1 - t)
-        lo, hi = t - reach, t + reach + 1
-        for j in range(seq.joint_rots.shape[1]):
-            center = seq.joint_rots[t, j]
-            neighbors = np.stack(
-                [_unwrap_toward(seq.joint_rots[k, j], center) for k in range(lo, hi)]
-            )
-            joint_rots[t, j] = neighbors.mean(axis=0)
-        root_rot[t] = average_quaternions(seq.root_rot[lo:hi], ref_index=t - lo)
+    for t, reach in enumerate(reaches):
+        root_rot[t] = average_quaternions(seq.root_rot[t - reach : t + reach + 1], ref_index=reach)
 
     return MotionSequence(
         fps=seq.fps,

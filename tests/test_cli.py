@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from retargetkit import cli
 from retargetkit.cli import build_parser, main
 from retargetkit.errors import Range
 from retargetkit.interactmesh import RetentionRule, mesh_to_dict
@@ -269,6 +270,22 @@ class TestConfigFile:
         doc = json.loads((tmp_path / "null.json").read_text())
         assert sum(p["kind"] == "A" for p in doc["points"]) == 20
         assert (tmp_path / "null.json").read_bytes() == (tmp_path / "none.json").read_bytes()
+
+    def test_config_does_not_outlive_its_command(self, tmp_path, monkeypatch):
+        # main builds its parser once per process; a --config file's values
+        # must reach only the command that named it
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "schedule-sim", lambda args: seen.append(args) or 0)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"kappa": 7.0, "seed": 3, "rounds": 4}))
+        assert main(["schedule-sim", "--config", str(config)]) == 0
+        assert main(["schedule-sim"]) == 0
+        assert main(["schedule-sim", "--config", str(config), "--seed", "5"]) == 0
+        first, second, third = seen
+        assert (first.kappa, first.seed, first.rounds) == (7.0, 3, 4)
+        defaults = ScheduleConfig()
+        assert (second.kappa, second.seed, second.rounds) == (defaults.kappa, defaults.seed, 20)
+        assert (third.kappa, third.seed, third.rounds) == (7.0, 5, 4)
 
     def test_config_supplies_values_and_flags_override(self, tmp_path):
         write_assets(tmp_path, frames=10)

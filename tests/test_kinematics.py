@@ -17,6 +17,7 @@ from retargetkit.kinematics import (
     pose_to_vector,
     scale_jacobian,
     tpose,
+    vector_kinematics,
     vector_to_pose,
 )
 from retargetkit.motionio import ShapeParams
@@ -118,6 +119,18 @@ class TestFkJacobian:
         assert relative_error(jac, fd) < 1e-4
         np.testing.assert_array_equal(positions, fk_vector(humanoid, shape, x))
         np.testing.assert_array_equal(fk_jacobian(humanoid, shape, vector_to_pose(x, humanoid.joint_count)), jac)
+
+    def test_supplied_pass_gives_the_same_arrays(self, humanoid, rng):
+        shape = ShapeParams(bone_scales=rng.uniform(0.5, 2.0, humanoid.joint_count))
+        x = pose_to_vector(random_pose(humanoid, rng))
+        kinematics = vector_kinematics(humanoid, shape, x)
+        positions, jac = fk_jacobian_vector(humanoid, shape, x)
+        reused_positions, reused_jac = fk_jacobian_vector(humanoid, shape, x, kinematics)
+        assert np.array_equal(reused_positions, positions)
+        assert np.array_equal(reused_jac, jac)
+        # the pass is read, not written: a second use gives the same again
+        assert np.array_equal(fk_jacobian_vector(humanoid, shape, x, kinematics)[1], jac)
+        assert np.array_equal(kinematics[2][0], fk_vector(humanoid, shape, x))
 
     def test_zero_length_bone_rotation_columns(self):
         skel = make_chain(3)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from retargetkit import interactmesh
+from retargetkit import interactmesh, kinematics
 from retargetkit.errors import DataError
 from retargetkit.interactmesh import AGENT_B, RetentionRule, build_interact_mesh, laplacians
 from retargetkit.kinematics import (
@@ -17,7 +17,7 @@ from retargetkit.kinematics import (
     tangent_vector,
 )
 from retargetkit.motionio import MotionSequence, ObjectMesh, ShapeParams
-from retargetkit.optim import OptimizerConfig
+from retargetkit.optim import OptimizerConfig, levenberg_marquardt
 from retargetkit.retarget import (
     FrameContext,
     FrameModel,
@@ -561,3 +561,67 @@ class TestNormalEquations:
         mesh = build_frame_meshes(joints, partner, world, self.CFG)[t]
         assert any(kind == AGENT_B for kind, _ in mesh.points.provenance)
         self._check(humanoid, ones, mesh, *self._frame(humanoid, seq, t, rng), ())
+
+
+class TestKinematicsReuse:
+    """FrameModel keeps its last kinematics pass for the next evaluation at
+    the same point, and serves it nowhere else."""
+
+    CFG = TestNormalEquations.CFG
+
+    def _model(self, humanoid, box):
+        seq = held_box_motion(humanoid, frames=6, amplitude=0.2)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        joints = fk_sequence(humanoid, ones, seq)
+        t = 3
+        mesh = build_frame_meshes(joints, None, object_world_vertices(box, seq, 64), self.CFG)[t]
+        feet = slide_gates(joints, humanoid, seq.dt, 0.01)[t]
+        shape = ShapeParams(bone_scales=np.linspace(0.9, 1.2, humanoid.joint_count))
+        x_prev = pose_to_vector(motion_frame_pose(seq, t - 1))
+        x_pred = pose_to_vector(motion_frame_pose(seq, t))
+
+        def model():
+            return FrameModel(humanoid, shape, x_prev, FrameContext(dt=seq.dt, slide_feet=feet), mesh,
+                              self.CFG, x_pred)
+
+        return model, tangent_vector(x_pred)
+
+    def test_no_stale_pass_after_another_point(self, humanoid, box, rng):
+        make, xi = self._model(humanoid, box)
+        xi2 = xi + rng.normal(0.0, 0.05, size=len(xi))
+        model = make()
+        model.loss(xi2)
+        jtj, jtr = model.normal_equations(xi)
+        fresh_jtj, fresh_jtr = make().normal_equations(xi)
+        assert np.array_equal(jtj, fresh_jtj)
+        assert np.array_equal(jtr, fresh_jtr)
+        # and at the point the loss just evaluated, the kept pass gives a fresh model's result
+        model.loss(xi2)
+        assert all(np.array_equal(a, b) for a, b in zip(model.normal_equations(xi2), make().normal_equations(xi2)))
+
+    def test_one_pass_per_distinct_point(self, humanoid, box, monkeypatch):
+        make, xi = self._model(humanoid, box)
+        model = make()
+        passes = []
+        original = kinematics._kinematics
+
+        def counted(*args):
+            passes.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(kinematics, "_kinematics", counted)
+        points, normal_calls = [], []
+
+        def loss(v):
+            points.append(v.tobytes())
+            return model.loss(v)
+
+        def normal_equations(v):
+            normal_calls.append(v.tobytes())
+            return model.normal_equations(v)
+
+        result = levenberg_marquardt(normal_equations, loss, model.hinge_gradient, xi, self.CFG.optimizer)
+        assert result.iterations > 1 and len(normal_calls) > 1
+        assert set(normal_calls) <= set(points)  # the normal equations come at evaluated points
+        distinct = sum(1 for k, p in enumerate(points) if k == 0 or p != points[k - 1])
+        assert len(passes) == distinct

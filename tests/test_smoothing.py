@@ -5,7 +5,7 @@ import pytest
 
 from retargetkit.errors import DataError
 from retargetkit.motionio import MotionSequence
-from retargetkit.rotations import quat_from_expmap
+from retargetkit.rotations import average_quaternions, quat_from_expmap
 from retargetkit.smoothing import (
     SmoothConfig,
     second_diff_matrix,
@@ -213,6 +213,93 @@ class TestSmoothRotations:
             smooth_rotations(seq, 4)
         with pytest.raises(DataError):
             smooth_rotations(seq, 7)
+
+
+def _unwrap_toward(e, center):
+    """Oracle: the per-vector unwrapping rule, as smooth_rotations ran it one
+    joint, frame and neighbour at a time."""
+    theta = np.linalg.norm(e)
+    if theta < 1e-12:
+        return e
+    axis = e / theta
+    best = e
+    best_d = np.linalg.norm(e - center)
+    for k in (-2, -1, 1, 2):
+        cand = (theta + 2.0 * np.pi * k) * axis
+        d = np.linalg.norm(cand - center)
+        if d < best_d:
+            best, best_d = cand, d
+    return best
+
+
+def _smooth_rotations_oracle(seq, window):
+    """Oracle: the frame-by-frame, joint-by-joint sliding-window filter."""
+    if window == 1:
+        return seq.joint_rots, seq.root_rot
+    frames, half = seq.frame_count, window // 2
+    joint_rots = np.empty_like(seq.joint_rots)
+    root_rot = np.empty_like(seq.root_rot)
+    for t in range(frames):
+        reach = min(half, t, frames - 1 - t)
+        lo, hi = t - reach, t + reach + 1
+        for j in range(seq.joint_rots.shape[1]):
+            center = seq.joint_rots[t, j]
+            neighbors = np.stack([_unwrap_toward(seq.joint_rots[k, j], center) for k in range(lo, hi)])
+            joint_rots[t, j] = neighbors.mean(axis=0)
+        root_rot[t] = average_quaternions(seq.root_rot[lo:hi], ref_index=t - lo)
+    return joint_rots, root_rot
+
+
+def _random_motion(rng, frames, joints, max_angle):
+    axes = rng.normal(size=(frames, joints - 1, 3))
+    axes /= np.linalg.norm(axes, axis=2, keepdims=True)
+    root_rot = rng.normal(size=(frames, 4))
+    return MotionSequence(
+        fps=30.0,
+        root_pos=np.zeros((frames, 3)),
+        root_rot=root_rot / np.linalg.norm(root_rot, axis=1, keepdims=True),
+        joint_rots=axes * rng.uniform(0.0, max_angle, size=(frames, joints - 1, 1)),
+        obj_pos=np.zeros((frames, 3)),
+        obj_rot=np.tile((1.0, 0.0, 0.0, 0.0), (frames, 1)),
+    )
+
+
+class TestSmoothRotationsOracle:
+    """The batched filter gives the per-vector rule's bits exactly."""
+
+    @pytest.mark.parametrize("window", [1, 3, 5, 7])
+    @pytest.mark.parametrize("extra_frames", [0, 1, 6])
+    def test_random_large_rotations(self, rng, window, extra_frames):
+        seq = _random_motion(rng, window + extra_frames, 6, max_angle=6.0)
+        out = smooth_rotations(seq, window)
+        joint_rots, root_rot = _smooth_rotations_oracle(seq, window)
+        assert np.array_equal(out.joint_rots, joint_rots)
+        assert np.array_equal(out.root_rot, root_rot)
+        assert out.joint_rots.tobytes() == joint_rots.tobytes()  # the signs of zeros too
+
+    def test_unwrapping_fires(self, rng):
+        seq = _random_motion(rng, 12, 6, max_angle=6.0)
+        plain = np.stack([seq.joint_rots[max(t - 2, 0) : t + 3].mean(axis=0) for t in range(2, 10)])
+        assert not np.allclose(smooth_rotations(seq, 5).joint_rots[2:10], plain)
+
+    @pytest.mark.parametrize("window", [3, 5, 7])
+    def test_zero_rotations(self, window):
+        seq = _constant_motion(window + 2, 4, rot=(0.0, 0.0, 0.0))
+        out = smooth_rotations(seq, window)
+        joint_rots, root_rot = _smooth_rotations_oracle(seq, window)
+        assert out.joint_rots.tobytes() == joint_rots.tobytes()
+        assert np.array_equal(out.root_rot, root_rot)
+
+    def test_mixed_zero_and_near_pi_rotations(self, rng):
+        seq = _random_motion(rng, 15, 5, max_angle=6.0)
+        joint_rots = seq.joint_rots.copy()
+        joint_rots[rng.random(joint_rots.shape[:2]) < 0.3] = 0.0
+        flip = rng.random(joint_rots.shape[:2]) < 0.3
+        joint_rots[flip] *= np.pi / np.linalg.norm(joint_rots[flip], axis=1, keepdims=True).clip(1e-300)
+        seq = MotionSequence(fps=30.0, root_pos=seq.root_pos, root_rot=seq.root_rot, joint_rots=joint_rots,
+                             obj_pos=seq.obj_pos, obj_rot=seq.obj_rot)
+        out = smooth_rotations(seq, 5)
+        assert out.joint_rots.tobytes() == _smooth_rotations_oracle(seq, 5)[0].tobytes()
 
 
 class TestSmoothConfig:
