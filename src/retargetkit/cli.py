@@ -33,6 +33,7 @@ from .kinematics import fk_sequence
 from .motionio import MotionSequence, ShapeParams, load_motion, load_obj, load_skeleton, read_json, save_motion
 from .optim import OptimizerConfig
 from .pipeline import (
+    bridge_skeleton,
     fit_bridge,
     load_manifest,
     run_pipeline,
@@ -295,7 +296,8 @@ def _cmd_retarget(args) -> int:
     cfg = _retarget_config(args)
     bridge, residual = fit_bridge(src_skel, tgt_skel)
     ones = ShapeParams.ones(src_skel.joint_count)
-    result = retarget_sequence(seq, src_skel, ones, src_skel, bridge, obj, cfg, second_seq=second)
+    result = retarget_sequence(seq, src_skel, ones, bridge_skeleton(src_skel, tgt_skel), bridge, obj, cfg,
+                               second_seq=second)
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,8 @@
 A manifest lists sequences to process plus stage configuration. Shape fits
 are shared per (source skeleton, target skeleton) file contents; the fitted
 scales act as the bridge shape on the source topology, and retargeting runs
-onto that bridge. Source interact meshes do not depend on the target, so they
+onto that bridge, which carries the target's joint limits, velocity limits
+and foot joints (`bridge_skeleton`). Source interact meshes do not depend on the target, so they
 are shared per (motion, second motion, source skeleton, object) file
 contents: one clip onto N targets builds its meshes once. Both live in one
 memo for the run, which drops a value when the last entry that needs it has
@@ -218,6 +219,20 @@ def fit_bridge(source: Skeleton, target: Skeleton) -> tuple[ShapeParams, float]:
     return fit_shape(source, target_joints)
 
 
+def bridge_skeleton(source: Skeleton, target: Skeleton) -> Skeleton:
+    """The skeleton retargeting runs onto: the source's names, topology and
+    rest offsets (which the bridge shape scales) with the target's joint
+    limits, velocity limits and foot joints. Joints match by index, as in
+    fit_bridge: joint i of the target is joint i of the source."""
+    if source.joint_count != target.joint_count:
+        raise DataError(
+            f"cannot bridge: source has {source.joint_count} joints, "
+            f"target has {target.joint_count}"
+        )
+    return replace(source, q_min=target.q_min, q_max=target.q_max, v_min=target.v_min,
+                   v_max=target.v_max, foot_joints=target.foot_joints)
+
+
 def write_losses_csv(path, losses: tuple[FrameLoss, ...]) -> None:
     """One row of weighted loss terms per frame; `temporal` is the distance
     from the frame's prediction (see retarget.predict_frame)."""
@@ -286,9 +301,8 @@ def _process_entry(entry: ManifestEntry, keys: tuple | None, manifest: PipelineM
         )
         keys = keys or _entry_keys(entry)  # a file that could not be read fails here
         fit_key, mesh_key = keys
-        bridge_shape, residual = memo.get(
-            fit_key, lambda: fit_bridge(source_skel, load_skeleton(entry.target_skeleton))
-        )
+        target_skel = load_skeleton(entry.target_skeleton)
+        bridge_shape, residual = memo.get(fit_key, lambda: fit_bridge(source_skel, target_skel))
         summary.fit_residual = residual
 
         ones = ShapeParams.ones(source_skel.joint_count)
@@ -300,7 +314,7 @@ def _process_entry(entry: ManifestEntry, keys: tuple | None, manifest: PipelineM
             seq,
             source_skel,
             ones,
-            source_skel,
+            bridge_skeleton(source_skel, target_skel),
             bridge_shape,
             obj,
             manifest.retarget,

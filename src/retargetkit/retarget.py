@@ -469,6 +469,9 @@ def retarget_sequence(
 ) -> RetargetResult:
     """Retarget one agent's motion onto the target skeleton/shape.
 
+    The target skeleton's joints match the source's by index. Its joint
+    limits, velocity limits and foot joints constrain the solve: the slide
+    gates measure the source's foot speeds at the target's foot joints.
     The optional second agent supplies fixed context joints to the interact
     mesh (its own retargeting is a separate call). Frames are optimized
     sequentially. Frame t > 0 is warm-started at, and its temporal term
@@ -497,7 +500,7 @@ def retarget_sequence(
 
     dt = source_seq.dt
     src_joints = fk_sequence(source_skeleton, source_shape, source_seq)
-    gates = slide_gates(src_joints, source_skeleton, dt, cfg.foot_speed_threshold)
+    gates = slide_gates(src_joints, target_skeleton, dt, cfg.foot_speed_threshold)
 
     qmin = target_skeleton.q_min[1:].ravel()
     qmax = target_skeleton.q_max[1:].ravel()

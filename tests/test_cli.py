@@ -459,6 +459,20 @@ class TestRetargetCommand:
         for name in ("motion.json", "motion.losses.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_target_joint_limits_bound_the_output(self, tmp_path):
+        # the target's +-0.3 rad limits, not the source's +-2.5 rad, reach the
+        # solver; retargeting onto the source skeleton wrote up to 1.2 rad
+        write_assets(tmp_path, frames=10)
+        save_skeleton(make_humanoid(q_limit=0.3), tmp_path / "tight.json")
+        assert main([
+            "retarget", "--src", str(tmp_path / "motion.json"),
+            "--src-skel", str(tmp_path / "skeleton.json"),
+            "--tgt-skel", str(tmp_path / "tight.json"),
+            "--obj", str(tmp_path / "box.obj"), "-o", str(tmp_path / "out"),
+        ]) == 0
+        written = load_motion(tmp_path / "out" / "motion.json", make_humanoid())
+        assert np.abs(written.joint_rots).max() <= 0.3 + 1e-12
+
     def test_matches_pipeline_entry_without_smoothing(self, tmp_path):
         manifest = write_corpus(tmp_path, frames=5, smooth={"alpha": 0.0, "rotation_window": 1}, retarget={})
         assert main([

@@ -132,6 +132,18 @@ class TestRunPipeline:
                 name = single["id"] + suffix
                 assert (tmp_path / alone["output_dir"] / name).read_bytes() == together[name]
 
+    def test_target_joint_limits_bound_the_output(self, tmp_path):
+        # the target's +-0.3 rad limits reach the solver; smoothing is off so
+        # the written motion is the retargeted one
+        path = write_corpus(tmp_path, frames=10, smooth={"alpha": 0.0, "rotation_window": 1})
+        save_skeleton(make_humanoid(q_limit=0.3), tmp_path / "tight.json")
+        manifest = json.loads(path.read_text())
+        manifest["entries"][0]["target_skeleton"] = "tight.json"
+        path.write_text(json.dumps(manifest))
+        assert run_pipeline(load_manifest(path)).entries[0].status == "ok"
+        written = load_motion(tmp_path / "out" / "seq0.json", make_humanoid())
+        assert np.abs(written.joint_rots).max() <= 0.3 + 1e-12
+
     def test_partial_optimizer_section_keeps_the_default_solver(self, tmp_path):
         # capping the iterations alone must leave the rest of the solver at its
         # defaults: the same bytes as a manifest with no optimizer section

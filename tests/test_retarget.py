@@ -210,6 +210,19 @@ class TestRetargetSequence:
         assert np.all(rots >= skel.q_min[1:] - 1e-6)
         assert np.all(rots <= skel.q_max[1:] + 1e-6)
 
+    def test_slide_gates_use_the_target_feet(self, humanoid, box):
+        # the source's feet stand still, so the target's feet are gated; a
+        # target without feet has no slide term
+        seq = held_box_motion(humanoid, frames=6)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        scaled = ShapeParams(bone_scales=np.full(humanoid.joint_count, 1.2))
+        with_feet, without = (
+            retarget_sequence(seq, humanoid, ones, target, scaled, box, self._quick_cfg())
+            for target in (humanoid, replace(humanoid, foot_joints=frozenset()))
+        )
+        assert any(f.slide > 0.0 for f in with_feet.per_frame_losses)
+        assert all(f.slide == 0.0 for f in without.per_frame_losses)
+
     def test_deterministic(self, humanoid, box):
         seq = held_box_motion(humanoid, frames=4)
         shape = ShapeParams.ones(humanoid.joint_count)
