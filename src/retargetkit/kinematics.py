@@ -93,10 +93,10 @@ def vector_to_pose(x: np.ndarray, joint_count: int) -> Pose:
     )
 
 
-def _check_binding(skeleton: Skeleton, shape: ShapeParams, joint_rots: np.ndarray):
+def _check_binding(skeleton: Skeleton, scales: np.ndarray, joint_rots: np.ndarray):
     j = skeleton.joint_count
-    if shape.bone_scales.shape != (j,):
-        raise DataError(f"shape has {shape.bone_scales.shape[0]} scales for {j} joints")
+    if scales.shape[-1:] != (j,):
+        raise DataError(f"shape has {scales.shape[-1]} scales for {j} joints")
     if joint_rots.shape[-2:] != (j - 1, 3):
         raise DataError(f"pose has {joint_rots.shape[-2]} joint rotations, expected {j - 1}")
 
@@ -126,11 +126,12 @@ def _tree(parents: tuple[int, ...]) -> _Tree:
     return tree
 
 
-def _kinematics(skeleton, shape, root_pos, root_rot, joint_rots):
-    """One batched pass over T frames (stored-layout parts with a leading
-    frame axis): the tree, world rotations (T, J, 3, 3), world positions
-    (T, J, 3) and the joints' left Jacobians (T, J-1, 3, 3)."""
-    _check_binding(skeleton, shape, joint_rots)
+def _kinematics(skeleton, scales, root_pos, root_rot, joint_rots):
+    """One batched pass over T frames or vectors (stored-layout parts with a
+    leading axis) under (J,) bone scales, or (T, J) scales, one row per
+    frame: the tree, world rotations (T, J, 3, 3), world positions (T, J, 3)
+    and the joints' left Jacobians (T, J-1, 3, 3)."""
+    _check_binding(skeleton, scales, joint_rots)
     tree = _tree(tuple(skeleton.parents.tolist()))
     local, left_jac = rodrigues(joint_rots)
     world = np.empty((len(root_pos), skeleton.joint_count, 3, 3))
@@ -138,21 +139,29 @@ def _kinematics(skeleton, shape, root_pos, root_rot, joint_rots):
     for joints, parents in tree.levels:
         world[:, joints] = world[:, parents] @ local[:, joints - 1]
     # each position is the root plus the world bone vectors on its chain
-    bones = world @ (shape.bone_scales[:, None] * skeleton.rest_offsets)[:, :, None]
+    bones = world @ (scales[..., None] * skeleton.rest_offsets)[..., None]
     bones[:, 0, :, 0] = root_pos
     return tree, world, tree.below.T @ bones[..., 0], left_jac
 
 
 def fk(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> JointPositions:
     """World joint positions for a pose under the given bone scales."""
-    return _kinematics(skeleton, shape, pose.root_pos[None], pose.root_rot[None], pose.joint_rots[None])[2][0]
+    return _kinematics(skeleton, shape.bone_scales, pose.root_pos[None], pose.root_rot[None],
+                       pose.joint_rots[None])[2][0]
 
 
 def vector_kinematics(skeleton: Skeleton, shape: ShapeParams, x: np.ndarray):
     """The kinematics pass of one raw stored-layout parameter vector, as
     _kinematics returns it with a frame axis of length 1."""
-    root_pos, root_rot, joint_rots = _split_vector(x, skeleton.joint_count)
-    return _kinematics(skeleton, shape, root_pos[None], root_rot[None], joint_rots[None])
+    return stacked_kinematics(skeleton, shape.bone_scales, np.asarray(x, dtype=float)[None])
+
+
+def stacked_kinematics(skeleton: Skeleton, scales: np.ndarray, x: np.ndarray):
+    """The kinematics pass of (m, 3+4+3(J-1)) raw stored-layout vectors under
+    (m, J) bone scales, or (J,) scales for all, one row per vector, as
+    _kinematics returns it. Each row's arrays equal the row's own pass."""
+    m = len(x)
+    return _kinematics(skeleton, scales, x[:, 0:3], x[:, 3:7], x[:, 7:].reshape(m, skeleton.joint_count - 1, 3))
 
 
 def fk_vector(skeleton: Skeleton, shape: ShapeParams, x: np.ndarray) -> JointPositions:
@@ -166,19 +175,23 @@ def fk_jacobian_vector(
     """World joint positions (J, 3) and their Jacobian (3*J, 3*J + 3) over
     the tangent layout at the stored-layout vector x, from one pass: the
     given kinematics, vector_kinematics(skeleton, shape, x) made earlier,
-    or a new one."""
+    or a new one. Given (m, n) stacked vectors and their stacked_kinematics
+    pass, it returns (m, J, 3) positions and (m, 3*J, 3*J + 3) Jacobians,
+    each row equal to its own vector's."""
     if kinematics is None:
         kinematics = vector_kinematics(skeleton, shape, x)
     tree, world, positions, left_jac = kinematics
-    positions, j = positions[0], skeleton.joint_count
-    # column m of axes[k] is the world axis omega of rotation parameter (k, m);
-    # J_l(0) = I at the root
-    axes = world[0, tree.pivot]
-    axes[1:] = axes[1:] @ left_jac[0]
+    m, j = positions.shape[:2]
+    # column c of axes[:, k] is the world axis omega of rotation parameter
+    # (k, c); J_l(0) = I at the root
+    axes = world[:, tree.pivot]
+    axes[:, 1:] = axes[:, 1:] @ left_jac
     # omega x (p_d - pivot_k) = [pivot_k - p_d]x omega on the joints d below k
-    lever = (positions[tree.pivot][:, None, :] - positions[None, :, :]) * tree.below[:, :, None]
-    columns = skew(lever) @ axes[:, None]  # (k, d, xyz, m)
-    return positions, np.hstack([np.tile(np.eye(3), (j, 1)), columns.transpose(1, 2, 0, 3).reshape(3 * j, 3 * j)])
+    lever = (positions[:, tree.pivot][:, :, None, :] - positions[:, None, :, :]) * tree.below[:, :, None]
+    columns = skew(lever) @ axes[:, :, None]  # (vector, k, d, xyz, c)
+    translation = np.broadcast_to(np.tile(np.eye(3), (j, 1)), (m, 3 * j, 3))
+    jacobians = np.concatenate([translation, columns.transpose(0, 2, 3, 1, 4).reshape(m, 3 * j, 3 * j)], axis=2)
+    return (positions[0], jacobians[0]) if np.ndim(x) == 1 else (positions, jacobians)
 
 
 def fk_jacobian(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> np.ndarray:
@@ -195,8 +208,9 @@ def tangent_vector(x: np.ndarray) -> np.ndarray:
 
 def stored_vector(xi: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """Stored-layout vector of the tangent-layout xi in the chart at the
-    anchor quaternion: root rotation anchor * exp(delta), not renormalized."""
-    return np.concatenate([xi[0:3], quat_mul(anchor, quat_from_expmap(xi[3:6])), xi[6:]])
+    anchor quaternion: root rotation anchor * exp(delta), not renormalized.
+    Takes (..., 3J+3) vectors with (..., 4) anchors; each row equals its own."""
+    return np.concatenate([xi[..., 0:3], quat_mul(anchor, quat_from_expmap(xi[..., 3:6])), xi[..., 6:]], axis=-1)
 
 
 def scale_jacobian(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> np.ndarray:
@@ -206,7 +220,8 @@ def scale_jacobian(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> np.nda
     them: d p_i / d s_k = world_rot[k] @ rest_offset_k for k on the root->i
     chain (k != root), else zero.
     """
-    tree, world, _, _ = _kinematics(skeleton, shape, pose.root_pos[None], pose.root_rot[None], pose.joint_rots[None])
+    tree, world, _, _ = _kinematics(skeleton, shape.bone_scales, pose.root_pos[None], pose.root_rot[None],
+                                    pose.joint_rots[None])
     bone_dirs = np.einsum("jab,jb->ja", world[0], skeleton.rest_offsets)  # (J, 3)
     bone_dirs[0] = 0.0  # the root's scale moves nothing
     return (tree.below.T[:, None, :] * bone_dirs.T[None]).reshape(3 * skeleton.joint_count, -1)
@@ -272,4 +287,4 @@ def fit_shape(skeleton: Skeleton, source_tpose_joints: JointPositions) -> tuple[
 
 def fk_sequence(skeleton: Skeleton, shape: ShapeParams, seq: MotionSequence) -> np.ndarray:
     """(T, J, 3) world joint positions over a whole sequence, in one pass."""
-    return _kinematics(skeleton, shape, seq.root_pos, seq.root_rot, seq.joint_rots)[2]
+    return _kinematics(skeleton, shape.bone_scales, seq.root_pos, seq.root_rot, seq.joint_rots)[2]

@@ -9,12 +9,25 @@ Non-Linear Least Squares Problems", IMM DTU 2004), or after `patience`
 stalls. The step test does not depend on the loss's scale, so a solve that
 starts at its optimum stops after one iteration, however close to zero the
 loss is.
+
+The loop is one problem's state machine, `descent`, a generator that asks
+for what it needs: the loss at a trial point, the normal equations at an
+accepted point, and a damped step. Two drivers answer it.
+`levenberg_marquardt` answers one problem's requests with its callables.
+`lockstep_levenberg_marquardt` runs K problems side by side and answers each
+kind of pending request for all of them in one batched call: one stacked
+evaluation of the K trial points, one of the normal equations, one stacked
+`np.linalg.solve`. Each problem keeps its own x, loss, damping, stall count,
+cached normal equations and stop rule, so it takes the iterations, and
+returns the result, that it takes and returns alone. A problem that stops
+leaves the batch; one that raises `NumericalError` ends with that error and
+leaves the others running.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -45,27 +58,24 @@ class OptimizeResult:
     converged: bool
 
 
-def levenberg_marquardt(
-    normal_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    loss_fn: Callable[[np.ndarray], float],
-    extra_grad_fn: Callable[[np.ndarray], np.ndarray] | None,
-    x0: np.ndarray,
-    cfg: OptimizerConfig | None = None,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> OptimizeResult:
-    """Damped Gauss-Newton descent on a least-squares objective.
+TRIAL, NORMAL, SOLVE = "trial", "normal", "solve"  # the requests of `descent`
 
-    normal_fn returns the normal equations (J^T J, J^T r) of the least-squares
-    part, loss approx ||r||^2 (+ non-LSQ terms covered by loss_fn and,
-    linearly, by extra_grad_fn). Steps are accepted only when the *full* loss
-    does not increase, so the accepted sequence is monotone even where the
-    quadratic model is off.
+# descent's requests and the answers it expects:
+#   (TRIAL, x)          -> (x projected onto the feasible set, loss there)
+#   (NORMAL, x)         -> (J^T J, J^T r, extra gradient or None) at x
+#   (SOLVE, (a, b))     -> the solution of a @ step = b, or None when a is singular
+Request = tuple[str, object]
+
+
+def descent(x0: np.ndarray, cfg: OptimizerConfig) -> Generator[Request, object, OptimizeResult]:
+    """One problem's damped Gauss-Newton, as a generator of requests that
+    returns the OptimizeResult.
+
+    The extra gradient covers non-least-squares terms of the loss linearly.
+    Steps are accepted only when the *full* loss does not increase, so the
+    accepted sequence is monotone even where the quadratic model is off.
     """
-    cfg = cfg or OptimizerConfig()
-    x = np.asarray(x0, dtype=float).copy()
-    if project is not None:
-        x = project(x)
-    loss = float(loss_fn(x))
+    x, loss = yield TRIAL, np.asarray(x0, dtype=float).copy()
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss at iteration 0")
 
@@ -76,29 +86,25 @@ def levenberg_marquardt(
     cached: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     for it in range(1, cfg.max_iterations + 1):
         if cached is None:
-            jtj, jtr = normal_fn(x)
+            jtj, jtr, extra = yield NORMAL, x
             if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(jtr))):
                 raise NumericalError(f"non-finite normal equations at iteration {it}")
             rhs = -jtr
-            if extra_grad_fn is not None:
-                rhs -= 0.5 * extra_grad_fn(x)
+            if extra is not None:
+                rhs -= 0.5 * extra
             diag = np.diag(jtj).copy()
             diag[diag <= 0.0] = 1.0
             cached = (jtj, rhs, diag)
         jtj, rhs, diag = cached
-        try:
-            step = np.linalg.solve(jtj + lam * np.diag(diag), rhs)
-        except np.linalg.LinAlgError:
+        step = yield SOLVE, (jtj + lam * np.diag(diag), rhs)
+        if step is None:
             lam = max(lam, 1e-8) * 10.0
             stall += 1
             if stall >= cfg.patience:
                 converged = True
                 break
             continue
-        x_new = x + step
-        if project is not None:
-            x_new = project(x_new)
-        loss_new = float(loss_fn(x_new))
+        x_new, loss_new = yield TRIAL, x + step
         if not np.isfinite(loss_new):
             raise NumericalError(f"non-finite loss at iteration {it}")
         if loss_new <= loss:
@@ -118,3 +124,109 @@ def levenberg_marquardt(
             converged = True
             break
     return OptimizeResult(x=x, loss=loss, iterations=it, converged=converged)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def levenberg_marquardt(
+    normal_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    loss_fn: Callable[[np.ndarray], float],
+    extra_grad_fn: Callable[[np.ndarray], np.ndarray] | None,
+    x0: np.ndarray,
+    cfg: OptimizerConfig | None = None,
+    project: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> OptimizeResult:
+    """Damped Gauss-Newton descent on one least-squares objective.
+
+    normal_fn returns the normal equations (J^T J, J^T r) of the least-squares
+    part, loss approx ||r||^2 (+ non-LSQ terms covered by loss_fn and,
+    linearly, by extra_grad_fn). project maps a trial point onto the feasible
+    set before its loss is evaluated.
+    """
+    solve = descent(x0, cfg or OptimizerConfig())
+    answer = None
+    while True:
+        try:
+            kind, payload = solve.send(answer)
+        except StopIteration as stop:
+            return stop.value
+        if kind == TRIAL:
+            x = payload if project is None else project(payload)
+            answer = x, float(loss_fn(x))
+        elif kind == NORMAL:
+            answer = (*normal_fn(payload), None if extra_grad_fn is None else extra_grad_fn(payload))
+        else:
+            answer = _solve(*payload)
+
+
+def lockstep_levenberg_marquardt(
+    normal_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    loss_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    extra_grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+    x0: np.ndarray,
+    cfg: OptimizerConfig | None = None,
+    project: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+) -> list[OptimizeResult | NumericalError]:
+    """`levenberg_marquardt` on K problems at once, started at the rows of x0.
+
+    Every callable takes (members, X): the (m,) indices of the problems asking
+    and their (m, P) points, and answers for each row: normal_fn with (m, P, P)
+    and (m, P) normal equations, loss_fn with (m,) losses, extra_grad_fn with
+    (m, P) gradients and project with (m, P) points. A problem's row of an
+    answer must not depend on the other rows. Returns one OptimizeResult per
+    problem, equal to what `levenberg_marquardt` returns on that problem
+    alone, or the NumericalError it raises alone.
+    """
+    cfg = cfg or OptimizerConfig()
+    solves = [descent(x, cfg) for x in np.asarray(x0, dtype=float)]
+    results: list[OptimizeResult | NumericalError | None] = [None] * len(solves)
+    pending = {k: next(solve) for k, solve in enumerate(solves)}
+    while pending:
+        # one round is one iteration of every member: the members asking for
+        # normal equations, then every member's step, then the trial points
+        for kind in (NORMAL, SOLVE, TRIAL):
+            rows = [k for k, (asked, _) in pending.items() if asked == kind]
+            if not rows:
+                continue
+            payloads = [pending[k][1] for k in rows]
+            members = np.array(rows)
+            if kind == TRIAL:
+                x = np.stack(payloads)
+                if project is not None:
+                    x = project(members, x)
+                losses = loss_fn(members, x)
+                answers = [(x[i], float(losses[i])) for i in range(len(rows))]
+            elif kind == NORMAL:
+                x = np.stack(payloads)
+                jtj, jtr = normal_fn(members, x)
+                extra = [None] * len(rows) if extra_grad_fn is None else extra_grad_fn(members, x)
+                answers = list(zip(jtj, jtr, extra))
+            else:
+                answers = _stacked_solve(payloads)
+            for k, answer in zip(rows, answers):
+                try:
+                    pending[k] = solves[k].send(answer)
+                except StopIteration as stop:
+                    results[k] = stop.value
+                    del pending[k]
+                except NumericalError as exc:
+                    results[k] = exc
+                    del pending[k]
+    return results
+
+
+def _stacked_solve(systems: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray | None]:
+    """The steps of several damped systems from one stacked np.linalg.solve,
+    which makes one LAPACK call per matrix; when one is singular, each is
+    solved alone."""
+    a = np.stack([s[0] for s in systems])
+    b = np.stack([s[1] for s in systems])
+    try:
+        return list(np.linalg.solve(a, b[..., None])[..., 0])
+    except np.linalg.LinAlgError:
+        return [_solve(*s) for s in systems]

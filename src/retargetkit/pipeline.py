@@ -4,14 +4,22 @@ A manifest lists sequences to process plus stage configuration. Shape fits
 are shared per (source skeleton, target skeleton) file contents; the fitted
 scales act as the bridge shape on the source topology, and retargeting runs
 onto that bridge, which carries the target's joint limits, velocity limits
-and foot joints (`bridge_skeleton`). Source interact meshes do not depend on the target, so they
-are shared per (motion, second motion, source skeleton, object) file
-contents: one clip onto N targets builds its meshes once. Both live in one
-memo for the run, which drops a value when the last entry that needs it has
-finished. Each entry writes <id>.json and <id>.losses.csv, so one
-clip can go to several targets under distinct ids. Entry failures are
-isolated: one broken entry never blocks or alters the others, and the summary
-records what happened.
+and foot joints (`bridge_skeleton`). Source interact meshes do not depend on
+the target, so they are shared per (motion, second motion, source skeleton,
+object) file contents: one clip onto N targets builds its meshes once. Both
+live in one memo for the run, which drops a value when the last entry that
+needs it has finished.
+
+Entries are loaded, fitted and given their meshes in manifest order. The
+entries that share a mesh key, one clip onto several targets, are
+retargeted together in one `retarget_sequence` call, once the last of them
+in manifest order has been prepared; the call solves their targets in
+lockstep, and each entry gets the bytes it gets in a manifest of its own.
+Each entry writes <id>.json and <id>.losses.csv, so one clip can go to
+several targets under distinct ids, and the summary lists the entries in
+manifest order. Entry failures are isolated: one broken entry, or one
+target whose solve raises inside a lockstep group, never blocks or alters
+the others, and the summary records what happened.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .interactmesh import RetentionRule
 from .kinematics import fit_shape, fk, tpose
 from .motionio import (
     MotionSequence,
+    ObjectMesh,
     ShapeParams,
     Skeleton,
     load_motion,
@@ -39,7 +48,7 @@ from .motionio import (
     save_motion,
 )
 from .optim import OptimizerConfig
-from .retarget import TERM_NAMES, FrameLoss, RetargetConfig, retarget_sequence, source_meshes
+from .retarget import TERM_NAMES, FrameLoss, RetargetConfig, RetargetResult, retarget_sequence, source_meshes
 from .schedule import FilterState, filter_until_converged, make_filter_state
 from .smoothing import SmoothConfig, second_difference_energy, smooth_root, smooth_rotations
 
@@ -287,9 +296,26 @@ class _Memo:
             self._values.pop(key, None)
 
 
-def _process_entry(entry: ManifestEntry, keys: tuple | None, manifest: PipelineManifest,
-                   memo: _Memo) -> EntrySummary:
-    summary = EntrySummary(entry_id=entry.entry_id, status="failed")
+@dataclass
+class _Job:
+    """An entry whose inputs, bridge and source meshes are ready to retarget."""
+
+    entry: ManifestEntry
+    summary: EntrySummary
+    mesh_key: tuple
+    seq: MotionSequence
+    source: Skeleton
+    obj: ObjectMesh
+    bridge: Skeleton
+    shape: ShapeParams
+    meshes: list
+
+
+def _prepare_entry(entry: ManifestEntry, keys: tuple | None, manifest: PipelineManifest, memo: _Memo,
+                   summary: EntrySummary) -> _Job | None:
+    """Load the entry's inputs, fit its bridge and get its source meshes. On
+    failure, the summary records the error, the entry's keys are released
+    and None is returned."""
     try:
         source_skel = load_skeleton(entry.source_skeleton)
         seq = load_motion(entry.motion, source_skel)
@@ -304,49 +330,75 @@ def _process_entry(entry: ManifestEntry, keys: tuple | None, manifest: PipelineM
         target_skel = load_skeleton(entry.target_skeleton)
         bridge_shape, residual = memo.get(fit_key, lambda: fit_bridge(source_skel, target_skel))
         summary.fit_residual = residual
-
+        bridge = bridge_skeleton(source_skel, target_skel)
         ones = ShapeParams.ones(source_skel.joint_count)
         meshes = memo.get(
             mesh_key,
             lambda: source_meshes(seq, source_skel, ones, obj, manifest.retarget, second_seq=second),
         )
-        result = retarget_sequence(
-            seq,
-            source_skel,
-            ones,
-            bridge_skeleton(source_skel, target_skel),
-            bridge_shape,
-            obj,
-            manifest.retarget,
-            meshes=meshes,
-        )
-        final = smooth_motion(result.sequence, manifest.smooth)
-
-        out_dir = Path(manifest.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out_motion = out_dir / f"{entry.entry_id}.json"
-        save_motion(final, out_motion)
-        write_losses_csv(out_dir / f"{entry.entry_id}.losses.csv", result.per_frame_losses)
-
-        losses = result.per_frame_losses
-        summary.mean_terms = {name: float(np.mean([getattr(f, name) for f in losses]))
-                              for name in LOSS_COLUMNS}
-        summary.root_energy_before = float(second_difference_energy(result.sequence.root_pos).sum())
-        summary.root_energy_after = float(second_difference_energy(final.root_pos).sum())
-        summary.output_motion = str(out_motion)
-        summary.status = "ok"
     except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
         summary.error = f"{type(exc).__name__}: {exc}"
-    finally:
         for key in keys or ():
             memo.release(key)
-    return summary
+        return None
+    memo.release(fit_key)
+    return _Job(entry, summary, mesh_key, seq, source_skel, obj, bridge, bridge_shape, meshes)
+
+
+def _retarget_group(jobs: list[_Job], manifest: PipelineManifest, memo: _Memo) -> None:
+    """Retarget the jobs that share source meshes in one retarget_sequence
+    call, in lockstep when there are several, then smooth and write each."""
+    first = jobs[0]
+    ones = ShapeParams.ones(first.source.joint_count)
+    args = (first.seq, first.source, ones)
+    kwargs = dict(obj=first.obj, cfg=manifest.retarget, meshes=first.meshes)
+    try:
+        if len(jobs) == 1:
+            results = [retarget_sequence(*args, first.bridge, first.shape, **kwargs)]
+        else:
+            results = retarget_sequence(*args, [job.bridge for job in jobs], [job.shape for job in jobs], **kwargs)
+    except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
+        results = [exc] * len(jobs)
+    for job, result in zip(jobs, results):
+        try:
+            if isinstance(result, Exception):
+                raise result
+            _write_entry(job, result, manifest)
+        except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
+            job.summary.error = f"{type(exc).__name__}: {exc}"
+        finally:
+            memo.release(job.mesh_key)
+
+
+def _write_entry(job: _Job, result: RetargetResult, manifest: PipelineManifest) -> None:
+    """Smooth the entry's result, write its motion and losses and fill in its
+    summary."""
+    summary = job.summary
+    final = smooth_motion(result.sequence, manifest.smooth)
+    out_dir = Path(manifest.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_motion = out_dir / f"{job.entry.entry_id}.json"
+    save_motion(final, out_motion)
+    write_losses_csv(out_dir / f"{job.entry.entry_id}.losses.csv", result.per_frame_losses)
+
+    losses = result.per_frame_losses
+    summary.mean_terms = {name: float(np.mean([getattr(f, name) for f in losses]))
+                          for name in LOSS_COLUMNS}
+    summary.root_energy_before = float(second_difference_energy(result.sequence.root_pos).sum())
+    summary.root_energy_after = float(second_difference_energy(final.root_pos).sum())
+    summary.output_motion = str(out_motion)
+    summary.status = "ok"
 
 
 def run_pipeline(manifest: PipelineManifest, jobs: int = 1) -> PipelineSummary:
-    """Process the entries one at a time in manifest order, write outputs and
-    summary files, run the filter when episode statistics are supplied.
-    Deterministic for a fixed manifest."""
+    """Process the entries in manifest order, write outputs and summary
+    files, run the filter when episode statistics are supplied.
+    Deterministic for a fixed manifest.
+
+    Each entry is loaded, fitted and given its source meshes in manifest
+    order. The entries that share source meshes are retargeted together, in
+    one lockstep retarget_sequence call, once the last of them in manifest
+    order has been prepared; each gets the bytes it gets alone."""
     if jobs != 1:  # the keyword stays only while the benchmark passes jobs=1
         raise ValueError(f"entries run one at a time; jobs must be 1, got {jobs!r}")
     keys = []
@@ -356,7 +408,18 @@ def run_pipeline(manifest: PipelineManifest, jobs: int = 1) -> PipelineSummary:
         except OSError:  # the entry reports it when it runs
             keys.append(None)
     memo = _Memo(Counter(key for pair in keys if pair for key in pair))
-    results = [_process_entry(entry, pair, manifest, memo) for entry, pair in zip(manifest.entries, keys)]
+    last = {pair[1]: i for i, pair in enumerate(keys) if pair}  # each mesh key's last entry
+    waiting: dict[tuple, list[_Job]] = {}
+    results = []
+    for i, (entry, pair) in enumerate(zip(manifest.entries, keys)):
+        summary = EntrySummary(entry_id=entry.entry_id, status="failed")
+        results.append(summary)
+        job = _prepare_entry(entry, pair, manifest, memo, summary)
+        if job is not None:
+            waiting.setdefault(job.mesh_key, []).append(job)
+            del job  # its group holds it, so its meshes go when the group is done
+        for key in [k for k in waiting if last.get(k, i) <= i]:
+            _retarget_group(waiting.pop(key), manifest, memo)
 
     filter_state = None
     if manifest.episode_stats:

@@ -18,14 +18,18 @@ rather than holding the pose still (velocity-level tracking, Choi & Ko,
 "Online Motion Retargetting", JVCA 2000). With target = source every term is
 zero at the source pose, so identity retargeting reproduces the source.
 
-`FrameModel` is the one implementation of this objective. Its terms are
-functions of the stored parameters, but Gauss-Newton steps in kinematics'
-tangent layout, (root_pos, delta, joint exp-maps) with root rotation
-q_a * exp(delta) around the prediction's quaternion q_a: no step can scale
-the quaternion, so the solve does not depend on the scene's heading, and the
-stored quaternion is normalized once, when a frame's result is written. For
-a vector the model runs one kinematics pass, kept until it is asked about
-another vector, and derives from it the weighted terms (the loss), the
+`FrameStack` is the one implementation of this objective, for the K targets
+of one clip frame, which share its interact mesh (`FrameModel` is the stack
+of one target, with single-vector evaluations). Each evaluation answers the
+targets row by row, and each row equals what its target gets alone, so the
+targets can be solved in lockstep. The terms are functions of the stored
+parameters, but Gauss-Newton steps in kinematics' tangent layout,
+(root_pos, delta, joint exp-maps) with root rotation q_a * exp(delta)
+around the prediction's quaternion q_a: no step can scale the quaternion,
+so the solve does not depend on the scene's heading, and the stored
+quaternion is normalized once, when a frame's result is written. For the
+targets' vectors the stack runs one kinematics pass, kept per target until
+it is asked about another vector, and derives from it the weighted terms (the loss), the
 gradient, or the Gauss-Newton normal equations of the least-squares terms
 (with the FK Jacobian); Gauss-Newton asks for the normal equations only at
 the point whose loss it has just evaluated, so each point costs one pass. A
@@ -36,7 +40,7 @@ stiffness K_lap, which sums A^T A = 16I - 4*11^T over each tetrahedron's
 agent-A slots, the term is w * sum dP . (K_lap dP), its part of J^T r is
 w * K_lap dP, and its block of J^T J is w * fk_jac^T (K_lap ⊗ I3) fk_jac;
 the slide term adds its weight on the gated feet's diagonal. K_lap is built
-once per frame mesh.
+once per frame mesh, for all of the frame's targets.
 
 Hinge terms use subgradient 0 at the kink. Frames are optimized in time
 order, each warm-started at its prediction x_pred; joint limits are enforced
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -67,13 +72,13 @@ from .kinematics import (
     fk_sequence,
     fk_vector,
     pose_to_vector,
+    stacked_kinematics,
     stored_vector,
     tangent_vector,
-    vector_kinematics,
 )
 from .motionio import MotionSequence, ObjectMesh, ShapeParams, Skeleton
-from .optim import OptimizerConfig, levenberg_marquardt
-from .rotations import quat_left_matrix, quat_mul, quat_normalize, quat_to_mat, rodrigues
+from .optim import OptimizerConfig, levenberg_marquardt, lockstep_levenberg_marquardt
+from .rotations import quat_left_matrix, quat_mul, quat_normalize, quat_to_mat, rodrigues, row_dots
 
 TERM_NAMES = ("laplacian", "temporal", "jlimit", "vlimit", "slide")
 
@@ -157,17 +162,214 @@ def predict_frame(x_prev: np.ndarray, source_prev: np.ndarray, source: np.ndarra
     return x
 
 
-class FrameModel:
-    """One frame's weighted objective around the previous frame's solution
-    x_prev and the prediction x_pred.
+def _laplacian_stiffness(mesh: InteractMesh, joint_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The joints' (J, 3) source coordinates in the mesh and the (J, J)
+    Laplacian stiffness K_lap; zeros without a mesh.
 
-    The first frame passes its own start as both. The temporal term measures
-    from x_pred; the velocity hinges and the slide anchor measure from x_prev.
-    The mesh, when it has tetrahedra, supplies the Laplacian term; the
-    context's slide feet are held to their positions under x_prev. `terms`
-    takes stored parameters; the other evaluations take tangent vectors at
-    the anchor quaternion (by default x_pred's), see kinematics.stored_vector.
+    joint_lap[j, (m, s)] = d L[m, s] / d p_j is the operator A = 4I - 11^T
+    restricted to agent-A slots. The Laplacian difference is linear in the
+    joints' offsets dP from their source coordinates, diff = joint_lap^T dP,
+    so the term is dP . (K_lap dP) and J^T r pulls the joints by K_lap dP,
+    with K_lap = joint_lap @ joint_lap^T (A^T A = 16I - 4*11^T per
+    tetrahedron).
     """
+    source = np.zeros((joint_count, 3))
+    stiffness = np.zeros((joint_count, joint_count))
+    if mesh is not None:
+        rows, joints = _agent_rows(mesh)
+        source[joints] = mesh.points.coordinates[rows]
+        slot_joint = np.full(len(mesh.points.coordinates), -1)
+        slot_joint[rows] = joints
+        tet_joints = slot_joint[mesh.tetrahedra]
+        tet, slot = np.nonzero(tet_joints >= 0)
+        owner = np.zeros((joint_count, mesh.tet_count, 4))
+        owner[tet_joints[tet, slot], tet, slot] = 1.0
+        joint_lap = (4.0 * owner - owner.sum(axis=2, keepdims=True)).reshape(joint_count, -1)
+        stiffness = joint_lap @ joint_lap.T
+    return source, stiffness
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Each row's sum, as the row's own a[k].sum() takes it."""
+    return a.reshape(len(a), -1).sum(axis=1)
+
+
+class FrameStack:
+    """One clip frame's weighted objective for K targets that share the
+    frame's interact mesh, each around its own previous solution x_prev and
+    prediction x_pred.
+
+    The targets share the joint tree and rest offsets of the first skeleton
+    and differ in bone scales, joint and velocity limits and gated slide feet
+    (their FrameContext). The Laplacian stiffness K_lap comes from the mesh
+    alone and is built once for all of them. Every evaluation takes `rows`,
+    the indices of the m targets asked about, with their (m, ·) points, and
+    answers row by row: one target's row equals what it gets asked alone, so
+    a lockstep solve and a solo one take the same steps. The temporal term
+    measures from x_pred; the velocity hinges and the slide anchor measure
+    from x_prev. `terms` takes stored parameters; the other evaluations take
+    tangent vectors at each target's anchor quaternion (by default x_pred's),
+    see kinematics.stored_vector.
+    """
+
+    def __init__(
+        self,
+        skeletons: Sequence[Skeleton],
+        shapes: Sequence[ShapeParams],
+        x_prev: np.ndarray,
+        contexts: Sequence[FrameContext],
+        mesh: InteractMesh | None,
+        cfg: RetargetConfig,
+        x_pred: np.ndarray | None = None,
+        anchor: np.ndarray | None = None,
+    ):
+        self.skeleton, self.cfg = skeletons[0], cfg
+        self.x_prev = x_prev
+        self.x_pred = x_prev if x_pred is None else x_pred
+        self.anchor = self.x_pred[:, 3:7] if anchor is None else anchor
+        self.mesh = mesh if mesh is not None and mesh.tet_count else None
+        self.scales = np.stack([shape.bone_scales for shape in shapes])
+        self.q_min = np.stack([s.q_min[1:] for s in skeletons])
+        self.q_max = np.stack([s.q_max[1:] for s in skeletons])
+        self.v_min = np.stack([s.v_min[1:, None] for s in skeletons])
+        self.v_max = np.stack([s.v_max[1:, None] for s in skeletons])
+        self.dt = np.array([ctx.dt for ctx in contexts])[:, None, None]
+        self.feet = [np.asarray(ctx.slide_feet, dtype=int) for ctx in contexts]
+        self.feet_ref = [fk_vector(s, shape, x)[feet] if feet.size else None
+                         for s, shape, x, feet in zip(skeletons, shapes, x_prev, self.feet)]
+        self.source, self.lap_stiffness = _laplacian_stiffness(self.mesh, self.skeleton.joint_count)
+        # the slide term adds its weight on the gated feet's diagonal
+        self.stiffness = np.repeat((cfg.laplacian_weight * self.lap_stiffness)[None], len(contexts), axis=0)
+        for stiffness, feet in zip(self.stiffness, self.feet):
+            np.add.at(stiffness, (feet, feet), cfg.foot_slide_weight)
+        self._pass_keys: list[bytes | None] = [None] * len(contexts)
+        self._pass_rows = np.zeros(len(contexts), dtype=int)
+        self._pass = None
+
+    def _pass_at(self, rows: np.ndarray, x: np.ndarray):
+        """The kinematics pass of the targets' stored vectors x, kept per
+        target for the next call at the same bytes."""
+        keys = [v.tobytes() for v in x]
+        if all(self._pass_keys[k] == key for k, key in zip(rows, keys)):
+            slots = self._pass_rows[rows]
+            if len(slots) == len(self._pass[2]) and np.array_equal(slots, np.arange(len(slots))):
+                return self._pass
+            return (self._pass[0],) + tuple(array[slots] for array in self._pass[1:])
+        self._pass = stacked_kinematics(self.skeleton, self.scales[rows], x)
+        for array in self._pass[1:]:
+            array.flags.writeable = False  # served again to later calls
+        self._pass_keys = [None] * len(self._pass_keys)
+        for slot, (k, key) in enumerate(zip(rows, keys)):
+            self._pass_keys[k] = key
+            self._pass_rows[k] = slot
+        return self._pass
+
+    def _slide(self, k: int, positions: np.ndarray) -> np.ndarray:
+        """Target k's gated feet's offsets from their positions under x_prev."""
+        return positions[self.feet[k]] - self.feet_ref[k]
+
+    def terms(self, rows: np.ndarray, x: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-term weighted objective, (m,) per term, at stored vectors x."""
+        cfg, m = self.cfg, len(rows)
+        terms = {name: np.zeros(m) for name in TERM_NAMES}
+        gated = any(self.feet[k].size for k in rows)
+        positions = self._pass_at(rows, x)[2] if self.mesh is not None or gated else None
+        if self.mesh is not None:
+            offsets = positions - self.source
+            terms["laplacian"] = cfg.laplacian_weight * np.einsum("kij,kij->k", offsets, self.lap_stiffness @ offsets)
+        d = x - self.x_pred[rows]
+        terms["temporal"] = cfg.temporal_weight * row_dots(d, d)
+
+        r = x[:, 7:].reshape(m, -1, 3)
+        low = np.maximum(0.0, self.q_min[rows] - r)
+        high = np.maximum(0.0, r - self.q_max[rows])
+        terms["jlimit"] = cfg.joint_limit_weight * (_row_sums(low) + _row_sums(high))
+
+        dq = r - self.x_prev[rows, 7:].reshape(m, -1, 3)
+        vlow = np.maximum(0.0, self.v_min[rows] * self.dt[rows] - dq)
+        vhigh = np.maximum(0.0, dq - self.v_max[rows] * self.dt[rows])
+        terms["vlimit"] = cfg.velocity_limit_weight * (_row_sums(vlow) + _row_sums(vhigh))
+
+        for i, k in enumerate(rows):
+            if self.feet[k].size:
+                slide = self._slide(k, positions[i])
+                terms["slide"][i] = cfg.foot_slide_weight * np.einsum("ij,ij->", slide, slide)
+        return terms
+
+    def loss(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        terms = self.terms(rows, stored_vector(xi, self.anchor[rows]))
+        total = terms[TERM_NAMES[0]]
+        for name in TERM_NAMES[1:]:
+            total = total + terms[name]
+        return total
+
+    def normal_equations(self, rows: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(J^T J, J^T r), (m, P, P) and (m, P), over the tangent vectors xi
+        of the least-squares terms (laplacian, temporal, slide), whose sum is
+        ||r||^2; the hinge terms are not least-squares."""
+        cfg, m = self.cfg, len(rows)
+        x = stored_vector(xi, self.anchor[rows])
+        # d(q_a * exp(delta))/d(delta) = 1/2 L(q)[:, 1:] J_r(delta) at
+        # q = q_a * exp(delta); the FK Jacobian's root-rotation columns, over
+        # the right perturbation at q, take the same J_r(delta)
+        right_jac = rodrigues(xi[:, 3:6])[1].transpose(0, 2, 1)
+        quat_jac = 0.5 * quat_left_matrix(x[:, 3:7])[:, :, 1:] @ right_jac
+        quat_jac_t = quat_jac.transpose(0, 2, 1)
+        d = x - self.x_pred[rows]
+        jtj = np.repeat((cfg.temporal_weight * np.eye(xi.shape[1]))[None], m, axis=0)
+        jtj[:, 3:6, 3:6] = cfg.temporal_weight * (quat_jac_t @ quat_jac)
+        jtr = cfg.temporal_weight * np.concatenate([d[:, :3], (quat_jac_t @ d[:, 3:7, None])[..., 0], d[:, 7:]],
+                                                   axis=1)
+        # fk_jac (m, 3J, 3J + 3), from the pass the loss made at x, for the
+        # targets with a mesh or gated feet
+        moved = [i for i, k in enumerate(rows) if self.mesh is not None or self.feet[k].size]
+        if not moved:
+            return jtj, jtr
+        moved = slice(None) if len(moved) == m else np.array(moved)
+        rows, x = rows[moved], x[moved]
+        positions, fk_jac = fk_jacobian_vector(self.skeleton, None, x, self._pass_at(rows, x))
+        fk_jac[:, :, 3:6] = fk_jac[:, :, 3:6] @ right_jac[moved]
+        pull = np.zeros_like(positions)  # J^T r over joint positions
+        if self.mesh is not None:
+            pull += cfg.laplacian_weight * (self.lap_stiffness @ (positions - self.source))
+        for i, k in enumerate(rows):
+            if self.feet[k].size:
+                np.add.at(pull[i], self.feet[k], cfg.foot_slide_weight * self._slide(k, positions[i]))
+        n = len(rows)
+        stiff_jac = (self.stiffness[rows] @ fk_jac.reshape(n, positions.shape[1], -1)).reshape(fk_jac.shape)
+        jtj[moved] += fk_jac.transpose(0, 2, 1) @ stiff_jac
+        jtr[moved] += (pull.reshape(n, 1, -1) @ fk_jac)[:, 0]
+        return jtj, jtr
+
+    def hinge_gradient(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Subgradient of the joint- and velocity-limit hinges (0 at the kink)."""
+        cfg, m = self.cfg, len(rows)
+        grad = np.zeros_like(xi)
+        r = xi[:, 6:].reshape(m, -1, 3)
+        g_r = np.zeros_like(r)
+        g_r -= cfg.joint_limit_weight * (self.q_min[rows] - r > 0)
+        g_r += cfg.joint_limit_weight * (r - self.q_max[rows] > 0)
+        dq = r - self.x_prev[rows, 7:].reshape(m, -1, 3)
+        g_r -= cfg.velocity_limit_weight * (self.v_min[rows] * self.dt[rows] - dq > 0)
+        g_r += cfg.velocity_limit_weight * (dq - self.v_max[rows] * self.dt[rows] > 0)
+        grad[:, 6:] = g_r.reshape(m, -1)
+        return grad
+
+    def project(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """The tangent vectors xi with each target's joint exp-maps clamped
+        to its limits."""
+        m = len(rows)
+        limits = (self.q_min[rows].reshape(m, -1), self.q_max[rows].reshape(m, -1))
+        return np.concatenate([xi[:, :6], np.clip(xi[:, 6:], *limits)], axis=1)
+
+
+_ONE = np.zeros(1, dtype=int)
+
+
+class FrameModel:
+    """One target's frame objective: the FrameStack of that target alone,
+    with single-vector evaluations. The first frame passes its own start as
+    both x_prev and x_pred."""
 
     def __init__(
         self,
@@ -180,137 +382,31 @@ class FrameModel:
         x_pred: np.ndarray | None = None,
         anchor: np.ndarray | None = None,
     ):
-        self.skeleton, self.shape, self.x_prev, self.ctx, self.cfg = skeleton, shape, x_prev, ctx, cfg
-        self.x_pred = x_prev if x_pred is None else x_pred
-        self.anchor = self.x_pred[3:7] if anchor is None else anchor
-        self.mesh = mesh if mesh is not None and mesh.tet_count else None
-        self.feet = np.asarray(ctx.slide_feet, dtype=int)
-        self.feet_ref = fk_vector(skeleton, shape, x_prev)[self.feet] if self.feet.size else None
-        j = skeleton.joint_count
-        # joint_lap[j, (m, s)] = d L[m, s] / d p_j: the operator A = 4I - 11^T
-        # restricted to agent-A slots. The Laplacian difference is linear in
-        # the joints' offsets dP from their source coordinates in the mesh,
-        # diff = joint_lap^T dP, so the term is dP . (K_lap dP) and J^T r
-        # pulls the joints by K_lap dP, with the Laplacian stiffness
-        # K_lap = joint_lap @ joint_lap^T (A^T A = 16I - 4*11^T per
-        # tetrahedron); the slide term adds its weight on the gated feet's
-        # diagonal
-        self.source = np.zeros((j, 3))
-        self.lap_stiffness = np.zeros((j, j))
-        if self.mesh is not None:
-            rows, joints = _agent_rows(self.mesh)
-            self.source[joints] = self.mesh.points.coordinates[rows]
-            slot_joint = np.full(len(self.mesh.points.coordinates), -1)
-            slot_joint[rows] = joints
-            tet_joints = slot_joint[self.mesh.tetrahedra]
-            tet, slot = np.nonzero(tet_joints >= 0)
-            owner = np.zeros((j, self.mesh.tet_count, 4))
-            owner[tet_joints[tet, slot], tet, slot] = 1.0
-            joint_lap = (4.0 * owner - owner.sum(axis=2, keepdims=True)).reshape(j, -1)
-            self.lap_stiffness = joint_lap @ joint_lap.T
-        self.stiffness = cfg.laplacian_weight * self.lap_stiffness
-        np.add.at(self.stiffness, (self.feet, self.feet), cfg.foot_slide_weight)
-        self._pass_key, self._pass = None, None
-
-    def _pass_at(self, x: np.ndarray):
-        """The kinematics pass at the stored vector x, kept for the next call
-        at the same bytes."""
-        key = np.asarray(x, dtype=float).tobytes()
-        if key != self._pass_key:
-            self._pass_key, self._pass = key, vector_kinematics(self.skeleton, self.shape, x)
-            for array in self._pass[1:]:
-                array.flags.writeable = False  # served again to later calls
-        return self._pass
-
-    def _laplacian_pull(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The joint offsets dP from the mesh's source coordinates and the
-        unweighted pull K_lap dP."""
-        offsets = positions - self.source
-        return offsets, self.lap_stiffness @ offsets
+        x_pred = x_prev if x_pred is None else x_pred
+        self.anchor = x_pred[3:7] if anchor is None else anchor
+        self.stack = FrameStack([skeleton], [shape], x_prev[None], [ctx], mesh, cfg, x_pred[None],
+                                np.asarray(self.anchor)[None])
 
     def terms(self, x: np.ndarray) -> dict[str, float]:
-        """Per-term weighted objective at x."""
-        cfg, skeleton = self.cfg, self.skeleton
-        terms = dict.fromkeys(TERM_NAMES, 0.0)
-        positions = self._pass_at(x)[2][0] if self.mesh is not None or self.feet.size else None
-        if self.mesh is not None:
-            offsets, pull = self._laplacian_pull(positions)
-            terms["laplacian"] = cfg.laplacian_weight * float(np.einsum("ij,ij->", offsets, pull))
-        d = x - self.x_pred
-        terms["temporal"] = cfg.temporal_weight * float(d @ d)
-
-        r = x[7:].reshape(-1, 3)
-        low = np.maximum(0.0, skeleton.q_min[1:] - r)
-        high = np.maximum(0.0, r - skeleton.q_max[1:])
-        terms["jlimit"] = cfg.joint_limit_weight * float(low.sum() + high.sum())
-
-        dq = r - self.x_prev[7:].reshape(-1, 3)
-        vlow = np.maximum(0.0, skeleton.v_min[1:, None] * self.ctx.dt - dq)
-        vhigh = np.maximum(0.0, dq - skeleton.v_max[1:, None] * self.ctx.dt)
-        terms["vlimit"] = cfg.velocity_limit_weight * float(vlow.sum() + vhigh.sum())
-
-        if self.feet.size:
-            slide = positions[self.feet] - self.feet_ref
-            terms["slide"] = cfg.foot_slide_weight * float(np.einsum("ij,ij->", slide, slide))
-        return terms
+        """Per-term weighted objective at the stored vector x."""
+        return {name: float(value[0]) for name, value in self.stack.terms(_ONE, x[None]).items()}
 
     def loss(self, xi: np.ndarray) -> float:
-        return sum(self.terms(stored_vector(xi, self.anchor)).values())
+        return float(self.stack.loss(_ONE, xi[None])[0])
 
     def normal_equations(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(J^T J, J^T r) over the tangent vector xi of the least-squares
-        terms (laplacian, temporal, slide), whose sum is ||r||^2; the hinge
-        terms are not least-squares."""
-        cfg = self.cfg
-        x = stored_vector(xi, self.anchor)
-        # d(q_a * exp(delta))/d(delta) = 1/2 L(q)[:, 1:] J_r(delta) at
-        # q = q_a * exp(delta); the FK Jacobian's root-rotation columns, over
-        # the right perturbation at q, take the same J_r(delta)
-        right_jac = rodrigues(xi[3:6])[1].T
-        quat_jac = 0.5 * quat_left_matrix(x[3:7])[:, 1:] @ right_jac
-        d = x - self.x_pred
-        jtj = cfg.temporal_weight * np.eye(len(xi))
-        jtj[3:6, 3:6] = cfg.temporal_weight * (quat_jac.T @ quat_jac)
-        jtr = cfg.temporal_weight * np.concatenate([d[:3], quat_jac.T @ d[3:7], d[7:]])
-        if self.mesh is None and not self.feet.size:
-            return jtj, jtr
-        # fk_jac (3J, 3J + 3), from the pass the loss made at x
-        positions, fk_jac = fk_jacobian_vector(self.skeleton, self.shape, x, self._pass_at(x))
-        fk_jac[:, 3:6] = fk_jac[:, 3:6] @ right_jac
-        pull = np.zeros_like(positions)  # J^T r over joint positions
-        if self.mesh is not None:
-            pull += cfg.laplacian_weight * self._laplacian_pull(positions)[1]
-        if self.feet.size:
-            np.add.at(pull, self.feet, cfg.foot_slide_weight * (positions[self.feet] - self.feet_ref))
-        stiff_jac = (self.stiffness @ fk_jac.reshape(len(positions), -1)).reshape(fk_jac.shape)
-        return jtj + fk_jac.T @ stiff_jac, jtr + pull.ravel() @ fk_jac
+        jtj, jtr = self.stack.normal_equations(_ONE, xi[None])
+        return jtj[0], jtr[0]
 
     def hinge_gradient(self, xi: np.ndarray) -> np.ndarray:
-        """Subgradient of the joint- and velocity-limit hinges (0 at the kink)."""
-        cfg, skeleton = self.cfg, self.skeleton
-        grad = np.zeros_like(xi)
-        r = xi[6:].reshape(-1, 3)
-        g_r = np.zeros_like(r)
-        g_r -= cfg.joint_limit_weight * (skeleton.q_min[1:] - r > 0)
-        g_r += cfg.joint_limit_weight * (r - skeleton.q_max[1:] > 0)
-        dq = r - self.x_prev[7:].reshape(-1, 3)
-        g_r -= cfg.velocity_limit_weight * (skeleton.v_min[1:, None] * self.ctx.dt - dq > 0)
-        g_r += cfg.velocity_limit_weight * (dq - skeleton.v_max[1:, None] * self.ctx.dt > 0)
-        grad[6:] = g_r.ravel()
-        return grad
+        return self.stack.hinge_gradient(_ONE, xi[None])[0]
 
     def gradient(self, xi: np.ndarray) -> np.ndarray:
         """Gradient of loss: 2 J^T r plus the hinge subgradient."""
         return 2.0 * self.normal_equations(xi)[1] + self.hinge_gradient(xi)
 
-
-def _terms_core(x, x_prev, ctx, skeleton, shape, mesh, cfg) -> dict[str, float]:
-    return FrameModel(skeleton, shape, x_prev, ctx, mesh, cfg).terms(x)
-
-
-def _gradient_core(x, x_prev, ctx, skeleton, shape, mesh, cfg) -> np.ndarray:
-    """Gradient over the tangent layout at the stored parameters x."""
-    return FrameModel(skeleton, shape, x_prev, ctx, mesh, cfg, anchor=x[3:7]).gradient(tangent_vector(x))
+    def project(self, xi: np.ndarray) -> np.ndarray:
+        return self.stack.project(_ONE, xi[None])[0]
 
 
 def eval_objective(
@@ -329,10 +425,8 @@ def eval_objective(
     also serves as the prediction the temporal term measures from, as at
     retarget_sequence's frame 0; FrameModel takes a separate prediction.
     """
-    terms = _terms_core(
-        pose_to_vector(pose), pose_to_vector(prev_pose), ctx, skeleton, shape, mesh,
-        cfg or RetargetConfig(),
-    )
+    model = FrameModel(skeleton, shape, pose_to_vector(prev_pose), ctx, mesh, cfg or RetargetConfig())
+    terms = model.terms(pose_to_vector(pose))
     return sum(terms.values()), terms
 
 
@@ -347,10 +441,10 @@ def objective_gradient(
 ) -> np.ndarray:
     """Gradient of the weighted objective over the tangent layout at pose:
     root_pos, the root's right-perturbation rotation vector, joint exp-maps."""
-    return _gradient_core(
-        pose_to_vector(pose), pose_to_vector(prev_pose), ctx, skeleton, shape, mesh,
-        cfg or RetargetConfig(),
-    )
+    x = pose_to_vector(pose)
+    model = FrameModel(skeleton, shape, pose_to_vector(prev_pose), ctx, mesh, cfg or RetargetConfig(),
+                       anchor=x[3:7])
+    return model.gradient(tangent_vector(x))
 
 
 def _object_track(obj: ObjectMesh, seq: MotionSequence, subsample: int):
@@ -458,16 +552,17 @@ def retarget_sequence(
     source_seq: MotionSequence,
     source_skeleton: Skeleton,
     source_shape: ShapeParams,
-    target_skeleton: Skeleton,
-    target_shape: ShapeParams,
+    target_skeleton: Skeleton | Sequence[Skeleton],
+    target_shape: ShapeParams | Sequence[ShapeParams],
     obj: ObjectMesh,
     cfg: RetargetConfig | None = None,
     second_seq: MotionSequence | None = None,
     second_skeleton: Skeleton | None = None,
     second_shape: ShapeParams | None = None,
     meshes: list[InteractMesh | None] | None = None,
-) -> RetargetResult:
-    """Retarget one agent's motion onto the target skeleton/shape.
+) -> RetargetResult | list[RetargetResult | Exception]:
+    """Retarget one agent's motion onto the target skeleton/shape, or onto
+    each of several.
 
     The target skeleton's joints match the source's by index. Its joint
     limits, velocity limits and foot joints constrain the solve: the slide
@@ -481,16 +576,38 @@ def retarget_sequence(
     prediction, which zeroes the temporal, velocity, and slide terms there.
     Deterministic for fixed inputs.
 
+    Given sequences of target skeletons and shapes, it returns a list with
+    one RetargetResult per target, or the exception that target raised, in
+    order. Each target gets what a call with it alone returns, byte for
+    byte, or the error such a call raises; one target's error leaves the
+    others running. Targets that share a joint tree and rest offsets (bridge
+    skeletons over one source, as the pipeline passes) are solved in
+    lockstep: each frame is one FrameStack, one K_lap and one stacked
+    kinematics pass per request of `optim.lockstep_levenberg_marquardt`,
+    whose every member takes its solo iterations. A target solved alone, as
+    in the one-target call, goes through `optim.levenberg_marquardt`.
+
     `meshes`, when given, are the source's `source_meshes` for this `cfg`,
     one per frame; they stand in for building the meshes from `obj` and the
     second agent, so one build can serve every target of a clip.
     """
     cfg = cfg or RetargetConfig()
-    if source_skeleton.joint_count != target_skeleton.joint_count:
-        raise DataError(
-            f"source has {source_skeleton.joint_count} joints, "
-            f"target has {target_skeleton.joint_count}"
-        )
+    several = not isinstance(target_skeleton, Skeleton)
+    skeletons = list(target_skeleton) if several else [target_skeleton]
+    shapes = list(target_shape) if several else [target_shape]
+    if len(shapes) != len(skeletons):
+        raise DataError(f"{len(skeletons)} target skeletons with {len(shapes)} target shapes")
+    results: list[RetargetResult | Exception | None] = [None] * len(skeletons)
+    groups: dict[bytes, list[int]] = {}
+    for k, skeleton in enumerate(skeletons):
+        if skeleton.joint_count != source_skeleton.joint_count:
+            results[k] = DataError(
+                f"source has {source_skeleton.joint_count} joints, target has {skeleton.joint_count}"
+            )
+        else:
+            groups.setdefault(skeleton.parents.tobytes() + skeleton.rest_offsets.tobytes(), []).append(k)
+    if not several and results[0] is not None:
+        raise results[0]
     frames = source_seq.frame_count
     if meshes is None:
         meshes = source_meshes(source_seq, source_skeleton, source_shape, obj, cfg,
@@ -498,52 +615,15 @@ def retarget_sequence(
     elif len(meshes) != frames:
         raise DataError(f"{len(meshes)} prebuilt interact meshes for {frames} source frames")
 
-    dt = source_seq.dt
     src_joints = fk_sequence(source_skeleton, source_shape, source_seq)
-    gates = slide_gates(src_joints, target_skeleton, dt, cfg.foot_speed_threshold)
-
-    qmin = target_skeleton.q_min[1:].ravel()
-    qmax = target_skeleton.q_max[1:].ravel()
-
-    def project(xi: np.ndarray) -> np.ndarray:
-        return np.concatenate([xi[:6], np.clip(xi[6:], qmin, qmax)])
-
     source = np.concatenate(
         [source_seq.root_pos, source_seq.root_rot, source_seq.joint_rots.reshape(frames, -1)], axis=1
     )
-    x0 = source[0].copy()
-    x0[3:7] = quat_normalize(x0[3:7])
-    solutions = np.empty((frames, len(x0)))
-    losses: list[FrameLoss] = []
-    total_iterations = 0
-    for t in range(frames):
-        x_prev = x0 if t == 0 else solutions[t - 1]
-        x_pred = x0 if t == 0 else predict_frame(x_prev, source[t - 1], source[t])
-        model = FrameModel(
-            target_skeleton, target_shape, x_prev, FrameContext(dt=dt, slide_feet=gates[t]), meshes[t], cfg,
-            x_pred,
-        )
-        try:
-            result = levenberg_marquardt(
-                model.normal_equations, model.loss, model.hinge_gradient, tangent_vector(x_pred),
-                cfg.optimizer, project=project,
-            )
-        except NumericalError as exc:
-            raise NumericalError(f"frame {t}: {exc}") from exc
-        solutions[t] = stored_vector(result.x, x_pred[3:7])
-        solutions[t, 3:7] = quat_normalize(solutions[t, 3:7])
-        terms = model.terms(solutions[t])
-        losses.append(
-            FrameLoss(
-                frame=t,
-                total=sum(terms.values()),
-                mesh_empty=meshes[t] is None,
-                iterations=result.iterations,
-                converged=result.converged,
-                **{k: terms[k] for k in TERM_NAMES},
-            )
-        )
-        total_iterations += result.iterations
+    for members in groups.values():
+        outcomes = _retarget_targets(source_seq, source, src_joints, [skeletons[k] for k in members],
+                                     [shapes[k] for k in members], meshes, cfg)
+        for k, outcome in zip(members, outcomes):
+            results[k] = outcome
 
     empty = sum(1 for m in meshes if m is None)
     if frames and empty / frames > 0.5:
@@ -552,22 +632,101 @@ def retarget_sequence(
             "laplacian term skipped there",
             stacklevel=2,
         )
+    if several:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
-    out_seq = MotionSequence(
-        fps=source_seq.fps,
-        root_pos=solutions[:, 0:3].copy(),
-        root_rot=solutions[:, 3:7].copy(),
-        joint_rots=solutions[:, 7:].reshape(frames, -1, 3).copy(),
-        obj_pos=source_seq.obj_pos.copy(),
-        obj_rot=source_seq.obj_rot.copy(),
-        contacts=None if source_seq.contacts is None else source_seq.contacts.copy(),
-    )
-    return RetargetResult(
-        sequence=out_seq,
-        per_frame_losses=tuple(losses),
-        iterations=total_iterations,
-        converged=all(l.converged for l in losses),
-    )
+
+def _retarget_targets(
+    source_seq: MotionSequence,
+    source: np.ndarray,
+    src_joints: np.ndarray,
+    skeletons: list[Skeleton],
+    shapes: list[ShapeParams],
+    meshes: list[InteractMesh | None],
+    cfg: RetargetConfig,
+) -> list[RetargetResult | NumericalError]:
+    """retarget_sequence's frame loop for targets of one joint tree and rest
+    offsets: the frames in time order, each frame's targets in one solve. A
+    target that raises leaves the later frames to the others."""
+    frames, dt = source_seq.frame_count, source_seq.dt
+    gates = [slide_gates(src_joints, skeleton, dt, cfg.foot_speed_threshold) for skeleton in skeletons]
+    x0 = source[0].copy()
+    x0[3:7] = quat_normalize(x0[3:7])
+    solutions = np.empty((len(skeletons), frames, len(x0)))
+    losses: list[list[FrameLoss]] = [[] for _ in skeletons]
+    errors: list[NumericalError | None] = [None] * len(skeletons)
+    for t in range(frames):
+        active = [k for k, error in enumerate(errors) if error is None]
+        if not active:
+            break
+        x_prev = np.stack([x0 if t == 0 else solutions[k, t - 1] for k in active])
+        x_pred = x_prev if t == 0 else np.stack([predict_frame(x, source[t - 1], source[t]) for x in x_prev])
+        contexts = [FrameContext(dt=dt, slide_feet=gates[k][t]) for k in active]
+        xi0 = np.stack([tangent_vector(x) for x in x_pred])
+        if len(active) == 1:
+            model = FrameModel(skeletons[active[0]], shapes[active[0]], x_prev[0], contexts[0], meshes[t], cfg,
+                               x_pred[0])
+            stack = model.stack
+            try:
+                outcomes = [levenberg_marquardt(model.normal_equations, model.loss, model.hinge_gradient, xi0[0],
+                                                cfg.optimizer, project=model.project)]
+            except NumericalError as exc:
+                outcomes = [exc]
+        else:
+            stack = FrameStack([skeletons[k] for k in active], [shapes[k] for k in active], x_prev, contexts,
+                               meshes[t], cfg, x_pred)
+            outcomes = lockstep_levenberg_marquardt(stack.normal_equations, stack.loss, stack.hinge_gradient, xi0,
+                                                    cfg.optimizer, project=stack.project)
+        solved = []
+        for row, (k, outcome) in enumerate(zip(active, outcomes)):
+            if isinstance(outcome, NumericalError):
+                errors[k] = NumericalError(f"frame {t}: {outcome}")
+                errors[k].__cause__ = outcome
+                continue
+            solutions[k, t] = stored_vector(outcome.x, x_pred[row, 3:7])
+            solutions[k, t, 3:7] = quat_normalize(solutions[k, t, 3:7])
+            solved.append((row, k, outcome))
+        if not solved:
+            continue
+        rows = np.array([row for row, _, _ in solved])
+        terms = stack.terms(rows, solutions[[k for _, k, _ in solved], t])
+        for i, (_, k, outcome) in enumerate(solved):
+            values = {name: float(terms[name][i]) for name in TERM_NAMES}
+            losses[k].append(
+                FrameLoss(
+                    frame=t,
+                    total=sum(values.values()),
+                    mesh_empty=meshes[t] is None,
+                    iterations=outcome.iterations,
+                    converged=outcome.converged,
+                    **values,
+                )
+            )
+
+    results: list[RetargetResult | NumericalError] = []
+    for k, error in enumerate(errors):
+        if error is not None:
+            results.append(error)
+            continue
+        out_seq = MotionSequence(
+            fps=source_seq.fps,
+            root_pos=solutions[k, :, 0:3].copy(),
+            root_rot=solutions[k, :, 3:7].copy(),
+            joint_rots=solutions[k, :, 7:].reshape(frames, -1, 3).copy(),
+            obj_pos=source_seq.obj_pos.copy(),
+            obj_rot=source_seq.obj_rot.copy(),
+            contacts=None if source_seq.contacts is None else source_seq.contacts.copy(),
+        )
+        results.append(RetargetResult(
+            sequence=out_seq,
+            per_frame_losses=tuple(losses[k]),
+            iterations=sum(f.iterations for f in losses[k]),
+            converged=all(f.converged for f in losses[k]),
+        ))
+    return results
 
 
 def mean_sequence_residual(

@@ -30,34 +30,36 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a*b, both (w, x, y, z)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    """Hamilton product a*b, both (w, x, y, z), over the last axis of (..., 4)
+    inputs."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
-        ]
+        ],
+        axis=-1,
     )
 
 
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    half = 0.5 * angle
-    return np.concatenate([[np.cos(half)], np.sin(half) * axis / n])
-
-
 def quat_from_expmap(e: np.ndarray) -> np.ndarray:
+    """Unit quaternions of (..., 3) exponential maps; below 1e-12 rad, the
+    normalized first-order (1, e / 2)."""
     e = np.asarray(e, dtype=float)
-    angle = np.linalg.norm(e)
-    if angle < 1e-12:
-        return np.array([1.0, *(0.5 * e)]) / np.linalg.norm([1.0, *(0.5 * e)])
-    return quat_from_axis_angle(e, angle)
+    angle = np.sqrt(row_dots(e, e))[..., None]  # np.linalg.norm's value
+    small = angle < 1e-12
+    half = 0.5 * angle
+    turned = np.concatenate([np.cos(half), np.sin(half) * e / np.where(small, 1.0, angle)], axis=-1)
+    if not small.any():
+        return turned
+    first_order = np.concatenate([np.ones_like(angle), 0.5 * e], axis=-1)
+    first_order /= np.sqrt(row_dots(first_order, first_order))[..., None]
+    return np.where(small, first_order, turned)
 
 
 def quat_log_relative(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,9 +103,12 @@ def quat_to_mat(q: np.ndarray) -> np.ndarray:
 
 
 def quat_left_matrix(q: np.ndarray) -> np.ndarray:
-    """(4, 4) matrix L(q) with L(q) @ p = q * p (Hamilton product)."""
-    w, x, y, z = q
-    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]], dtype=float)
+    """(..., 4, 4) matrices L(q) with L(q) @ p = q * p (Hamilton product) of
+    (..., 4) quaternions."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    rows = [w, -x, -y, -z, x, w, -z, y, y, z, w, -x, z, -y, x, w]
+    return np.stack(rows, axis=-1).reshape(q.shape[:-1] + (4, 4))
 
 
 def rodrigues(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

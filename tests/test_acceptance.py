@@ -23,15 +23,15 @@ from retargetkit.kinematics import (
     fk_sequence,
     fk_vector,
     pose_to_vector,
+    tangent_vector,
     tpose,
 )
 from retargetkit.motionio import ShapeParams
 from retargetkit.pipeline import load_manifest, run_pipeline
 from retargetkit.retarget import (
     FrameContext,
+    FrameModel,
     RetargetConfig,
-    _gradient_core,
-    _terms_core,
     build_frame_meshes,
     mean_sequence_residual,
     object_world_vertices,
@@ -185,11 +185,9 @@ def test_criterion_04_gradient_fidelity(rng):
                 joints, None, obj_pts, RetentionRule(mode="loose", proximity_gate=None)
             )
             ctx = FrameContext(dt=dt, slide_feet=tuple(sorted(skeleton.foot_joints)))
-            grad = _gradient_core(x, x_prev, ctx, skeleton, shape, mesh, cfg)
-            fd = tangent_difference(
-                lambda v: sum(_terms_core(v, x_prev, ctx, skeleton, shape, mesh, cfg).values()),
-                x,
-            ).ravel()
+            model = FrameModel(skeleton, shape, x_prev, ctx, mesh, cfg, anchor=x[3:7])
+            grad = model.gradient(tangent_vector(x))
+            fd = tangent_difference(lambda v: sum(model.terms(v).values()), x).ravel()
             obj_err = relative_error(grad, fd)
             assert fk_err < 1e-4
             assert obj_err < 1e-4

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from retargetkit.errors import DataError, NumericalError
-from retargetkit.optim import OptimizerConfig, levenberg_marquardt
+from retargetkit import optim
+from retargetkit.optim import OptimizerConfig, levenberg_marquardt, lockstep_levenberg_marquardt
 
 
 class TestOptimizerConfig:
@@ -104,3 +105,129 @@ class TestLevenbergMarquardt:
             levenberg_marquardt(normal, lambda x: float("nan"), None, np.zeros(2))
         with pytest.raises(NumericalError):  # non-finite normal equations
             levenberg_marquardt(lambda x: (np.eye(2), np.full(2, np.inf)), lambda x: 1.0, None, np.zeros(2))
+
+
+def curve_fit(a, b):
+    """Rosenbrock's residuals (a - x0, sqrt(b) (x1 - x0^2)): normal equations and loss."""
+    def residuals(x):
+        r = np.array([a - x[0], np.sqrt(b) * (x[1] - x[0] ** 2)])
+        jac = np.array([[-1.0, 0.0], [-2.0 * np.sqrt(b) * x[0], np.sqrt(b)]])
+        return r, jac
+
+    def normal(x):
+        r, jac = residuals(x)
+        return jac.T @ jac, jac.T @ r
+
+    return normal, lambda x: float(residuals(x)[0] @ residuals(x)[0])
+
+
+def indefinite_start(x):
+    """Normal equations whose first damped system is exactly singular: the
+    -1e-4 diagonal entry is replaced by 1 in the damping, and 1e-4 * 1
+    cancels it."""
+    normal, _ = curve_fit(1.0, 1.0)
+    jtj, jtr = normal(x)
+    if not x.any():
+        jtj = np.array([[-1e-4, 0.0], [0.0, 1.0]])
+    return jtj, jtr
+
+
+def blows_up(x):
+    return float("nan") if x[0] > 0.5 else float((x[0] - 2.0) ** 2 + x[1] ** 2)
+
+
+class TestLockstep:
+    """The lockstep driver returns, for every member, what the one-problem
+    driver returns on that member alone."""
+
+    CFG = OptimizerConfig(max_iterations=60)
+
+    def members(self):
+        """(normal, loss, hinge gradient, project, x0) per member."""
+        rosenbrock, rosenbrock_loss = curve_fit(1.0, 100.0)
+        easy, easy_loss = curve_fit(1.0, 1.0)
+        shifted, shifted_loss = curve_fit(-0.5, 4.0)
+        box = lambda x: np.clip(x, -0.4, 0.6)  # holds x0 at -0.4, short of -0.5
+        hinge_loss = lambda x: shifted_loss(x) + 0.3 * max(0.0, x[1] - 0.2)
+        hinge = lambda x: np.array([0.0, 0.3 if x[1] > 0.2 else 0.0])
+        drift = lambda x: (np.eye(2), np.array([-1.0, 0.0]) * (x[0] <= 0.5))
+        return [
+            (rosenbrock, rosenbrock_loss, None, None, np.array([-1.2, 1.0])),
+            (easy, easy_loss, None, None, np.array([0.3, 0.2])),
+            (indefinite_start, easy_loss, None, None, np.zeros(2)),
+            (shifted, hinge_loss, hinge, box, np.array([0.2, 0.3])),  # runs to the cap
+            (easy, easy_loss, None, None, np.array([1.0, 1.0])),  # at the minimum
+            (drift, blows_up, None, None, np.zeros(2)),
+        ]
+
+    def solo(self, member):
+        normal, loss, hinge, project, x0 = member
+        try:
+            return levenberg_marquardt(normal, loss, hinge, x0, self.CFG, project)
+        except NumericalError as exc:
+            return exc
+
+    def lockstep(self, members):
+        def each(fn_index):
+            def batched(rows, x):
+                return [members[k][fn_index](v) for k, v in zip(rows, x)]
+            return batched
+
+        def normal(rows, x):
+            pairs = each(0)(rows, x)
+            return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+        def hinge(rows, x):
+            return np.stack([np.zeros(2) if members[k][2] is None else members[k][2](v) for k, v in zip(rows, x)])
+
+        def project(rows, x):
+            return np.stack([v if members[k][3] is None else members[k][3](v) for k, v in zip(rows, x)])
+
+        return lockstep_levenberg_marquardt(normal, lambda rows, x: np.array(each(1)(rows, x)), hinge,
+                                            np.stack([m[4] for m in members]), self.CFG, project)
+
+    def test_every_member_matches_its_solo_solve(self, monkeypatch):
+        members = self.members()
+        steps = []
+        solve = optim._solve
+
+        def recorded(a, b):
+            steps.append(solve(a, b))
+            return steps[-1]
+
+        monkeypatch.setattr(optim, "_solve", recorded)
+        alone = [self.solo(m) for m in members]
+        assert any(step is None for step in steps)  # the indefinite start's first damped system
+        together = self.lockstep(members)
+        for solo, joint in zip(alone, together):
+            if isinstance(solo, NumericalError):
+                assert type(joint) is NumericalError and str(joint) == str(solo)
+                continue
+            assert joint.x.tobytes() == solo.x.tobytes()
+            assert (joint.loss, joint.iterations, joint.converged) == (solo.loss, solo.iterations, solo.converged)
+        iterations = [r.iterations for r in alone if not isinstance(r, NumericalError)]
+        assert len(set(iterations)) >= 4 and min(iterations) == 1 and max(iterations) == self.CFG.max_iterations
+        assert isinstance(alone[-1], NumericalError)
+
+    def test_rosenbrock_rejects_steps(self):
+        normal, loss, *_ = self.members()[0]
+        observed = []
+        levenberg_marquardt(normal, lambda x: observed.append(loss(x)) or observed[-1], None,
+                            np.array([-1.2, 1.0]), self.CFG)
+        best = np.inf
+        rejected = 0
+        for value in observed:
+            rejected += value > best
+            best = min(best, value)
+        assert rejected >= 1
+
+    def test_members_leave_in_any_order(self):
+        # the same members in reverse order, and in a batch of their own
+        members = self.members()
+        forward = self.lockstep(members)
+        backward = self.lockstep(members[::-1])[::-1]
+        for a, b in zip(forward, backward):
+            if isinstance(a, NumericalError):
+                assert str(a) == str(b)
+            else:
+                assert a.x.tobytes() == b.x.tobytes() and a.iterations == b.iterations

@@ -1,4 +1,5 @@
 import gc
+import shutil
 import json
 import weakref
 from dataclasses import replace
@@ -424,3 +425,98 @@ class TestSourceMeshCache:
         meshes = retarget.source_meshes(seq, skel, ones, box, retarget.RetargetConfig())
         with pytest.raises(DataError, match="2 prebuilt interact meshes for 3 source frames"):
             retarget.retarget_sequence(seq, skel, ones, skel, ones, box, meshes=meshes[:2])
+
+
+class TestLockstepGroups:
+    """Entries that share source meshes are retargeted in one lockstep call;
+    each entry gets the outputs, summary row and iteration counts it gets in
+    a manifest of its own, and a target that fails fails only its entry."""
+
+    FRAMES = 6
+
+    def corpus(self, root):
+        """A two-agent carry clip and targets that differ in proportions,
+        limits and feet; returns the manifest path, its JSON and one entry
+        per target."""
+        path = write_corpus(root, frames=self.FRAMES, amplitude=0.2,
+                            retarget={"retention": {"proximity_gate": 0.5}})
+        skel = make_humanoid()
+        save_motion(partner_motion(skel, load_motion(root / "motion0.json", skel)), root / "partner.json")
+        targets = {
+            "tall": replace(skel, rest_offsets=skel.rest_offsets * 1.2),
+            "tight": replace(make_humanoid(q_limit=0.3), rest_offsets=skel.rest_offsets * 0.9),
+            "one_foot": replace(skel, rest_offsets=skel.rest_offsets * 1.1, foot_joints=frozenset({16})),
+        }
+        for name, target in targets.items():
+            save_skeleton(target, root / f"{name}.json")
+        manifest = json.loads(path.read_text())
+        carry = dict(manifest["entries"][0], second_motion="partner.json")
+        return path, manifest, [dict(carry, id=name, target_skeleton=f"{name}.json") for name in targets]
+
+    @staticmethod
+    def run(path, manifest, entries, monkeypatch):
+        """Run the entries; returns the summary rows by id, each entry's
+        output bytes and its per-frame iteration counts."""
+        calls = []
+        original = pipeline.retarget_sequence
+
+        def recording(*args, **kwargs):
+            results = original(*args, **kwargs)
+            calls.append(results if isinstance(results, list) else [results])
+            return results
+
+        monkeypatch.setattr(pipeline, "retarget_sequence", recording)
+        out = path.parent / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        path.write_text(json.dumps(dict(manifest, entries=entries)))
+        run_pipeline(load_manifest(path))
+        rows = {line.split(",", 1)[0]: line for line in (out / "summary.csv").read_text().splitlines()[1:]}
+        files = {e["id"]: [(out / (e["id"] + s)).read_bytes() for s in OUTPUTS] for e in entries
+                 if (out / (e["id"] + ".json")).exists()}
+        iterations = [[[f.iterations for f in r.per_frame_losses] for r in results
+                       if not isinstance(r, Exception)] for results in calls]
+        return rows, files, iterations, calls
+
+    def test_three_targets_match_three_manifests_of_one(self, tmp_path, monkeypatch):
+        path, manifest, entries = self.corpus(tmp_path)
+        lockstep = []
+        original = retarget.lockstep_levenberg_marquardt
+        monkeypatch.setattr(retarget, "lockstep_levenberg_marquardt",
+                            lambda *args, **kwargs: lockstep.append(len(args[3])) or original(*args, **kwargs))
+        rows, files, iterations, calls = self.run(path, manifest, entries, monkeypatch)
+        assert [len(results) for results in calls] == [3]  # one call for the three targets
+        assert lockstep and max(lockstep) == 3
+        assert len({tuple(its) for its in iterations[0]}) == 3  # the targets take their own counts
+        for entry, its in zip(entries, iterations[0]):
+            alone_rows, alone_files, alone_iterations, _ = self.run(path, manifest, [entry], monkeypatch)
+            assert alone_rows[entry["id"]] == rows[entry["id"]]
+            assert alone_files[entry["id"]] == files[entry["id"]]
+            assert alone_iterations == [[its]]
+
+    def test_a_target_that_fails_its_solve_fails_alone(self, tmp_path, monkeypatch):
+        # NaN joint limits make the target's loss non-finite at frame 0; its
+        # siblings in the lockstep solve keep going and write what they write alone
+        path, manifest, entries = self.corpus(tmp_path)
+        broken = replace(make_humanoid(), q_min=np.full((20, 3), np.nan))
+        save_skeleton(broken, tmp_path / "broken.json")
+        group = [entries[0], dict(entries[0], id="broken", target_skeleton="broken.json"), entries[1]]
+        rows, files, _, _ = self.run(path, manifest, group, monkeypatch)
+        error = "NumericalError: frame 0: non-finite loss at iteration 0"
+        assert [rows[e["id"]].split(",")[1:3] for e in group] == [["ok", ""], ["failed", error], ["ok", ""]]
+        assert sorted(files) == [entries[0]["id"], entries[1]["id"]]
+        alone_rows, alone_files, _, _ = self.run(path, manifest, [group[1]], monkeypatch)
+        assert alone_rows["broken"].split(",")[1:3] == ["failed", error]
+        for entry in (entries[0], entries[1]):
+            alone_rows, alone_files, _, _ = self.run(path, manifest, [entry], monkeypatch)
+            assert (alone_rows[entry["id"]], alone_files[entry["id"]]) == (rows[entry["id"]], files[entry["id"]])
+
+    def test_a_target_that_fails_to_load_leaves_its_group(self, tmp_path, monkeypatch):
+        path, manifest, entries = self.corpus(tmp_path)
+        save_skeleton(make_chain(4), tmp_path / "chain.json")
+        group = [entries[0], dict(entries[0], id="chain", target_skeleton="chain.json"), entries[2]]
+        rows, files, _, calls = self.run(path, manifest, group, monkeypatch)
+        assert rows["chain"].split(",")[1] == "failed" and "joints" in rows["chain"]
+        assert [len(results) for results in calls] == [2]
+        for entry in (entries[0], entries[2]):
+            alone_rows, alone_files, _, _ = self.run(path, manifest, [entry], monkeypatch)
+            assert (alone_rows[entry["id"]], alone_files[entry["id"]]) == (rows[entry["id"]], files[entry["id"]])

@@ -264,6 +264,40 @@ class TestRetargetSequence:
             )
 
 
+class TestSeveralTargets:
+    """retarget_sequence onto several targets returns, per target, what a
+    call with that target alone returns, or the error it raises."""
+
+    def test_each_target_gets_its_solo_result(self, humanoid, box):
+        seq = held_box_motion(humanoid, frames=5, amplitude=0.2)
+        n = humanoid.joint_count
+        ones = ShapeParams.ones(n)
+        targets = [
+            (humanoid, ShapeParams(bone_scales=np.full(n, 1.2))),
+            (make_humanoid(q_limit=0.3), ShapeParams(bone_scales=np.linspace(0.9, 1.2, n))),
+            (replace(humanoid, foot_joints=frozenset({16})), ShapeParams(bone_scales=np.full(n, 0.9))),
+            (replace(humanoid, rest_offsets=humanoid.rest_offsets * 1.15), ones),  # another tree: solved on its own
+            (make_chain(4), ShapeParams.ones(4)),
+        ]
+        cfg = RetargetConfig()
+        together = retarget_sequence(seq, humanoid, ones, [t[0] for t in targets], [t[1] for t in targets], box, cfg)
+        assert isinstance(together[-1], DataError) and "joints" in str(together[-1])
+        iterations = set()
+        for (skeleton, shape), joint in zip(targets[:-1], together):
+            alone = retarget_sequence(seq, humanoid, ones, skeleton, shape, box, cfg)
+            for name in ("root_pos", "root_rot", "joint_rots"):
+                assert getattr(joint.sequence, name).tobytes() == getattr(alone.sequence, name).tobytes()
+            assert joint.per_frame_losses == alone.per_frame_losses
+            iterations.add(alone.iterations)
+        assert len(iterations) == 4
+
+    def test_shapes_must_pair_with_skeletons(self, humanoid, box):
+        seq = held_box_motion(humanoid, frames=2)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        with pytest.raises(DataError, match="2 target skeletons with 1 target shapes"):
+            retarget_sequence(seq, humanoid, ones, [humanoid, humanoid], [ones], box)
+
+
 def turned(seq: MotionSequence, angle: float) -> tuple[MotionSequence, np.ndarray]:
     """The whole scene turned by angle about the world z axis, and the turn."""
     q = quat_from_expmap((0.0, 0.0, angle))
