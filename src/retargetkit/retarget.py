@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -189,9 +190,11 @@ def _laplacian_stiffness(mesh: InteractMesh, joint_count: int) -> tuple[np.ndarr
     return source, stiffness
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Each row's sum, as the row's own a[k].sum() takes it."""
-    return a.reshape(len(a), -1).sum(axis=1)
+@lru_cache(maxsize=8)
+def _scaled_identity(weight: float, size: int) -> np.ndarray:
+    identity = weight * np.eye(size)
+    identity.flags.writeable = False  # shared by every caller through the cache
+    return identity
 
 
 class FrameStack:
@@ -203,13 +206,13 @@ class FrameStack:
     and differ in bone scales, joint and velocity limits and gated slide feet
     (their FrameContext). The Laplacian stiffness K_lap comes from the mesh
     alone and is built once for all of them. Every evaluation takes `rows`,
-    the indices of the m targets asked about, with their (m, ·) points, and
-    answers row by row: one target's row equals what it gets asked alone, so
-    a lockstep solve and a solo one take the same steps. The temporal term
-    measures from x_pred; the velocity hinges and the slide anchor measure
-    from x_prev. `terms` takes stored parameters; the other evaluations take
-    tangent vectors at each target's anchor quaternion (by default x_pred's),
-    see kinematics.stored_vector.
+    the ascending indices of the m targets asked about, with their (m, ·)
+    points, and answers row by row: one target's row equals what it gets
+    asked alone, so a lockstep solve and a solo one take the same steps. The
+    temporal term measures from x_pred; the velocity hinges and the slide
+    anchor measure from x_prev. `terms` takes stored parameters; the other
+    evaluations take tangent vectors at each target's anchor quaternion (by
+    default x_pred's), see kinematics.stored_vector.
     """
 
     def __init__(
@@ -223,81 +226,122 @@ class FrameStack:
         x_pred: np.ndarray | None = None,
         anchor: np.ndarray | None = None,
     ):
-        self.skeleton, self.cfg = skeletons[0], cfg
+        self.skeleton, self.cfg, self.count = skeletons[0], cfg, len(skeletons)
         self.x_prev = x_prev
         self.x_pred = x_prev if x_pred is None else x_pred
         self.anchor = self.x_pred[:, 3:7] if anchor is None else anchor
         self.mesh = mesh if mesh is not None and mesh.tet_count else None
-        self.scales = np.stack([shape.bone_scales for shape in shapes])
-        self.q_min = np.stack([s.q_min[1:] for s in skeletons])
-        self.q_max = np.stack([s.q_max[1:] for s in skeletons])
-        self.v_min = np.stack([s.v_min[1:, None] for s in skeletons])
-        self.v_max = np.stack([s.v_max[1:, None] for s in skeletons])
-        self.dt = np.array([ctx.dt for ctx in contexts])[:, None, None]
+        self.scales = np.array([shape.bone_scales for shape in shapes])
+        # each target's bounds on its joint exp-maps and on their change dq
+        # over the frame, (K, 3(J-1)) in the exp-maps' stored order
+        self.q_min = np.array([s.q_min[1:].ravel() for s in skeletons])
+        self.q_max = np.array([s.q_max[1:].ravel() for s in skeletons])
+        dt = np.array([ctx.dt for ctx in contexts])[:, None]
+        self.dq_min = np.array([np.repeat(s.v_min[1:], 3) for s in skeletons]) * dt
+        self.dq_max = np.array([np.repeat(s.v_max[1:], 3) for s in skeletons]) * dt
         self.feet = [np.asarray(ctx.slide_feet, dtype=int) for ctx in contexts]
+        self.gated = np.array([feet.size > 0 for feet in self.feet])
+        self.any_gated = bool(self.gated.any())
         self.feet_ref = [fk_vector(s, shape, x)[feet] if feet.size else None
                          for s, shape, x, feet in zip(skeletons, shapes, x_prev, self.feet)]
         self.source, self.lap_stiffness = _laplacian_stiffness(self.mesh, self.skeleton.joint_count)
         # the slide term adds its weight on the gated feet's diagonal
-        self.stiffness = np.repeat((cfg.laplacian_weight * self.lap_stiffness)[None], len(contexts), axis=0)
+        self.stiffness = np.repeat((cfg.laplacian_weight * self.lap_stiffness)[None], self.count, axis=0)
         for stiffness, feet in zip(self.stiffness, self.feet):
             np.add.at(stiffness, (feet, feet), cfg.foot_slide_weight)
-        self._pass_keys: list[bytes | None] = [None] * len(contexts)
-        self._pass_rows = np.zeros(len(contexts), dtype=int)
-        self._pass = None
+        # the last evaluated point: its tangent and stored vectors' bytes per
+        # target, and the targets' stored vectors and kinematics pass
+        self._xi_keys: list[bytes | None] = [None] * self.count
+        self._x_keys: list[bytes | None] = [None] * self.count
+        self._point_slots = np.zeros(self.count, dtype=int)
+        self._point_rows: tuple = ()
+        self._point = None
 
-    def _pass_at(self, rows: np.ndarray, x: np.ndarray):
-        """The kinematics pass of the targets' stored vectors x, kept per
-        target for the next call at the same bytes."""
-        keys = [v.tobytes() for v in x]
-        if all(self._pass_keys[k] == key for k, key in zip(rows, keys)):
-            slots = self._pass_rows[rows]
-            if len(slots) == len(self._pass[2]) and np.array_equal(slots, np.arange(len(slots))):
-                return self._pass
-            return (self._pass[0],) + tuple(array[slots] for array in self._pass[1:])
-        self._pass = stacked_kinematics(self.skeleton, self.scales[rows], x)
-        for array in self._pass[1:]:
+    def _take(self, rows: np.ndarray):
+        """The index that selects the rows' targets: every target, in order,
+        as a slice (views, no copies), else the rows."""
+        return slice(None) if len(rows) == self.count else rows
+
+    def _pass(self, rows: np.ndarray, x: np.ndarray):
+        """The kinematics pass of the targets' stored vectors x, or None when
+        no term of theirs reads joint positions."""
+        take = self._take(rows)
+        if self.mesh is None and not (self.any_gated and self.gated[take].any()):
+            return None
+        return stacked_kinematics(self.skeleton, self.scales[take], x)
+
+    def _kept(self, rows: np.ndarray, keys: list[bytes], kept_keys: list):
+        """The kept point's stored vectors and pass for the rows' targets, when
+        each one's kept key is its key; else None."""
+        if not all(kept_keys[k] == key for k, key in zip(rows, keys)):
+            return None
+        if tuple(rows) == self._point_rows:
+            return self._point
+        slots = self._point_slots[rows]
+        x, kinematics = self._point
+        return x[slots], kinematics and (kinematics[0],) + tuple(a[slots] for a in kinematics[1:])
+
+    def _point_at(self, rows: np.ndarray, xi: np.ndarray):
+        """The targets' stored vectors at the tangent vectors xi and their
+        kinematics pass, kept per target for the next call at the same bytes:
+        Gauss-Newton asks for the normal equations only at a point whose loss
+        it has just evaluated, so each point costs one pass."""
+        xi_keys = [v.tobytes() for v in xi]
+        point = self._kept(rows, xi_keys, self._xi_keys)
+        if point is not None:
+            return point
+        x = stored_vector(xi, self.anchor[self._take(rows)])
+        kinematics = self._pass(rows, x)
+        for array in (x, *(kinematics or ())[1:]):
             array.flags.writeable = False  # served again to later calls
-        self._pass_keys = [None] * len(self._pass_keys)
-        for slot, (k, key) in enumerate(zip(rows, keys)):
-            self._pass_keys[k] = key
-            self._pass_rows[k] = slot
-        return self._pass
+        self._point = x, kinematics
+        self._xi_keys, self._x_keys = [None] * self.count, [None] * self.count
+        for slot, (k, xi_key, v) in enumerate(zip(rows, xi_keys, x)):
+            self._xi_keys[k], self._x_keys[k] = xi_key, v.tobytes()
+            self._point_slots[k] = slot
+        self._point_rows = tuple(rows)
+        return self._point
 
     def _slide(self, k: int, positions: np.ndarray) -> np.ndarray:
         """Target k's gated feet's offsets from their positions under x_prev."""
         return positions[self.feet[k]] - self.feet_ref[k]
 
-    def terms(self, rows: np.ndarray, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-term weighted objective, (m,) per term, at stored vectors x."""
-        cfg, m = self.cfg, len(rows)
-        terms = {name: np.zeros(m) for name in TERM_NAMES}
-        gated = any(self.feet[k].size for k in rows)
-        positions = self._pass_at(rows, x)[2] if self.mesh is not None or gated else None
+    def terms(self, rows: np.ndarray, x: np.ndarray, kinematics=None) -> dict[str, np.ndarray]:
+        """Per-term weighted objective, (m,) per term, at stored vectors x,
+        from their kinematics pass when it is given."""
+        cfg, m, take = self.cfg, len(rows), self._take(rows)
+        terms = dict.fromkeys(TERM_NAMES, np.zeros(m))  # the absent terms
+        if kinematics is None:
+            kept = self._kept(rows, [v.tobytes() for v in x], self._x_keys)
+            kinematics = self._pass(rows, x) if kept is None else kept[1]
+        positions = None if kinematics is None else kinematics[2]
         if self.mesh is not None:
             offsets = positions - self.source
-            terms["laplacian"] = cfg.laplacian_weight * np.einsum("kij,kij->k", offsets, self.lap_stiffness @ offsets)
-        d = x - self.x_pred[rows]
+            pull = self.lap_stiffness @ offsets
+            terms["laplacian"] = cfg.laplacian_weight * np.einsum("kij,kij->k", offsets, pull)
+        d = x - self.x_pred[take]
         terms["temporal"] = cfg.temporal_weight * row_dots(d, d)
 
-        r = x[:, 7:].reshape(m, -1, 3)
-        low = np.maximum(0.0, self.q_min[rows] - r)
-        high = np.maximum(0.0, r - self.q_max[rows])
-        terms["jlimit"] = cfg.joint_limit_weight * (_row_sums(low) + _row_sums(high))
+        r = x[:, 7:]
+        low = np.maximum(0.0, self.q_min[take] - r)
+        high = np.maximum(0.0, r - self.q_max[take])
+        terms["jlimit"] = cfg.joint_limit_weight * (low.sum(axis=1) + high.sum(axis=1))
 
-        dq = r - self.x_prev[rows, 7:].reshape(m, -1, 3)
-        vlow = np.maximum(0.0, self.v_min[rows] * self.dt[rows] - dq)
-        vhigh = np.maximum(0.0, dq - self.v_max[rows] * self.dt[rows])
-        terms["vlimit"] = cfg.velocity_limit_weight * (_row_sums(vlow) + _row_sums(vhigh))
+        dq = r - self.x_prev[take, 7:]
+        vlow = np.maximum(0.0, self.dq_min[take] - dq)
+        vhigh = np.maximum(0.0, dq - self.dq_max[take])
+        terms["vlimit"] = cfg.velocity_limit_weight * (vlow.sum(axis=1) + vhigh.sum(axis=1))
 
-        for i, k in enumerate(rows):
-            if self.feet[k].size:
-                slide = self._slide(k, positions[i])
-                terms["slide"][i] = cfg.foot_slide_weight * np.einsum("ij,ij->", slide, slide)
+        if self.any_gated and self.gated[take].any():
+            terms["slide"] = np.zeros(m)
+            for i, k in enumerate(rows):
+                if self.gated[k]:
+                    slide = self._slide(k, positions[i])
+                    terms["slide"][i] = cfg.foot_slide_weight * np.einsum("ij,ij->", slide, slide)
         return terms
 
     def loss(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        terms = self.terms(rows, stored_vector(xi, self.anchor[rows]))
+        terms = self.terms(rows, *self._point_at(rows, xi))
         total = terms[TERM_NAMES[0]]
         for name in TERM_NAMES[1:]:
             total = total + terms[name]
@@ -307,60 +351,59 @@ class FrameStack:
         """(J^T J, J^T r), (m, P, P) and (m, P), over the tangent vectors xi
         of the least-squares terms (laplacian, temporal, slide), whose sum is
         ||r||^2; the hinge terms are not least-squares."""
-        cfg, m = self.cfg, len(rows)
-        x = stored_vector(xi, self.anchor[rows])
+        cfg, take = self.cfg, self._take(rows)
+        x, kinematics = self._point_at(rows, xi)
         # d(q_a * exp(delta))/d(delta) = 1/2 L(q)[:, 1:] J_r(delta) at
         # q = q_a * exp(delta); the FK Jacobian's root-rotation columns, over
         # the right perturbation at q, take the same J_r(delta)
         right_jac = rodrigues(xi[:, 3:6])[1].transpose(0, 2, 1)
         quat_jac = 0.5 * quat_left_matrix(x[:, 3:7])[:, :, 1:] @ right_jac
         quat_jac_t = quat_jac.transpose(0, 2, 1)
-        d = x - self.x_pred[rows]
-        jtj = np.repeat((cfg.temporal_weight * np.eye(xi.shape[1]))[None], m, axis=0)
+        d = x - self.x_pred[take]
+        jtj = np.repeat(_scaled_identity(cfg.temporal_weight, xi.shape[1])[None], len(rows), axis=0)
         jtj[:, 3:6, 3:6] = cfg.temporal_weight * (quat_jac_t @ quat_jac)
         jtr = cfg.temporal_weight * np.concatenate([d[:, :3], (quat_jac_t @ d[:, 3:7, None])[..., 0], d[:, 7:]],
                                                    axis=1)
         # fk_jac (m, 3J, 3J + 3), from the pass the loss made at x, for the
         # targets with a mesh or gated feet
-        moved = [i for i, k in enumerate(rows) if self.mesh is not None or self.feet[k].size]
-        if not moved:
+        if kinematics is None:
             return jtj, jtr
-        moved = slice(None) if len(moved) == m else np.array(moved)
+        moved = slice(None) if self.mesh is not None else np.flatnonzero(self.gated[rows])
         rows, x = rows[moved], x[moved]
-        positions, fk_jac = fk_jacobian_vector(self.skeleton, None, x, self._pass_at(rows, x))
+        kinematics = (kinematics[0],) + tuple(array[moved] for array in kinematics[1:])
+        positions, fk_jac = fk_jacobian_vector(self.skeleton, None, x, kinematics)
         fk_jac[:, :, 3:6] = fk_jac[:, :, 3:6] @ right_jac[moved]
         pull = np.zeros_like(positions)  # J^T r over joint positions
         if self.mesh is not None:
             pull += cfg.laplacian_weight * (self.lap_stiffness @ (positions - self.source))
         for i, k in enumerate(rows):
-            if self.feet[k].size:
+            if self.gated[k]:
                 np.add.at(pull[i], self.feet[k], cfg.foot_slide_weight * self._slide(k, positions[i]))
         n = len(rows)
-        stiff_jac = (self.stiffness[rows] @ fk_jac.reshape(n, positions.shape[1], -1)).reshape(fk_jac.shape)
+        stiffness = self.stiffness[self._take(rows)]
+        stiff_jac = (stiffness @ fk_jac.reshape(n, positions.shape[1], -1)).reshape(fk_jac.shape)
         jtj[moved] += fk_jac.transpose(0, 2, 1) @ stiff_jac
         jtr[moved] += (pull.reshape(n, 1, -1) @ fk_jac)[:, 0]
         return jtj, jtr
 
     def hinge_gradient(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Subgradient of the joint- and velocity-limit hinges (0 at the kink)."""
-        cfg, m = self.cfg, len(rows)
+        cfg, take = self.cfg, self._take(rows)
         grad = np.zeros_like(xi)
-        r = xi[:, 6:].reshape(m, -1, 3)
-        g_r = np.zeros_like(r)
-        g_r -= cfg.joint_limit_weight * (self.q_min[rows] - r > 0)
-        g_r += cfg.joint_limit_weight * (r - self.q_max[rows] > 0)
-        dq = r - self.x_prev[rows, 7:].reshape(m, -1, 3)
-        g_r -= cfg.velocity_limit_weight * (self.v_min[rows] * self.dt[rows] - dq > 0)
-        g_r += cfg.velocity_limit_weight * (dq - self.v_max[rows] * self.dt[rows] > 0)
-        grad[:, 6:] = g_r.reshape(m, -1)
+        r = xi[:, 6:]
+        g_r = grad[:, 6:]
+        g_r -= cfg.joint_limit_weight * (self.q_min[take] - r > 0)
+        g_r += cfg.joint_limit_weight * (r - self.q_max[take] > 0)
+        dq = r - self.x_prev[take, 7:]
+        g_r -= cfg.velocity_limit_weight * (self.dq_min[take] - dq > 0)
+        g_r += cfg.velocity_limit_weight * (dq - self.dq_max[take] > 0)
         return grad
 
     def project(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The tangent vectors xi with each target's joint exp-maps clamped
         to its limits."""
-        m = len(rows)
-        limits = (self.q_min[rows].reshape(m, -1), self.q_max[rows].reshape(m, -1))
-        return np.concatenate([xi[:, :6], np.clip(xi[:, 6:], *limits)], axis=1)
+        take = self._take(rows)
+        return np.concatenate([xi[:, :6], np.clip(xi[:, 6:], self.q_min[take], self.q_max[take])], axis=1)
 
 
 _ONE = np.zeros(1, dtype=int)
