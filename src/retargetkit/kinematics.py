@@ -202,15 +202,19 @@ def fk_jacobian(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> np.ndarra
 
 
 def tangent_vector(x: np.ndarray) -> np.ndarray:
-    """Tangent-layout vector of the stored-layout x at its own root rotation."""
-    return np.concatenate([x[0:3], np.zeros(3), x[7:]])
+    """Tangent-layout vector of the stored-layout x at its own root rotation,
+    over the last axis of (..., 3+4+3(J-1)) vectors."""
+    return np.concatenate([x[..., 0:3], np.zeros(x.shape[:-1] + (3,)), x[..., 7:]], axis=-1)
 
 
 def stored_vector(xi: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """Stored-layout vector of the tangent-layout xi in the chart at the
     anchor quaternion: root rotation anchor * exp(delta), not renormalized.
-    Takes (..., 3J+3) vectors with (..., 4) anchors; each row equals its own."""
-    return np.concatenate([xi[..., 0:3], quat_mul(anchor, quat_from_expmap(xi[..., 3:6])), xi[..., 6:]], axis=-1)
+    Given (m, 3J+3) vectors and (m, 4) anchors, the (m, 3+4+3(J-1)) stored
+    vectors, row by row."""
+    if np.ndim(xi) == 2:
+        return np.array([stored_vector(v, a) for v, a in zip(xi, anchor)])
+    return np.concatenate([xi[0:3], quat_mul(anchor, quat_from_expmap(xi[3:6])), xi[6:]])
 
 
 def scale_jacobian(skeleton: Skeleton, shape: ShapeParams, pose: Pose) -> np.ndarray:

@@ -240,22 +240,25 @@ class FrameStack:
         self.dq_min = np.array([np.repeat(s.v_min[1:], 3) for s in skeletons]) * dt
         self.dq_max = np.array([np.repeat(s.v_max[1:], 3) for s in skeletons]) * dt
         self.feet = [np.asarray(ctx.slide_feet, dtype=int) for ctx in contexts]
-        self.gated = np.array([feet.size > 0 for feet in self.feet])
-        self.any_gated = bool(self.gated.any())
+        self.gated = [feet.size > 0 for feet in self.feet]
         self.feet_ref = [fk_vector(s, shape, x)[feet] if feet.size else None
                          for s, shape, x, feet in zip(skeletons, shapes, x_prev, self.feet)]
         self.source, self.lap_stiffness = _laplacian_stiffness(self.mesh, self.skeleton.joint_count)
         # the slide term adds its weight on the gated feet's diagonal
         self.stiffness = np.repeat((cfg.laplacian_weight * self.lap_stiffness)[None], self.count, axis=0)
         for stiffness, feet in zip(self.stiffness, self.feet):
-            np.add.at(stiffness, (feet, feet), cfg.foot_slide_weight)
+            if feet.size:
+                np.add.at(stiffness, (feet, feet), cfg.foot_slide_weight)
         # the last evaluated point: its tangent and stored vectors' bytes per
         # target, and the targets' stored vectors and kinematics pass
         self._xi_keys: list[bytes | None] = [None] * self.count
         self._x_keys: list[bytes | None] = [None] * self.count
         self._point_slots = np.zeros(self.count, dtype=int)
-        self._point_rows: tuple = ()
+        self._point_rows = b""
         self._point = None
+
+    def _any_gated(self, rows: np.ndarray) -> bool:
+        return any(self.gated[k] for k in rows)
 
     def _take(self, rows: np.ndarray):
         """The index that selects the rows' targets: every target, in order,
@@ -266,7 +269,7 @@ class FrameStack:
         """The kinematics pass of the targets' stored vectors x, or None when
         no term of theirs reads joint positions."""
         take = self._take(rows)
-        if self.mesh is None and not (self.any_gated and self.gated[take].any()):
+        if self.mesh is None and not self._any_gated(rows):
             return None
         return stacked_kinematics(self.skeleton, self.scales[take], x)
 
@@ -275,7 +278,7 @@ class FrameStack:
         each one's kept key is its key; else None."""
         if not all(kept_keys[k] == key for k, key in zip(rows, keys)):
             return None
-        if tuple(rows) == self._point_rows:
+        if rows.tobytes() == self._point_rows:
             return self._point
         slots = self._point_slots[rows]
         x, kinematics = self._point
@@ -299,8 +302,14 @@ class FrameStack:
         for slot, (k, xi_key, v) in enumerate(zip(rows, xi_keys, x)):
             self._xi_keys[k], self._x_keys[k] = xi_key, v.tobytes()
             self._point_slots[k] = slot
-        self._point_rows = tuple(rows)
+        self._point_rows = rows.tobytes()
         return self._point
+
+    def stored(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """The targets' stored vectors at the tangent vectors xi, the kept
+        point's when it is at xi."""
+        kept = self._kept(rows, [v.tobytes() for v in xi], self._xi_keys)
+        return stored_vector(xi, self.anchor[self._take(rows)]) if kept is None else kept[0]
 
     def _slide(self, k: int, positions: np.ndarray) -> np.ndarray:
         """Target k's gated feet's offsets from their positions under x_prev."""
@@ -325,14 +334,14 @@ class FrameStack:
         r = x[:, 7:]
         low = np.maximum(0.0, self.q_min[take] - r)
         high = np.maximum(0.0, r - self.q_max[take])
-        terms["jlimit"] = cfg.joint_limit_weight * (low.sum(axis=1) + high.sum(axis=1))
+        terms["jlimit"] = cfg.joint_limit_weight * (np.add.reduce(low, axis=1) + np.add.reduce(high, axis=1))
 
         dq = r - self.x_prev[take, 7:]
         vlow = np.maximum(0.0, self.dq_min[take] - dq)
         vhigh = np.maximum(0.0, dq - self.dq_max[take])
-        terms["vlimit"] = cfg.velocity_limit_weight * (vlow.sum(axis=1) + vhigh.sum(axis=1))
+        terms["vlimit"] = cfg.velocity_limit_weight * (np.add.reduce(vlow, axis=1) + np.add.reduce(vhigh, axis=1))
 
-        if self.any_gated and self.gated[take].any():
+        if self._any_gated(rows):
             terms["slide"] = np.zeros(m)
             for i, k in enumerate(rows):
                 if self.gated[k]:
@@ -357,7 +366,7 @@ class FrameStack:
         # q = q_a * exp(delta); the FK Jacobian's root-rotation columns, over
         # the right perturbation at q, take the same J_r(delta)
         right_jac = rodrigues(xi[:, 3:6])[1].transpose(0, 2, 1)
-        quat_jac = 0.5 * quat_left_matrix(x[:, 3:7])[:, :, 1:] @ right_jac
+        quat_jac = 0.5 * np.array([quat_left_matrix(q) for q in x[:, 3:7]])[:, :, 1:] @ right_jac
         quat_jac_t = quat_jac.transpose(0, 2, 1)
         d = x - self.x_pred[take]
         jtj = np.repeat(_scaled_identity(cfg.temporal_weight, xi.shape[1])[None], len(rows), axis=0)
@@ -368,7 +377,7 @@ class FrameStack:
         # targets with a mesh or gated feet
         if kinematics is None:
             return jtj, jtr
-        moved = slice(None) if self.mesh is not None else np.flatnonzero(self.gated[rows])
+        moved = slice(None) if self.mesh is not None else np.array([i for i, k in enumerate(rows) if self.gated[k]])
         rows, x = rows[moved], x[moved]
         kinematics = (kinematics[0],) + tuple(array[moved] for array in kinematics[1:])
         positions, fk_jac = fk_jacobian_vector(self.skeleton, None, x, kinematics)
@@ -705,10 +714,10 @@ def _retarget_targets(
         active = [k for k, error in enumerate(errors) if error is None]
         if not active:
             break
-        x_prev = np.stack([x0 if t == 0 else solutions[k, t - 1] for k in active])
-        x_pred = x_prev if t == 0 else np.stack([predict_frame(x, source[t - 1], source[t]) for x in x_prev])
+        x_prev = np.repeat(x0[None], len(active), axis=0) if t == 0 else solutions[active, t - 1]
+        x_pred = x_prev if t == 0 else np.array([predict_frame(x, source[t - 1], source[t]) for x in x_prev])
         contexts = [FrameContext(dt=dt, slide_feet=gates[k][t]) for k in active]
-        xi0 = np.stack([tangent_vector(x) for x in x_pred])
+        xi0 = tangent_vector(x_pred)
         if len(active) == 1:
             model = FrameModel(skeletons[active[0]], shapes[active[0]], x_prev[0], contexts[0], meshes[t], cfg,
                                x_pred[0])
@@ -728,14 +737,16 @@ def _retarget_targets(
             if isinstance(outcome, NumericalError):
                 errors[k] = NumericalError(f"frame {t}: {outcome}")
                 errors[k].__cause__ = outcome
-                continue
-            solutions[k, t] = stored_vector(outcome.x, x_pred[row, 3:7])
-            solutions[k, t, 3:7] = quat_normalize(solutions[k, t, 3:7])
-            solved.append((row, k, outcome))
+            else:
+                solved.append((row, k, outcome))
         if not solved:
             continue
         rows = np.array([row for row, _, _ in solved])
-        terms = stack.terms(rows, solutions[[k for _, k, _ in solved], t])
+        members = [k for _, k, _ in solved]
+        solutions[members, t] = stack.stored(rows, np.array([outcome.x for _, _, outcome in solved]))
+        for k in members:
+            solutions[k, t, 3:7] = quat_normalize(solutions[k, t, 3:7])
+        terms = stack.terms(rows, solutions[members, t])
         for i, (_, k, outcome) in enumerate(solved):
             values = {name: float(terms[name][i]) for name in TERM_NAMES}
             losses[k].append(

@@ -29,45 +29,35 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / n
 
 
-# quat_mul's terms: component c of a*b is the signed sum, left to right, of
-# a[i] b[j] over the (i, j, sign) of _PRODUCT_TERMS[c]
-_PRODUCT_TERMS = (
-    ((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
-    ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
-    ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
-    ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)),
-)
-_PRODUCT_INDEX = np.array([[4 * i + j for i, j, _ in terms] for terms in _PRODUCT_TERMS]).T
-_PRODUCT_SIGN = np.array([[sign for _, _, sign in terms] for terms in _PRODUCT_TERMS], dtype=float).T
-
-
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a*b, both (w, x, y, z), over the last axis of (..., 4)
-    inputs: w = aw bw - ax bx - ay by - az bz, and so on, each summed left to
-    right (adding a negated product is subtracting it, exactly)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    outer = a[..., :, None] * b[..., None, :]
-    outer = outer.reshape(outer.shape[:-2] + (16,))
-    terms = outer[..., _PRODUCT_INDEX] * _PRODUCT_SIGN  # (..., term, component)
-    return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
+    """Hamilton product a*b, both (w, x, y, z)."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
+    axis = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(axis)
+    if n == 0.0:
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    half = 0.5 * angle
+    return np.concatenate([[np.cos(half)], np.sin(half) * axis / n])
 
 
 def quat_from_expmap(e: np.ndarray) -> np.ndarray:
-    """Unit quaternions of (..., 3) exponential maps; below 1e-12 rad, the
-    normalized first-order (1, e / 2)."""
     e = np.asarray(e, dtype=float)
-    angle = np.sqrt(row_dots(e, e))[..., None]  # np.linalg.norm's value
-    small = angle < 1e-12
-    half = 0.5 * angle
-    if not small.any():
-        return np.concatenate([np.cos(half), np.sin(half) * e / angle], axis=-1)
-    first_order = np.concatenate([np.ones_like(angle), 0.5 * e], axis=-1)
-    first_order /= np.sqrt(row_dots(first_order, first_order))[..., None]
-    if small.all():
-        return first_order
-    turned = np.concatenate([np.cos(half), np.sin(half) * e / np.where(small, 1.0, angle)], axis=-1)
-    return np.where(small, first_order, turned)
+    angle = np.linalg.norm(e)
+    if angle < 1e-12:
+        return np.array([1.0, *(0.5 * e)]) / np.linalg.norm([1.0, *(0.5 * e)])
+    return quat_from_axis_angle(e, angle)
 
 
 def quat_log_relative(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,15 +100,10 @@ def quat_to_mat(q: np.ndarray) -> np.ndarray:
     return np.eye(3) + 2.0 * (q[..., 0, None, None] * k + k @ k)
 
 
-# L(q) row by row, as indices into (q, -q)
-_LEFT_INDEX = np.array([0, 5, 6, 7, 1, 0, 7, 2, 2, 3, 0, 5, 3, 6, 1, 0])
-
-
 def quat_left_matrix(q: np.ndarray) -> np.ndarray:
-    """(..., 4, 4) matrices L(q) with L(q) @ p = q * p (Hamilton product) of
-    (..., 4) quaternions."""
-    q = np.asarray(q, dtype=float)
-    return np.concatenate([q, -q], axis=-1)[..., _LEFT_INDEX].reshape(q.shape[:-1] + (4, 4))
+    """(4, 4) matrix L(q) with L(q) @ p = q * p (Hamilton product)."""
+    w, x, y, z = q
+    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]], dtype=float)
 
 
 def rodrigues(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
