@@ -101,11 +101,6 @@ def _check_binding(skeleton: Skeleton, scales: np.ndarray, joint_rots: np.ndarra
         raise DataError(f"pose has {joint_rots.shape[-2]} joint rotations, expected {j - 1}")
 
 
-def _split_vector(x: np.ndarray, joint_count: int):
-    x = np.asarray(x, dtype=float)
-    return x[0:3], x[3:7], x[7:].reshape(joint_count - 1, 3)
-
-
 class _Tree(NamedTuple):
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]  # (joints, their parents) per depth
     pivot: np.ndarray  # (J,) joint each rotation parameter turns about

@@ -347,16 +347,15 @@ def _prepare_entry(entry: ManifestEntry, keys: tuple | None, manifest: PipelineM
 
 def _retarget_group(jobs: list[_Job], manifest: PipelineManifest, memo: _Memo) -> None:
     """Retarget the jobs that share source meshes in one retarget_sequence
-    call, in lockstep when there are several, then smooth and write each."""
+    call, in lockstep when there are several, then smooth and write each.
+    The jobs' inputs have the same file contents, so the first job's serve."""
     first = jobs[0]
-    ones = ShapeParams.ones(first.source.joint_count)
-    args = (first.seq, first.source, ones)
-    kwargs = dict(obj=first.obj, cfg=manifest.retarget, meshes=first.meshes)
     try:
-        if len(jobs) == 1:
-            results = [retarget_sequence(*args, first.bridge, first.shape, **kwargs)]
-        else:
-            results = retarget_sequence(*args, [job.bridge for job in jobs], [job.shape for job in jobs], **kwargs)
+        results = retarget_sequence(
+            first.seq, first.source, ShapeParams.ones(first.source.joint_count),
+            [job.bridge for job in jobs], [job.shape for job in jobs], first.obj, manifest.retarget,
+            meshes=first.meshes,
+        )
     except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
         results = [exc] * len(jobs)
     for job, result in zip(jobs, results):
