@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -188,13 +187,6 @@ def _laplacian_stiffness(mesh: InteractMesh, joint_count: int) -> tuple[np.ndarr
         joint_lap = (4.0 * owner - owner.sum(axis=2, keepdims=True)).reshape(joint_count, -1)
         stiffness = joint_lap @ joint_lap.T
     return source, stiffness
-
-
-@lru_cache(maxsize=8)
-def _scaled_identity(weight: float, size: int) -> np.ndarray:
-    identity = weight * np.eye(size)
-    identity.flags.writeable = False  # shared by every caller through the cache
-    return identity
 
 
 class FrameStack:
@@ -369,13 +361,14 @@ class FrameStack:
         quat_jac = 0.5 * np.array([quat_left_matrix(q) for q in x[:, 3:7]])[:, :, 1:] @ right_jac
         quat_jac_t = quat_jac.transpose(0, 2, 1)
         d = x - self.x_pred[take]
-        jtj = np.repeat(_scaled_identity(cfg.temporal_weight, xi.shape[1])[None], len(rows), axis=0)
+        jtj = np.repeat((cfg.temporal_weight * np.eye(xi.shape[1]))[None], len(rows), axis=0)
         jtj[:, 3:6, 3:6] = cfg.temporal_weight * (quat_jac_t @ quat_jac)
         jtr = cfg.temporal_weight * np.concatenate([d[:, :3], (quat_jac_t @ d[:, 3:7, None])[..., 0], d[:, 7:]],
                                                    axis=1)
         # fk_jac (m, 3J, 3J + 3), from the pass the loss made at x, for the
-        # targets with a mesh or gated feet
-        if kinematics is None:
+        # targets with a mesh or gated feet; the kept pass may cover other
+        # targets too, so whether one is needed comes from the rows alone
+        if self.mesh is None and not self._any_gated(rows):
             return jtj, jtr
         moved = slice(None) if self.mesh is not None else np.array([i for i, k in enumerate(rows) if self.gated[k]])
         rows, x = rows[moved], x[moved]
@@ -632,8 +625,9 @@ def retarget_sequence(
     one RetargetResult per target, or the exception that target raised, in
     order. Each target gets what a call with it alone returns, byte for
     byte, or the error such a call raises; one target's error leaves the
-    others running. Targets that share a joint tree and rest offsets (bridge
-    skeletons over one source, as the pipeline passes) are solved in
+    others running. The targets must share the first one's joint tree and
+    rest offsets, as the bridge skeletons over one source that the pipeline
+    passes do; a target that does not gets a DataError. They are solved in
     lockstep: each frame is one FrameStack, one K_lap and one stacked
     kinematics pass per request of `optim.lockstep_levenberg_marquardt`,
     whose every member takes its solo iterations. A target solved alone, as
@@ -650,14 +644,19 @@ def retarget_sequence(
     if len(shapes) != len(skeletons):
         raise DataError(f"{len(skeletons)} target skeletons with {len(shapes)} target shapes")
     results: list[RetargetResult | Exception | None] = [None] * len(skeletons)
-    groups: dict[bytes, list[int]] = {}
+    tree = None  # the first fitting target's joint tree, which the others must share
     for k, skeleton in enumerate(skeletons):
         if skeleton.joint_count != source_skeleton.joint_count:
             results[k] = DataError(
                 f"source has {source_skeleton.joint_count} joints, target has {skeleton.joint_count}"
             )
-        else:
-            groups.setdefault(skeleton.parents.tobytes() + skeleton.rest_offsets.tobytes(), []).append(k)
+        elif tree is None:
+            tree = skeleton
+        elif not (np.array_equal(skeleton.parents, tree.parents)
+                  and np.array_equal(skeleton.rest_offsets, tree.rest_offsets)):
+            results[k] = DataError(
+                f"target {k} has another joint tree or rest offsets than the first target; retarget it alone"
+            )
     if not several and results[0] is not None:
         raise results[0]
     frames = source_seq.frame_count
@@ -671,11 +670,11 @@ def retarget_sequence(
     source = np.concatenate(
         [source_seq.root_pos, source_seq.root_rot, source_seq.joint_rots.reshape(frames, -1)], axis=1
     )
-    for members in groups.values():
-        outcomes = _retarget_targets(source_seq, source, src_joints, [skeletons[k] for k in members],
-                                     [shapes[k] for k in members], meshes, cfg)
-        for k, outcome in zip(members, outcomes):
-            results[k] = outcome
+    members = [k for k, error in enumerate(results) if error is None]
+    outcomes = _retarget_targets(source_seq, source, src_joints, [skeletons[k] for k in members],
+                                 [shapes[k] for k in members], meshes, cfg)
+    for k, outcome in zip(members, outcomes):
+        results[k] = outcome
 
     empty = sum(1 for m in meshes if m is None)
     if frames and empty / frames > 0.5:

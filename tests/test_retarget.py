@@ -21,6 +21,7 @@ from retargetkit.optim import OptimizerConfig, levenberg_marquardt
 from retargetkit.retarget import (
     FrameContext,
     FrameModel,
+    FrameStack,
     RetargetConfig,
     build_frame_meshes,
     eval_objective,
@@ -39,6 +40,7 @@ from conftest import (
     central_difference,
     empty_circumsphere_ok,
     held_box_motion,
+    make_box,
     make_chain,
     make_humanoid,
     partner_motion,
@@ -243,8 +245,6 @@ class TestRetargetSequence:
             obj_rot=seq.obj_rot,
         )
         shape = ShapeParams.ones(humanoid.joint_count)
-        from conftest import make_box
-
         with pytest.warns(UserWarning, match="degenerate"):
             result = retarget_sequence(
                 far, humanoid, shape, humanoid, shape, make_box(), self._quick_cfg()
@@ -276,20 +276,46 @@ class TestSeveralTargets:
             (humanoid, ShapeParams(bone_scales=np.full(n, 1.2))),
             (make_humanoid(q_limit=0.3), ShapeParams(bone_scales=np.linspace(0.9, 1.2, n))),
             (replace(humanoid, foot_joints=frozenset({16})), ShapeParams(bone_scales=np.full(n, 0.9))),
-            (replace(humanoid, rest_offsets=humanoid.rest_offsets * 1.15), ones),  # another tree: solved on its own
             (make_chain(4), ShapeParams.ones(4)),
+            (replace(humanoid, rest_offsets=humanoid.rest_offsets * 1.15), ones),  # another tree
         ]
         cfg = RetargetConfig()
         together = retarget_sequence(seq, humanoid, ones, [t[0] for t in targets], [t[1] for t in targets], box, cfg)
-        assert isinstance(together[-1], DataError) and "joints" in str(together[-1])
+        assert isinstance(together[-2], DataError) and "joints" in str(together[-2])
+        assert isinstance(together[-1], DataError) and "another joint tree" in str(together[-1])
+        iterations = self._check_solo(seq, humanoid, box, cfg, targets[:-2], together)
+        assert len(iterations) == 3
+
+    def test_frames_without_a_mesh(self, humanoid):
+        # a tight proximity gate leaves frames 0 and 3 without a mesh; there a
+        # footed target's kept pass must not serve a footless one that has
+        # further steps to take (its velocity limits bind)
+        seq = held_box_motion(humanoid, frames=6, amplitude=0.2)
+        n = humanoid.joint_count
+        ones = ShapeParams.ones(n)
+        targets = [
+            (humanoid, ShapeParams(bone_scales=np.full(n, 1.2))),
+            (replace(make_humanoid(v_limit=1.0), foot_joints=frozenset()), ShapeParams(bone_scales=np.full(n, 0.9))),
+        ]
+        cfg = RetargetConfig(temporal_weight=5.0, retention=RetentionRule(proximity_gate=0.15))
+        box = make_box()
+        together = retarget_sequence(seq, humanoid, ones, [t[0] for t in targets], [t[1] for t in targets], box, cfg)
+        self._check_solo(seq, humanoid, box, cfg, targets, together)
+        assert [f.mesh_empty for f in together[0].per_frame_losses] == [True, False, False, True, False, False]
+        assert together[0].per_frame_losses[3].iterations < together[1].per_frame_losses[3].iterations
+
+    def _check_solo(self, seq, source, box, cfg, targets, together):
+        """Assert each target's lockstep result is its solo one; return the
+        solo runs' iteration counts."""
+        ones = ShapeParams.ones(source.joint_count)
         iterations = set()
-        for (skeleton, shape), joint in zip(targets[:-1], together):
-            alone = retarget_sequence(seq, humanoid, ones, skeleton, shape, box, cfg)
+        for (skeleton, shape), joint in zip(targets, together):
+            alone = retarget_sequence(seq, source, ones, skeleton, shape, box, cfg)
             for name in ("root_pos", "root_rot", "joint_rots"):
                 assert getattr(joint.sequence, name).tobytes() == getattr(alone.sequence, name).tobytes()
             assert joint.per_frame_losses == alone.per_frame_losses
             iterations.add(alone.iterations)
-        assert len(iterations) == 4
+        return iterations
 
     def test_shapes_must_pair_with_skeletons(self, humanoid, box):
         seq = held_box_motion(humanoid, frames=2)
@@ -672,3 +698,22 @@ class TestKinematicsReuse:
         assert set(normal_calls) <= set(points)  # the normal equations come at evaluated points
         distinct = sum(1 for k, p in enumerate(points) if k == 0 or p != points[k - 1])
         assert len(passes) == distinct
+
+    def test_pass_kept_for_a_footed_target_without_a_mesh(self, humanoid, rng):
+        # without a mesh, the two targets' losses share one pass, which only
+        # the footed target's slide term needs; the footless target's normal
+        # equations then equal its own frame's
+        seq = held_box_motion(humanoid, frames=3)
+        n = humanoid.joint_count
+        x = pose_to_vector(motion_frame_pose(seq, 1))
+        x_prev = np.stack([x, x])
+        xi = tangent_vector(x_prev)
+        xi += rng.normal(0.0, 0.05, size=xi.shape)
+        skeletons = [humanoid, replace(humanoid, foot_joints=frozenset())]
+        shapes = [ShapeParams.ones(n), ShapeParams(bone_scales=np.full(n, 1.1))]
+        contexts = [FrameContext(dt=seq.dt, slide_feet=(16, 19)), FrameContext(dt=seq.dt)]
+        stack = FrameStack(skeletons, shapes, x_prev, contexts, None, self.CFG)
+        stack.loss(np.array([0, 1]), xi)
+        jtj, jtr = stack.normal_equations(np.array([1]), xi[1:])
+        alone = FrameModel(skeletons[1], shapes[1], x, contexts[1], None, self.CFG)
+        assert all(np.array_equal(a[0], b) for a, b in zip((jtj, jtr), alone.normal_equations(xi[1])))
