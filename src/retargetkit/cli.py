@@ -482,17 +482,17 @@ def _cmd_mesh_inspect(args) -> int:
     if not 0 <= t < seq.frame_count:
         raise DataError(f"frame {t} outside [0, {seq.frame_count})")
 
-    # frame t as retargeting meshes it: built along frames 0..t, each
-    # offering its topology to the next, from the object's seed
-    def head(motion: MotionSequence) -> MotionSequence:
+    # frame t as retargeting meshes it: a frame's mesh depends on that frame
+    # alone, built from the object's seed
+    def frame(motion: MotionSequence) -> MotionSequence:
         return replace(motion, contacts=None, **{
-            k: getattr(motion, k)[: t + 1] for k in ("root_pos", "root_rot", "joint_rots", "obj_pos", "obj_rot")})
+            k: getattr(motion, k)[t: t + 1] for k in ("root_pos", "root_rot", "joint_rots", "obj_pos", "obj_rot")})
 
     cfg = RetargetConfig(retention=_retention_rule(args), max_object_vertices=args.max_object_vertices)
     reasons: dict[int, str] = {}
-    mesh = source_meshes(head(seq), skeleton, ShapeParams.ones(skeleton.joint_count), obj, cfg,
-                         second_seq=None if second is None else head(second), empty_reasons=reasons)[t]
-    doc = {"empty": True, "reason": reasons[t]} if mesh is None else mesh_to_dict(mesh)
+    mesh = source_meshes(frame(seq), skeleton, ShapeParams.ones(skeleton.joint_count), obj, cfg,
+                         second_seq=None if second is None else frame(second), empty_reasons=reasons)[0]
+    doc = {"empty": True, "reason": reasons[0]} if mesh is None else mesh_to_dict(mesh)
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 

@@ -4,36 +4,37 @@ object vertices, with per-tetrahedron Laplacian coordinates.
 The tetrahedralizer is an incremental Bowyer-Watson (Bowyer 1981, Watson
 1981) with a super-tetrahedron. Cells live in preallocated arrays with an
 alive mask. Inserting a point kills the cells whose circumsphere holds it
-(the cavity) and joins the cavity's boundary faces, found by integer face keys
-and np.unique counts, to the new point; the new cells take the freed slots,
-and only they get circumspheres and point-at-infinity planes computed. The
-in-sphere tests run on those cached circumcenters/radii in double precision,
-and an insertion's ties on point-at-infinity planes go to one batched
-in-circle test. After stripping the super vertices the result is self-checked
-(no input point strictly inside any surviving circumsphere at 1e-9 relative,
-boundary faces on the convex hull) and rebuilt with a larger super-tetrahedron
-if the check fails. The checks work on (tetrahedra x points) blocks of bounded size.
-
-Motion is smooth, so a frame's Delaunay topology usually still holds at the
-next frame. delaunay3d takes the previous result as a hint and returns it when
-it passes the same self-checks on the new coordinates, which certifies it as
-a Delaunay tetrahedralization of them; otherwise it builds afresh. Where the
-Delaunay tetrahedralization is unique the two agree. build_frame_meshes
-hands each frame's full topology to the next while the gated point set is
-unchanged.
+(the cavity) and joins the cavity's boundary faces, found by sorting integer
+face keys, to the new point; the new cells take the freed slots, and only
+they get circumspheres and point-at-infinity planes computed. The in-sphere
+tests run on those cached circumcenters/radii in double precision, and an
+insertion's ties on point-at-infinity planes go to one batched in-circle
+test. After stripping the super vertices the result is self-checked (no
+input point strictly inside any surviving circumsphere at 1e-9 relative,
+boundary faces on the convex hull) and rebuilt with a larger
+super-tetrahedron if the check fails. The checks work on (tetrahedra x
+points) blocks of bounded size.
 
 The object is rigid, and a rigid motion leaves Delaunay topology unchanged.
 When the caller gives the object's pose, build_interact_mesh triangulates
 the cloud in the object's frame, where the object's vertices never move. A
 DelaunaySeed holds the Bowyer-Watson state with only those vertices
-inserted, built once per clip on first use, and a fresh build copies it and
-inserts just the agents' joints. One insertion loop serves both builds: a
-build of all the points starts from the empty seed, the super-tetrahedron
-alone. delaunay3d tries, in order, the certified hint, the seeded build
-(checked by the same self-checks) and the fresh build with its escalating
+inserted, built once per clip on first use, and a seeded build copies it and
+inserts just the agents' joints. delaunay3d tries the seeded build (checked
+by the same self-checks), then the fresh build with its escalating
 super-tetrahedron margin. Where ties leave the tetrahedralization non-unique
 (cospherical box vertices), object-first insertion may break them
 differently from a build in input order; both are Delaunay.
+
+A frame's tetrahedralization depends on that frame alone, so the frames of
+a clip are independent builds. One store holds several disjoint
+triangulations, each with its own vertex block and super vertices, and
+inserts one point into each per step; every test on a cell uses only its
+own triangulation's data, so each ends as it would alone. A DelaunaySeed
+given the clip's clouds builds them in lockstep, _LOCKSTEP_CHUNK at a time,
+and self-checks each chunk together; one insertion loop serves every build,
+a build alone being a lockstep of one, and a build of all the points
+starting from the empty seed, the super-tetrahedron alone.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ DEGENERATE_VOLUME = 1e-9  # m^3
 # the four faces of a tetrahedron (a, b, c, d), as corner positions
 _FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 _CHECK_BLOCK = 1 << 13  # elements per (rows x points) temporary in the checks
+_LOCKSTEP_CHUNK = 32  # clouds per lockstep Bowyer-Watson pass: bounds its arrays
 _MARGIN = 1e3  # super-tetrahedron insphere radius over the points' radius, first try
 # unit directions from a super-tetrahedron's center to its vertices
 _SUPER_DIRS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) / np.sqrt(3)
@@ -106,9 +108,12 @@ def _circumspheres(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rel = p[:, 1:] - p[:, 0:1]  # (k, 3, 3)
     mat = 2.0 * rel
     rhs = np.einsum("kij,kij->ki", rel, rel)
-    good = np.abs(np.linalg.det(mat)) > 1e-300
-    sol = np.full((len(p), 3), np.inf)
-    sol[good] = np.linalg.solve(mat[good], rhs[good][..., None])[..., 0]
+    try:
+        sol = np.linalg.solve(mat, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # a singular matrix: solve the others alone
+        good = np.abs(np.linalg.det(mat)) > 1e-300
+        sol = np.full((len(p), 3), np.inf)
+        sol[good] = np.linalg.solve(mat[good], rhs[good][..., None])[..., 0]
     rad2 = np.einsum("ki,ki->k", sol, sol)
     finite = np.isfinite(rad2)  # then the centre is finite too
     rad2[~finite] = np.inf
@@ -176,19 +181,30 @@ def _inside_super(points: np.ndarray, super_vertices: np.ndarray) -> bool:
     return bool(np.all((points - center) @ _SUPER_DIRS.T > -reach))
 
 
-def _boundary_faces(tets: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+def _boundary_faces(tets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The faces of (M, 4) tetrahedra over n vertices that one tetrahedron
-    owns, each face's indices ascending, and the most tetrahedra sharing a face."""
-    faces = np.sort(tets[:, _FACES], axis=2).reshape(-1, 3)
-    keys = (faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2]
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    return faces[first[counts == 1]], int(counts.max(initial=0))
+    owns, and those that more than two share; each face's indices ascending,
+    faces in ascending order."""
+    a, b, c = tets[:, _FACES].reshape(-1, 3).T
+    low, high = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    keys = (low * n + (a + b + c - low - high)) * n + high
+    # np.unique's counts, from one stable sort
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    counts = np.diff(starts, append=len(keys))
+
+    def faces(first):
+        lo, hi = low[first], high[first]
+        return np.column_stack([lo, a[first] + b[first] + c[first] - lo - hi, hi])
+
+    return faces(order[starts[counts == 1]]), faces(order[starts[counts > 2]])
 
 
 def _in_circumcircles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Whether p lies within 1e-12 relative in the circumcircle of each
-    triangle (a, b, c), as (k, 3) corner rows: a 2x2 Gram solve in its plane,
-    row by row as for one triangle alone. Collinear triangles hold nothing."""
+    """Whether each row of p (or p itself) lies within 1e-12 relative in the
+    circumcircle of its triangle (a, b, c), as (k, 3) corner rows: a 2x2 Gram
+    solve in its plane, row by row as for one triangle alone. Collinear
+    triangles hold nothing."""
     ab, ac = b - a, c - a
     g11, g12, g22 = row_dots(ab, ab), row_dots(ab, ac), row_dots(ac, ac)
     det = g11 * g22 - g12 * g12
@@ -203,33 +219,44 @@ def _in_circumcircles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
 
 
 class _TetStore:
-    """Bowyer-Watson state: tetrahedra in preallocated arrays, plus the data
-    their in-sphere predicate needs, computed once when a cell is created.
+    """Bowyer-Watson state of K disjoint triangulations (components) in one
+    set of arrays: tetrahedra in preallocated arrays, plus the data their
+    in-sphere predicate needs, computed once when a cell is created.
 
-    coords holds the n_input inserted points, then the four super vertices.
-    Slots [0, size) are in use; `alive` marks the cells of the current
-    triangulation. An insertion kills its cavity and writes the new cells
-    into the freed slots first, so the arrays hardly grow.
+    coords holds each component's block of vertices in turn: its points, then
+    its four super vertices, the first of which is supers[c]; owner maps a
+    vertex to its component and comp a cell to its. Slots [0, size) are in
+    use; `alive` marks the cells of the current triangulations. An insertion
+    step kills its cavities and writes the new cells into the freed slots
+    first, so the arrays hardly grow.
 
     Cells with exactly one super vertex use the point-at-infinity predicate:
     a point is inside the (limit) circumsphere iff it lies strictly on the
     super side of the plane through the three finite vertices, with coplanar
     ties resolved by the in-circle test on that face, one batch for all of a
-    point's tied cells. All other cells use the numeric circumsphere. This
+    step's tied cells. All other cells use the numeric circumsphere. This
     keeps hull coverage independent of where the finite super vertices sit.
     A cavity's boundary is its faces with one owner (integer face keys,
-    np.unique counts); each new cell is such a face, ascending, then the point.
+    sorted and counted); each new cell is such a face, ascending, then the point.
+    Components share no vertex, so no face key is shared between them, and
+    every test on a cell uses only its own component's data: each component
+    ends as it would alone.
     """
 
-    _ARRAYS = ("tets", "alive", "centers", "rad2", "sym", "normals", "faces")
+    _ARRAYS = ("tets", "alive", "comp", "centers", "rad2", "sym", "normals", "faces")
 
     def __init__(self, super_vertices: np.ndarray):
-        """The empty seed: no point yet, one cell, the super-tetrahedron."""
+        """The empty seed: one component, no point yet, one cell, the
+        super-tetrahedron."""
         self.coords = np.asarray(super_vertices, dtype=float)
-        self.n_input = 0
+        self.bases = np.zeros(1, dtype=int)  # each component's first vertex
+        self.supers = np.zeros(1, dtype=int)  # each component's first super vertex
+        self.owner = np.zeros(4, dtype=int)
+        self.failed = np.zeros(1, dtype=bool)
         self.size = 0
         self.tets = np.zeros((1, 4), dtype=int)
         self.alive = np.zeros(1, dtype=bool)
+        self.comp = np.zeros(1, dtype=int)
         self.centers = np.zeros((1, 3))
         self.rad2 = np.zeros(1)
         self.sym = np.zeros(1, dtype=bool)
@@ -245,35 +272,61 @@ class _TetStore:
             new[: self.size] = old
             setattr(self, name, new)
 
-    def extended(self, points: np.ndarray) -> "_TetStore":
-        """A copy of this state with points inserted, in order, after the
-        ones it holds; this state is left as it was.
+    def extended(self, point_sets) -> "_TetStore":
+        """K copies of this one-component state, copy c with point_sets[c]
+        inserted in order after the points it holds; this state is left as
+        it was.
 
-        The new points take the indices before the super vertices, so every
-        super index shifts up by len(points).
+        The copies are built in lockstep: step j inserts point j of every
+        copy that has one. A copy whose point lies in no circumsphere stops
+        there and is marked in `failed`; the others go on. In copy c the new
+        points take the indices before its super vertices.
         """
-        k, n = len(points), self.n_input
+        n = int(self.supers[0])
+        counts = np.array([len(p) for p in point_sets], dtype=int)
+        blocks = n + counts + 4
         out = copy.copy(self)
-        out.coords = np.vstack([self.coords[:n], points, self.coords[n:]])
-        out.n_input = n + k
+        out.coords = np.vstack([np.vstack([self.coords[:n], p, self.coords[n:]]) for p in point_sets])
+        out.bases = np.cumsum(blocks) - blocks
+        out.supers = out.bases + n + counts
+        out.owner = np.repeat(np.arange(len(counts)), blocks)
+        out.failed = np.zeros(len(counts), dtype=bool)
+        k, live = len(counts), np.nonzero(self.alive[: self.size])[0]
         # each insertion into a ball-shaped cavity adds two cells net
-        out._reallocate(self.size + 2 * k + 16)
-        out.tets[: out.size][out.tets[: out.size] >= n] += k
-        for i in range(n, n + k):
-            out.insert(i)
+        out.size = 0
+        out._reallocate(k * (len(live) + 16) + 2 * int(counts.sum()))
+        out.size = k * len(live)
+        for name in self._ARRAYS:
+            rows = getattr(self, name)[live]
+            getattr(out, name)[: out.size] = np.tile(rows, (k,) + (1,) * (rows.ndim - 1))
+        # vertex v of this state is vertex v of each copy's block, the super
+        # vertices moved up past the new points
+        shift = np.repeat(out.bases, len(live))[:, None]
+        tets = out.tets[: out.size]
+        tets += shift + np.where(tets >= n, np.repeat(counts, len(live))[:, None], 0)
+        out.faces[: out.size] += shift  # finite vertices only
+        out.comp[: out.size] = np.repeat(np.arange(k), len(live))
+        for j in range(counts.max(initial=0)):
+            active = np.nonzero((counts > j) & ~out.failed)[0]
+            out.insert(active, out.bases[active] + n + j)
         return out
 
-    def insert(self, i: int) -> None:
-        """Bowyer-Watson step: replace the cells whose circumsphere holds
-        point i by the cone from i over the cavity's boundary."""
-        cavity = np.nonzero(self.inside(self.coords[i]))[0]
-        if len(cavity) == 0:
-            # the tetrahedra tile the super-tetrahedron, so every inserted
-            # point sits inside at least one circumsphere
-            raise DataError("point outside triangulation; input may be degenerate")
-        boundary, _ = _boundary_faces(self.tets[cavity], len(self.coords))
-        # the face, then i: a cell's plane and sphere arithmetic follow its vertex order
-        self.refill(cavity, np.column_stack([boundary, np.full(len(boundary), i)]))
+    def insert(self, comps: np.ndarray, points: np.ndarray) -> None:
+        """One Bowyer-Watson step in each component comps[k]: replace its
+        cells whose circumsphere holds point points[k] by the cone from that
+        point over the cavity's boundary."""
+        at = np.full(len(self.supers), -1)
+        at[comps] = points
+        cavity = np.nonzero(self.inside(at))[0]
+        # the tetrahedra tile the super-tetrahedron, so every inserted point
+        # sits inside at least one circumsphere; a component whose point does
+        # not (degenerate input) fails, and takes no further point
+        hit = np.zeros(len(self.supers), dtype=bool)
+        hit[self.comp[cavity]] = True
+        self.failed[comps[~hit[comps]]] = True
+        boundary = _boundary_faces(self.tets[cavity], len(self.coords))[0]
+        # the face, then the point: a cell's plane and sphere arithmetic follow its vertex order
+        self.refill(cavity, np.column_stack([boundary, at[self.owner[boundary[:, 0]]]]))
 
     def refill(self, cavity: np.ndarray, new: np.ndarray) -> None:
         """Kill the cavity's cells and store the new ones, freed slots first.
@@ -289,9 +342,12 @@ class _TetStore:
             slots = cavity[: len(new)]
         self.tets[slots] = new
         self.alive[slots] = True
-        self.centers[slots], self.rad2[slots] = _circumspheres(self.coords[new])
-        # super vertices have the highest indices: a cell with exactly one holds it third
-        sym = (new[:, 2] >= self.n_input) & (new[:, 1] < self.n_input)
+        comp = self.owner[new[:, 0]]
+        self.comp[slots] = comp
+        self.centers[slots], self.rad2[slots] = _circumspheres(self.coords.take(new, axis=0))
+        # super vertices have the highest indices of their block: a cell with exactly one holds it third
+        first_super = self.supers[comp]
+        sym = (new[:, 2] >= first_super) & (new[:, 1] < first_super)
         self.sym[slots] = sym
         if not np.any(sym):
             return
@@ -305,38 +361,50 @@ class _TetStore:
         self.normals[slots[sym]] = normal
         self.faces[slots[sym]] = fin
 
-    def inside(self, p: np.ndarray) -> np.ndarray:
+    def inside(self, at: np.ndarray) -> np.ndarray:
+        """Per slot, whether the cell is alive and holds point at[c] of its
+        component c in its circumsphere (at[c] < 0: component c takes no point)."""
         # Ties (cospherical/cocircular within round-off) count as inside, so
         # the newest point consistently re-triangulates degenerate shells
         # instead of leaving contradictory diagonals behind.
         m = self.size
-        alive, sym = self.alive[:m], self.sym[:m]
+        point = at.take(self.comp[:m])
+        alive, sym = self.alive[:m] & (point >= 0), self.sym[:m]
+        p = self.coords.take(point, axis=0)  # take: a faster row gather than indexing
         diff = self.centers[:m] - p
         out = np.einsum("kj,kj->k", diff, diff) <= self.rad2[:m] * (1.0 + 1e-12)
         out &= alive & ~sym
         sym_idx = np.nonzero(alive & sym)[0]
         if len(sym_idx):
-            normals = self.normals[sym_idx]
-            d = p - self.coords[self.faces[sym_idx, 0]]
+            normals, p = self.normals.take(sym_idx, axis=0), p.take(sym_idx, axis=0)
+            d = p - self.coords.take(self.faces[:, 0].take(sym_idx), axis=0)
             val = np.einsum("kj,kj->k", normals, d)
             scale = np.linalg.norm(normals, axis=1) * (np.linalg.norm(d, axis=1) + 1e-30)
             tol = 1e-12 * scale
             out[sym_idx] = val > tol
-            tied = sym_idx[np.abs(val) <= tol]
-            if len(tied):
-                a, b, c = (self.coords[v] for v in self.faces[tied].T)
-                out[tied] = _in_circumcircles(p, a, b, c)
+            tied = np.abs(val) <= tol
+            if np.any(tied):
+                a, b, c = (self.coords[v] for v in self.faces[sym_idx[tied]].T)
+                out[sym_idx[tied]] = _in_circumcircles(p[tied], a, b, c)
         return out
 
-    def finite_cells(self) -> np.ndarray:
-        cells = self.tets[: self.size][self.alive[: self.size]]
-        return cells[cells.max(axis=1) < self.n_input]
+    def finite_cells(self) -> list[np.ndarray | None]:
+        """Per component, its cells without a super vertex as indices into
+        its own block; None for a failed component."""
+        m = self.size
+        cells, comp = self.tets[:m], self.comp[:m]
+        keep = self.alive[:m] & (cells.max(axis=1) < self.supers[comp])
+        cells, comp = cells[keep], comp[keep]
+        order = np.argsort(comp, kind="stable")
+        cells, comp = cells[order] - self.bases[comp[order], None], comp[order]
+        parts = np.split(cells, np.searchsorted(comp, np.arange(1, len(self.supers))))
+        return [None if failed else part for part, failed in zip(parts, self.failed)]
 
 
-def _triangulation(points: np.ndarray, store: _TetStore, order: np.ndarray) -> np.ndarray:
-    """The store's finite cells as canonical indices into points, where the
-    store's point k is points[order[k]]."""
-    final = order[store.finite_cells()]
+def _triangulation(points: np.ndarray, cells: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Finite cells as canonical indices into points, where the cells'
+    point k is points[order[k]]."""
+    final = order[cells]
     if len(final):
         # cospherical shells can leave flat slivers behind; they carry no
         # volume and an unbounded circumsphere, so drop them
@@ -347,8 +415,10 @@ def _triangulation(points: np.ndarray, store: _TetStore, order: np.ndarray) -> n
 def _bowyer_watson(points: np.ndarray, margin: float) -> np.ndarray:
     """A fresh build: every point inserted, in input order, into the empty
     seed of a super-tetrahedron sized from the points."""
-    store = _TetStore(_super_tetrahedron(points, margin)).extended(points)
-    return _triangulation(points, store, np.arange(len(points)))
+    (cells,) = _TetStore(_super_tetrahedron(points, margin)).extended([points]).finite_cells()
+    if cells is None:
+        raise DataError("point outside triangulation; input may be degenerate")
+    return _triangulation(points, cells, np.arange(len(points)))
 
 
 def _canonical(tets: np.ndarray) -> np.ndarray:
@@ -357,80 +427,82 @@ def _canonical(tets: np.ndarray) -> np.ndarray:
     return tets[np.lexsort(tets.T[::-1])]
 
 
-def _empty_circumsphere_violation(points: np.ndarray, tets: np.ndarray) -> bool:
-    if len(tets) == 0:
-        return False
-    centers, rad2 = _circumspheres(points[tets])
-    if not np.all(np.isfinite(rad2)):
-        return True  # a surviving degenerate tetrahedron is itself a violation
-    rad = np.sqrt(rad2)
-    for rows in _row_blocks(len(tets), len(points)):
+def _self_check_failures(clouds: list[np.ndarray], tets: list[np.ndarray]) -> np.ndarray:
+    """Per cloud, whether its tetrahedra fail the self-checks: an empty set,
+    a point strictly inside a circumsphere (1e-9 relative) or a degenerate
+    tetrahedron, or tetrahedra that do not tile the convex hull.
+
+    The clouds are checked together, each padded to the widest with NaN
+    points, which no comparison counts; every cloud's numbers are the ones
+    it would get alone.
+    """
+    k, width = len(clouds), max(len(p) for p in clouds)
+    axes = np.full((3, k, width), np.nan)  # axes[i, c, j]: coordinate i of point j of cloud c
+    for c, p in enumerate(clouds):
+        axes[:, c, : len(p)] = p.T
+    counts = np.array([len(t) for t in tets])
+    comp = np.repeat(np.arange(k), counts)
+    cells = np.concatenate(tets)
+    failed = counts == 0
+    _circumsphere_violations(axes, cells, comp, failed)
+    _coverage_violations(clouds, axes, cells, comp, failed)
+    return failed
+
+
+def _circumsphere_violations(axes, cells, comp, failed) -> None:
+    """Marks in failed the clouds with a point strictly inside a
+    circumsphere of one of their tetrahedra, or a degenerate tetrahedron."""
+    if len(cells) == 0:
+        return
+    corners = np.stack([axes[i][comp[:, None], cells] for i in range(3)], axis=2)
+    centers, rad2 = _circumspheres(corners)
+    finite = np.isfinite(rad2)
+    failed[comp[~finite]] = True  # a surviving degenerate tetrahedron is itself a violation
+    rad = np.sqrt(np.where(finite, rad2, np.nan))
+    for rows in _row_blocks(len(cells), axes.shape[2]):
         # depth (r - d) / r of every point in every sphere, computed in place
-        depth = _sq_distances(centers[rows], points)
+        owner = comp[rows]
+        depth = np.zeros((len(owner), axes.shape[2]))
+        diff = np.empty_like(depth)
+        for i in range(3):
+            np.subtract(centers[rows, i, None], axes[i].take(owner, axis=0), out=diff)
+            diff *= diff
+            depth += diff
         np.sqrt(depth, out=depth)
         r = rad[rows, None]
         np.subtract(r, depth, out=depth)
         depth /= r
         inside = depth > INSPHERE_REL_TOL
-        inside[np.arange(len(depth))[:, None], tets[rows]] = False  # corners are on the sphere
-        if np.any(inside):
-            return True
-    return False
+        inside[np.arange(len(depth))[:, None], cells[rows]] = False  # corners are on the sphere
+        failed[owner[inside.any(axis=1)]] = True
 
 
-def _coverage_violation(points: np.ndarray, tets: np.ndarray) -> bool:
-    """True when the tetrahedra fail to tile the convex hull.
+def _coverage_violations(clouds, axes, cells, comp, failed) -> None:
+    """Marks in failed the clouds whose tetrahedra fail to tile the convex hull.
 
     The finite triangulation tiles conv(points) exactly when each of its
     boundary faces (faces owned by a single tetrahedron) is a hull face, i.e.
     no point lies strictly on its outer side, and no face is shared by more
     than two tetrahedra.
     """
-    if len(tets) == 0:
-        return True
-    n = len(points)
-    boundary, shared = _boundary_faces(tets, n)
-    if shared > 2:
-        return True
-    a = points[boundary[:, 0]]
-    normal = _cross(points[boundary[:, 1]] - a, points[boundary[:, 2]] - a)
-    tol = 1e-9 * np.linalg.norm(normal, axis=1) * _extent(points)
-    for rows in _row_blocks(len(boundary), n):
-        base, nrm = a[rows], normal[rows]
-        side = np.zeros((len(base), n))
+    width = axes.shape[2]
+    boundary, crowded = _boundary_faces(cells + (comp * width)[:, None], len(clouds) * width)
+    failed[crowded[:, 0] // width] = True
+    owner = boundary[:, 0] // width
+    boundary = boundary - (owner * width)[:, None]
+    a, b, c = (np.stack([axes[i][owner, boundary[:, j]] for i in range(3)], axis=1) for j in range(3))
+    normal = _cross(b - a, c - a)
+    extents = np.array([_extent(p) for p in clouds])
+    tol = 1e-9 * np.linalg.norm(normal, axis=1) * extents[owner]
+    for rows in _row_blocks(len(boundary), width):
+        side = np.zeros((len(owner[rows]), width))
         term = np.empty_like(side)
-        for axis in range(3):
-            np.subtract(points[None, :, axis], base[:, axis, None], out=term)
-            term *= nrm[:, axis, None]
+        for i in range(3):
+            np.subtract(axes[i].take(owner[rows], axis=0), a[rows, i, None], out=term)
+            term *= normal[rows, i, None]
             side += term
         t = tol[rows, None]
-        if np.any(np.any(side > t, axis=1) & np.any(side < -t, axis=1)):
-            return True
-    return False
-
-
-def _passes_self_checks(points: np.ndarray, tets: np.ndarray) -> bool:
-    return not _empty_circumsphere_violation(points, tets) and not _coverage_violation(points, tets)
-
-
-def _certified_hint(points: np.ndarray, hint) -> np.ndarray | None:
-    """The hint in canonical order when it is a valid result for points, else None.
-
-    Valid means what a fresh build guarantees: integer (M, 4) indices, every
-    point a vertex, no repeated or flat tetrahedron, and the self-checks pass.
-    """
-    tets = np.asarray(hint)
-    n = len(points)
-    if tets.ndim != 2 or tets.shape[1] != 4 or len(tets) == 0 or tets.dtype.kind not in "iu":
-        return None
-    if tets.min() < 0 or tets.max() >= n or not np.all(np.bincount(tets.ravel(), minlength=n)):
-        return None
-    tets = _canonical(tets.astype(int))
-    if np.any(np.all(tets[1:] == tets[:-1], axis=1)):
-        return None
-    if np.any(np.abs(tet_volumes(points, tets)) <= 1e-12 * _extent(points) ** 3):
-        return None
-    return tets if _passes_self_checks(points, tets) else None
+        failed[owner[rows][np.any(side > t, axis=1) & np.any(side < -t, axis=1)]] = True
 
 
 class DelaunaySeed:
@@ -438,45 +510,77 @@ class DelaunaySeed:
     object's own frame.
 
     A rigid motion leaves Delaunay topology unchanged, so a clip whose
-    clouds are triangulated in the object's frame can start every fresh
-    build from the object's vertices already inserted, and insert only the
-    agents' joints. The state is built on first use, once, inside a
+    clouds are triangulated in the object's frame can start every build from
+    the object's vertices already inserted, and insert only the agents'
+    joints. The state is built on first use, once, inside a
     super-tetrahedron sized from the object; each build copies it.
+
+    clouds are the joints, object frame, of the clip's clouds (each cloud is
+    its joints, then the vertices). The first time one of them is asked for,
+    the builds of its chunk of _LOCKSTEP_CHUNK clouds run as one lockstep
+    pass; any other cloud is built alone.
     """
 
-    def __init__(self, vertices):
+    def __init__(self, vertices, clouds=()):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 3)
+        clouds = [np.asarray(c, dtype=float).reshape(-1, 3) for c in clouds]
+        self._chunks = [clouds[lo: lo + _LOCKSTEP_CHUNK] for lo in range(0, len(clouds), _LOCKSTEP_CHUNK)]
+        self._waiting = {c.tobytes(): k for k, chunk in enumerate(self._chunks) for c in chunk}
+        self._built: dict[bytes, np.ndarray | None] = {}
 
     @functools.cached_property
     def store(self) -> _TetStore | None:
         """The state (None when the object's vertices cannot seed a build)."""
-        try:
-            return _TetStore(_super_tetrahedron(self.vertices, _MARGIN)).extended(self.vertices)
-        except DataError:
-            return None
+        store = _TetStore(_super_tetrahedron(self.vertices, _MARGIN)).extended([self.vertices])
+        return None if store.failed[0] else store
+
+    def tetrahedralization(self, joints: np.ndarray) -> np.ndarray | None:
+        """delaunay3d's result for the cloud of joints then the seed's
+        vertices, built from the seed's state; None when that build fails (a
+        joint outside the seed's super-tetrahedron or in no circumsphere, or
+        the self-checks)."""
+        key = joints.tobytes()
+        if key not in self._built:
+            chunk = self._waiting.get(key)
+            clouds = [joints] if chunk is None else self._chunks[chunk]
+            for cloud, tets in zip(clouds, self._lockstep(clouds)):
+                self._built[cloud.tobytes()] = tets
+                self._waiting.pop(cloud.tobytes(), None)
+        return self._built.pop(key)
+
+    def _lockstep(self, clouds: list[np.ndarray]) -> list[np.ndarray | None]:
+        """The builds of the clouds, one lockstep pass, self-checked together."""
+        out: list[np.ndarray | None] = [None] * len(clouds)
+        store = self.store
+        if store is None:
+            return out
+        supers = store.coords[store.supers[0]:]
+        batch = [k for k, c in enumerate(clouds) if _inside_super(c, supers)]
+        if not batch:
+            return out
+        built = [(k, cells) for k, cells in zip(batch, store.extended([clouds[k] for k in batch]).finite_cells())
+                 if cells is not None]
+        if not built:
+            return out
+        points = [np.vstack([clouds[k], self.vertices]) for k, _ in built]
+        # the cells hold the seed's vertices first, then the joints
+        tets = [_triangulation(p, cells, np.roll(np.arange(len(p)), -len(clouds[k])))
+                for p, (k, cells) in zip(points, built)]
+        for (k, _), t, failed in zip(built, tets, _self_check_failures(points, tets)):
+            out[k] = None if failed else t
+        return out
 
 
 def _seeded(points: np.ndarray, seed: DelaunaySeed) -> np.ndarray | None:
     """A build of points that ends with the seed's vertices, from the seed's
-    state; None when the seed does not apply or the result fails the
-    self-checks."""
+    state; None when the seed does not apply or its build fails."""
     n_joints = len(points) - len(seed.vertices)
     if n_joints < 0 or not np.array_equal(points[n_joints:], seed.vertices):
         return None
-    store = seed.store
-    if store is None or not _inside_super(points[:n_joints], store.coords[store.n_input:]):
-        return None
-    try:
-        store = store.extended(points[:n_joints])
-    except DataError:
-        return None
-    # the store holds the seed's vertices first, then the joints
-    order = np.concatenate([np.arange(n_joints, len(points)), np.arange(n_joints)])
-    tets = _triangulation(points, store, order)
-    return tets if _passes_self_checks(points, tets) else None
+    return seed.tetrahedralization(points[:n_joints])
 
 
-def delaunay3d(points, hint=None, seed: DelaunaySeed | None = None) -> np.ndarray:
+def delaunay3d(points, seed: DelaunaySeed | None = None) -> np.ndarray:
     """Delaunay tetrahedralization of >= 4 non-coplanar points.
 
     Returns an (M, 4) int array of indices into the input, rows ascending
@@ -484,12 +588,9 @@ def delaunay3d(points, hint=None, seed: DelaunaySeed | None = None) -> np.ndarra
     first occurrence. Every output tetrahedron has an empty circumsphere at
     1e-9 relative tolerance, and together they tile the convex hull.
 
-    hint is an optional candidate result for these points, typically the
-    previous frame's tetrahedralization of a moving cloud. It is returned
-    when it passes the checks a fresh build must pass (see _certified_hint).
     seed, when the points end with its vertices, starts the build from them
-    already inserted. Either is ignored whenever the input holds duplicates.
-    A seeded build that fails (a point outside the seed's super-tetrahedron,
+    already inserted; it is ignored whenever the input holds duplicates. A
+    seeded build that fails (a point outside the seed's super-tetrahedron,
     or the self-checks) falls back to a fresh build of all the points.
     """
     pts = np.asarray(points, dtype=float)
@@ -504,10 +605,8 @@ def delaunay3d(points, hint=None, seed: DelaunaySeed | None = None) -> np.ndarra
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals[2] <= COPLANAR_TOL * max(svals[0], 1e-300):
         raise DataError("points are coplanar within tolerance; cannot tetrahedralize")
-    if len(unique) == len(pts):
-        tets = None if hint is None else _certified_hint(unique, hint)
-        if tets is None and seed is not None:
-            tets = _seeded(unique, seed)
+    if seed is not None and len(unique) == len(pts):
+        tets = _seeded(unique, seed)
         if tets is not None:
             return tets
 
@@ -518,7 +617,7 @@ def delaunay3d(points, hint=None, seed: DelaunaySeed | None = None) -> np.ndarra
         except DataError:
             margin *= 100.0
             continue
-        if _passes_self_checks(unique, tets):
+        if not _self_check_failures([unique], [tets])[0]:
             return index_map[tets]
         margin *= 100.0
     raise DataError("tetrahedralization failed the empty-circumsphere self-check")
@@ -578,7 +677,6 @@ class InteractMesh:
     points: PointCloud
     tetrahedra: np.ndarray  # (M, 4) indices into points
     reference_laplacians: np.ndarray  # (M, 4, 3)
-    delaunay: np.ndarray  # the full Delaunay tetrahedralization the retained set was cut from
 
     @property
     def tet_count(self) -> int:
@@ -598,21 +696,45 @@ def _retained(kinds: np.ndarray, tets: np.ndarray, volumes: np.ndarray,
     return keep & (np.abs(volumes) > DEGENERATE_VOLUME)
 
 
+def _gated(joints: np.ndarray, obj_vertices: np.ndarray, rule: RetentionRule) -> np.ndarray:
+    """Indices of the joints within the rule's proximity gate of an object vertex."""
+    if rule.proximity_gate is None or len(joints) == 0:
+        return np.arange(len(joints))
+    d = np.linalg.norm(joints[:, None, :] - obj_vertices[None, :, :], axis=2).min(axis=1)
+    return np.nonzero(d <= rule.proximity_gate)[0]
+
+
+def _as_rows(points) -> np.ndarray:
+    return np.zeros((0, 3)) if points is None else np.asarray(points, dtype=float).reshape(-1, 3)
+
+
+def _to_object_frame(points: np.ndarray, rotation: np.ndarray, position: np.ndarray) -> np.ndarray:
+    return (points - position) @ rotation
+
+
+def object_frame_joints(joints_a, joints_b, obj_vertices, rule: RetentionRule,
+                        rotation: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """The joints build_interact_mesh triangulates, in the object's frame
+    (rotation, position its pose): the leading points of the cloud it hands
+    delaunay3d, bit for bit, so a DelaunaySeed can be given them ahead."""
+    joints_a, joints_b, obj_vertices = _as_rows(joints_a), _as_rows(joints_b), _as_rows(obj_vertices)
+    joints = np.vstack([joints_a[_gated(joints_a, obj_vertices, rule)],
+                        joints_b[_gated(joints_b, obj_vertices, rule)]])
+    return _to_object_frame(joints, rotation, position)
+
+
 def build_interact_mesh(
     joints_a: np.ndarray,
     joints_b: np.ndarray | None,
     obj_vertices: np.ndarray,
     rule: RetentionRule | None = None,
-    previous: InteractMesh | None = None,
     object_frame: tuple[DelaunaySeed, np.ndarray, np.ndarray] | None = None,
 ) -> InteractMesh:
     """Delaunay over the combined cloud, filtered by the retention rule.
 
     joints are world-frame (J, 3) arrays; obj_vertices world-frame and already
     subsampled. Raises EmptyInteractMeshError when nothing survives, which
-    signals the caller to skip the Laplacian term for this frame. previous,
-    the mesh of the preceding frame, lends its full topology to delaunay3d
-    as a hint when its points have the same provenance.
+    signals the caller to skip the Laplacian term for this frame.
 
     object_frame, (seed, rotation, position), is the object's pose this
     frame, obj_vertices = seed.vertices @ rotation.T + position. The cloud is
@@ -620,22 +742,11 @@ def build_interact_mesh(
     mesh's coordinates and Laplacians stay in the world frame.
     """
     rule = rule or RetentionRule()
-    joints_a = np.asarray(joints_a, dtype=float).reshape(-1, 3)
-    obj_vertices = np.asarray(obj_vertices, dtype=float).reshape(-1, 3)
-    joints_b = (
-        np.zeros((0, 3)) if joints_b is None else np.asarray(joints_b, dtype=float).reshape(-1, 3)
-    )
+    joints_a, joints_b, obj_vertices = _as_rows(joints_a), _as_rows(joints_b), _as_rows(obj_vertices)
     if len(obj_vertices) == 0:
         raise EmptyInteractMeshError("no object vertices")
-
-    def gated(joints: np.ndarray) -> np.ndarray:
-        if rule.proximity_gate is None or len(joints) == 0:
-            return np.arange(len(joints))
-        d = np.linalg.norm(joints[:, None, :] - obj_vertices[None, :, :], axis=2).min(axis=1)
-        return np.nonzero(d <= rule.proximity_gate)[0]
-
-    idx_a = gated(joints_a)
-    idx_b = gated(joints_b)
+    idx_a = _gated(joints_a, obj_vertices, rule)
+    idx_b = _gated(joints_b, obj_vertices, rule)
     coords = np.vstack([joints_a[idx_a], joints_b[idx_b], obj_vertices])
     provenance = tuple(
         [(AGENT_A, int(j)) for j in idx_a]
@@ -646,16 +757,13 @@ def build_interact_mesh(
         raise EmptyInteractMeshError(
             f"only {len(coords)} point(s) within the proximity gate"
         )
-    hint = None
-    if previous is not None and previous.points.provenance == provenance:
-        hint = previous.delaunay
     seed, local = None, coords
     if object_frame is not None:
         seed, rotation, position = object_frame
         n_joints = len(coords) - len(obj_vertices)
-        local = np.vstack([(coords[:n_joints] - position) @ rotation, seed.vertices])
+        local = np.vstack([_to_object_frame(coords[:n_joints], rotation, position), seed.vertices])
     try:
-        tets = delaunay3d(local, hint=hint, seed=seed)
+        tets = delaunay3d(local, seed=seed)
     except DataError as exc:
         raise EmptyInteractMeshError(f"degenerate interaction cloud: {exc}") from exc
 
@@ -669,7 +777,6 @@ def build_interact_mesh(
         points=PointCloud(coordinates=coords, provenance=provenance),
         tetrahedra=retained,
         reference_laplacians=laplacians(coords[retained]),
-        delaunay=tets,
     )
 
 

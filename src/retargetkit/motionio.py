@@ -73,6 +73,9 @@ class Skeleton:
                     f"joint '{self.names[i]}' (index {i}) has parent {parents[i]}; "
                     "joints must be topologically ordered"
                 )
+        for name in ("q_min", "q_max", "v_min", "v_max"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DataError(f"{name} contains non-finite values")
         for i in range(j):
             if np.any(self.q_min[i] > self.q_max[i]):
                 raise DataError(f"joint '{self.names[i]}': q_min exceeds q_max")
@@ -211,16 +214,19 @@ def load_skeleton(path) -> Skeleton:
         qmax.append(joint["q_max"])
         vmin.append(joint["v_min"])
         vmax.append(joint["v_max"])
-    return Skeleton(
-        names=tuple(names),
-        parents=np.array(parents, dtype=int),
-        rest_offsets=np.array(offsets, dtype=float),
-        q_min=np.array(qmin, dtype=float),
-        q_max=np.array(qmax, dtype=float),
-        v_min=np.array(vmin, dtype=float),
-        v_max=np.array(vmax, dtype=float),
-        foot_joints=frozenset(int(f) for f in raw.get("foot_joints", [])),
-    )
+    try:
+        return Skeleton(
+            names=tuple(names),
+            parents=np.array(parents, dtype=int),
+            rest_offsets=np.array(offsets, dtype=float),
+            q_min=np.array(qmin, dtype=float),
+            q_max=np.array(qmax, dtype=float),
+            v_min=np.array(vmin, dtype=float),
+            v_max=np.array(vmax, dtype=float),
+            foot_joints=frozenset(int(f) for f in raw.get("foot_joints", [])),
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _renormalize(quats: np.ndarray, what: str) -> np.ndarray:

@@ -65,6 +65,7 @@ from .interactmesh import (
     build_interact_mesh,
     farthest_point_subsample,
     laplacians,
+    object_frame_joints,
 )
 from .kinematics import (
     Pose,
@@ -521,31 +522,31 @@ def build_frame_meshes(
     empty_reasons: dict[int, str] | None = None,
 ) -> list[InteractMesh | None]:
     """Interact mesh per frame (None where no interaction structure exists;
-    empty_reasons, when given, receives why, keyed by frame).
+    empty_reasons, when given, receives why, keyed by frame). Each frame's
+    mesh depends on that frame alone.
 
-    Each frame's mesh is offered to the next as its topology hint, which the
-    tetrahedralizer keeps only when it is certified for the new coordinates.
     object_track, (object-frame vertices, (T, 3, 3) rotations, (T, 3)
     positions) with obj_world their posed vertices, has every frame
-    triangulated in the object's frame, from one DelaunaySeed of the object.
+    triangulated in the object's frame, from one DelaunaySeed of the object
+    that is given every frame's joints, so it builds them in lockstep.
     """
+    partners = [None] * len(src_joints) if second_joints is None else second_joints
     seed = None
     if object_track is not None:
         local, rotations, positions = object_track
-        seed = DelaunaySeed(local)
+        seed = DelaunaySeed(local, [
+            object_frame_joints(src_joints[t], partners[t], obj_world[t], cfg.retention, rotations[t], positions[t])
+            for t in range(len(src_joints))])
     meshes: list[InteractMesh | None] = []
-    mesh: InteractMesh | None = None
     for t in range(len(src_joints)):
-        second = second_joints[t] if second_joints is not None else None
         frame = None if seed is None else (seed, rotations[t], positions[t])
         try:
-            mesh = build_interact_mesh(src_joints[t], second, obj_world[t], cfg.retention,
-                                       previous=mesh, object_frame=frame)
+            meshes.append(build_interact_mesh(src_joints[t], partners[t], obj_world[t], cfg.retention,
+                                              object_frame=frame))
         except EmptyInteractMeshError as exc:
-            mesh = None
+            meshes.append(None)
             if empty_reasons is not None:
                 empty_reasons[t] = str(exc)
-        meshes.append(mesh)
     return meshes
 
 

@@ -36,11 +36,15 @@ def test_instrumented_layers_record_calls(traced, tmp_path):
     skel = make_humanoid()
     ones = ShapeParams.ones(skel.joint_count)
     retarget.retarget_sequence(held_box_motion(skel, frames=3), skel, ones, skel, ones, make_box(subdiv=2))
+    # every frame of the clip is meshed, each with one tetrahedralization
+    assert traced.calls["interactmesh.build"] == 3 and traced.counts["interactmesh.empty_frames"] == 0
+    assert traced.calls["interactmesh.delaunay"] == 3
     summary = pipeline.run_pipeline(pipeline.load_manifest(write_corpus(tmp_path, frames=3)))
     assert summary.entries[0].status == "ok"
 
-    for name in ("retarget.residual", "retarget.loss", "kinematics.fk", "kinematics.jacobian",
-                 "kinematics.fit_shape", "smoothing.root", "smoothing.rotations"):
+    for name in ("interactmesh.delaunay", "interactmesh.build", "retarget.residual", "retarget.loss",
+                 "kinematics.fk", "kinematics.jacobian", "kinematics.fit_shape", "smoothing.root",
+                 "smoothing.rotations"):
         assert traced.calls[name] > 0, name
 
 

@@ -697,7 +697,7 @@ class TestMeshInspectCommand:
     @pytest.mark.parametrize("gate", [None, 0.5], ids=["gate-off", "gate-0.5"])
     def test_frame_is_the_one_retargeting_uses(self, tmp_path, gate):
         # frame 1 of this clip tetrahedralizes differently in the world frame
-        # with no hint than along the seeded, hinted chain retargeting builds
+        # than from the object's seed, which retargeting builds from
         write_assets(tmp_path)
         skeleton = load_skeleton(tmp_path / "skeleton.json")
         cfg = RetargetConfig(retention=RetentionRule(proximity_gate=gate))

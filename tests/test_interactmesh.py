@@ -197,6 +197,17 @@ class TestDelaunay3d:
         np.testing.assert_array_equal(first, second)
 
 
+def count_insertions(monkeypatch) -> list:
+    """Per copy of a Bowyer-Watson state, the lengths of the point sets
+    inserted into its copies in lockstep."""
+    inserted = []
+    extended = interactmesh._TetStore.extended
+    monkeypatch.setattr(interactmesh._TetStore, "extended",
+                        lambda store, point_sets: inserted.append([len(p) for p in point_sets])
+                        or extended(store, point_sets))
+    return inserted
+
+
 @pytest.fixture
 def fresh_builds(monkeypatch):
     """Counts the Bowyer-Watson runs behind delaunay3d calls."""
@@ -209,54 +220,6 @@ def fresh_builds(monkeypatch):
 
     monkeypatch.setattr(interactmesh, "_bowyer_watson", counted)
     return calls
-
-
-class TestTopologyHint:
-    def test_valid_hint_returned_without_rebuild(self, rng, fresh_builds):
-        pts = rng.uniform(-1, 1, size=(30, 3))
-        tets = delaunay3d(pts)
-        moved = pts + rng.normal(scale=1e-6, size=pts.shape)
-        assert len(fresh_builds) == 1
-        np.testing.assert_array_equal(delaunay3d(moved, hint=tets), tets)
-        assert len(fresh_builds) == 1
-        np.testing.assert_array_equal(delaunay3d(moved), tets)
-
-    def test_hint_with_point_inside_a_circumsphere_rejected(self, rng, fresh_builds):
-        pts = rng.uniform(-1, 1, size=(30, 3))
-        tets = delaunay3d(pts)
-        # move a point that is no corner of tets[0] onto that tetrahedron's centroid
-        outsider = next(i for i in range(len(pts)) if i not in tets[0])
-        planted = pts.copy()
-        planted[outsider] = pts[tets[0]].mean(axis=0)
-        assert not empty_circumsphere_ok(planted, tets)
-        got = delaunay3d(planted, hint=tets)
-        assert len(fresh_builds) == 2
-        np.testing.assert_array_equal(got, delaunay3d(planted))
-        assert empty_circumsphere_ok(planted, got)
-
-    def test_hint_for_a_different_point_count_ignored(self, rng, fresh_builds):
-        pts = rng.uniform(-1, 1, size=(20, 3))
-        tets = delaunay3d(pts)
-        fewer, more = pts[:-1], np.vstack([pts, [[0.0, 0.0, 0.0]]])
-        np.testing.assert_array_equal(delaunay3d(fewer, hint=tets), delaunay3d(fewer))
-        np.testing.assert_array_equal(delaunay3d(more, hint=tets), delaunay3d(more))
-        assert len(fresh_builds) == 5
-
-    @pytest.mark.parametrize(
-        "hint",
-        [np.zeros((0, 4), dtype=int), np.zeros((3, 3), dtype=int), np.full((2, 4), 0.5)],
-        ids=["empty", "three-columns", "float"],
-    )
-    def test_malformed_hint_ignored(self, rng, fresh_builds, hint):
-        pts = rng.uniform(-1, 1, size=(10, 3))
-        np.testing.assert_array_equal(delaunay3d(pts, hint=hint), delaunay3d(pts))
-        assert len(fresh_builds) == 2
-
-    def test_repeated_tetrahedron_rejected(self, rng, fresh_builds):
-        pts = rng.uniform(-1, 1, size=(15, 3))
-        tets = delaunay3d(pts)
-        np.testing.assert_array_equal(delaunay3d(pts, hint=np.vstack([tets, tets[:1]])), tets)
-        assert len(fresh_builds) == 2
 
 
 class TestSeededBuild:
@@ -279,15 +242,12 @@ class TestSeededBuild:
 
     def test_seed_built_once_and_left_unchanged(self, scene, rng, monkeypatch):
         seed, joints = scene
-        inserted = []
-        extended = interactmesh._TetStore.extended
-        monkeypatch.setattr(interactmesh._TetStore, "extended",
-                            lambda store, points: inserted.append(len(points)) or extended(store, points))
+        inserted = count_insertions(monkeypatch)
         for _ in range(3):
             moved = joints + rng.normal(scale=0.05, size=joints.shape)
             points = np.vstack([moved, seed.vertices])
             np.testing.assert_array_equal(delaunay3d(points, seed=seed), delaunay3d(points))
-        assert inserted == [56, 20, 76, 20, 76, 20, 76]
+        assert inserted == [[56], [20], [76], [20], [76], [20], [76]]
 
     def test_points_not_ending_with_the_seed_ignore_it(self, scene, fresh_builds):
         seed, joints = scene
@@ -300,15 +260,12 @@ class TestSeededBuild:
         far = joints.copy()
         far[3] = (1e5, 0.0, 0.0)
         points = np.vstack([far, seed.vertices])
-        inserted = []
-        extended = interactmesh._TetStore.extended
-        monkeypatch.setattr(interactmesh._TetStore, "extended",
-                            lambda store, points: inserted.append(len(points)) or extended(store, points))
+        inserted = count_insertions(monkeypatch)
         # the fresh build, at every margin, fails its self-checks on this cloud too
         for kwargs in ({"seed": seed}, {}):
             with pytest.raises(DataError, match="self-check"):
                 delaunay3d(points, **kwargs)
-        assert 20 not in inserted  # the joints never went into the seed's state
+        assert [20] not in inserted  # the joints never went into the seed's state
         assert len(fresh_builds) == 6
 
     def test_joint_on_an_object_vertex_falls_back(self, scene, fresh_builds):
@@ -321,6 +278,44 @@ class TestSeededBuild:
         assert len(fresh_builds) == 1
         with pytest.warns(UserWarning, match="duplicate"):
             np.testing.assert_array_equal(tets, delaunay3d(points))
+
+
+class TestLockstepBuild:
+    """A DelaunaySeed given a clip's clouds builds a chunk of them in one
+    lockstep pass; each cloud must get the bytes it gets built alone."""
+
+    POISON = np.array([0.02, -0.03, 0.05])  # a joint that the patched predicate puts in no circumsphere
+
+    def test_ragged_batch_with_a_failing_member_equals_solo_builds(self, rng, monkeypatch):
+        verts = make_box(half=CARRY_BOX_HALF, subdiv=3).vertices + rng.normal(scale=1e-3, size=(56, 3))
+        poisoned = rng.uniform(-0.4, 0.4, size=(15, 3))
+        poisoned[6] = self.POISON
+        far = rng.uniform(-0.4, 0.4, size=(8, 3))
+        far[2] = (1e5, 0.0, 0.0)  # outside the seed's super-tetrahedron
+        clouds = [rng.uniform(-0.4, 0.4, size=(20, 3)), rng.uniform(-0.4, 0.4, size=(12, 3)), poisoned, far,
+                  rng.uniform(-0.4, 0.4, size=(5, 3)), np.zeros((0, 3))]
+        inside = interactmesh._TetStore.inside
+
+        def patched(store, at):
+            # the cells of a copy whose next point is the poison hold nothing: its insertion fails
+            out = inside(store, at)
+            poisoned = (at >= 0) & np.all(store.coords[at] == self.POISON, axis=1)
+            return out & ~poisoned[store.comp[: store.size]]
+
+        monkeypatch.setattr(interactmesh._TetStore, "inside", patched)
+        inserted = count_insertions(monkeypatch)
+        seed = DelaunaySeed(verts, clouds)
+        got = [seed.tetrahedralization(cloud) for cloud in clouds]
+        assert inserted == [[56], [20, 12, 15, 5, 0]]  # one pass for the chunk, without the far cloud
+        alone = [DelaunaySeed(verts).tetrahedralization(cloud) for cloud in clouds]
+        assert [tets is None for tets in got] == [False, False, True, True, False, False]
+        batch = [cloud for k, cloud in enumerate(clouds) if k != 3]
+        assert seed.store.extended(batch).failed.tolist() == [False, False, True, False, False]
+        for cloud, a, b in zip(clouds, got, alone):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert empty_circumsphere_ok(np.vstack([cloud, verts]), a)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +348,7 @@ class TestTieRule:
 
         def compared(p, a, b, c):
             got = batched(p, a, b, c)
-            assert got.tolist() == [reference_in_circumcircle(p, *corners) for corners in zip(a, b, c)]
+            assert got.tolist() == [reference_in_circumcircle(*rows) for rows in zip(p, a, b, c)]
             decisions.extend(got.tolist())
             return got
 

@@ -70,6 +70,15 @@ class TestLoadSkeleton:
         with pytest.raises(DataError, match="elbow"):
             load_skeleton(path)
 
+    @pytest.mark.parametrize("field", ["q_min", "q_max", "v_min", "v_max"])
+    def test_nan_limits_name_the_file(self, tmp_path, field):
+        # NaN passes the order checks (every comparison with it is False)
+        bad = _joint("elbow", 0, (0, 1, 0))
+        bad[field] = [float("nan")] * 3 if field.startswith("q") else float("nan")
+        path = _write_json(tmp_path / "skel.json", {"joints": [_joint("root", None, (0, 0, 0)), bad]})
+        with pytest.raises(DataError, match=rf"skel\.json: {field} contains non-finite values"):
+            load_skeleton(path)
+
     def test_two_roots_rejected(self, tmp_path):
         path = _write_json(
             tmp_path / "skel.json",

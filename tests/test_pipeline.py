@@ -497,8 +497,18 @@ class TestLockstepGroups:
         # NaN joint limits make the target's loss non-finite at frame 0; its
         # siblings in the lockstep solve keep going and write what they write alone
         path, manifest, entries = self.corpus(tmp_path)
-        broken = replace(make_humanoid(), q_min=np.full((20, 3), np.nan))
-        save_skeleton(broken, tmp_path / "broken.json")
+        skel = make_humanoid()
+        save_skeleton(replace(skel, names=tuple(f"broken_{name}" for name in skel.names)), tmp_path / "broken.json")
+        bridge_skeleton = pipeline.bridge_skeleton
+
+        def breaking(source, target):
+            # a skeleton file cannot hold NaN limits, so the broken target's bridge gets them here
+            bridge = bridge_skeleton(source, target)
+            if target.names[0].startswith("broken_"):
+                object.__setattr__(bridge, "q_min", np.full_like(bridge.q_min, np.nan))
+            return bridge
+
+        monkeypatch.setattr(pipeline, "bridge_skeleton", breaking)
         group = [entries[0], dict(entries[0], id="broken", target_skeleton="broken.json"), entries[1]]
         rows, files, _, _ = self.run(path, manifest, group, monkeypatch)
         error = "NumericalError: frame 0: non-finite loss at iteration 0"

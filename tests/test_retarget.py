@@ -443,25 +443,39 @@ class TestSourcePrediction:
         assert other.iterations == plain.iterations
 
 
-class TestTopologyReuse:
+def one_frame(seq: MotionSequence, t: int) -> MotionSequence:
+    return replace(seq, contacts=None, **{k: getattr(seq, k)[t: t + 1]
+                                          for k in ("root_pos", "root_rot", "joint_rots", "obj_pos", "obj_rot")})
+
+
+def assert_same_mesh(a, b) -> None:
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.points.provenance == b.points.provenance
+        assert a.points.coordinates.tobytes() == b.points.coordinates.tobytes()
+        assert a.tetrahedra.tobytes() == b.tetrahedra.tobytes()
+        assert a.reference_laplacians.tobytes() == b.reference_laplacians.tobytes()
+
+
+class TestFrameMeshes:
     @pytest.mark.parametrize("gate", [None, 0.5])
-    def test_reused_frames_match_fresh_builds(self, humanoid, box, monkeypatch, gate):
-        seq = held_box_motion(humanoid, frames=40, amplitude=0.05)
-        joints = fk_sequence(humanoid, ShapeParams.ones(humanoid.joint_count), seq)
+    def test_each_frame_equals_that_frame_built_alone(self, humanoid, box, gate):
+        # 40 frames: two lockstep chunks, and with the gate, clouds of several sizes
+        seq = held_box_motion(humanoid, frames=40, amplitude=0.2)
+        partner = partner_motion(humanoid, seq)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        joints, second = fk_sequence(humanoid, ones, seq), fk_sequence(humanoid, ones, partner)
         obj_world = object_world_vertices(box, seq, 64)
         cfg = RetargetConfig(retention=RetentionRule(proximity_gate=gate))
-        builds = []
-        bowyer_watson = interactmesh._bowyer_watson
-        monkeypatch.setattr(interactmesh, "_bowyer_watson",
-                            lambda points, margin: builds.append(1) or bowyer_watson(points, margin))
-        meshes = build_frame_meshes(joints, None, obj_world, cfg)
-        assert len(builds) < len(meshes)  # some frames reused the previous topology
-        for t, mesh in enumerate(meshes):
-            fresh = build_interact_mesh(joints[t], None, obj_world[t], cfg.retention)
-            assert mesh.points.provenance == fresh.points.provenance
-            np.testing.assert_array_equal(mesh.delaunay, fresh.delaunay)
-            np.testing.assert_array_equal(mesh.tetrahedra, fresh.tetrahedra)
-            assert mesh.reference_laplacians.tobytes() == fresh.reference_laplacians.tobytes()
+        world = build_frame_meshes(joints, second, obj_world, cfg)
+        seeded = source_meshes(seq, humanoid, ones, box, cfg, second_seq=partner)
+        assert all(mesh is not None for mesh in seeded)
+        if gate is not None:
+            assert len({mesh.points.coordinates.shape for mesh in seeded}) > 1
+        for t in range(seq.frame_count):
+            assert_same_mesh(world[t], build_interact_mesh(joints[t], second[t], obj_world[t], cfg.retention))
+            alone = source_meshes(one_frame(seq, t), humanoid, ones, box, cfg, second_seq=one_frame(partner, t))
+            assert_same_mesh(seeded[t], alone[0])
 
 
 class TestSeededSourceMeshes:
@@ -483,11 +497,13 @@ class TestSeededSourceMeshes:
 
     @staticmethod
     def count_insertions(monkeypatch) -> list:
-        """Lengths of the point batches inserted into Bowyer-Watson states."""
+        """Per copy of a Bowyer-Watson state, the lengths of the point sets
+        inserted into its copies in lockstep."""
         inserted = []
         extended = interactmesh._TetStore.extended
         monkeypatch.setattr(interactmesh._TetStore, "extended",
-                            lambda store, points: inserted.append(len(points)) or extended(store, points))
+                            lambda store, point_sets: inserted.append([len(p) for p in point_sets])
+                            or extended(store, point_sets))
         return inserted
 
     @pytest.mark.parametrize("gate", [None, 0.5])
@@ -498,8 +514,8 @@ class TestSeededSourceMeshes:
         cfg = RetargetConfig(retention=RetentionRule(proximity_gate=gate))
         inserted = self.count_insertions(monkeypatch)
         seeded = source_meshes(seq, humanoid, ones, obj, cfg, second_seq=partner)
-        assert inserted[0] == 56 and len(inserted) > 1
-        assert 56 not in inserted[1:]  # every later build started from the seed
+        assert inserted[0] == [56] and len(inserted) > 1
+        assert not any(56 in sizes for sizes in inserted[1:])  # every later build started from the seed
         world = build_frame_meshes(fk_sequence(humanoid, ones, seq), fk_sequence(humanoid, ones, partner),
                                    object_world_vertices(obj, seq, 64), cfg)
         assert sum(m is not None for m in world) > 0
@@ -512,16 +528,21 @@ class TestSeededSourceMeshes:
             np.testing.assert_array_equal(a.tetrahedra, b.tetrahedra)
             assert a.reference_laplacians.tobytes() == b.reference_laplacians.tobytes()
 
-    def test_held_box_topology_is_delaunay_in_world_frame(self, humanoid, box):
+    def test_held_box_topology_is_delaunay_in_world_frame(self, humanoid, box, monkeypatch):
         spatial = pytest.importorskip("scipy.spatial")
         seq = held_box_motion(humanoid, frames=25)
         ones = ShapeParams.ones(humanoid.joint_count)
         cfg = RetargetConfig(retention=RetentionRule(proximity_gate=None))
-        for mesh in source_meshes(seq, humanoid, ones, box, cfg):
-            coords = mesh.points.coordinates
-            assert empty_circumsphere_ok(coords, mesh.delaunay, rel_tol=1e-9)
+        delaunay = []  # each frame's full tetrahedralization, as the benchmark captures it
+        original = interactmesh.delaunay3d
+        monkeypatch.setattr(interactmesh, "delaunay3d", lambda *a, **k: delaunay.append(original(*a, **k)) or delaunay[-1])
+        meshes = source_meshes(seq, humanoid, ones, box, cfg)
+        assert len(delaunay) == len(meshes) == 25
+        for mesh, tets in zip(meshes, delaunay):
+            coords = mesh.points.coordinates  # world frame, in the order of the cloud triangulated
+            assert empty_circumsphere_ok(coords, tets, rel_tol=1e-9)
             hull = spatial.ConvexHull(coords).volume
-            volume = np.sum(np.abs(interactmesh.tet_volumes(coords, mesh.delaunay)))
+            volume = np.sum(np.abs(interactmesh.tet_volumes(coords, tets)))
             assert abs(volume - hull) <= 1e-9 * hull
 
     def test_object_inserted_once_per_clip(self, humanoid, box, rng, monkeypatch):
@@ -530,11 +551,11 @@ class TestSeededSourceMeshes:
         cfg = RetargetConfig(retention=RetentionRule(proximity_gate=None))
         inserted = self.count_insertions(monkeypatch)
         source_meshes(seq, humanoid, ones, obj, cfg)
-        assert inserted.count(56) == 1
-        assert inserted.count(20) >= 2 and set(inserted) == {56, 20}
+        # the object once, then every frame's joints in one lockstep pass
+        assert inserted == [[56], [20] * 30]
         inserted.clear()
         source_meshes(seq, humanoid, ones, obj, cfg)  # a new clip builds its own seed
-        assert inserted.count(56) == 1
+        assert inserted.count([56]) == 1
 
 
 class TestSlideGates:
