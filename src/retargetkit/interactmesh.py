@@ -31,7 +31,7 @@ a clip are independent builds. One store holds several disjoint
 triangulations, each with its own vertex block and super vertices, and
 inserts one point into each per step; every test on a cell uses only its
 own triangulation's data, so each ends as it would alone. A DelaunaySeed
-given the clip's clouds builds them in lockstep, _LOCKSTEP_CHUNK at a time,
+given the clip's clouds builds them in lockstep, _LOCKSTEP_CHUNK at most at a time,
 and self-checks each chunk together; one insertion loop serves every build,
 a build alone being a lockstep of one, and a build of all the points
 starting from the empty seed, the super-tetrahedron alone.
@@ -56,7 +56,7 @@ DEGENERATE_VOLUME = 1e-9  # m^3
 # the four faces of a tetrahedron (a, b, c, d), as corner positions
 _FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 _CHECK_BLOCK = 1 << 13  # elements per (rows x points) temporary in the checks
-_LOCKSTEP_CHUNK = 32  # clouds per lockstep Bowyer-Watson pass: bounds its arrays
+_LOCKSTEP_CHUNK = 16  # most clouds per lockstep Bowyer-Watson pass: bounds its arrays
 _MARGIN = 1e3  # super-tetrahedron insphere radius over the points' radius, first try
 # unit directions from a super-tetrahedron's center to its vertices
 _SUPER_DIRS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) / np.sqrt(3)
@@ -292,9 +292,11 @@ class _TetStore:
         out.owner = np.repeat(np.arange(len(counts)), blocks)
         out.failed = np.zeros(len(counts), dtype=bool)
         k, live = len(counts), np.nonzero(self.alive[: self.size])[0]
-        # each insertion into a ball-shaped cavity adds two cells net
+        # an insertion adds two cells net inside the hull, one per hull face it
+        # sees outside (about nine for a joint beside an object); zeroed
+        # capacity costs no memory until a cell is written to it
         out.size = 0
-        out._reallocate(k * (len(live) + 16) + 2 * int(counts.sum()))
+        out._reallocate(k * (len(live) + 16) + 12 * int(counts.sum()))
         out.size = k * len(live)
         for name in self._ARRAYS:
             rows = getattr(self, name)[live]
@@ -370,13 +372,13 @@ class _TetStore:
         m = self.size
         point = at.take(self.comp[:m])
         alive, sym = self.alive[:m] & (point >= 0), self.sym[:m]
-        p = self.coords.take(point, axis=0)  # take: a faster row gather than indexing
-        diff = self.centers[:m] - p
+        diff = self.coords.take(point, axis=0)  # take: a faster row gather than indexing
+        np.subtract(self.centers[:m], diff, out=diff)
         out = np.einsum("kj,kj->k", diff, diff) <= self.rad2[:m] * (1.0 + 1e-12)
         out &= alive & ~sym
         sym_idx = np.nonzero(alive & sym)[0]
         if len(sym_idx):
-            normals, p = self.normals.take(sym_idx, axis=0), p.take(sym_idx, axis=0)
+            normals, p = self.normals.take(sym_idx, axis=0), self.coords.take(point.take(sym_idx), axis=0)
             d = p - self.coords.take(self.faces[:, 0].take(sym_idx), axis=0)
             val = np.einsum("kj,kj->k", normals, d)
             scale = np.linalg.norm(normals, axis=1) * (np.linalg.norm(d, axis=1) + 1e-30)
@@ -432,10 +434,17 @@ def _self_check_failures(clouds: list[np.ndarray], tets: list[np.ndarray]) -> np
     a point strictly inside a circumsphere (1e-9 relative) or a degenerate
     tetrahedron, or tetrahedra that do not tile the convex hull.
 
-    The clouds are checked together, each padded to the widest with NaN
-    points, which no comparison counts; every cloud's numbers are the ones
-    it would get alone.
+    The clouds are checked together, in groups of about _CHECK_BLOCK / 4
+    tetrahedra (the face keys' temporaries), each padded to the widest of
+    its group with NaN points, which no comparison counts; every cloud's
+    numbers are the ones it would get alone.
     """
+    ends = np.cumsum([len(t) for t in tets])
+    groups = np.split(np.arange(len(tets)), np.flatnonzero(np.diff(ends // (_CHECK_BLOCK // 4))) + 1)
+    return np.concatenate([_group_failures([clouds[c] for c in g], [tets[c] for c in g]) for g in groups])
+
+
+def _group_failures(clouds: list[np.ndarray], tets: list[np.ndarray]) -> np.ndarray:
     k, width = len(clouds), max(len(p) for p in clouds)
     axes = np.full((3, k, width), np.nan)  # axes[i, c, j]: coordinate i of point j of cloud c
     for c, p in enumerate(clouds):
@@ -454,8 +463,10 @@ def _circumsphere_violations(axes, cells, comp, failed) -> None:
     circumsphere of one of their tetrahedra, or a degenerate tetrahedron."""
     if len(cells) == 0:
         return
-    corners = np.stack([axes[i][comp[:, None], cells] for i in range(3)], axis=2)
-    centers, rad2 = _circumspheres(corners)
+    centers, rad2 = np.empty((len(cells), 3)), np.empty(len(cells))
+    for rows in _row_blocks(len(cells), 12):  # (rows, 4, 3) corners
+        corners = np.stack([axes[i][comp[rows, None], cells[rows]] for i in range(3)], axis=2)
+        centers[rows], rad2[rows] = _circumspheres(corners)
     finite = np.isfinite(rad2)
     failed[comp[~finite]] = True  # a surviving degenerate tetrahedron is itself a violation
     rad = np.sqrt(np.where(finite, rad2, np.nan))
@@ -516,15 +527,16 @@ class DelaunaySeed:
     super-tetrahedron sized from the object; each build copies it.
 
     clouds are the joints, object frame, of the clip's clouds (each cloud is
-    its joints, then the vertices). The first time one of them is asked for,
-    the builds of its chunk of _LOCKSTEP_CHUNK clouds run as one lockstep
-    pass; any other cloud is built alone.
+    its joints, then the vertices), split into near-equal chunks of at most
+    _LOCKSTEP_CHUNK. The first time a cloud is asked for, the builds of its
+    chunk run as one lockstep pass; any other cloud is built alone.
     """
 
     def __init__(self, vertices, clouds=()):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 3)
         clouds = [np.asarray(c, dtype=float).reshape(-1, 3) for c in clouds]
-        self._chunks = [clouds[lo: lo + _LOCKSTEP_CHUNK] for lo in range(0, len(clouds), _LOCKSTEP_CHUNK)]
+        chunks = np.array_split(np.arange(len(clouds)), max(1, -(-len(clouds) // _LOCKSTEP_CHUNK)))  # near-equal
+        self._chunks = [[clouds[t] for t in chunk] for chunk in chunks]
         self._waiting = {c.tobytes(): k for k, chunk in enumerate(self._chunks) for c in chunk}
         self._built: dict[bytes, np.ndarray | None] = {}
 

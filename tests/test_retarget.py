@@ -460,7 +460,7 @@ def assert_same_mesh(a, b) -> None:
 class TestFrameMeshes:
     @pytest.mark.parametrize("gate", [None, 0.5])
     def test_each_frame_equals_that_frame_built_alone(self, humanoid, box, gate):
-        # 40 frames: two lockstep chunks, and with the gate, clouds of several sizes
+        # 40 frames: three lockstep chunks, and with the gate, clouds of several sizes
         seq = held_box_motion(humanoid, frames=40, amplitude=0.2)
         partner = partner_motion(humanoid, seq)
         ones = ShapeParams.ones(humanoid.joint_count)
@@ -551,8 +551,8 @@ class TestSeededSourceMeshes:
         cfg = RetargetConfig(retention=RetentionRule(proximity_gate=None))
         inserted = self.count_insertions(monkeypatch)
         source_meshes(seq, humanoid, ones, obj, cfg)
-        # the object once, then every frame's joints in one lockstep pass
-        assert inserted == [[56], [20] * 30]
+        # the object once, then every frame's joints, in lockstep passes of 15
+        assert inserted == [[56], [20] * 15, [20] * 15]
         inserted.clear()
         source_meshes(seq, humanoid, ones, obj, cfg)  # a new clip builds its own seed
         assert inserted.count([56]) == 1
