@@ -535,7 +535,8 @@ class TestSeededSourceMeshes:
         cfg = RetargetConfig(retention=RetentionRule(proximity_gate=None))
         delaunay = []  # each frame's full tetrahedralization, as the benchmark captures it
         original = interactmesh.delaunay3d
-        monkeypatch.setattr(interactmesh, "delaunay3d", lambda *a, **k: delaunay.append(original(*a, **k)) or delaunay[-1])
+        monkeypatch.setattr(interactmesh, "delaunay3d",
+                            lambda *args, **kwargs: delaunay.append(original(*args, **kwargs)) or delaunay[-1])
         meshes = source_meshes(seq, humanoid, ones, box, cfg)
         assert len(delaunay) == len(meshes) == 25
         for mesh, tets in zip(meshes, delaunay):
