@@ -19,26 +19,30 @@ The object is rigid, and a rigid motion leaves Delaunay topology unchanged.
 When the caller gives the object's pose, build_interact_mesh triangulates
 the cloud in the object's frame, where the object's vertices never move. A
 DelaunaySeed holds the Bowyer-Watson state with only those vertices
-inserted, built once per clip on first use, and a seeded build copies it and
-inserts just the agents' joints. delaunay3d tries the seeded build (checked
-by the same self-checks), then the fresh build with its escalating
-super-tetrahedron margin. Where ties leave the tetrahedralization non-unique
-(cospherical box vertices), object-first insertion may break them
-differently from a build in input order; both are Delaunay.
+inserted, built on first use once per process for each object (a bounded
+cache keyed by the vertices' bytes, shared by every clip and call on it),
+and a seeded build copies it and inserts just the agents' joints.
+delaunay3d tries the seeded build (checked by the same self-checks), then
+the fresh build with its escalating super-tetrahedron margin. Where ties
+leave the tetrahedralization non-unique (cospherical box vertices),
+object-first insertion may break them differently from a build in input
+order; both are Delaunay.
 
 A frame's tetrahedralization depends on that frame alone, so the frames of
 a clip are independent builds. One store holds several disjoint
 triangulations, each with its own vertex block and super vertices, and
 inserts one point into each per step; every test on a cell uses only its
 own triangulation's data, so each ends as it would alone. A DelaunaySeed
-given the clip's clouds builds them in lockstep, _LOCKSTEP_CHUNK at most at a time,
-and self-checks each chunk together; one insertion loop serves every build,
-a build alone being a lockstep of one, and a build of all the points
-starting from the empty seed, the super-tetrahedron alone.
+given the clip's clouds builds each distinct one once, in lockstep,
+_LOCKSTEP_CHUNK at most at a time, and self-checks each chunk together; one
+insertion loop serves every build, a build alone being a lockstep of one,
+and a build of all the points starting from the empty seed, the
+super-tetrahedron alone.
 """
 
 from __future__ import annotations
 
+import collections
 import copy
 import functools
 import warnings
@@ -57,6 +61,7 @@ DEGENERATE_VOLUME = 1e-9  # m^3
 _FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 _CHECK_BLOCK = 1 << 13  # elements per (rows x points) temporary in the checks
 _LOCKSTEP_CHUNK = 16  # most clouds per lockstep Bowyer-Watson pass: bounds its arrays
+_SEED_CACHE = 16  # most object seed states kept per process, ~40 KB each at 64 vertices
 _MARGIN = 1e3  # super-tetrahedron insphere radius over the points' radius, first try
 # unit directions from a super-tetrahedron's center to its vertices
 _SUPER_DIRS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) / np.sqrt(3)
@@ -516,6 +521,27 @@ def _coverage_violations(clouds, axes, cells, comp, failed) -> None:
         failed[owner[rows][np.any(side > t, axis=1) & np.any(side < -t, axis=1)]] = True
 
 
+@functools.lru_cache(maxsize=_SEED_CACHE)
+def _seed_store(vertex_bytes: bytes) -> _TetStore | None:
+    """The Bowyer-Watson state holding only the object-frame vertices whose
+    float64 bytes these are, inside a super-tetrahedron sized from them; None
+    when they cannot seed a build.
+
+    The state is a function of the bytes alone, so one build serves every
+    clip and call on the object in the process. Its arrays are read-only:
+    every build copies them (_TetStore.extended), and none may change them.
+    """
+    vertices = np.frombuffer(vertex_bytes).reshape(-1, 3)
+    store = _TetStore(_super_tetrahedron(vertices, _MARGIN)).extended([vertices])
+    if store.failed[0]:
+        return None
+    store._reallocate(store.size)  # no spare capacity: it is never written again
+    for value in vars(store).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return store
+
+
 class DelaunaySeed:
     """Bowyer-Watson state holding only a rigid object's vertices, in the
     object's own frame.
@@ -523,28 +549,32 @@ class DelaunaySeed:
     A rigid motion leaves Delaunay topology unchanged, so a clip whose
     clouds are triangulated in the object's frame can start every build from
     the object's vertices already inserted, and insert only the agents'
-    joints. The state is built on first use, once, inside a
-    super-tetrahedron sized from the object; each build copies it.
+    joints. The state is built inside a super-tetrahedron sized from the
+    object, once per process for equal vertex bytes (_seed_store, the
+    _SEED_CACHE most recently used objects); each build copies it.
 
     clouds are the joints, object frame, of the clip's clouds (each cloud is
-    its joints, then the vertices), split into near-equal chunks of at most
-    _LOCKSTEP_CHUNK. The first time a cloud is asked for, the builds of its
-    chunk run as one lockstep pass; any other cloud is built alone.
+    its joints, then the vertices). Clouds with equal bytes are one build,
+    whose result is kept until the last of them is asked for; the distinct
+    clouds are split into near-equal chunks of at most _LOCKSTEP_CHUNK. The
+    first time a cloud is asked for, the builds of its chunk run as one
+    lockstep pass; any other cloud is built alone.
     """
 
     def __init__(self, vertices, clouds=()):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 3)
         clouds = [np.asarray(c, dtype=float).reshape(-1, 3) for c in clouds]
-        chunks = np.array_split(np.arange(len(clouds)), max(1, -(-len(clouds) // _LOCKSTEP_CHUNK)))  # near-equal
-        self._chunks = [[clouds[t] for t in chunk] for chunk in chunks]
+        self._requests = collections.Counter(c.tobytes() for c in clouds)
+        distinct = list({c.tobytes(): c for c in clouds}.values())
+        chunks = np.array_split(np.arange(len(distinct)), max(1, -(-len(distinct) // _LOCKSTEP_CHUNK)))  # near-equal
+        self._chunks = [[distinct[t] for t in chunk] for chunk in chunks]
         self._waiting = {c.tobytes(): k for k, chunk in enumerate(self._chunks) for c in chunk}
         self._built: dict[bytes, np.ndarray | None] = {}
 
-    @functools.cached_property
+    @property
     def store(self) -> _TetStore | None:
         """The state (None when the object's vertices cannot seed a build)."""
-        store = _TetStore(_super_tetrahedron(self.vertices, _MARGIN)).extended([self.vertices])
-        return None if store.failed[0] else store
+        return _seed_store(self.vertices.tobytes())
 
     def tetrahedralization(self, joints: np.ndarray) -> np.ndarray | None:
         """delaunay3d's result for the cloud of joints then the seed's
@@ -558,6 +588,10 @@ class DelaunaySeed:
             for cloud, tets in zip(clouds, self._lockstep(clouds)):
                 self._built[cloud.tobytes()] = tets
                 self._waiting.pop(cloud.tobytes(), None)
+        self._requests[key] -= 1
+        if self._requests[key] > 0:
+            return copy.copy(self._built[key])  # each frame gets its own array
+        del self._requests[key]
         return self._built.pop(key)
 
     def _lockstep(self, clouds: list[np.ndarray]) -> list[np.ndarray | None]:

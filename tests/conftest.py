@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from retargetkit import interactmesh
 from retargetkit.kinematics import Pose, fk, stored_vector, tangent_vector, tpose
 from retargetkit.motionio import MotionSequence, ObjectMesh, ShapeParams, Skeleton
 from retargetkit.rotations import quat_from_expmap
@@ -242,6 +243,26 @@ def empty_circumsphere_ok(points, tets, rel_tol=1e-9):
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
     return float(np.max(np.abs(a - b)) / scale)
+
+
+def count_insertions(monkeypatch) -> list:
+    """Per copy of a Bowyer-Watson state, the lengths of the point sets
+    inserted into its copies in lockstep."""
+    inserted = []
+    extended = interactmesh._TetStore.extended
+    monkeypatch.setattr(interactmesh._TetStore, "extended",
+                        lambda store, point_sets: inserted.append([len(p) for p in point_sets])
+                        or extended(store, point_sets))
+    return inserted
+
+
+@pytest.fixture(autouse=True)
+def no_cached_seeds():
+    """Each test starts and ends with no object seed state cached, so none
+    built by another test, or under a patched predicate, reaches it."""
+    interactmesh._seed_store.cache_clear()
+    yield
+    interactmesh._seed_store.cache_clear()
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from retargetkit.interactmesh import (
 )
 from retargetkit.rotations import expmap_to_mat
 
-from conftest import CARRY_BOX_HALF, circumsphere, empty_circumsphere_ok, make_box
+from conftest import CARRY_BOX_HALF, circumsphere, count_insertions, empty_circumsphere_ok, make_box
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +197,6 @@ class TestDelaunay3d:
         np.testing.assert_array_equal(first, second)
 
 
-def count_insertions(monkeypatch) -> list:
-    """Per copy of a Bowyer-Watson state, the lengths of the point sets
-    inserted into its copies in lockstep."""
-    inserted = []
-    extended = interactmesh._TetStore.extended
-    monkeypatch.setattr(interactmesh._TetStore, "extended",
-                        lambda store, point_sets: inserted.append([len(p) for p in point_sets])
-                        or extended(store, point_sets))
-    return inserted
-
-
 @pytest.fixture
 def fresh_builds(monkeypatch):
     """Counts the Bowyer-Watson runs behind delaunay3d calls."""
@@ -316,6 +305,102 @@ class TestLockstepBuild:
             if a is not None:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert empty_circumsphere_ok(np.vstack([cloud, verts]), a)
+
+
+    def test_repeated_cloud_built_once(self, rng, monkeypatch):
+        verts = make_box(half=CARRY_BOX_HALF, subdiv=3).vertices + rng.normal(scale=1e-3, size=(56, 3))
+        cloud = rng.uniform(-0.4, 0.4, size=(20, 3))
+        inserted = count_insertions(monkeypatch)
+        seed = DelaunaySeed(verts, [cloud.copy() for _ in range(25)])  # a static hold
+        got = [seed.tetrahedralization(cloud.copy()) for _ in range(25)]
+        assert inserted == [[56], [20]]
+        alone = DelaunaySeed(verts).tetrahedralization(cloud)
+        assert all(tets.tobytes() == alone.tobytes() for tets in got)
+        assert len({id(tets) for tets in got}) == 25  # each frame gets its own array
+
+    def test_repeated_clouds_kept_until_their_last_frame(self, rng, monkeypatch):
+        verts = make_box(half=CARRY_BOX_HALF, subdiv=3).vertices + rng.normal(scale=1e-3, size=(56, 3))
+        a, b, c = (rng.uniform(-0.4, 0.4, size=(n, 3)) for n in (20, 12, 5))
+        clip = [a, b, a, c, a, b, c, a]
+        inserted = count_insertions(monkeypatch)
+        seed = DelaunaySeed(verts, clip)
+        got = [seed.tetrahedralization(cloud) for cloud in clip]
+        assert inserted == [[56], [20, 12, 5]]
+        assert seed._built == {}  # nothing kept once every frame is served
+        for cloud, tets in zip(clip, got):
+            assert tets.tobytes() == DelaunaySeed(verts).tetrahedralization(cloud).tobytes()
+
+
+class TestSeedCache:
+    """Seeds of equal vertex bytes share one Bowyer-Watson state per process,
+    read-only, for the _SEED_CACHE most recently used objects."""
+
+    @staticmethod
+    def arrays(store):
+        return {name: value for name, value in vars(store).items() if isinstance(value, np.ndarray)}
+
+    def test_cached_state_left_unchanged_and_read_only(self, rng):
+        verts = make_box(half=CARRY_BOX_HALF, subdiv=3).vertices + rng.normal(scale=1e-3, size=(56, 3))
+        clouds = [rng.uniform(-0.4, 0.4, size=(20, 3)) for _ in range(20)]
+        store = DelaunaySeed(verts).store
+        before = {name: value.tobytes() for name, value in self.arrays(store).items()}
+        seed = DelaunaySeed(verts, clouds)
+        assert all(seed.tetrahedralization(cloud) is not None for cloud in clouds)
+        assert seed.store is store
+        assert {name: value.tobytes() for name, value in self.arrays(store).items()} == before
+        for name, value in self.arrays(store).items():
+            with pytest.raises(ValueError, match="read-only"):
+                value.reshape(-1)[:1] = value.reshape(-1)[:1]
+
+    def test_equal_vertex_bytes_share_one_seed(self, monkeypatch):
+        verts = make_box(half=CARRY_BOX_HALF, subdiv=3).vertices
+        moved = verts.copy()
+        moved[7, 2] += 1e-3
+        inserted = count_insertions(monkeypatch)
+        store = DelaunaySeed(verts).store
+        assert DelaunaySeed(verts.copy()).store is store
+        assert DelaunaySeed(verts.tolist()).store is store
+        other = DelaunaySeed(moved).store
+        assert other is not store and DelaunaySeed(moved.copy()).store is other
+        assert inserted == [[56], [56]]
+
+    def test_least_recently_used_seed_evicted(self, monkeypatch):
+        boxes = [make_box(half=(0.1 + 0.01 * k, 0.2, 0.15), subdiv=1).vertices
+                 for k in range(interactmesh._SEED_CACHE + 1)]
+        inserted = count_insertions(monkeypatch)
+        for verts in boxes[:-1]:
+            assert DelaunaySeed(verts).store is not None
+        assert DelaunaySeed(boxes[0]).store is not None  # now the most recently used
+        assert len(inserted) == interactmesh._SEED_CACHE
+        inserted.clear()
+        assert DelaunaySeed(boxes[-1]).store is not None  # one object too many: boxes[1] goes
+        assert DelaunaySeed(boxes[0]).store is not None
+        assert len(inserted) == 1
+        assert DelaunaySeed(boxes[1]).store is not None
+        assert len(inserted) == 2
+
+    def test_failed_seed_falls_back_to_the_fresh_build(self, rng, fresh_builds, monkeypatch):
+        verts = make_box(half=CARRY_BOX_HALF, subdiv=3).vertices + rng.normal(scale=1e-3, size=(56, 3))
+        joints = rng.uniform(-0.4, 0.4, size=(20, 3))
+        poison = verts[9]
+        inside = interactmesh._TetStore.inside
+
+        def patched(store, at):
+            # the cells of a copy whose next point is the poison hold nothing: its insertion fails
+            out = inside(store, at)
+            poisoned = (at >= 0) & np.all(store.coords[at] == poison, axis=1)
+            return out & ~poisoned[store.comp[: store.size]]
+
+        seed = DelaunaySeed(verts, [joints])
+        with monkeypatch.context() as patch:
+            patch.setattr(interactmesh._TetStore, "inside", patched)
+            assert seed.store is None
+        inserted = count_insertions(monkeypatch)
+        points = np.vstack([joints, verts])
+        tets = delaunay3d(points, seed=seed)
+        assert inserted == [[76]] and fresh_builds == [76]  # the failed seed is kept, not rebuilt
+        np.testing.assert_array_equal(tets, delaunay3d(points))
+        assert empty_circumsphere_ok(points, tets)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from retargetkit import pipeline, retarget
+from retargetkit import interactmesh, pipeline, retarget
 from retargetkit.errors import DataError
 from retargetkit.kinematics import fk_sequence
 from retargetkit.motionio import ShapeParams, load_motion, load_skeleton, save_motion, save_obj, save_skeleton
 from retargetkit.pipeline import load_manifest, run_pipeline, validate_manifest
 
-from conftest import CARRY_BOX_HALF, held_box_motion, make_box, make_chain, make_humanoid, partner_motion
+from conftest import (
+    CARRY_BOX_HALF,
+    count_insertions,
+    held_box_motion,
+    make_box,
+    make_chain,
+    make_humanoid,
+    partner_motion,
+)
 
 
 def write_corpus(root, frames=50, amplitude=0.02, entries=1, episode_stats=None,
@@ -208,6 +216,34 @@ class TestRunPipeline:
         run_pipeline(manifest)
         second = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())}
         assert first == second
+
+    def test_manifests_on_one_box_share_its_seed(self, tmp_path, monkeypatch):
+        path = write_corpus(tmp_path, frames=4)
+        skel = make_humanoid()
+        save_skeleton(replace(skel, rest_offsets=skel.rest_offsets * 1.2), tmp_path / "tall.json")
+        manifest = json.loads(path.read_text())
+        tall = dict(manifest["entries"][0], id="tall", target_skeleton="tall.json")
+        manifests = [dict(manifest, output_dir="first"), dict(manifest, output_dir="second", entries=[tall])]
+        inserted = count_insertions(monkeypatch)
+
+        def run_both(clear_between):
+            written = {}
+            for m in manifests:
+                if clear_between:
+                    interactmesh._seed_store.cache_clear()
+                path.write_text(json.dumps(m))
+                assert [e.status for e in run_pipeline(load_manifest(path)).entries] == ["ok"]
+                out = tmp_path / m["output_dir"]
+                written.update({f"{m['output_dir']}/{p.name}": p.read_bytes() for p in out.iterdir()})
+                shutil.rmtree(out)
+            return written
+
+        shared = run_both(clear_between=False)
+        assert inserted.count([56]) == 1  # the box's 56 vertices, inserted once for both manifests
+        inserted.clear()
+        assert run_both(clear_between=True) == shared
+        assert inserted.count([56]) == 2
+        assert len(shared) == 8  # each manifest: motion, losses, summary.csv, summary.json
 
     def test_filter_runs_when_stats_supplied(self, tmp_path):
         stats = {"seq0": [10.0], "other": [100.0]}

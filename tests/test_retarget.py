@@ -38,6 +38,7 @@ from retargetkit.rotations import quat_from_expmap, quat_mul, quat_to_mat
 
 from conftest import (
     central_difference,
+    count_insertions,
     empty_circumsphere_ok,
     held_box_motion,
     make_box,
@@ -479,8 +480,8 @@ class TestFrameMeshes:
 
 
 class TestSeededSourceMeshes:
-    """source_meshes triangulates in the object's frame from one DelaunaySeed
-    per clip; the meshes must be those of world-frame builds."""
+    """source_meshes triangulates in the object's frame from the object's
+    DelaunaySeed; the meshes must be those of world-frame builds."""
 
     @staticmethod
     def jittered_scene(humanoid, box, rng, frames=30):
@@ -495,24 +496,13 @@ class TestSeededSourceMeshes:
                          faces=box.faces)
         return seq, obj
 
-    @staticmethod
-    def count_insertions(monkeypatch) -> list:
-        """Per copy of a Bowyer-Watson state, the lengths of the point sets
-        inserted into its copies in lockstep."""
-        inserted = []
-        extended = interactmesh._TetStore.extended
-        monkeypatch.setattr(interactmesh._TetStore, "extended",
-                            lambda store, point_sets: inserted.append([len(p) for p in point_sets])
-                            or extended(store, point_sets))
-        return inserted
-
     @pytest.mark.parametrize("gate", [None, 0.5])
     def test_seeded_meshes_equal_world_frame_builds(self, humanoid, box, rng, monkeypatch, gate):
         seq, obj = self.jittered_scene(humanoid, box, rng)
         partner = partner_motion(humanoid, seq)
         ones = ShapeParams.ones(humanoid.joint_count)
         cfg = RetargetConfig(retention=RetentionRule(proximity_gate=gate))
-        inserted = self.count_insertions(monkeypatch)
+        inserted = count_insertions(monkeypatch)
         seeded = source_meshes(seq, humanoid, ones, obj, cfg, second_seq=partner)
         assert inserted[0] == [56] and len(inserted) > 1
         assert not any(56 in sizes for sizes in inserted[1:])  # every later build started from the seed
@@ -550,13 +540,22 @@ class TestSeededSourceMeshes:
         seq, obj = self.jittered_scene(humanoid, box, rng)
         ones = ShapeParams.ones(humanoid.joint_count)
         cfg = RetargetConfig(retention=RetentionRule(proximity_gate=None))
-        inserted = self.count_insertions(monkeypatch)
+        inserted = count_insertions(monkeypatch)
         source_meshes(seq, humanoid, ones, obj, cfg)
         # the object once, then every frame's joints, in lockstep passes of 15
         assert inserted == [[56], [20] * 15, [20] * 15]
         inserted.clear()
-        source_meshes(seq, humanoid, ones, obj, cfg)  # a new clip builds its own seed
-        assert inserted.count([56]) == 1
+        source_meshes(seq, humanoid, ones, obj, cfg)  # a new clip on the same object reuses its seed
+        assert inserted.count([56]) == 0
+
+    def test_another_vertex_budget_gets_its_own_seed(self, humanoid, box, monkeypatch):
+        seq = held_box_motion(humanoid, frames=3)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        inserted = count_insertions(monkeypatch)
+        for budget in (64, 40, 64, 40):
+            source_meshes(seq, humanoid, ones, box, RetargetConfig(max_object_vertices=budget))
+        # the whole box (56 vertices), then its 40-vertex subsample; each seed once
+        assert [sizes for sizes in inserted if sizes in ([56], [40])] == [[56], [40]]
 
 
 class TestSlideGates:
