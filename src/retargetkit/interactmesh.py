@@ -33,16 +33,14 @@ a clip are independent builds. One store holds several disjoint
 triangulations, each with its own vertex block and super vertices, and
 inserts one point into each per step; every test on a cell uses only its
 own triangulation's data, so each ends as it would alone. A DelaunaySeed
-given the clip's clouds builds each distinct one once, in lockstep,
-_LOCKSTEP_CHUNK at most at a time, and self-checks each chunk together; one
-insertion loop serves every build, a build alone being a lockstep of one,
-and a build of all the points starting from the empty seed, the
-super-tetrahedron alone.
+given the clip's clouds builds them in lockstep, _LOCKSTEP_CHUNK at most at a time,
+and self-checks each chunk together; one insertion loop serves every build,
+a build alone being a lockstep of one, and a build of all the points
+starting from the empty seed, the super-tetrahedron alone.
 """
 
 from __future__ import annotations
 
-import collections
 import copy
 import functools
 import warnings
@@ -554,20 +552,16 @@ class DelaunaySeed:
     _SEED_CACHE most recently used objects); each build copies it.
 
     clouds are the joints, object frame, of the clip's clouds (each cloud is
-    its joints, then the vertices). Clouds with equal bytes are one build,
-    whose result is kept until the last of them is asked for; the distinct
-    clouds are split into near-equal chunks of at most _LOCKSTEP_CHUNK. The
-    first time a cloud is asked for, the builds of its chunk run as one
-    lockstep pass; any other cloud is built alone.
+    its joints, then the vertices), split into near-equal chunks of at most
+    _LOCKSTEP_CHUNK. The first time a cloud is asked for, the builds of its
+    chunk run as one lockstep pass; any other cloud is built alone.
     """
 
     def __init__(self, vertices, clouds=()):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 3)
         clouds = [np.asarray(c, dtype=float).reshape(-1, 3) for c in clouds]
-        self._requests = collections.Counter(c.tobytes() for c in clouds)
-        distinct = list({c.tobytes(): c for c in clouds}.values())
-        chunks = np.array_split(np.arange(len(distinct)), max(1, -(-len(distinct) // _LOCKSTEP_CHUNK)))  # near-equal
-        self._chunks = [[distinct[t] for t in chunk] for chunk in chunks]
+        chunks = np.array_split(np.arange(len(clouds)), max(1, -(-len(clouds) // _LOCKSTEP_CHUNK)))  # near-equal
+        self._chunks = [[clouds[t] for t in chunk] for chunk in chunks]
         self._waiting = {c.tobytes(): k for k, chunk in enumerate(self._chunks) for c in chunk}
         self._built: dict[bytes, np.ndarray | None] = {}
 
@@ -588,10 +582,6 @@ class DelaunaySeed:
             for cloud, tets in zip(clouds, self._lockstep(clouds)):
                 self._built[cloud.tobytes()] = tets
                 self._waiting.pop(cloud.tobytes(), None)
-        self._requests[key] -= 1
-        if self._requests[key] > 0:
-            return copy.copy(self._built[key])  # each frame gets its own array
-        del self._requests[key]
         return self._built.pop(key)
 
     def _lockstep(self, clouds: list[np.ndarray]) -> list[np.ndarray | None]:

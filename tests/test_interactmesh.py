@@ -307,30 +307,6 @@ class TestLockstepBuild:
                 assert empty_circumsphere_ok(np.vstack([cloud, verts]), a)
 
 
-    def test_repeated_cloud_built_once(self, rng, monkeypatch):
-        verts = make_box(half=CARRY_BOX_HALF, subdiv=3).vertices + rng.normal(scale=1e-3, size=(56, 3))
-        cloud = rng.uniform(-0.4, 0.4, size=(20, 3))
-        inserted = count_insertions(monkeypatch)
-        seed = DelaunaySeed(verts, [cloud.copy() for _ in range(25)])  # a static hold
-        got = [seed.tetrahedralization(cloud.copy()) for _ in range(25)]
-        assert inserted == [[56], [20]]
-        alone = DelaunaySeed(verts).tetrahedralization(cloud)
-        assert all(tets.tobytes() == alone.tobytes() for tets in got)
-        assert len({id(tets) for tets in got}) == 25  # each frame gets its own array
-
-    def test_repeated_clouds_kept_until_their_last_frame(self, rng, monkeypatch):
-        verts = make_box(half=CARRY_BOX_HALF, subdiv=3).vertices + rng.normal(scale=1e-3, size=(56, 3))
-        a, b, c = (rng.uniform(-0.4, 0.4, size=(n, 3)) for n in (20, 12, 5))
-        clip = [a, b, a, c, a, b, c, a]
-        inserted = count_insertions(monkeypatch)
-        seed = DelaunaySeed(verts, clip)
-        got = [seed.tetrahedralization(cloud) for cloud in clip]
-        assert inserted == [[56], [20, 12, 5]]
-        assert seed._built == {}  # nothing kept once every frame is served
-        for cloud, tets in zip(clip, got):
-            assert tets.tobytes() == DelaunaySeed(verts).tetrahedralization(cloud).tobytes()
-
-
 class TestSeedCache:
     """Seeds of equal vertex bytes share one Bowyer-Watson state per process,
     read-only, for the _SEED_CACHE most recently used objects."""
