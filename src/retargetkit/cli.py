@@ -57,6 +57,7 @@ from .rewards import (
 )
 from .schedule import (
     ScheduleConfig,
+    filter_document,
     filter_until_converged,
     lazy_student,
     make_filter_state,
@@ -65,7 +66,7 @@ from .schedule import (
     run_schedule,
 )
 from .rotations import quat_log_relative
-from .smoothing import SmoothConfig
+from .smoothing import SmoothConfig, second_differences
 
 
 class _Parser(argparse.ArgumentParser):
@@ -322,9 +323,8 @@ def _cmd_smooth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_motion(final, out_dir / Path(args.motion).name)
 
-    d2 = lambda t: t[:-2] - 2.0 * t[1:-1] + t[2:]
-    before = d2(seq.root_pos)
-    after = d2(final.root_pos)
+    before = second_differences(seq.root_pos)
+    after = second_differences(final.root_pos)
     with open(out_dir / f"{Path(args.motion).stem}.energy.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "before_x", "before_y", "before_z", "after_x", "after_y", "after_z"])
@@ -440,13 +440,7 @@ def _cmd_schedule_sim(args) -> int:
 def _cmd_filter(args) -> int:
     state = filter_until_converged(make_filter_state(read_json(args.stats)))
     if args.format == "json":
-        doc = {
-            "retained": sorted(c.clip_id for c in state.retained),
-            "removed": sorted(state.removed),
-            "sigma_history": list(state.sigma_history),
-            "iterations": state.iteration,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit(json.dumps(filter_document(state), indent=2) + "\n", args.output)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)

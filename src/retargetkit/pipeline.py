@@ -6,15 +6,16 @@ scales act as the bridge shape on the source topology, and retargeting runs
 onto that bridge, which carries the target's joint limits, velocity limits
 and foot joints (`bridge_skeleton`). Source interact meshes do not depend on
 the target, so they are shared per (motion, second motion, source skeleton,
-object) file contents: one clip onto N targets builds its meshes once. Both
-live in one memo for the run, which drops a value when the last entry that
-needs it has finished.
+object) file contents: one clip onto N targets builds its meshes once.
 
-Entries are loaded, fitted and given their meshes in manifest order. The
-entries that share a mesh key, one clip onto several targets, are
-retargeted together in one `retarget_sequence` call, once the last of them
-in manifest order has been prepared; the call solves their targets in
-lockstep, and each entry gets the bytes it gets in a manifest of its own.
+The entries that share meshes, one clip onto several targets, form a group,
+the unit of work. A group's entries are loaded and fitted in manifest order,
+its meshes are built once, and its entries are retargeted together in one
+`retarget_sequence` call; the call solves their targets in lockstep, and
+each entry gets the bytes it gets in a manifest of its own. A clip's meshes
+live only while its group runs, and shape fits are kept for the whole run.
+The groups run in the manifest order of their last entries.
+
 Each entry writes <id>.json and <id>.losses.csv, so one clip can go to
 several targets under distinct ids, and the summary lists the entries in
 manifest order. Entry failures are isolated: one broken entry, or one
@@ -27,7 +28,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -49,7 +49,7 @@ from .motionio import (
 )
 from .optim import OptimizerConfig
 from .retarget import TERM_NAMES, FrameLoss, RetargetConfig, RetargetResult, retarget_sequence, source_meshes
-from .schedule import FilterState, filter_until_converged, make_filter_state
+from .schedule import FilterState, filter_document, filter_until_converged, make_filter_state
 from .smoothing import SmoothConfig, second_difference_energy, smooth_root, smooth_rotations
 
 
@@ -269,92 +269,63 @@ def _entry_keys(entry: ManifestEntry) -> tuple[tuple, tuple]:
         _file_digest(p) for p in (entry.source_skeleton, entry.target_skeleton, entry.motion,
                                   entry.second_motion, entry.object_path)
     )
-    return ("fit", source, target), ("meshes", motion, second, source, obj)
-
-
-class _Memo:
-    """Values built once per key and shared by the entries that need them.
-
-    Each key's users are counted before any entry runs, and a value is
-    dropped when its last user releases the key, so a long manifest holds
-    only the values of the entries still to finish. A build that raises is
-    not kept, so every user of a broken input gets its own error.
-    """
-
-    def __init__(self, users: Counter):
-        self._users = users
-        self._values: dict[tuple, object] = {}
-
-    def get(self, key: tuple, build):
-        if key not in self._values:
-            self._values[key] = build()
-        return self._values[key]
-
-    def release(self, key: tuple) -> None:
-        self._users[key] -= 1
-        if self._users[key] <= 0:
-            self._values.pop(key, None)
+    return (source, target), (motion, second, source, obj)
 
 
 @dataclass
 class _Job:
-    """An entry whose inputs, bridge and source meshes are ready to retarget."""
+    """An entry whose inputs and bridge are ready to retarget."""
 
     entry: ManifestEntry
     summary: EntrySummary
-    mesh_key: tuple
     seq: MotionSequence
+    second: MotionSequence | None
     source: Skeleton
     obj: ObjectMesh
     bridge: Skeleton
     shape: ShapeParams
-    meshes: list
 
 
-def _prepare_entry(entry: ManifestEntry, keys: tuple | None, manifest: PipelineManifest, memo: _Memo,
-                   summary: EntrySummary) -> _Job | None:
-    """Load the entry's inputs, fit its bridge and get its source meshes. On
-    failure, the summary records the error, the entry's keys are released
-    and None is returned."""
-    try:
-        source_skel = load_skeleton(entry.source_skeleton)
-        seq = load_motion(entry.motion, source_skel)
-        obj = load_obj(entry.object_path)
-        second = (
-            load_motion(entry.second_motion, source_skel)
-            if entry.second_motion is not None
-            else None
-        )
-        keys = keys or _entry_keys(entry)  # a file that could not be read fails here
-        fit_key, mesh_key = keys
-        target_skel = load_skeleton(entry.target_skeleton)
-        bridge_shape, residual = memo.get(fit_key, lambda: fit_bridge(source_skel, target_skel))
-        summary.fit_residual = residual
-        bridge = bridge_skeleton(source_skel, target_skel)
-        ones = ShapeParams.ones(source_skel.joint_count)
-        meshes = memo.get(
-            mesh_key,
-            lambda: source_meshes(seq, source_skel, ones, obj, manifest.retarget, second_seq=second),
-        )
-    except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
-        summary.error = f"{type(exc).__name__}: {exc}"
-        for key in keys or ():
-            memo.release(key)
-        return None
-    memo.release(fit_key)
-    return _Job(entry, summary, mesh_key, seq, source_skel, obj, bridge, bridge_shape, meshes)
+def _prepare_entry(entry: ManifestEntry, keys: tuple | None, fits: dict, summary: EntrySummary) -> _Job:
+    """Load the entry's inputs and fit its bridge, or take the fit from
+    `fits`, which keeps every fit of the run that did not raise."""
+    source_skel = load_skeleton(entry.source_skeleton)
+    seq = load_motion(entry.motion, source_skel)
+    obj = load_obj(entry.object_path)
+    second = load_motion(entry.second_motion, source_skel) if entry.second_motion is not None else None
+    fit_key = (keys or _entry_keys(entry))[0]  # a file that could not be read fails here
+    target_skel = load_skeleton(entry.target_skeleton)
+    if fit_key not in fits:
+        fits[fit_key] = fit_bridge(source_skel, target_skel)
+    shape, summary.fit_residual = fits[fit_key]
+    return _Job(entry, summary, seq, second, source_skel, obj, bridge_skeleton(source_skel, target_skel), shape)
 
 
-def _retarget_group(jobs: list[_Job], manifest: PipelineManifest, memo: _Memo) -> None:
-    """Retarget the jobs that share source meshes in one retarget_sequence
-    call, in lockstep when there are several, then smooth and write each.
-    The jobs' inputs have the same file contents, so the first job's serve."""
+def _run_group(group: list[tuple[ManifestEntry, tuple | None, EntrySummary]], manifest: PipelineManifest,
+               fits: dict) -> None:
+    """Prepare the entries of one source clip in manifest order, retarget
+    them in one retarget_sequence call, in lockstep when there are several,
+    then smooth and write each. The entries' inputs have the same file
+    contents, so the first entry to get its meshes builds them for all; a
+    build that raises is not kept, and the meshes are freed on return."""
+    jobs, meshes = [], None
+    for entry, keys, summary in group:
+        try:
+            job = _prepare_entry(entry, keys, fits, summary)
+            if meshes is None:
+                ones = ShapeParams.ones(job.source.joint_count)
+                meshes = source_meshes(job.seq, job.source, ones, job.obj, manifest.retarget, second_seq=job.second)
+            jobs.append(job)
+        except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
+            summary.error = f"{type(exc).__name__}: {exc}"
+    if not jobs:
+        return
     first = jobs[0]
     try:
         results = retarget_sequence(
             first.seq, first.source, ShapeParams.ones(first.source.joint_count),
             [job.bridge for job in jobs], [job.shape for job in jobs], first.obj, manifest.retarget,
-            meshes=first.meshes,
+            meshes=meshes,
         )
     except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
         results = [exc] * len(jobs)
@@ -365,8 +336,6 @@ def _retarget_group(jobs: list[_Job], manifest: PipelineManifest, memo: _Memo) -
             _write_entry(job, result, manifest)
         except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
             job.summary.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            memo.release(job.mesh_key)
 
 
 def _write_entry(job: _Job, result: RetargetResult, manifest: PipelineManifest) -> None:
@@ -390,35 +359,31 @@ def _write_entry(job: _Job, result: RetargetResult, manifest: PipelineManifest) 
 
 
 def run_pipeline(manifest: PipelineManifest, jobs: int = 1) -> PipelineSummary:
-    """Process the entries in manifest order, write outputs and summary
-    files, run the filter when episode statistics are supplied.
-    Deterministic for a fixed manifest.
+    """Process the entries, write outputs and summary files, run the filter
+    when episode statistics are supplied. Deterministic for a fixed manifest.
 
-    Each entry is loaded, fitted and given its source meshes in manifest
-    order. The entries that share source meshes are retargeted together, in
-    one lockstep retarget_sequence call, once the last of them in manifest
-    order has been prepared; each gets the bytes it gets alone."""
+    The entries that share source meshes form a group, and an entry whose
+    files could not be hashed forms a group of its own. The groups run in
+    the manifest order of their last entries; each group's entries are
+    prepared in manifest order and retargeted together, in one lockstep
+    retarget_sequence call, and each gets the bytes it gets alone. The
+    summary lists the entries in manifest order."""
     if jobs != 1:  # the keyword stays only while the benchmark passes jobs=1
         raise ValueError(f"entries run one at a time; jobs must be 1, got {jobs!r}")
-    keys = []
-    for entry in manifest.entries:
-        try:
-            keys.append(_entry_keys(entry))
-        except OSError:  # the entry reports it when it runs
-            keys.append(None)
-    memo = _Memo(Counter(key for pair in keys if pair for key in pair))
-    last = {pair[1]: i for i, pair in enumerate(keys) if pair}  # each mesh key's last entry
-    waiting: dict[tuple, list[_Job]] = {}
+    groups: dict[object, list] = {}
     results = []
-    for i, (entry, pair) in enumerate(zip(manifest.entries, keys)):
-        summary = EntrySummary(entry_id=entry.entry_id, status="failed")
-        results.append(summary)
-        job = _prepare_entry(entry, pair, manifest, memo, summary)
-        if job is not None:
-            waiting.setdefault(job.mesh_key, []).append(job)
-            del job  # its group holds it, so its meshes go when the group is done
-        for key in [k for k in waiting if last.get(k, i) <= i]:
-            _retarget_group(waiting.pop(key), manifest, memo)
+    for i, entry in enumerate(manifest.entries):
+        try:
+            keys = _entry_keys(entry)
+        except OSError:  # the entry reports it when it runs
+            keys = None
+        results.append(EntrySummary(entry_id=entry.entry_id, status="failed"))
+        key = keys[1] if keys else i
+        # moved to the end, so the groups run in the order of their last entries
+        groups[key] = groups.pop(key, []) + [(entry, keys, results[-1])]
+    fits: dict[tuple, tuple[ShapeParams, float]] = {}
+    for group in groups.values():
+        _run_group(group, manifest, fits)
 
     filter_state = None
     if manifest.episode_stats:
@@ -461,12 +426,7 @@ def _write_summary(summary: PipelineSummary, out_dir: Path) -> None:
         ]
     }
     if summary.filter_state is not None:
-        doc["filter"] = {
-            "retained": sorted(c.clip_id for c in summary.filter_state.retained),
-            "removed": sorted(summary.filter_state.removed),
-            "sigma_history": list(summary.filter_state.sigma_history),
-            "iterations": summary.filter_state.iteration,
-        }
+        doc["filter"] = filter_document(summary.filter_state)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, allow_nan=True)
         fh.write("\n")

@@ -136,19 +136,14 @@ def expmap_to_mat(e: np.ndarray) -> np.ndarray:
     return rodrigues(e)[0]
 
 
-def average_quaternions(
-    quats: np.ndarray, weights: np.ndarray | None = None, ref_index: int = 0
-) -> np.ndarray:
-    """Normalized weighted quaternion mean, sign-aligned to quats[ref_index].
+def average_quaternions(quats: np.ndarray, ref_index: int = 0) -> np.ndarray:
+    """Normalized quaternion mean, sign-aligned to quats[ref_index].
 
     Adequate for the narrow orientation spreads seen inside a smoothing window;
     not a substitute for the eigenvector method on widely spread inputs.
     """
     quats = np.asarray(quats, dtype=float)
-    if weights is None:
-        weights = np.ones(len(quats))
-    weights = np.asarray(weights, dtype=float)
     ref = quats[ref_index]
     signs = np.where(quats @ ref < 0.0, -1.0, 1.0)
-    mean = (weights[:, None] * signs[:, None] * quats).sum(axis=0) / weights.sum()
+    mean = (signs[:, None] * quats).sum(axis=0) / len(quats)
     return quat_normalize(mean)

@@ -122,24 +122,12 @@ def lazy_student(target: float = 1.0, gain: float = 0.4) -> Callable[[float], fl
     return lambda state: gain * (target - state)
 
 
-def _default_imitation_objective(transitions: list[Transition]) -> float:
-    return float(np.mean([abs(tr.action - tr.expert_action) for tr in transitions]))
-
-
-def _default_trajectory_objective(transitions: list[Transition]) -> float:
-    # stub trajectory error: mean distance of visited states from the origin
-    return float(np.mean([abs(tr.next_state) for tr in transitions]))
-
-
 def run_schedule(
     teacher: Callable[[float], float],
     student: Callable[[float], float],
     env: Callable[[float, float], float],
     cfg: ScheduleConfig,
     rounds: int,
-    initial_state: float = 0.0,
-    imitation_objective: Callable[[list[Transition]], float] | None = None,
-    trajectory_objective: Callable[[list[Transition]], float] | None = None,
 ) -> ScheduleLog:
     """Execute the distillation schedule over stub policies.
 
@@ -152,8 +140,6 @@ def run_schedule(
     """
     if rounds < 1:
         raise DataError("need at least one round")
-    imitation_objective = imitation_objective or _default_imitation_objective
-    trajectory_objective = trajectory_objective or _default_trajectory_objective
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
     records: list[RoundRecord] = []
@@ -162,7 +148,7 @@ def run_schedule(
         gate = dagger_gate(t, cfg)
         w = loss_weight(t, cfg)
         mode = reward_mode(t, cfg)
-        state = initial_state
+        state = 0.0
         teacher_steps = 0
         round_transitions: list[Transition] = []
         for h in range(1, cfg.horizon + 1):
@@ -188,11 +174,10 @@ def run_schedule(
         action_loss = float(
             np.mean([abs(tr.action - tr.expert_action) for tr in round_transitions])
         )
-        objective = (
-            imitation_objective(round_transitions)
-            if mode == IMITATION
-            else trajectory_objective(round_transitions)
-        )
+        if mode == IMITATION:
+            objective = action_loss
+        else:  # stub trajectory error: mean distance of visited states from the origin
+            objective = float(np.mean([abs(tr.next_state) for tr in round_transitions]))
         records.append(
             RoundRecord(
                 round=t,
@@ -305,3 +290,14 @@ def filter_until_converged(state: FilterState) -> FilterState:
         if not any(c.mean_length < sigma for c in retained):
             return state
         state = filter_step(state)
+
+
+def filter_document(state: FilterState) -> dict:
+    """The filter's outcome as a JSON document: the retained and removed clip
+    ids, the mean length after each pass and the number of passes."""
+    return {
+        "retained": sorted(c.clip_id for c in state.retained),
+        "removed": sorted(state.removed),
+        "sigma_history": list(state.sigma_history),
+        "iterations": state.iteration,
+    }

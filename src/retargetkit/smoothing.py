@@ -225,10 +225,16 @@ def smooth_rotations(seq: MotionSequence, window: int) -> MotionSequence:
     )
 
 
+def second_differences(traj: np.ndarray) -> np.ndarray:
+    """The second differences D2 t of a trajectory, one row per interior frame."""
+    traj = np.asarray(traj, dtype=float)
+    return traj[:-2] - 2.0 * traj[1:-1] + traj[2:]
+
+
 def second_difference_energy(traj: np.ndarray) -> np.ndarray:
     """Per-axis squared second-difference energy ||D2 t||^2 (length = axes)."""
     traj = np.asarray(traj, dtype=float)
     if traj.shape[0] < 3:
         return np.zeros(traj.shape[1] if traj.ndim == 2 else 1)
-    d2 = traj[:-2] - 2.0 * traj[1:-1] + traj[2:]
+    d2 = second_differences(traj)
     return np.einsum("na,na->a", d2, d2)

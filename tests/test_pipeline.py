@@ -422,8 +422,9 @@ class TestSourceMeshCache:
         assert alive_at_build == [[], [False]]
 
     def test_interleaved_sources_build_once_and_drop_after_their_last_entry(self, tmp_path, monkeypatch):
-        # s0 -> t0, s1 -> t0, s0 -> t1: s0's meshes outlive s1's entry, and by
-        # the time the summary is written neither source's meshes are alive
+        # s0 -> t0, s1 -> t0, s0 -> t1: a clip's meshes live only while its own
+        # group runs, so s0's are not built yet when s1's are, and by the time
+        # the summary is written neither source's meshes are alive
         path, manifest, carry = self.carry_corpus(tmp_path)
         save_motion(held_box_motion(make_humanoid(), frames=FRAMES, amplitude=0.05), tmp_path / "motion1.json")
         original_build, original_summary = retarget.build_frame_meshes, pipeline._write_summary
@@ -449,8 +450,23 @@ class TestSourceMeshCache:
                    dict(carry, id="s0-tall", target_skeleton="tall.json")]
         summary = self.run(path, manifest, entries)
         assert [(e.entry_id, e.status) for e in summary.entries] == [(e["id"], "ok") for e in entries]
-        assert alive_at_build == [[], [True]]
+        assert alive_at_build == [[], [False]]
         assert alive_at_summary == [[False, False]]
+        self.assert_outputs_match_alone(path, manifest, entries)
+
+    def test_two_clips_onto_one_target_fit_its_bridge_once(self, tmp_path, monkeypatch):
+        # s0 -> tall, s1 -> tall: two groups, one skeleton pair, one fit per run
+        path, manifest, carry = self.carry_corpus(tmp_path)
+        save_motion(held_box_motion(make_humanoid(), frames=FRAMES, amplitude=0.05), tmp_path / "motion1.json")
+        fits = []
+        original = pipeline.fit_bridge
+        monkeypatch.setattr(pipeline, "fit_bridge", lambda *args: fits.append(None) or original(*args))
+        tall = dict(carry, target_skeleton="tall.json")
+        entries = [dict(tall, id="s0-tall"), dict(tall, id="s1-tall", motion="motion1.json")]
+        summary = self.run(path, manifest, entries)
+        assert [e.status for e in summary.entries] == ["ok", "ok"]
+        assert len(fits) == 1
+        assert summary.entries[0].fit_residual == summary.entries[1].fit_residual
         self.assert_outputs_match_alone(path, manifest, entries)
 
     def test_prebuilt_meshes_need_one_per_frame(self):
