@@ -8,8 +8,7 @@ takes --config, a JSON object keyed by flag names with underscores; its values
 are read as the flags' own arguments would be, flags override them, and they
 override the defaults. A value outside its field's range exits 1 naming the
 flag, exits 2 naming the key when it comes from --config, and is a DataError
-naming the field when it comes from a pipeline manifest; reward-eval's
-contact_near < contact_far, which spans two flags, is reported the same way.
+naming the field when it comes from a pipeline manifest.
 Machine output goes to stdout or the -o target, human-readable diagnostics to
 stderr.
 """
@@ -127,7 +126,6 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True, help="output directory")
     add_setting(p, "--laplacian-weight", RetargetConfig, "laplacian_weight", "laplacian term weight")
     add_setting(p, "--temporal-weight", RetargetConfig, "temporal_weight", "temporal term weight")
-    add_setting(p, "--jlimit-weight", RetargetConfig, "joint_limit_weight", "joint-limit term weight")
     add_setting(p, "--vlimit-weight", RetargetConfig, "velocity_limit_weight", "velocity-limit term weight")
     add_setting(p, "--slide-weight", RetargetConfig, "foot_slide_weight", "foot-slide term weight")
     add_setting(p, "--foot-speed-threshold", RetargetConfig, "foot_speed_threshold",
@@ -152,8 +150,6 @@ def build_parser() -> _Parser:
     add_setting(p, "--lambda-c", RewardConfig, "lambda_c", "contact coefficient")
     add_setting(p, "--lambda-v", RewardConfig, "lambda_v", "velocity coefficient")
     add_setting(p, "--lambda-f", RewardConfig, "lambda_f", "force coefficient")
-    add_setting(p, "--contact-near", RewardConfig, "contact_near", "contact zone bound, m")
-    add_setting(p, "--contact-far", RewardConfig, "contact_far", "penalty zone bound, m")
     add_setting(p, "--energy-velocity", RewardConfig, "energy_velocity", "velocity source for the energy factor")
     p.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
     # per-component weights have no flag form; only a config file sets them
@@ -221,11 +217,10 @@ def _config_value(command: _Parser, key: str, value):
     return (action.type or str)("none" if value is None else str(value))
 
 
-def _apply_config(args: argparse.Namespace, argv) -> tuple[argparse.Namespace, dict]:
+def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
     """Parse again, on a parser of its own, with the --config file's settings
     as the command's defaults, so flags override the file and the file
-    overrides the dataclass defaults; returns the new arguments and the
-    file's converted settings. A key must name an optional flag of the
+    overrides the dataclass defaults. A key must name an optional flag of the
     command that has a default, or reward-eval's omega; paths stay on the
     command line."""
     config = read_json(args.config)
@@ -243,20 +238,7 @@ def _apply_config(args: argparse.Namespace, argv) -> tuple[argparse.Namespace, d
         except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
             raise DataError(f"{args.config}: config key {key!r}: {exc}") from exc
     command.set_defaults(**settings)
-    return parser.parse_args(argv), settings
-
-
-def _check_contact_zone(parser: _Parser, args: argparse.Namespace, settings: dict) -> None:
-    """reward-eval's contact_near < contact_far, reported where the values
-    came from: exit 2 naming the --config keys that set either, else a usage
-    error naming the flags."""
-    if args.command != "reward-eval" or args.contact_near < args.contact_far:
-        return
-    rule = f"contact_near {args.contact_near!r} must be below contact_far {args.contact_far!r}"
-    keys = [k for k in ("contact_near", "contact_far") if k in settings and settings[k] == getattr(args, k)]
-    if keys:
-        raise DataError(f"{args.config}: config key {' and '.join(map(repr, keys))}: {rule}")
-    parser.commands[args.command].error(f"argument --contact-near/--contact-far: {rule}")
+    return parser.parse_args(argv)
 
 
 def _retention_rule(args) -> RetentionRule:
@@ -278,7 +260,6 @@ def _retarget_config(args) -> RetargetConfig:
     return RetargetConfig(
         laplacian_weight=args.laplacian_weight,
         temporal_weight=args.temporal_weight,
-        joint_limit_weight=args.jlimit_weight,
         velocity_limit_weight=args.vlimit_weight,
         foot_slide_weight=args.slide_weight,
         foot_speed_threshold=args.foot_speed_threshold,
@@ -346,8 +327,6 @@ def _reward_config(args) -> RewardConfig:
         lambda_v=args.lambda_v,
         lambda_f=args.lambda_f,
         omega=omega,
-        contact_near=args.contact_near,
-        contact_far=args.contact_far,
         energy_velocity=args.energy_velocity,
     )
 
@@ -513,10 +492,8 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
-        settings = {}
         if args.config:
-            args, settings = _apply_config(args, argv)
-        _check_contact_zone(parser, args, settings)
+            args = _apply_config(args, argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

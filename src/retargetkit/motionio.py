@@ -198,33 +198,51 @@ def read_json(path):
             raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
+def _read(convert, value, message: str):
+    """convert(value), or a DataError with the message when it cannot."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise DataError(message) from None
+
+
+def _numbers(path, items: list, what: str, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Every item's `key` as one float array of shape (len(items),) + shape;
+    a DataError names the file and the first item whose value is not such
+    numbers."""
+    try:
+        array = np.array([item[key] for item in items], dtype=float)
+        if array.shape[1:] == shape:
+            return array
+    except (TypeError, ValueError):
+        pass
+    expected = "a number" if not shape else " lists of ".join(map(str, shape)) + " numbers"
+    for i, item in enumerate(items):  # the stacked array failed, so some item raises here
+        message = f"{path}: {what} {i} {key} must be {expected}, got {item[key]!r}"
+        _require(_read(lambda v: np.array(v, dtype=float).shape, item[key], message) == shape, message)
+
+
 def load_skeleton(path) -> Skeleton:
     raw = read_json(path)
     _require(isinstance(raw, dict) and "joints" in raw, f"{path}: missing 'joints' field")
     joints = raw["joints"]
     _require(isinstance(joints, list) and joints, f"{path}: 'joints' must be a non-empty list")
-    names, parents, offsets, qmin, qmax, vmin, vmax = [], [], [], [], [], [], []
+    parents = []
     for idx, joint in enumerate(joints):
+        _require(isinstance(joint, dict), f"{path}: joint {idx} must be a JSON object")
         for key in ("name", "parent", "offset", "q_min", "q_max", "v_min", "v_max"):
             _require(key in joint, f"{path}: joint {idx} missing field '{key}'")
-        names.append(str(joint["name"]))
-        parents.append(-1 if joint["parent"] is None else int(joint["parent"]))
-        offsets.append(joint["offset"])
-        qmin.append(joint["q_min"])
-        qmax.append(joint["q_max"])
-        vmin.append(joint["v_min"])
-        vmax.append(joint["v_max"])
+        parents.append(_read(lambda p: -1 if p is None else int(p), joint["parent"],
+                             f"{path}: joint {idx} parent must be a joint index or null, got {joint['parent']!r}"))
+    feet = raw.get("foot_joints", [])
+    feet = _read(lambda fs: frozenset(int(f) for f in fs), feet,
+                 f"{path}: foot_joints must list joint indices, got {feet!r}")
+    arrays = {name: _numbers(path, joints, "joint", key, shape) for name, key, shape in (
+        ("rest_offsets", "offset", (3,)), ("q_min", "q_min", (3,)), ("q_max", "q_max", (3,)),
+        ("v_min", "v_min", ()), ("v_max", "v_max", ()))}
     try:
-        return Skeleton(
-            names=tuple(names),
-            parents=np.array(parents, dtype=int),
-            rest_offsets=np.array(offsets, dtype=float),
-            q_min=np.array(qmin, dtype=float),
-            q_max=np.array(qmax, dtype=float),
-            v_min=np.array(vmin, dtype=float),
-            v_max=np.array(vmax, dtype=float),
-            foot_joints=frozenset(int(f) for f in raw.get("foot_joints", [])),
-        )
+        return Skeleton(names=tuple(str(joint["name"]) for joint in joints), parents=np.array(parents, dtype=int),
+                        foot_joints=feet, **arrays)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -249,40 +267,43 @@ def _renormalize(quats: np.ndarray, what: str) -> np.ndarray:
 
 def load_motion(path, skeleton: Skeleton) -> MotionSequence:
     raw = read_json(path)
-    _require("fps" in raw and "frames" in raw, f"{path}: motion file needs 'fps' and 'frames'")
-    fps = float(raw["fps"])
+    _require(isinstance(raw, dict) and "fps" in raw and "frames" in raw, f"{path}: motion file needs 'fps' and 'frames'")
+    fps = _read(float, raw["fps"], f"{path}: fps must be a number, got {raw['fps']!r}")
     _require(fps > 0, f"{path}: fps must be positive, got {fps}")
     frames = raw["frames"]
     _require(isinstance(frames, list) and frames, f"{path}: 'frames' must be a non-empty list")
     j = skeleton.joint_count
-    root_pos, root_rot, joint_rots, obj_pos, obj_rot, contacts = [], [], [], [], [], []
-    has_contacts = "contacts" in frames[0]
+    has_contacts = isinstance(frames[0], dict) and "contacts" in frames[0]
+    contacts = []
     for t, frame in enumerate(frames):
+        if not isinstance(frame, dict):  # per frame, so a message is formatted only on failure
+            raise DataError(f"{path}: frame {t} must be a JSON object")
+        for key in ("root_pos", "root_rot", "joint_rots", "obj_pos", "obj_rot"):
+            if key not in frame:
+                raise DataError(f"{path}: frame {t} missing field '{key}'")
         rots = frame["joint_rots"]
-        if len(rots) != j - 1:
+        if isinstance(rots, list) and len(rots) != j - 1:
             raise DataError(
                 f"{path}: frame {t} has {len(rots)} joint_rots but the skeleton "
                 f"has {j} joints (expected {j - 1})"
             )
-        root_pos.append(frame["root_pos"])
-        root_rot.append(frame["root_rot"])
-        joint_rots.append(rots)
-        obj_pos.append(frame["obj_pos"])
-        obj_rot.append(frame["obj_rot"])
         if has_contacts:
             labels = frame.get("contacts")
-            _require(labels is not None and len(labels) == j, f"{path}: frame {t} contacts must list {j} labels")
+            _require(isinstance(labels, list) and len(labels) == j,
+                     f"{path}: frame {t} contacts must list {j} labels")
             contacts.append(labels)
+        elif "contacts" in frame:
+            raise DataError(f"{path}: frame {t} has contacts but frame 0 has none")
     if not set(map(type, chain.from_iterable(contacts))) <= {int}:  # as errors.Range(int): no bool, no 1.0
         t = next(t for t, row in enumerate(contacts) if not set(map(type, row)) <= {int})
         raise DataError(f"{path}: frame {t} contact labels must be integers, got {contacts[t]!r}")
     return MotionSequence(
         fps=fps,
-        root_pos=np.array(root_pos, dtype=float),
-        root_rot=_renormalize(np.array(root_rot, dtype=float), "root"),
-        joint_rots=np.array(joint_rots, dtype=float),
-        obj_pos=np.array(obj_pos, dtype=float),
-        obj_rot=_renormalize(np.array(obj_rot, dtype=float), "object"),
+        root_pos=_numbers(path, frames, "frame", "root_pos", (3,)),
+        root_rot=_renormalize(_numbers(path, frames, "frame", "root_rot", (4,)), "root"),
+        joint_rots=_numbers(path, frames, "frame", "joint_rots", (j - 1, 3)),
+        obj_pos=_numbers(path, frames, "frame", "obj_pos", (3,)),
+        obj_rot=_renormalize(_numbers(path, frames, "frame", "obj_rot", (4,)), "object"),
         contacts=np.array(contacts) if has_contacts else None,
     )
 
@@ -298,11 +319,17 @@ def load_obj(path) -> ObjectMesh:
             if parts[0] == "v":
                 if len(parts) < 4:
                     raise DataError(f"{path}:{lineno}: vertex line needs 3 coordinates")
-                vertices.append([float(p) for p in parts[1:4]])
+                try:  # per line, so a message is formatted only on failure
+                    vertices.append([float(p) for p in parts[1:4]])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: vertex coordinates must be numbers") from None
             elif parts[0] == "f":
                 if len(parts) < 4:
                     raise DataError(f"{path}:{lineno}: face line needs 3 indices")
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:4]]
+                try:
+                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:4]]
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: face indices must be integers") from None
                 for i in idx:
                     if not 0 <= i < len(vertices):
                         raise DataError(

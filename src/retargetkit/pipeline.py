@@ -154,7 +154,8 @@ class EntryReport:
 
 
 def validate_manifest(manifest: PipelineManifest) -> list[EntryReport]:
-    """Check every referenced path and skeleton/motion compatibility."""
+    """Check every referenced path, skeleton/motion compatibility and the
+    second motion's alignment with the first."""
     reports = []
     for entry in manifest.entries:
         problems = []
@@ -178,9 +179,11 @@ def validate_manifest(manifest: PipelineManifest) -> list[EntryReport]:
                         f"skeletons incompatible: source has {source.joint_count} joints, "
                         f"target has {target.joint_count}"
                     )
-                load_motion(entry.motion, source)
+                seq = load_motion(entry.motion, source)
                 if entry.second_motion is not None:
-                    load_motion(entry.second_motion, source)
+                    second = load_motion(entry.second_motion, source)
+                    if second.frame_count != seq.frame_count:
+                        problems.append(f"second_motion has {second.frame_count} frames, motion has {seq.frame_count}")
                 load_obj(entry.object_path)
             except DataError as exc:
                 problems.append(str(exc))

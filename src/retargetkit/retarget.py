@@ -6,7 +6,6 @@ SIGGRAPH 2010) on the frame's interact mesh, plus regularizers:
 
   laplacian   sum_tet || L(source tet) - L(target tet(q)) ||_F^2
   temporal    || x - x_pred ||^2 over the full stored parameter vector
-  jlimit      sum max(0, q_min - q) + max(0, q - q_max)     (per joint axis)
   vlimit      sum max(0, v_min*dt - dq) + max(0, dq - v_max*dt), dq = q - q_prev
   slide       sum_f || p_f(x) - p_f(x_prev) ||^2 over feet whose *source*
               horizontal speed is below the threshold (z up)
@@ -43,9 +42,9 @@ the slide term adds its weight on the gated feet's diagonal. K_lap is built
 once per frame mesh, for all of the frame's targets.
 
 Hinge terms use subgradient 0 at the kink. Frames are optimized in time
-order, each warm-started at its prediction x_pred; joint limits are enforced
-by projection (clamping) inside the descent loop, so outputs satisfy them to
-round-off rather than only up to the soft penalty.
+order, each warm-started at its prediction x_pred. Joint limits are a
+constraint with no penalty term: the descent loop projects (clamps) every
+point before it evaluates it, so outputs satisfy them exactly.
 """
 
 from __future__ import annotations
@@ -81,14 +80,13 @@ from .motionio import MotionSequence, ObjectMesh, ShapeParams, Skeleton
 from .optim import OptimizerConfig, levenberg_marquardt, lockstep_levenberg_marquardt
 from .rotations import quat_left_matrix, quat_mul, quat_normalize, quat_to_mat, rodrigues, row_dots
 
-TERM_NAMES = ("laplacian", "temporal", "jlimit", "vlimit", "slide")
+TERM_NAMES = ("laplacian", "temporal", "vlimit", "slide")
 
 
 @dataclass(frozen=True)
 class RetargetConfig:
     laplacian_weight: float = setting(1.0, ge=0)
     temporal_weight: float = setting(1.0, ge=0)
-    joint_limit_weight: float = setting(1.0, ge=0)
     velocity_limit_weight: float = setting(1.0, ge=0)
     foot_slide_weight: float = setting(1.0, ge=0)
     foot_speed_threshold: float = setting(0.01, gt=0)  # m/s, evaluated on the source feet
@@ -114,7 +112,6 @@ class FrameLoss:
     total: float
     laplacian: float
     temporal: float
-    jlimit: float
     vlimit: float
     slide: float
     mesh_empty: bool
@@ -324,12 +321,7 @@ class FrameStack:
         d = x - self.x_pred[take]
         terms["temporal"] = cfg.temporal_weight * row_dots(d, d)
 
-        r = x[:, 7:]
-        low = np.maximum(0.0, self.q_min[take] - r)
-        high = np.maximum(0.0, r - self.q_max[take])
-        terms["jlimit"] = cfg.joint_limit_weight * (np.add.reduce(low, axis=1) + np.add.reduce(high, axis=1))
-
-        dq = r - self.x_prev[take, 7:]
+        dq = x[:, 7:] - self.x_prev[take, 7:]
         vlow = np.maximum(0.0, self.dq_min[take] - dq)
         vhigh = np.maximum(0.0, dq - self.dq_max[take])
         terms["vlimit"] = cfg.velocity_limit_weight * (np.add.reduce(vlow, axis=1) + np.add.reduce(vhigh, axis=1))
@@ -390,14 +382,11 @@ class FrameStack:
         return jtj, jtr
 
     def hinge_gradient(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Subgradient of the joint- and velocity-limit hinges (0 at the kink)."""
+        """Subgradient of the velocity-limit hinges (0 at the kink)."""
         cfg, take = self.cfg, self._take(rows)
         grad = np.zeros_like(xi)
-        r = xi[:, 6:]
         g_r = grad[:, 6:]
-        g_r -= cfg.joint_limit_weight * (self.q_min[take] - r > 0)
-        g_r += cfg.joint_limit_weight * (r - self.q_max[take] > 0)
-        dq = r - self.x_prev[take, 7:]
+        dq = xi[:, 6:] - self.x_prev[take, 7:]
         g_r -= cfg.velocity_limit_weight * (self.dq_min[take] - dq > 0)
         g_r += cfg.velocity_limit_weight * (dq - self.dq_max[take] > 0)
         return grad

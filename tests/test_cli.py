@@ -26,7 +26,7 @@ from retargetkit.rewards import RewardConfig
 from retargetkit.schedule import ScheduleConfig
 from retargetkit.smoothing import SmoothConfig
 
-from conftest import CARRY_BOX_HALF, held_box_motion, make_box, make_humanoid
+from conftest import CARRY_BOX_HALF, held_box_motion, make_box, make_humanoid, partner_motion
 from retargetkit.pipeline import load_manifest, run_pipeline
 from retargetkit.rotations import quat_from_expmap
 from test_pipeline import write_corpus
@@ -59,16 +59,15 @@ COMMAND_ARGS = {
 FIELD_FLAGS = (
     [("retarget", dest, RetargetConfig, name) for dest, name in (
         ("laplacian_weight", "laplacian_weight"), ("temporal_weight", "temporal_weight"),
-        ("jlimit_weight", "joint_limit_weight"), ("vlimit_weight", "velocity_limit_weight"),
-        ("slide_weight", "foot_slide_weight"), ("foot_speed_threshold", "foot_speed_threshold"))]
+        ("vlimit_weight", "velocity_limit_weight"), ("slide_weight", "foot_slide_weight"),
+        ("foot_speed_threshold", "foot_speed_threshold"))]
     + [("retarget", "max_iterations", OptimizerConfig, "max_iterations")]
     + [(command, dest, cls, name) for command in ("retarget", "mesh-inspect") for dest, cls, name in (
         ("retention", RetentionRule, "mode"), ("proximity_gate", RetentionRule, "proximity_gate"),
         ("max_object_vertices", RetargetConfig, "max_object_vertices"))]
     + [("smooth", "alpha", SmoothConfig, "alpha"), ("smooth", "window", SmoothConfig, "rotation_window")]
     + [("reward-eval", name, RewardConfig, name) for name in (
-        "lambda_delta", "lambda_c", "lambda_v", "lambda_f", "omega", "contact_near", "contact_far",
-        "energy_velocity")]
+        "lambda_delta", "lambda_c", "lambda_v", "lambda_f", "omega", "energy_velocity")]
     + [("schedule-sim", name, ScheduleConfig, name) for name in ("epsilon", "kappa", "t_imit", "horizon", "seed")]
 )
 
@@ -115,7 +114,52 @@ class TestHelpGolden:
         assert text == golden.read_text(), f"help text for {command} drifted from golden file"
 
 
+DELETE = object()
+# (id, file, key path into the file's JSON or None to append an OBJ line,
+# value set there (DELETE removes the key) or the line, what the error names)
+MALFORMED_INPUTS = [
+    ("missing-field", "motion.json", ("frames", 1, "obj_pos"), DELETE, "frame 1 missing field 'obj_pos'"),
+    ("frame-not-object", "motion.json", ("frames", 2), 5, "frame 2 must be a JSON object"),
+    ("joint-not-object", "skeleton.json", ("joints", 3), "elbow", "joint 3 must be a JSON object"),
+    ("fps-text", "motion.json", ("fps",), "fast", "fps must be a number"),
+    ("coordinate-text", "motion.json", ("frames", 1, "root_pos", 0), "a", "frame 1 root_pos must be 3 numbers"),
+    ("short-root-pos", "motion.json", ("frames", 3, "root_pos"), [0.0, 0.0], "frame 3 root_pos must be 3 numbers"),
+    ("parent-text", "skeleton.json", ("joints", 2, "parent"), "root", "joint 2 parent must be a joint index"),
+    ("offset-text", "skeleton.json", ("joints", 4, "offset", 1), "a", "joint 4 offset must be 3 numbers"),
+    ("late-contacts", "motion.json", ("frames", 2, "contacts"), [0] * 20, "frame 2 has contacts but frame 0 has none"),
+    ("vertex-text", "box.obj", None, "v 0 0 zero", "vertex coordinates must be numbers"),
+    ("face-text", "box.obj", None, "f 1 2 x", "face indices must be integers"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("name, where, value, named", [case[1:] for case in MALFORMED_INPUTS],
+                             ids=[case[0] for case in MALFORMED_INPUTS])
+    def test_malformed_input_is_data_error(self, tmp_path, monkeypatch, capsys, name, where, value, named):
+        # a data error naming the file and the frame, joint or line, not a traceback
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        path = tmp_path / name
+        if where is None:
+            lines = path.read_text().splitlines() + [value]
+            path.write_text("\n".join(lines) + "\n")
+            named = f"{name}:{len(lines)}: {named}"
+        else:
+            doc = json.loads(path.read_text())
+            *parents, key = where
+            target = doc
+            for step in parents:
+                target = target[step]
+            if value is DELETE:
+                del target[key]
+            else:
+                target[key] = value
+            path.write_text(json.dumps(doc))
+            named = f"{name}: {named}"
+        assert main(["mesh-inspect"] + COMMAND_ARGS["mesh-inspect"] + ["-o", "mesh.json"]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "mesh.json").exists()
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["smooth", "--bogus"]) == 1
 
@@ -146,6 +190,64 @@ class TestExitCodes:
         assert code == 2
 
 
+def write_setting_assets(root):
+    """Files on which each dataclass-backed setting moves its command's output.
+
+    A two-agent carry, so the retention modes differ, whose root stands for
+    three frames and then walks 0.06 m/s (the speed gate holds the feet, then
+    lets them slide) with a vertical jitter (the root smoothing has work),
+    with contact labels. The reference sways half as far and labels the
+    wrists in contact. The target is 1.2 times the source's size, with 0.5
+    rad/s velocity limits that bind.
+    """
+    skel = make_humanoid()
+    seq = held_box_motion(skel, frames=6, amplitude=0.2)
+    walk = np.zeros((6, 3))
+    walk[3:, 0] = 0.002 * np.arange(1, 4)
+    jitter = np.zeros((6, 3))
+    jitter[:, 2] = 0.01 * (-1.0) ** np.arange(6)
+    labels = np.zeros((6, skel.joint_count), dtype=int)
+    seq = replace(seq, root_pos=seq.root_pos + walk + jitter, obj_pos=seq.obj_pos + walk, contacts=labels)
+    ref = held_box_motion(skel, frames=6, amplitude=0.1)
+    wrists = [skel.names.index("l_wrist"), skel.names.index("r_wrist")]
+    labels = labels.copy()
+    labels[:, wrists] = 1
+    ref = replace(ref, contacts=labels)
+    target = replace(make_humanoid(v_limit=0.5), rest_offsets=1.2 * skel.rest_offsets)
+    save_skeleton(skel, root / "skeleton.json")
+    save_skeleton(target, root / "target.json")
+    save_motion(seq, root / "motion.json")
+    save_motion(partner_motion(skel, seq), root / "second.json")
+    save_motion(ref, root / "ref.json")
+    save_obj(make_box(half=CARRY_BOX_HALF, subdiv=3), root / "box.obj")
+
+
+# per command, arguments that run it on write_setting_assets' files, from
+# their directory, and the files it writes
+SETTING_RUNS = {
+    "retarget": (["--src", "motion.json", "--src-skel", "skeleton.json", "--tgt-skel", "target.json",
+                  "--obj", "box.obj", "--second-src", "second.json", "-o", "out"],
+                 ["out/motion.json", "out/motion.losses.csv"]),
+    "mesh-inspect": (COMMAND_ARGS["mesh-inspect"] + ["--second-motion", "second.json", "--frame", "1",
+                                                     "-o", "mesh.json"], ["mesh.json"]),
+    "smooth": (COMMAND_ARGS["smooth"], ["out/motion.json", "out/motion.energy.csv"]),
+    "reward-eval": (["--motion", "motion.json", "--ref", "ref.json", "--skeleton", "skeleton.json",
+                     "--obj", "box.obj", "-o", "rewards.csv"], ["rewards.csv"]),
+    "schedule-sim": (["-o", "sim"], ["sim.csv", "sim.transitions.jsonl"]),
+}
+# the settings that move no output: reward-eval passes no contact forces, so
+# lambda_f scales a zero term
+INERT_SETTINGS = {("reward-eval", "lambda_f")}
+# a valid value other than the default, per flag dest
+OTHER_VALUES = {
+    "laplacian_weight": 3.0, "temporal_weight": 0.2, "vlimit_weight": 5.0, "slide_weight": 10.0,
+    "foot_speed_threshold": 1.0, "max_iterations": 1, "retention": "loose", "proximity_gate": None,
+    "max_object_vertices": 8, "alpha": 10.0, "window": 3, "lambda_delta": 2.0, "lambda_c": 2.0,
+    "lambda_v": 2.0, "lambda_f": 2.0, "omega": {"joint_pos": 2.0}, "energy_velocity": "linear",
+    "epsilon": 3.0, "kappa": 2.0, "t_imit": 3, "horizon": 7, "seed": 1,
+}
+
+
 class TestConfigFile:
     def test_flag_defaults_are_dataclass_defaults(self):
         # the dataclass field is the one declaration of a setting's default
@@ -156,6 +258,21 @@ class TestConfigFile:
             if default != expected or type(default) is not type(expected):
                 drifted.append(f"{command} {dest}: {default!r} != {cls.__name__}.{name} {expected!r}")
         assert not drifted
+
+    @pytest.mark.parametrize("command, dest", [(command, dest) for command, dest, _, _ in FIELD_FLAGS],
+                             ids=[f"{command}-{dest}" for command, dest, _, _ in FIELD_FLAGS])
+    def test_every_setting_moves_its_output(self, tmp_path, monkeypatch, command, dest):
+        # a setting no output depends on is a knob without a use; the known
+        # ones are listed, so mending one fails here until it leaves the list
+        monkeypatch.chdir(tmp_path)
+        write_setting_assets(tmp_path)
+        args, outputs = SETTING_RUNS[command]
+        (tmp_path / "cfg.json").write_text(json.dumps({dest: OTHER_VALUES[dest]}))
+        written = []
+        for extra in ([], ["--config", "cfg.json"]):
+            assert main([command] + args + extra) == 0
+            written.append([(tmp_path / name).read_bytes() for name in outputs])
+        assert (written[0] != written[1]) == ((command, dest) not in INERT_SETTINGS)
 
     @pytest.mark.parametrize("command, key, value", [
         ("retarget", "laplacian_weight", "abc"),
@@ -361,46 +478,6 @@ class TestConfigFile:
         assert "config key 'omega'" in capsys.readouterr().err
         assert not (tmp_path / "rewards.csv").exists()
 
-    @pytest.mark.parametrize("flags", [
-        ["--contact-far", "0.05"],
-        ["--contact-near", "0.3"],
-        ["--contact-near", "0.1", "--contact-far", "0.1"],
-    ])
-    def test_contact_zone_from_flags_is_usage_error(self, tmp_path, monkeypatch, capsys, flags):
-        # contact_near < contact_far spans two flags: a pair the flags (and the
-        # defaults) break exits 1 naming the flags
-        monkeypatch.chdir(tmp_path)
-        write_assets(tmp_path)
-        assert main(["reward-eval"] + COMMAND_ARGS["reward-eval"] + flags) == 1
-        err = capsys.readouterr().err
-        assert "--contact-near" in err and "--contact-far" in err
-        assert not (tmp_path / "rewards.csv").exists()
-
-    @pytest.mark.parametrize("config, flags, keys", [
-        ({"contact_far": 0.05}, [], ["contact_far"]),
-        ({"contact_near": 0.3}, [], ["contact_near"]),
-        ({"contact_near": 0.1, "contact_far": 0.05}, [], ["contact_near", "contact_far"]),
-        ({"contact_near": 0.1}, ["--contact-far", "0.08"], ["contact_near"]),
-    ])
-    def test_contact_zone_from_config_is_data_error(self, tmp_path, monkeypatch, capsys, config, flags, keys):
-        # a --config that sets either bound of a broken pair exits 2 naming its keys
-        monkeypatch.chdir(tmp_path)
-        write_assets(tmp_path)
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        assert main(["reward-eval"] + COMMAND_ARGS["reward-eval"] + flags + ["--config", "cfg.json"]) == 2
-        err = capsys.readouterr().err
-        assert all(repr(k) in err for k in keys)
-        assert "config key" in err
-        assert not (tmp_path / "rewards.csv").exists()
-
-    def test_contact_zone_flag_mends_config(self, tmp_path, monkeypatch):
-        # flags override the file, so a flag can restore the rule
-        monkeypatch.chdir(tmp_path)
-        write_assets(tmp_path)
-        (tmp_path / "cfg.json").write_text(json.dumps({"contact_far": 0.05}))
-        args = ["reward-eval"] + COMMAND_ARGS["reward-eval"] + ["--config", "cfg.json"]
-        assert main(args + ["--contact-near", "0.01"]) == 0
-
     def test_unflagged_setting_is_accepted(self, tmp_path):
         # reward-eval's per-component omega weights have no flag form
         write_assets(tmp_path)
@@ -443,7 +520,7 @@ class TestRetargetCommand:
         assert code == 0
         assert (out_dir / "motion.json").exists()
         losses = (out_dir / "motion.losses.csv").read_text().splitlines()
-        assert losses[0] == "frame,total,laplacian,temporal,jlimit,vlimit,slide"
+        assert losses[0] == "frame,total,laplacian,temporal,vlimit,slide"
         assert len(losses) == 1 + 4
 
     def test_seeded_rerun_byte_identical(self, tmp_path):

@@ -86,6 +86,18 @@ class TestValidateManifest:
         assert not reports[0].ok
         assert any("20 joints" in p and "4" in p for p in reports[0].problems)
 
+    def test_misaligned_second_motion_flagged(self, tmp_path):
+        # validation reports what the run fails the entry for
+        path = write_corpus(tmp_path, frames=4)
+        save_motion(held_box_motion(make_humanoid(), frames=3), tmp_path / "second.json")
+        manifest = json.loads(path.read_text())
+        manifest["entries"][0]["second_motion"] = "second.json"
+        path.write_text(json.dumps(manifest))
+        reports = validate_manifest(load_manifest(path))
+        assert not reports[0].ok
+        assert any("3 frames" in p and "has 4" in p for p in reports[0].problems)
+        assert "not time-aligned" in run_pipeline(load_manifest(path)).entries[0].error
+
 
 class TestRunPipeline:
     def test_identity_manifest_preserves_motion(self, tmp_path):

@@ -68,16 +68,6 @@ class TestEvalObjective:
         assert total == pytest.approx(0.0, abs=1e-18)
         assert all(v == pytest.approx(0.0, abs=1e-18) for v in terms.values())
 
-    def test_joint_limit_hinge_value(self, chain4):
-        # one axis 0.1 rad below q_min contributes exactly 0.1 at unit weight
-        shape = ShapeParams.ones(4)
-        rots = np.zeros((3, 3))
-        rots[1, 0] = chain4.q_min[2, 0] - 0.1
-        pose = Pose(np.zeros(3), np.array([1.0, 0, 0, 0]), rots)
-        ctx = FrameContext(dt=1 / 30)
-        _, terms = eval_objective(pose, pose, ctx, chain4, shape, None)
-        assert terms["jlimit"] == pytest.approx(0.1, abs=1e-12)
-
     def test_velocity_limit_hinge_value(self, chain4):
         shape = ShapeParams.ones(4)
         dt = 1 / 30
@@ -212,6 +202,19 @@ class TestRetargetSequence:
         rots = result.sequence.joint_rots
         assert np.all(rots >= skel.q_min[1:] - 1e-6)
         assert np.all(rots <= skel.q_max[1:] + 1e-6)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Gauss-Newton runs to its iteration cap once the joint limits bind: "
+        "frames take 100, 100, 6, 100, 100, 6 iterations",
+    )
+    def test_converges_where_joint_limits_bind(self):
+        source = make_humanoid()
+        seq = held_box_motion(source, frames=6, amplitude=0.2)
+        ones = ShapeParams.ones(source.joint_count)
+        result = retarget_sequence(seq, source, ones, make_humanoid(q_limit=0.5), ones, make_box(subdiv=2))
+        cap = RetargetConfig().optimizer.max_iterations
+        assert all(f.converged and f.iterations < cap for f in result.per_frame_losses)
 
     def test_slide_gates_use_the_target_feet(self, humanoid, box):
         # the source's feet stand still, so the target's feet are gated; a
@@ -620,7 +623,7 @@ class TestNormalEquations:
         assert relative_error(jtj, jac.T @ jac) < 1e-7
         assert relative_error(jtr, jac.T @ r) < 1e-7
         terms = model.terms(stored_vector(xi, model.anchor))
-        assert model.loss(xi) == pytest.approx(float(r @ r) + terms["jlimit"] + terms["vlimit"], rel=1e-12)
+        assert model.loss(xi) == pytest.approx(float(r @ r) + terms["vlimit"], rel=1e-12)
 
     def _frame(self, humanoid, seq, t, rng):
         # a prediction away from the previous pose, a turned root (delta away
