@@ -149,7 +149,6 @@ def build_parser() -> _Parser:
     add_setting(p, "--lambda-delta", RewardConfig, "lambda_delta", "imitation coefficient")
     add_setting(p, "--lambda-c", RewardConfig, "lambda_c", "contact coefficient")
     add_setting(p, "--lambda-v", RewardConfig, "lambda_v", "velocity coefficient")
-    add_setting(p, "--lambda-f", RewardConfig, "lambda_f", "force coefficient")
     add_setting(p, "--energy-velocity", RewardConfig, "energy_velocity", "velocity source for the energy factor")
     p.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
     # per-component weights have no flag form; only a config file sets them
@@ -325,7 +324,6 @@ def _reward_config(args) -> RewardConfig:
         lambda_delta=args.lambda_delta,
         lambda_c=args.lambda_c,
         lambda_v=args.lambda_v,
-        lambda_f=args.lambda_f,
         omega=omega,
         energy_velocity=args.energy_velocity,
     )

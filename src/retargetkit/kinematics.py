@@ -65,32 +65,12 @@ def tpose(skeleton: Skeleton, root_pos: np.ndarray | None = None) -> Pose:
     )
 
 
-def motion_frame_pose(seq: MotionSequence, t: int) -> Pose:
-    return Pose(
-        root_pos=seq.root_pos[t].copy(),
-        root_rot=seq.root_rot[t].copy(),
-        joint_rots=seq.joint_rots[t].copy(),
-    )
-
-
 def pose_param_count(joint_count: int) -> int:
     return 3 + 4 + 3 * (joint_count - 1)
 
 
 def pose_to_vector(pose: Pose) -> np.ndarray:
     return np.concatenate([pose.root_pos, pose.root_rot, pose.joint_rots.ravel()])
-
-
-def vector_to_pose(x: np.ndarray, joint_count: int) -> Pose:
-    if x.shape != (pose_param_count(joint_count),):
-        raise DataError(
-            f"parameter vector has shape {x.shape}, expected ({pose_param_count(joint_count)},)"
-        )
-    return Pose(
-        root_pos=x[0:3].copy(),
-        root_rot=x[3:7].copy(),
-        joint_rots=x[7:].reshape(joint_count - 1, 3).copy(),
-    )
 
 
 def _check_binding(skeleton: Skeleton, scales: np.ndarray, joint_rots: np.ndarray):

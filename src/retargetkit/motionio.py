@@ -30,9 +30,10 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, Range
 
 QUAT_RENORM_TOL = 1e-3
+_INDEX = Range(int)  # a joint index: an int, not a bool or 1.0, as contact labels
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -232,17 +233,20 @@ def load_skeleton(path) -> Skeleton:
         _require(isinstance(joint, dict), f"{path}: joint {idx} must be a JSON object")
         for key in ("name", "parent", "offset", "q_min", "q_max", "v_min", "v_max"):
             _require(key in joint, f"{path}: joint {idx} missing field '{key}'")
-        parents.append(_read(lambda p: -1 if p is None else int(p), joint["parent"],
-                             f"{path}: joint {idx} parent must be a joint index or null, got {joint['parent']!r}"))
+        parent = joint["parent"]
+        _require(parent is None or _INDEX.admits(parent),
+                 f"{path}: joint {idx} parent must be a joint index or null, got {parent!r}")
+        parents.append(-1 if parent is None else parent)
     feet = raw.get("foot_joints", [])
-    feet = _read(lambda fs: frozenset(int(f) for f in fs), feet,
-                 f"{path}: foot_joints must list joint indices, got {feet!r}")
+    _require(isinstance(feet, list), f"{path}: foot_joints must list joint indices, got {feet!r}")
+    for foot in feet:
+        _require(_INDEX.admits(foot), f"{path}: foot joint {foot!r} is not a joint index")
     arrays = {name: _numbers(path, joints, "joint", key, shape) for name, key, shape in (
         ("rest_offsets", "offset", (3,)), ("q_min", "q_min", (3,)), ("q_max", "q_max", (3,)),
         ("v_min", "v_min", ()), ("v_max", "v_max", ()))}
     try:
         return Skeleton(names=tuple(str(joint["name"]) for joint in joints), parents=np.array(parents, dtype=int),
-                        foot_joints=feet, **arrays)
+                        foot_joints=frozenset(feet), **arrays)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

@@ -12,16 +12,16 @@ loss is.
 
 The loop is one problem's state machine, `descent`, a generator that asks
 for what it needs: the loss at a trial point, the normal equations at an
-accepted point, and a damped step. Two drivers answer it.
-`levenberg_marquardt` answers one problem's requests with its callables.
+accepted point, and a damped step. One driver answers it:
 `lockstep_levenberg_marquardt` runs K problems side by side and answers each
 kind of pending request for all of them in one batched call: one stacked
 evaluation of the K trial points, one of the normal equations, one stacked
 `np.linalg.solve`. Each problem keeps its own x, loss, damping, stall count,
 cached normal equations and stop rule, so it takes the iterations, and
-returns the result, that it takes and returns alone. A problem that stops
-leaves the batch; one that raises `NumericalError` ends with that error and
-leaves the others running.
+returns the result, that it takes and returns in a batch of its own. A
+problem that stops leaves the batch; one that raises `NumericalError` ends
+with that error and leaves the others running. `levenberg_marquardt` is the
+driver on one problem.
 """
 
 from __future__ import annotations
@@ -134,34 +134,20 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 
 def levenberg_marquardt(
-    normal_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    loss_fn: Callable[[np.ndarray], float],
-    extra_grad_fn: Callable[[np.ndarray], np.ndarray] | None,
+    normal_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    loss_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    extra_grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
     x0: np.ndarray,
     cfg: OptimizerConfig | None = None,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
+    project: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> OptimizeResult:
-    """Damped Gauss-Newton descent on one least-squares objective.
-
-    normal_fn returns the normal equations (J^T J, J^T r) of the least-squares
-    part, loss approx ||r||^2 (+ non-LSQ terms covered by loss_fn and,
-    linearly, by extra_grad_fn). project maps a trial point onto the feasible
-    set before its loss is evaluated.
-    """
-    solve = descent(x0, cfg or OptimizerConfig())
-    answer = None
-    while True:
-        try:
-            kind, payload = solve.send(answer)
-        except StopIteration as stop:
-            return stop.value
-        if kind == TRIAL:
-            x = payload if project is None else project(payload)
-            answer = x, float(loss_fn(x))
-        elif kind == NORMAL:
-            answer = (*normal_fn(payload), None if extra_grad_fn is None else extra_grad_fn(payload))
-        else:
-            answer = _solve(*payload)
+    """`lockstep_levenberg_marquardt` on the one problem started at x0, whose
+    callables take and answer its one row: its OptimizeResult, or its
+    NumericalError raised."""
+    (result,) = lockstep_levenberg_marquardt(normal_fn, loss_fn, extra_grad_fn, np.asarray(x0)[None], cfg, project)
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
 def lockstep_levenberg_marquardt(
@@ -172,15 +158,18 @@ def lockstep_levenberg_marquardt(
     cfg: OptimizerConfig | None = None,
     project: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> list[OptimizeResult | NumericalError]:
-    """`levenberg_marquardt` on K problems at once, started at the rows of x0.
+    """Damped Gauss-Newton descent on K least-squares problems at once,
+    started at the rows of x0.
 
     Every callable takes (members, X): the (m,) indices of the problems asking
-    and their (m, P) points, and answers for each row: normal_fn with (m, P, P)
-    and (m, P) normal equations, loss_fn with (m,) losses, extra_grad_fn with
-    (m, P) gradients and project with (m, P) points. A problem's row of an
-    answer must not depend on the other rows. Returns one OptimizeResult per
-    problem, equal to what `levenberg_marquardt` returns on that problem
-    alone, or the NumericalError it raises alone.
+    and their (m, P) points, and answers for each row. normal_fn returns the
+    (m, P, P) and (m, P) normal equations (J^T J, J^T r) of the least-squares
+    part, loss approx ||r||^2 (+ non-LSQ terms covered by loss_fn's (m,)
+    losses and, linearly, by extra_grad_fn's (m, P) gradients). project maps
+    the (m, P) trial points onto the feasible set before their losses are
+    evaluated. A problem's row of an answer must not depend on the other rows.
+    Returns one OptimizeResult per problem, equal to what it returns in a
+    batch of its own, or the NumericalError it raises there.
     """
     cfg = cfg or OptimizerConfig()
     solves = [descent(x, cfg) for x in np.asarray(x0, dtype=float)]

@@ -18,28 +18,28 @@ rather than holding the pose still (velocity-level tracking, Choi & Ko,
 zero at the source pose, so identity retargeting reproduces the source.
 
 `FrameStack` is the one implementation of this objective, for the K targets
-of one clip frame, which share its interact mesh (`FrameModel` is the stack
-of one target, with single-vector evaluations). Each evaluation answers the
-targets row by row, and each row equals what its target gets alone, so the
-targets can be solved in lockstep. The terms are functions of the stored
-parameters, but Gauss-Newton steps in kinematics' tangent layout,
-(root_pos, delta, joint exp-maps) with root rotation q_a * exp(delta)
-around the prediction's quaternion q_a: no step can scale the quaternion,
-so the solve does not depend on the scene's heading, and the stored
-quaternion is normalized once, when a frame's result is written. For the
-targets' vectors the stack runs one kinematics pass, kept per target until
-it is asked about another vector, and derives from it the weighted terms (the loss), the
-gradient, or the Gauss-Newton normal equations of the least-squares terms
-(with the FK Jacobian); Gauss-Newton asks for the normal equations only at
-the point whose loss it has just evaluated, so each point costs one pass. A
-tetrahedron's Laplacian is A P with A = 4I - 11^T acting on its four points,
-so the Laplacian difference is linear in the offsets dP of the agent's
-joints from their source coordinates in the mesh. With the joint-by-joint
-stiffness K_lap, which sums A^T A = 16I - 4*11^T over each tetrahedron's
-agent-A slots, the term is w * sum dP . (K_lap dP), its part of J^T r is
-w * K_lap dP, and its block of J^T J is w * fk_jac^T (K_lap ⊗ I3) fk_jac;
-the slide term adds its weight on the gated feet's diagonal. K_lap is built
-once per frame mesh, for all of the frame's targets.
+of one clip frame, which share its interact mesh; one target alone is a
+stack of one. Each evaluation answers the targets row by row, and each row
+equals what its target gets alone, so the targets can be solved in lockstep.
+The terms are functions of the stored parameters, but Gauss-Newton steps in
+kinematics' tangent layout, (root_pos, delta, joint exp-maps) with root
+rotation q_a * exp(delta) around the prediction's quaternion q_a: no step
+can scale the quaternion, so the solve does not depend on the scene's
+heading, and the stored quaternion is normalized once, when a frame's
+result is written. For the targets' vectors the stack runs one kinematics
+pass, kept per target until it is asked about another vector, and derives
+from it the weighted terms (the loss), the gradient, or the Gauss-Newton
+normal equations of the least-squares terms (with the FK Jacobian);
+Gauss-Newton asks for the normal equations only at the point whose loss it
+has just evaluated, so each point costs one pass. A tetrahedron's Laplacian
+is A P with A = 4I - 11^T acting on its four points, so the Laplacian
+difference is linear in the offsets dP of the agent's joints from their
+source coordinates in the mesh. With the joint-by-joint stiffness K_lap,
+which sums A^T A = 16I - 4*11^T over each tetrahedron's agent-A slots, the
+term is w * sum dP . (K_lap dP), its part of J^T r is w * K_lap dP, and its
+block of J^T J is w * fk_jac^T (K_lap ⊗ I3) fk_jac; the slide term adds its
+weight on the gated feet's diagonal. K_lap is built once per frame mesh, for
+all of the frame's targets.
 
 Hinge terms use subgradient 0 at the kink. Frames are optimized in time
 order, each warm-started at its prediction x_pred. Joint limits are a
@@ -391,6 +391,10 @@ class FrameStack:
         g_r += cfg.velocity_limit_weight * (dq - self.dq_max[take] > 0)
         return grad
 
+    def gradient(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Gradient of the loss: 2 J^T r plus the hinge subgradient."""
+        return 2.0 * self.normal_equations(rows, xi)[1] + self.hinge_gradient(rows, xi)
+
     def project(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The tangent vectors xi with each target's joint exp-maps clamped
         to its limits."""
@@ -398,50 +402,7 @@ class FrameStack:
         return np.concatenate([xi[:, :6], np.clip(xi[:, 6:], self.q_min[take], self.q_max[take])], axis=1)
 
 
-_ONE = np.zeros(1, dtype=int)
-
-
-class FrameModel:
-    """One target's frame objective: the FrameStack of that target alone,
-    with single-vector evaluations. The first frame passes its own start as
-    both x_prev and x_pred."""
-
-    def __init__(
-        self,
-        skeleton: Skeleton,
-        shape: ShapeParams,
-        x_prev: np.ndarray,
-        ctx: FrameContext,
-        mesh: InteractMesh | None,
-        cfg: RetargetConfig,
-        x_pred: np.ndarray | None = None,
-        anchor: np.ndarray | None = None,
-    ):
-        x_pred = x_prev if x_pred is None else x_pred
-        self.anchor = x_pred[3:7] if anchor is None else anchor
-        self.stack = FrameStack([skeleton], [shape], x_prev[None], [ctx], mesh, cfg, x_pred[None],
-                                np.asarray(self.anchor)[None])
-
-    def terms(self, x: np.ndarray) -> dict[str, float]:
-        """Per-term weighted objective at the stored vector x."""
-        return {name: float(value[0]) for name, value in self.stack.terms(_ONE, x[None]).items()}
-
-    def loss(self, xi: np.ndarray) -> float:
-        return float(self.stack.loss(_ONE, xi[None])[0])
-
-    def normal_equations(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        jtj, jtr = self.stack.normal_equations(_ONE, xi[None])
-        return jtj[0], jtr[0]
-
-    def hinge_gradient(self, xi: np.ndarray) -> np.ndarray:
-        return self.stack.hinge_gradient(_ONE, xi[None])[0]
-
-    def gradient(self, xi: np.ndarray) -> np.ndarray:
-        """Gradient of loss: 2 J^T r plus the hinge subgradient."""
-        return 2.0 * self.normal_equations(xi)[1] + self.hinge_gradient(xi)
-
-    def project(self, xi: np.ndarray) -> np.ndarray:
-        return self.stack.project(_ONE, xi[None])[0]
+_ONE = np.zeros(1, dtype=int)  # the rows of a stack of one target
 
 
 def eval_objective(
@@ -458,10 +419,10 @@ def eval_objective(
     An absent/empty mesh zeroes the laplacian term; the caller carries the
     per-frame flag. The first frame passes itself as prev_pose. prev_pose
     also serves as the prediction the temporal term measures from, as at
-    retarget_sequence's frame 0; FrameModel takes a separate prediction.
+    retarget_sequence's frame 0; FrameStack takes a separate prediction.
     """
-    model = FrameModel(skeleton, shape, pose_to_vector(prev_pose), ctx, mesh, cfg or RetargetConfig())
-    terms = model.terms(pose_to_vector(pose))
+    stack = FrameStack([skeleton], [shape], pose_to_vector(prev_pose)[None], [ctx], mesh, cfg or RetargetConfig())
+    terms = {name: float(value[0]) for name, value in stack.terms(_ONE, pose_to_vector(pose)[None]).items()}
     return sum(terms.values()), terms
 
 
@@ -476,10 +437,10 @@ def objective_gradient(
 ) -> np.ndarray:
     """Gradient of the weighted objective over the tangent layout at pose:
     root_pos, the root's right-perturbation rotation vector, joint exp-maps."""
-    x = pose_to_vector(pose)
-    model = FrameModel(skeleton, shape, pose_to_vector(prev_pose), ctx, mesh, cfg or RetargetConfig(),
-                       anchor=x[3:7])
-    return model.gradient(tangent_vector(x))
+    x = pose_to_vector(pose)[None]
+    stack = FrameStack([skeleton], [shape], pose_to_vector(prev_pose)[None], [ctx], mesh, cfg or RetargetConfig(),
+                       anchor=x[:, 3:7])
+    return stack.gradient(_ONE, tangent_vector(x))[0]
 
 
 def _object_track(obj: ObjectMesh, seq: MotionSequence, subsample: int):
@@ -546,24 +507,18 @@ def source_meshes(
     obj: ObjectMesh,
     cfg: RetargetConfig,
     second_seq: MotionSequence | None = None,
-    second_skeleton: Skeleton | None = None,
-    second_shape: ShapeParams | None = None,
     empty_reasons: dict[int, str] | None = None,
 ) -> list[InteractMesh | None]:
     """The source scene's interact mesh per frame, as `build_frame_meshes`.
 
     Nothing of the target enters it, so one build serves every target the
-    clip is retargeted onto. The second agent defaults to the source's
-    skeleton and shape.
+    clip is retargeted onto. The second agent has the source's skeleton and
+    shape.
     """
     if second_seq is not None and second_seq.frame_count != source_seq.frame_count:
         raise DataError("second-agent sequence is not time-aligned with the source")
     src_joints = fk_sequence(source_skeleton, source_shape, source_seq)
-    second_joints = None
-    if second_seq is not None:
-        second_joints = fk_sequence(
-            second_skeleton or source_skeleton, second_shape or source_shape, second_seq
-        )
+    second_joints = None if second_seq is None else fk_sequence(source_skeleton, source_shape, second_seq)
     track = _object_track(obj, source_seq, cfg.max_object_vertices)
     return build_frame_meshes(src_joints, second_joints, _posed(*track), cfg, object_track=track,
                               empty_reasons=empty_reasons)
@@ -592,8 +547,6 @@ def retarget_sequence(
     obj: ObjectMesh,
     cfg: RetargetConfig | None = None,
     second_seq: MotionSequence | None = None,
-    second_skeleton: Skeleton | None = None,
-    second_shape: ShapeParams | None = None,
     meshes: list[InteractMesh | None] | None = None,
 ) -> RetargetResult | list[RetargetResult | Exception]:
     """Retarget one agent's motion onto the target skeleton/shape, or onto
@@ -602,14 +555,14 @@ def retarget_sequence(
     The target skeleton's joints match the source's by index. Its joint
     limits, velocity limits and foot joints constrain the solve: the slide
     gates measure the source's foot speeds at the target's foot joints.
-    The optional second agent supplies fixed context joints to the interact
-    mesh (its own retargeting is a separate call). Frames are optimized
-    sequentially. Frame t > 0 is warm-started at, and its temporal term
-    measured from, the prediction `predict_frame(x_{t-1}, s_{t-1}, s_t)`: the
-    previous solution moved by the source's change s_t - s_{t-1}. Frame 0
-    starts from the source pose and serves as its own predecessor and
-    prediction, which zeroes the temporal, velocity, and slide terms there.
-    Deterministic for fixed inputs.
+    The optional second agent, on the source's skeleton and shape, supplies
+    fixed context joints to the interact mesh (its own retargeting is a
+    separate call). Frames are optimized sequentially. Frame t > 0 is
+    warm-started at, and its temporal term measured from, the prediction
+    `predict_frame(x_{t-1}, s_{t-1}, s_t)`: the previous solution moved by the
+    source's change s_t - s_{t-1}. Frame 0 starts from the source pose and
+    serves as its own predecessor and prediction, which zeroes the temporal,
+    velocity, and slide terms there. Deterministic for fixed inputs.
 
     Given sequences of target skeletons and shapes, it returns a list with
     one RetargetResult per target, or the exception that target raised, in
@@ -620,8 +573,8 @@ def retarget_sequence(
     passes do; a target that does not gets a DataError. They are solved in
     lockstep: each frame is one FrameStack, one K_lap and one stacked
     kinematics pass per request of `optim.lockstep_levenberg_marquardt`,
-    whose every member takes its solo iterations. A target solved alone, as
-    in the one-target call, goes through `optim.levenberg_marquardt`.
+    whose every member takes its solo iterations; one target is a stack of
+    one.
 
     `meshes`, when given, are the source's `source_meshes` for this `cfg`,
     one per frame; they stand in for building the meshes from `obj` and the
@@ -651,8 +604,7 @@ def retarget_sequence(
         raise results[0]
     frames = source_seq.frame_count
     if meshes is None:
-        meshes = source_meshes(source_seq, source_skeleton, source_shape, obj, cfg,
-                               second_seq, second_skeleton, second_shape)
+        meshes = source_meshes(source_seq, source_skeleton, source_shape, obj, cfg, second_seq)
     elif len(meshes) != frames:
         raise DataError(f"{len(meshes)} prebuilt interact meshes for {frames} source frames")
 
@@ -707,20 +659,17 @@ def _retarget_targets(
         x_pred = x_prev if t == 0 else np.array([predict_frame(x, source[t - 1], source[t]) for x in x_prev])
         contexts = [FrameContext(dt=dt, slide_feet=gates[k][t]) for k in active]
         xi0 = tangent_vector(x_pred)
+        stack = FrameStack([skeletons[k] for k in active], [shapes[k] for k in active], x_prev, contexts,
+                           meshes[t], cfg, x_pred)
+        solve = (stack.normal_equations, stack.loss, stack.hinge_gradient)
+        # one target goes through levenberg_marquardt, the hook of bench/'s tracer (tests/test_bench_tracer.py)
         if len(active) == 1:
-            model = FrameModel(skeletons[active[0]], shapes[active[0]], x_prev[0], contexts[0], meshes[t], cfg,
-                               x_pred[0])
-            stack = model.stack
             try:
-                outcomes = [levenberg_marquardt(model.normal_equations, model.loss, model.hinge_gradient, xi0[0],
-                                                cfg.optimizer, project=model.project)]
+                outcomes = [levenberg_marquardt(*solve, xi0[0], cfg.optimizer, project=stack.project)]
             except NumericalError as exc:
                 outcomes = [exc]
         else:
-            stack = FrameStack([skeletons[k] for k in active], [shapes[k] for k in active], x_prev, contexts,
-                               meshes[t], cfg, x_pred)
-            outcomes = lockstep_levenberg_marquardt(stack.normal_equations, stack.loss, stack.hinge_gradient, xi0,
-                                                    cfg.optimizer, project=stack.project)
+            outcomes = lockstep_levenberg_marquardt(*solve, xi0, cfg.optimizer, project=stack.project)
         solved = []
         for row, (k, outcome) in enumerate(zip(active, outcomes)):
             if isinstance(outcome, NumericalError):

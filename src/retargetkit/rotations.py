@@ -131,11 +131,6 @@ def rodrigues(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eye + a * k + b * k2, eye + b * k + c * k2
 
 
-def expmap_to_mat(e: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation matrices of (..., 3) exponential-map vectors."""
-    return rodrigues(e)[0]
-
-
 def average_quaternions(quats: np.ndarray, ref_index: int = 0) -> np.ndarray:
     """Normalized quaternion mean, sign-aligned to quats[ref_index].
 

@@ -8,7 +8,7 @@ import pytest
 from retargetkit import interactmesh
 from retargetkit.kinematics import Pose, fk, stored_vector, tangent_vector, tpose
 from retargetkit.motionio import MotionSequence, ObjectMesh, ShapeParams, Skeleton
-from retargetkit.rotations import quat_from_expmap
+from retargetkit.rotations import quat_from_expmap, rodrigues
 
 
 def make_chain(n: int, offset=(0.0, 1.0, 0.0), q_limit=2.5, v_limit=10.0,
@@ -199,6 +199,21 @@ def partner_motion(skeleton: Skeleton, seq: MotionSequence) -> MotionSequence:
         obj_pos=seq.obj_pos.copy(),
         obj_rot=seq.obj_rot.copy(),
     )
+
+
+def expmap_to_mat(e: np.ndarray) -> np.ndarray:
+    """Rodrigues rotation matrices of (..., 3) exponential-map vectors."""
+    return rodrigues(e)[0]
+
+
+def motion_frame_pose(seq: MotionSequence, t: int) -> Pose:
+    """Frame t of a motion as a Pose of copies."""
+    return Pose(root_pos=seq.root_pos[t].copy(), root_rot=seq.root_rot[t].copy(), joint_rots=seq.joint_rots[t].copy())
+
+
+def vector_to_pose(x: np.ndarray, joint_count: int) -> Pose:
+    """The Pose of a stored parameter vector, as kinematics.pose_to_vector lays it out."""
+    return Pose(root_pos=x[0:3].copy(), root_rot=x[3:7].copy(), joint_rots=x[7:].reshape(joint_count - 1, 3).copy())
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

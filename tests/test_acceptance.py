@@ -30,7 +30,7 @@ from retargetkit.motionio import ShapeParams
 from retargetkit.pipeline import load_manifest, run_pipeline
 from retargetkit.retarget import (
     FrameContext,
-    FrameModel,
+    FrameStack,
     RetargetConfig,
     build_frame_meshes,
     mean_sequence_residual,
@@ -43,7 +43,6 @@ from retargetkit.rewards import (
     contact_label,
     with_reference,
 )
-from retargetkit.rotations import expmap_to_mat
 from retargetkit.schedule import (
     ScheduleConfig,
     dagger_gate,
@@ -60,6 +59,7 @@ from retargetkit.smoothing import second_diff_matrix, smooth_root
 
 from conftest import (
     CARRY_BOX_HALF,
+    expmap_to_mat,
     held_box_motion,
     make_box,
     make_chain,
@@ -152,6 +152,7 @@ def test_criterion_04_gradient_fidelity(rng):
     root_rot * exp(delta) at delta = 0."""
     corpus = [make_chain(2), make_chain(4, foot_joints=(3,)), make_humanoid()]
     cfg = RetargetConfig()
+    one = np.zeros(1, dtype=int)  # the rows of a FrameStack of one target
     worst_fk = worst_obj = 0.0
     for skeleton in corpus:
         shape = ShapeParams.ones(skeleton.joint_count)
@@ -185,9 +186,9 @@ def test_criterion_04_gradient_fidelity(rng):
                 joints, None, obj_pts, RetentionRule(mode="loose", proximity_gate=None)
             )
             ctx = FrameContext(dt=dt, slide_feet=tuple(sorted(skeleton.foot_joints)))
-            model = FrameModel(skeleton, shape, x_prev, ctx, mesh, cfg, anchor=x[3:7])
-            grad = model.gradient(tangent_vector(x))
-            fd = tangent_difference(lambda v: sum(model.terms(v).values()), x).ravel()
+            stack = FrameStack([skeleton], [shape], x_prev[None], [ctx], mesh, cfg, anchor=x[None, 3:7])
+            grad = stack.gradient(one, tangent_vector(x)[None])[0]
+            fd = tangent_difference(lambda v: sum(t[0] for t in stack.terms(one, v[None]).values()), x).ravel()
             obj_err = relative_error(grad, fd)
             assert fk_err < 1e-4
             assert obj_err < 1e-4

@@ -67,7 +67,7 @@ FIELD_FLAGS = (
         ("max_object_vertices", RetargetConfig, "max_object_vertices"))]
     + [("smooth", "alpha", SmoothConfig, "alpha"), ("smooth", "window", SmoothConfig, "rotation_window")]
     + [("reward-eval", name, RewardConfig, name) for name in (
-        "lambda_delta", "lambda_c", "lambda_v", "lambda_f", "omega", "energy_velocity")]
+        "lambda_delta", "lambda_c", "lambda_v", "omega", "energy_velocity")]
     + [("schedule-sim", name, ScheduleConfig, name) for name in ("epsilon", "kappa", "t_imit", "horizon", "seed")]
 )
 
@@ -125,6 +125,13 @@ MALFORMED_INPUTS = [
     ("coordinate-text", "motion.json", ("frames", 1, "root_pos", 0), "a", "frame 1 root_pos must be 3 numbers"),
     ("short-root-pos", "motion.json", ("frames", 3, "root_pos"), [0.0, 0.0], "frame 3 root_pos must be 3 numbers"),
     ("parent-text", "skeleton.json", ("joints", 2, "parent"), "root", "joint 2 parent must be a joint index"),
+    # a joint index is an int, as a contact label is: not truncated, not a bool, not 1.0
+    ("parent-fraction", "skeleton.json", ("joints", 2, "parent"), 0.9, "joint 2 parent must be a joint index"),
+    ("parent-float", "skeleton.json", ("joints", 2, "parent"), 1.0, "joint 2 parent must be a joint index"),
+    ("parent-bool", "skeleton.json", ("joints", 2, "parent"), True, "joint 2 parent must be a joint index"),
+    ("foot-fraction", "skeleton.json", ("foot_joints", 0), 16.9, "foot joint 16.9 is not a joint index"),
+    ("foot-bool", "skeleton.json", ("foot_joints", 1), True, "foot joint True is not a joint index"),
+    ("feet-text", "skeleton.json", ("foot_joints",), "16", "foot_joints must list joint indices"),
     ("offset-text", "skeleton.json", ("joints", 4, "offset", 1), "a", "joint 4 offset must be 3 numbers"),
     ("late-contacts", "motion.json", ("frames", 2, "contacts"), [0] * 20, "frame 2 has contacts but frame 0 has none"),
     ("vertex-text", "box.obj", None, "v 0 0 zero", "vertex coordinates must be numbers"),
@@ -235,15 +242,14 @@ SETTING_RUNS = {
                      "--obj", "box.obj", "-o", "rewards.csv"], ["rewards.csv"]),
     "schedule-sim": (["-o", "sim"], ["sim.csv", "sim.transitions.jsonl"]),
 }
-# the settings that move no output: reward-eval passes no contact forces, so
-# lambda_f scales a zero term
-INERT_SETTINGS = {("reward-eval", "lambda_f")}
+# the settings that move no output
+INERT_SETTINGS = set()
 # a valid value other than the default, per flag dest
 OTHER_VALUES = {
     "laplacian_weight": 3.0, "temporal_weight": 0.2, "vlimit_weight": 5.0, "slide_weight": 10.0,
     "foot_speed_threshold": 1.0, "max_iterations": 1, "retention": "loose", "proximity_gate": None,
     "max_object_vertices": 8, "alpha": 10.0, "window": 3, "lambda_delta": 2.0, "lambda_c": 2.0,
-    "lambda_v": 2.0, "lambda_f": 2.0, "omega": {"joint_pos": 2.0}, "energy_velocity": "linear",
+    "lambda_v": 2.0, "omega": {"joint_pos": 2.0}, "energy_velocity": "linear",
     "epsilon": 3.0, "kappa": 2.0, "t_imit": 3, "horizon": 7, "seed": 1,
 }
 
@@ -356,6 +362,17 @@ class TestConfigFile:
         (tmp_path / "cfg.json").write_text(json.dumps({"bogus_key": 1}))
         assert main([command] + COMMAND_ARGS[command] + ["--config", "cfg.json"]) == 2
         assert "bogus_key" in capsys.readouterr().err
+
+    def test_lambda_f_is_neither_a_flag_nor_a_config_key(self, tmp_path, monkeypatch, capsys):
+        # reward-eval scores no contact forces, so there is no force weight to set
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        args = ["reward-eval"] + COMMAND_ARGS["reward-eval"]
+        assert main(args + ["--lambda-f", "2"]) == 1
+        assert "--lambda-f" in capsys.readouterr().err
+        (tmp_path / "cfg.json").write_text(json.dumps({"lambda_f": 2.0}))
+        assert main(args + ["--config", "cfg.json"]) == 2
+        assert "unknown config keys for reward-eval: lambda_f" in capsys.readouterr().err
 
     def test_filter_reads_config(self, tmp_path, capsys):
         stats = tmp_path / "stats.json"

@@ -15,9 +15,7 @@ from retargetkit.interactmesh import (
     laplacians,
     tet_volumes,
 )
-from retargetkit.rotations import expmap_to_mat
-
-from conftest import CARRY_BOX_HALF, circumsphere, count_insertions, empty_circumsphere_ok, make_box
+from conftest import CARRY_BOX_HALF, circumsphere, count_insertions, empty_circumsphere_ok, expmap_to_mat, make_box
 
 
 # ---------------------------------------------------------------------------

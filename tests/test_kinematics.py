@@ -18,12 +18,20 @@ from retargetkit.kinematics import (
     scale_jacobian,
     tpose,
     vector_kinematics,
-    vector_to_pose,
 )
 from retargetkit.motionio import ShapeParams
-from retargetkit.rotations import expmap_to_mat, quat_from_expmap, quat_to_mat
+from retargetkit.rotations import quat_from_expmap, quat_to_mat
 
-from conftest import held_box_motion, make_chain, make_humanoid, random_pose, relative_error, tangent_difference
+from conftest import (
+    expmap_to_mat,
+    held_box_motion,
+    make_chain,
+    make_humanoid,
+    random_pose,
+    relative_error,
+    tangent_difference,
+    vector_to_pose,
+)
 
 
 def rot_x(angle):

@@ -6,6 +6,38 @@ from retargetkit import optim
 from retargetkit.optim import OptimizerConfig, levenberg_marquardt, lockstep_levenberg_marquardt
 
 
+def each(fns):
+    """Problem k's callable fns[k], of one vector, in the drivers' (rows, X)
+    form: the list of its answers at the rows' points."""
+    def batched(rows, x):
+        return [fns[k](v) for k, v in zip(rows, x)]
+    return batched
+
+
+def row_forms(members):
+    """The drivers' (rows, X) normal, loss, hinge gradient and project
+    callables over members, each (normal, loss, hinge gradient or None,
+    project or None) of one vector; a callable that no member has is None."""
+    pairs = each([m[0] for m in members])
+
+    def normal(rows, x):
+        answers = pairs(rows, x)
+        return np.stack([a[0] for a in answers]), np.stack([a[1] for a in answers])
+
+    losses = each([m[1] for m in members])
+    hinges = each([m[2] or np.zeros_like for m in members])
+    projects = each([m[3] or (lambda v: v) for m in members])
+    return (normal, lambda rows, x: np.array(losses(rows, x)),
+            None if all(m[2] is None for m in members) else lambda rows, x: np.stack(hinges(rows, x)),
+            None if all(m[3] is None for m in members) else lambda rows, x: np.stack(projects(rows, x)))
+
+
+def solo(normal, loss, hinge, x0, cfg=None, project=None):
+    """levenberg_marquardt on one problem given by callables of one vector."""
+    normal, loss, hinge, project = row_forms([(normal, loss, hinge, project)])
+    return levenberg_marquardt(normal, loss, hinge, x0, cfg, project)
+
+
 class TestOptimizerConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -32,8 +64,7 @@ class TestLevenbergMarquardt:
             return jac.T @ jac, jac.T @ r
 
         loss = lambda x: float(np.sum((a @ x - target) ** 2))
-        res = levenberg_marquardt(normal, loss, None, np.zeros(4),
-                                  OptimizerConfig(max_iterations=50, patience=5))
+        res = solo(normal, loss, None, np.zeros(4), OptimizerConfig(max_iterations=50, patience=5))
         expected, *_ = np.linalg.lstsq(a, target, rcond=None)
         np.testing.assert_allclose(res.x, expected, atol=1e-8)
         assert res.converged
@@ -52,7 +83,7 @@ class TestLevenbergMarquardt:
             return jac.T @ jac, jac.T @ r
 
         loss = lambda x: float(np.sum((a @ x - target) ** 2))
-        res = levenberg_marquardt(normal, loss, None, x_min, OptimizerConfig())
+        res = solo(normal, loss, None, x_min, OptimizerConfig())
         assert (res.iterations, res.converged) == (1, True)
         np.testing.assert_allclose(res.x, x_min, rtol=0, atol=1e-12)
 
@@ -73,8 +104,7 @@ class TestLevenbergMarquardt:
         def hinge_grad(x):
             return np.array([5.0 if x[0] > 1.0 else 0.0])
 
-        levenberg_marquardt(normal, full_loss, hinge_grad, np.zeros(1),
-                            OptimizerConfig(max_iterations=60))
+        solo(normal, full_loss, hinge_grad, np.zeros(1), OptimizerConfig(max_iterations=60))
         best = np.inf
         accepted = []
         for v in observed:
@@ -92,19 +122,17 @@ class TestLevenbergMarquardt:
             return jac.T @ jac, jac.T @ r
 
         loss = lambda x: float(np.sum((a @ x - target) ** 2))
-        res = levenberg_marquardt(
-            normal, loss, None, np.zeros(3), OptimizerConfig(max_iterations=80),
-            project=lambda x: np.clip(x, 0.0, 1.0),
-        )
+        res = solo(normal, loss, None, np.zeros(3), OptimizerConfig(max_iterations=80),
+                   project=lambda x: np.clip(x, 0.0, 1.0))
         assert np.all(res.x <= 1.0 + 1e-12)
         np.testing.assert_allclose(res.x, 1.0, atol=1e-6)
 
     def test_non_finite_raises(self):
         normal = lambda x: (np.eye(2), np.zeros(2))
         with pytest.raises(NumericalError):
-            levenberg_marquardt(normal, lambda x: float("nan"), None, np.zeros(2))
+            solo(normal, lambda x: float("nan"), None, np.zeros(2))
         with pytest.raises(NumericalError):  # non-finite normal equations
-            levenberg_marquardt(lambda x: (np.eye(2), np.full(2, np.inf)), lambda x: 1.0, None, np.zeros(2))
+            solo(lambda x: (np.eye(2), np.full(2, np.inf)), lambda x: 1.0, None, np.zeros(2))
 
 
 def curve_fit(a, b):
@@ -160,43 +188,29 @@ class TestLockstep:
             (drift, blows_up, None, None, np.zeros(2)),
         ]
 
-    def solo(self, member):
+    def solo_outcome(self, member):
         normal, loss, hinge, project, x0 = member
         try:
-            return levenberg_marquardt(normal, loss, hinge, x0, self.CFG, project)
+            return solo(normal, loss, hinge, x0, self.CFG, project)
         except NumericalError as exc:
             return exc
 
     def lockstep(self, members):
-        def each(fn_index):
-            def batched(rows, x):
-                return [members[k][fn_index](v) for k, v in zip(rows, x)]
-            return batched
-
-        def normal(rows, x):
-            pairs = each(0)(rows, x)
-            return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
-
-        def hinge(rows, x):
-            return np.stack([np.zeros(2) if members[k][2] is None else members[k][2](v) for k, v in zip(rows, x)])
-
-        def project(rows, x):
-            return np.stack([v if members[k][3] is None else members[k][3](v) for k, v in zip(rows, x)])
-
-        return lockstep_levenberg_marquardt(normal, lambda rows, x: np.array(each(1)(rows, x)), hinge,
-                                            np.stack([m[4] for m in members]), self.CFG, project)
+        normal, loss, hinge, project = row_forms([m[:4] for m in members])
+        return lockstep_levenberg_marquardt(normal, loss, hinge, np.stack([m[4] for m in members]), self.CFG, project)
 
     def test_every_member_matches_its_solo_solve(self, monkeypatch):
         members = self.members()
         steps = []
-        solve = optim._solve
+        solve = optim._stacked_solve
 
-        def recorded(a, b):
-            steps.append(solve(a, b))
-            return steps[-1]
+        def recorded(systems):
+            answers = solve(systems)
+            steps.extend(answers)
+            return answers
 
-        monkeypatch.setattr(optim, "_solve", recorded)
-        alone = [self.solo(m) for m in members]
+        monkeypatch.setattr(optim, "_stacked_solve", recorded)
+        alone = [self.solo_outcome(m) for m in members]
         assert any(step is None for step in steps)  # the indefinite start's first damped system
         together = self.lockstep(members)
         for solo, joint in zip(alone, together):
@@ -209,11 +223,19 @@ class TestLockstep:
         assert len(set(iterations)) >= 4 and min(iterations) == 1 and max(iterations) == self.CFG.max_iterations
         assert isinstance(alone[-1], NumericalError)
 
+    def test_solo_raises_the_error_its_lockstep_member_returns(self):
+        members = self.members()
+        together = self.lockstep(members)
+        normal, loss, hinge, project, x0 = members[-1]
+        with pytest.raises(NumericalError) as alone:
+            solo(normal, loss, hinge, x0, self.CFG, project)
+        assert type(together[-1]) is NumericalError and str(together[-1]) == str(alone.value)
+        assert str(alone.value).startswith("non-finite loss")
+
     def test_rosenbrock_rejects_steps(self):
         normal, loss, *_ = self.members()[0]
         observed = []
-        levenberg_marquardt(normal, lambda x: observed.append(loss(x)) or observed[-1], None,
-                            np.array([-1.2, 1.0]), self.CFG)
+        solo(normal, lambda x: observed.append(loss(x)) or observed[-1], None, np.array([-1.2, 1.0]), self.CFG)
         best = np.inf
         rejected = 0
         for value in observed:

@@ -11,7 +11,6 @@ from retargetkit.kinematics import (
     fk,
     fk_sequence,
     fk_vector,
-    motion_frame_pose,
     pose_to_vector,
     stored_vector,
     tangent_vector,
@@ -20,7 +19,6 @@ from retargetkit.motionio import MotionSequence, ObjectMesh, ShapeParams
 from retargetkit.optim import OptimizerConfig, levenberg_marquardt
 from retargetkit.retarget import (
     FrameContext,
-    FrameModel,
     FrameStack,
     RetargetConfig,
     build_frame_meshes,
@@ -44,11 +42,14 @@ from conftest import (
     make_box,
     make_chain,
     make_humanoid,
+    motion_frame_pose,
     partner_motion,
     random_pose,
     relative_error,
     tangent_difference,
 )
+
+ONE = np.zeros(1, dtype=int)  # the rows of a FrameStack of one target
 
 
 def chain_mesh(skeleton, pose, rng):
@@ -81,11 +82,12 @@ class TestEvalObjective:
         assert terms["temporal"] == pytest.approx(rots[0, 1] ** 2, abs=1e-12)
         # measured from a prediction at the pose, the temporal term vanishes;
         # the velocity hinge still measures from the previous pose
-        x = pose_to_vector(pose)
-        model = FrameModel(chain4, shape, pose_to_vector(prev), FrameContext(dt=dt), None, RetargetConfig(), x)
-        terms = model.terms(x)
-        assert terms["temporal"] == 0.0
-        assert terms["vlimit"] == pytest.approx(0.05, abs=1e-12)
+        x = pose_to_vector(pose)[None]
+        stack = FrameStack([chain4], [shape], pose_to_vector(prev)[None], [FrameContext(dt=dt)], None,
+                           RetargetConfig(), x)
+        terms = stack.terms(ONE, x)
+        assert terms["temporal"][0] == 0.0
+        assert terms["vlimit"][0] == pytest.approx(0.05, abs=1e-12)
 
     def test_empty_mesh_zeroes_laplacian(self, chain4, rng):
         shape = ShapeParams.ones(4)
@@ -140,9 +142,9 @@ class TestObjectiveGradient:
             # a prediction apart from the previous pose: the temporal term
             # measures from it, the velocity hinges from the previous pose
             x_pred = pose_to_vector(random_pose(skel, rng))
-            model = FrameModel(skel, shape, x_prev, ctx, mesh, cfg, x_pred, anchor=x[3:7])
-            grad = model.gradient(tangent_vector(x))
-            fd = tangent_difference(lambda v: sum(model.terms(v).values()), x).ravel()
+            stack = FrameStack([skel], [shape], x_prev[None], [ctx], mesh, cfg, x_pred[None], anchor=x[None, 3:7])
+            grad = stack.gradient(ONE, tangent_vector(x)[None])[0]
+            fd = tangent_difference(lambda v: sum(t[0] for t in stack.terms(ONE, v[None]).values()), x).ravel()
             assert relative_error(grad, fd) < 1e-4
             checked += 1
 
@@ -589,8 +591,9 @@ class TestSlideGates:
 
 
 class TestNormalEquations:
-    """FrameModel's (J^T J, J^T r) against a dense reference: the stacked
-    least-squares residuals and their central-difference Jacobian."""
+    """A FrameStack of one target: its (J^T J, J^T r) against a dense
+    reference, the stacked least-squares residuals and their
+    central-difference Jacobian."""
 
     CFG = RetargetConfig(
         laplacian_weight=2.0, temporal_weight=0.5, foot_slide_weight=3.0,
@@ -603,11 +606,13 @@ class TestNormalEquations:
         cfg = self.CFG
         feet = np.asarray(feet, dtype=int)
         feet_ref = fk_vector(skel, shape, x_prev)[feet]
-        model = FrameModel(skel, shape, x_prev, FrameContext(dt=1 / 30, slide_feet=tuple(feet)), mesh, cfg, x_pred)
-        np.testing.assert_array_equal(model.anchor, x_pred[3:7])
+        stack = FrameStack([skel], [shape], x_prev[None], [FrameContext(dt=1 / 30, slide_feet=tuple(feet))], mesh,
+                           cfg, x_pred[None])
+        anchor = stack.anchor[0]
+        np.testing.assert_array_equal(anchor, x_pred[3:7])
 
         def residuals(v):
-            stored = stored_vector(v, model.anchor)
+            stored = stored_vector(v, anchor)
             positions = fk_vector(skel, shape, stored)
             coords = target_point_cloud(mesh, positions)
             diff = laplacians(coords[mesh.tetrahedra]) - mesh.reference_laplacians
@@ -619,11 +624,11 @@ class TestNormalEquations:
 
         r = residuals(xi)
         jac = central_difference(residuals, xi)
-        jtj, jtr = model.normal_equations(xi)
-        assert relative_error(jtj, jac.T @ jac) < 1e-7
-        assert relative_error(jtr, jac.T @ r) < 1e-7
-        terms = model.terms(stored_vector(xi, model.anchor))
-        assert model.loss(xi) == pytest.approx(float(r @ r) + terms["vlimit"], rel=1e-12)
+        jtj, jtr = stack.normal_equations(ONE, xi[None])
+        assert relative_error(jtj[0], jac.T @ jac) < 1e-7
+        assert relative_error(jtr[0], jac.T @ r) < 1e-7
+        terms = stack.terms(ONE, stored_vector(xi, anchor)[None])
+        assert stack.loss(ONE, xi[None])[0] == pytest.approx(float(r @ r) + terms["vlimit"][0], rel=1e-12)
 
     def _frame(self, humanoid, seq, t, rng):
         # a prediction away from the previous pose, a turned root (delta away
@@ -661,7 +666,7 @@ class TestNormalEquations:
 
 
 class TestKinematicsReuse:
-    """FrameModel keeps its last kinematics pass for the next evaluation at
+    """FrameStack keeps its last kinematics pass for the next evaluation at
     the same point, and serves it nowhere else."""
 
     CFG = TestNormalEquations.CFG
@@ -678,23 +683,24 @@ class TestKinematicsReuse:
         x_pred = pose_to_vector(motion_frame_pose(seq, t))
 
         def model():
-            return FrameModel(humanoid, shape, x_prev, FrameContext(dt=seq.dt, slide_feet=feet), mesh,
-                              self.CFG, x_pred)
+            return FrameStack([humanoid], [shape], x_prev[None], [FrameContext(dt=seq.dt, slide_feet=feet)], mesh,
+                              self.CFG, x_pred[None])
 
-        return model, tangent_vector(x_pred)
+        return model, tangent_vector(x_pred)[None]
 
     def test_no_stale_pass_after_another_point(self, humanoid, box, rng):
         make, xi = self._model(humanoid, box)
-        xi2 = xi + rng.normal(0.0, 0.05, size=len(xi))
+        xi2 = xi + rng.normal(0.0, 0.05, size=xi.shape)
         model = make()
-        model.loss(xi2)
-        jtj, jtr = model.normal_equations(xi)
-        fresh_jtj, fresh_jtr = make().normal_equations(xi)
+        model.loss(ONE, xi2)
+        jtj, jtr = model.normal_equations(ONE, xi)
+        fresh_jtj, fresh_jtr = make().normal_equations(ONE, xi)
         assert np.array_equal(jtj, fresh_jtj)
         assert np.array_equal(jtr, fresh_jtr)
-        # and at the point the loss just evaluated, the kept pass gives a fresh model's result
-        model.loss(xi2)
-        assert all(np.array_equal(a, b) for a, b in zip(model.normal_equations(xi2), make().normal_equations(xi2)))
+        # and at the point the loss just evaluated, the kept pass gives a fresh stack's result
+        model.loss(ONE, xi2)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(model.normal_equations(ONE, xi2), make().normal_equations(ONE, xi2)))
 
     def test_one_pass_per_distinct_point(self, humanoid, box, monkeypatch):
         make, xi = self._model(humanoid, box)
@@ -709,15 +715,15 @@ class TestKinematicsReuse:
         monkeypatch.setattr(kinematics, "_kinematics", counted)
         points, normal_calls = [], []
 
-        def loss(v):
+        def loss(rows, v):
             points.append(v.tobytes())
-            return model.loss(v)
+            return model.loss(rows, v)
 
-        def normal_equations(v):
+        def normal_equations(rows, v):
             normal_calls.append(v.tobytes())
-            return model.normal_equations(v)
+            return model.normal_equations(rows, v)
 
-        result = levenberg_marquardt(normal_equations, loss, model.hinge_gradient, xi, self.CFG.optimizer)
+        result = levenberg_marquardt(normal_equations, loss, model.hinge_gradient, xi[0], self.CFG.optimizer)
         assert result.iterations > 1 and len(normal_calls) > 1
         assert set(normal_calls) <= set(points)  # the normal equations come at evaluated points
         distinct = sum(1 for k, p in enumerate(points) if k == 0 or p != points[k - 1])
@@ -739,5 +745,5 @@ class TestKinematicsReuse:
         stack = FrameStack(skeletons, shapes, x_prev, contexts, None, self.CFG)
         stack.loss(np.array([0, 1]), xi)
         jtj, jtr = stack.normal_equations(np.array([1]), xi[1:])
-        alone = FrameModel(skeletons[1], shapes[1], x, contexts[1], None, self.CFG)
-        assert all(np.array_equal(a[0], b) for a, b in zip((jtj, jtr), alone.normal_equations(xi[1])))
+        alone = FrameStack(skeletons[1:], shapes[1:], x[None], contexts[1:], None, self.CFG)
+        assert all(np.array_equal(a, b) for a, b in zip((jtj, jtr), alone.normal_equations(ONE, xi[1:])))

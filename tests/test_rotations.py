@@ -2,7 +2,6 @@ import numpy as np
 
 from retargetkit.rotations import (
     average_quaternions,
-    expmap_to_mat,
     quat_from_expmap,
     quat_left_matrix,
     quat_log_relative,
@@ -13,7 +12,7 @@ from retargetkit.rotations import (
     skew,
 )
 
-from conftest import central_difference, relative_error
+from conftest import central_difference, expmap_to_mat, relative_error
 
 
 def test_quat_and_expmap_agree(rng):
