@@ -12,16 +12,16 @@ loss is.
 
 The loop is one problem's state machine, `descent`, a generator that asks
 for what it needs: the loss at a trial point, the normal equations at an
-accepted point, and a damped step. One driver answers it:
-`lockstep_levenberg_marquardt` runs K problems side by side and answers each
-kind of pending request for all of them in one batched call: one stacked
+accepted point, and a damped step. One loop answers it,
+`lockstep_levenberg_marquardt`: it runs K problems side by side and answers
+each kind of pending request for all of them in one batched call: one stacked
 evaluation of the K trial points, one of the normal equations, one stacked
 `np.linalg.solve`. Each problem keeps its own x, loss, damping, stall count,
 cached normal equations and stop rule, so it takes the iterations, and
 returns the result, that it takes and returns in a batch of its own. A
 problem that stops leaves the batch; one that raises `NumericalError` ends
-with that error and leaves the others running. `levenberg_marquardt` is the
-driver on one problem.
+with that error and leaves the others running. `levenberg_marquardt` is that
+loop on one problem.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from retargetkit.optim import OptimizerConfig, levenberg_marquardt, lockstep_lev
 
 
 def each(fns):
-    """Problem k's callable fns[k], of one vector, in the drivers' (rows, X)
+    """Problem k's callable fns[k], of one vector, in the solvers' (rows, X)
     form: the list of its answers at the rows' points."""
     def batched(rows, x):
         return [fns[k](v) for k, v in zip(rows, x)]
@@ -15,7 +15,7 @@ def each(fns):
 
 
 def row_forms(members):
-    """The drivers' (rows, X) normal, loss, hinge gradient and project
+    """The solvers' (rows, X) normal, loss, hinge gradient and project
     callables over members, each (normal, loss, hinge gradient or None,
     project or None) of one vector; a callable that no member has is None."""
     pairs = each([m[0] for m in members])
