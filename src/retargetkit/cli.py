@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -93,17 +93,21 @@ def _emit(text: str, out: str | None):
 def build_parser() -> _Parser:
     """The CLI. A flag backed by a config dataclass field takes that field's
     default and declared range, so the dataclass is the one declaration of
-    the setting."""
+    the setting; each command's `fields` maps such a flag's dest to its
+    (dataclass, field), from which _settings builds the command's configs."""
     parser = _Parser(prog="retargetkit", description="Interaction-preserving motion retargeting toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
 
     def command(name: str, help: str) -> _Parser:
-        return sub.add_parser(name, help=help, formatter_class=_DefaultsHelp)
+        p = sub.add_parser(name, help=help, formatter_class=_DefaultsHelp)
+        p.fields = {}
+        return p
 
     def add_setting(p: _Parser, flag: str, cls, name: str, help: str):
         declared = cls.__dataclass_fields__[name]
         valid = declared.metadata["range"]
-        p.add_argument(flag, type=valid.parse, choices=valid.choices, default=declared.default, help=help)
+        action = p.add_argument(flag, type=valid.parse, choices=valid.choices, default=declared.default, help=help)
+        p.fields[action.dest] = (cls, name)
 
     def add_retention(p: _Parser):
         add_setting(p, "--retention", RetentionRule, "mode", "tetrahedron retention rule")
@@ -240,8 +244,15 @@ def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _retention_rule(args) -> RetentionRule:
-    return RetentionRule(mode=args.retention, proximity_gate=args.proximity_gate)
+def _settings(args, cls, **given):
+    """A cls whose fields take the values of the flags that add_setting
+    declared for them on args' command, and `given`; a field whose default is
+    a config with flags of its own is built the same way."""
+    declared = _shared_parser().commands[args.command].fields
+    owners = {owner for owner, _ in declared.values()}
+    values = {name: getattr(args, dest) for dest, (owner, name) in declared.items() if owner is cls}
+    values.update((f.name, _settings(args, f.default_factory)) for f in fields(cls) if f.default_factory in owners)
+    return cls(**values, **given)
 
 
 def _cmd_fit_shape(args) -> int:
@@ -255,26 +266,13 @@ def _cmd_fit_shape(args) -> int:
     return 0
 
 
-def _retarget_config(args) -> RetargetConfig:
-    return RetargetConfig(
-        laplacian_weight=args.laplacian_weight,
-        temporal_weight=args.temporal_weight,
-        velocity_limit_weight=args.vlimit_weight,
-        foot_slide_weight=args.slide_weight,
-        foot_speed_threshold=args.foot_speed_threshold,
-        optimizer=OptimizerConfig(max_iterations=args.max_iterations),
-        retention=_retention_rule(args),
-        max_object_vertices=args.max_object_vertices,
-    )
-
-
 def _cmd_retarget(args) -> int:
     src_skel = load_skeleton(args.src_skel)
     tgt_skel = load_skeleton(args.tgt_skel)
     seq = load_motion(args.src, src_skel)
     obj = load_obj(args.obj)
     second = load_motion(args.second_src, src_skel) if args.second_src else None
-    cfg = _retarget_config(args)
+    cfg = _settings(args, RetargetConfig)
     bridge, residual = fit_bridge(src_skel, tgt_skel)
     ones = ShapeParams.ones(src_skel.joint_count)
     result = retarget_sequence(seq, src_skel, ones, bridge_skeleton(src_skel, tgt_skel), bridge, obj, cfg,
@@ -298,7 +296,7 @@ def _cmd_smooth(args) -> int:
     skeleton = load_skeleton(args.skeleton)
     seq = load_motion(args.motion, skeleton)
 
-    final = smooth_motion(seq, SmoothConfig(alpha=args.alpha, rotation_window=args.window))
+    final = smooth_motion(seq, _settings(args, SmoothConfig))
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_motion(final, out_dir / Path(args.motion).name)
@@ -320,13 +318,7 @@ def _reward_config(args) -> RewardConfig:
         omega = {k: OMEGA_WEIGHT.parse(str(v)) for k, v in args.omega.items()}
     except argparse.ArgumentTypeError as exc:
         raise DataError(f"{args.config}: config key 'omega': {exc}") from exc
-    return RewardConfig(
-        lambda_delta=args.lambda_delta,
-        lambda_c=args.lambda_c,
-        lambda_v=args.lambda_v,
-        omega=omega,
-        energy_velocity=args.energy_velocity,
-    )
+    return _settings(args, RewardConfig, omega=omega)
 
 
 def _observe(seq, skeleton, obj) -> ObservationFrame:
@@ -386,9 +378,7 @@ def _cmd_reward_eval(args) -> int:
 
 
 def _cmd_schedule_sim(args) -> int:
-    cfg = ScheduleConfig(
-        epsilon=args.epsilon, kappa=args.kappa, t_imit=args.t_imit, horizon=args.horizon, seed=args.seed,
-    )
+    cfg = _settings(args, ScheduleConfig)
     log = run_schedule(pd_teacher(), lazy_student(), point_mass_env, cfg, rounds=args.rounds)
 
     buf = io.StringIO()
@@ -459,7 +449,7 @@ def _cmd_mesh_inspect(args) -> int:
         return replace(motion, contacts=None, **{
             k: getattr(motion, k)[t: t + 1] for k in ("root_pos", "root_rot", "joint_rots", "obj_pos", "obj_rot")})
 
-    cfg = RetargetConfig(retention=_retention_rule(args), max_object_vertices=args.max_object_vertices)
+    cfg = _settings(args, RetargetConfig)
     reasons: dict[int, str] = {}
     mesh = source_meshes(frame(seq), skeleton, ShapeParams.ones(skeleton.joint_count), obj, cfg,
                          second_seq=None if second is None else frame(second), empty_reasons=reasons)[0]

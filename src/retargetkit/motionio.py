@@ -134,8 +134,8 @@ class MotionSequence:
         return 1.0 / self.fps
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise DataError(f"fps must be positive, got {self.fps}")
+        if not (np.isfinite(self.fps) and self.fps > 0):
+            raise DataError(f"fps must be positive and finite, got {self.fps}")
         t = self.root_pos.shape[0]
         for name, expected in (
             ("root_pos", (t, 3)),
@@ -236,6 +236,10 @@ def load_skeleton(path) -> Skeleton:
         parent = joint["parent"]
         _require(parent is None or _INDEX.admits(parent),
                  f"{path}: joint {idx} parent must be a joint index or null, got {parent!r}")
+        # one beyond every joint index may be too large for np.array's int
+        _require(parent is None or abs(parent) < len(joints),
+                 f"{path}: joint '{joint['name']}' (index {idx}) has parent {parent}; "
+                 "joints must be topologically ordered")
         parents.append(-1 if parent is None else parent)
     feet = raw.get("foot_joints", [])
     _require(isinstance(feet, list), f"{path}: foot_joints must list joint indices, got {feet!r}")
@@ -273,7 +277,7 @@ def load_motion(path, skeleton: Skeleton) -> MotionSequence:
     raw = read_json(path)
     _require(isinstance(raw, dict) and "fps" in raw and "frames" in raw, f"{path}: motion file needs 'fps' and 'frames'")
     fps = _read(float, raw["fps"], f"{path}: fps must be a number, got {raw['fps']!r}")
-    _require(fps > 0, f"{path}: fps must be positive, got {fps}")
+    _require(np.isfinite(fps) and fps > 0, f"{path}: fps must be positive and finite, got {fps}")
     frames = raw["frames"]
     _require(isinstance(frames, list) and frames, f"{path}: 'frames' must be a non-empty list")
     j = skeleton.joint_count

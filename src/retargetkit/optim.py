@@ -10,24 +10,22 @@ stalls. The step test does not depend on the loss's scale, so a solve that
 starts at its optimum stops after one iteration, however close to zero the
 loss is.
 
-The loop is one problem's state machine, `descent`, a generator that asks
-for what it needs: the loss at a trial point, the normal equations at an
-accepted point, and a damped step. One loop answers it,
-`lockstep_levenberg_marquardt`: it runs K problems side by side and answers
-each kind of pending request for all of them in one batched call: one stacked
-evaluation of the K trial points, one of the normal equations, one stacked
-`np.linalg.solve`. Each problem keeps its own x, loss, damping, stall count,
-cached normal equations and stop rule, so it takes the iterations, and
-returns the result, that it takes and returns in a batch of its own. A
-problem that stops leaves the batch; one that raises `NumericalError` ends
-with that error and leaves the others running. `levenberg_marquardt` is that
+There is one loop, `lockstep_levenberg_marquardt`. It runs K problems side
+by side, and each round is one iteration of every running problem: one
+batched evaluation of the normal equations at the points that moved, one
+stacked `np.linalg.solve` of every damped system, and one batched evaluation
+of the trial points. Each problem keeps its own x, loss, damping, stall
+count, damped system and stop rule, so it takes the iterations, and returns
+the result, that it takes and returns in a batch of its own. A problem that
+stops leaves the batch; one that meets a non-finite value ends with a
+`NumericalError` and leaves the others running. `levenberg_marquardt` is that
 loop on one problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,72 +56,21 @@ class OptimizeResult:
     converged: bool
 
 
-TRIAL, NORMAL, SOLVE = "trial", "normal", "solve"  # the requests of `descent`
+@dataclass
+class _Problem:
+    """One running problem of the loop: its point and the loss there, its
+    damping and stall count, and its normal equations at the point as (J^T J,
+    right-hand side, damping diagonal), None until they are evaluated there."""
 
-# descent's requests and the answers it expects:
-#   (TRIAL, x)          -> (x projected onto the feasible set, loss there)
-#   (NORMAL, x)         -> (J^T J, J^T r, extra gradient or None) at x
-#   (SOLVE, (a, b))     -> the solution of a @ step = b, or None when a is singular
-Request = tuple[str, object]
+    x: np.ndarray
+    loss: float
+    lam: float = 1e-4
+    stall: int = 0
+    system: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-
-def descent(x0: np.ndarray, cfg: OptimizerConfig) -> Generator[Request, object, OptimizeResult]:
-    """One problem's damped Gauss-Newton, as a generator of requests that
-    returns the OptimizeResult.
-
-    The extra gradient covers non-least-squares terms of the loss linearly.
-    Steps are accepted only when the *full* loss does not increase, so the
-    accepted sequence is monotone even where the quadratic model is off.
-    """
-    x, loss = yield TRIAL, np.asarray(x0, dtype=float).copy()
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite loss at iteration 0")
-
-    lam = 1e-4
-    stall = 0
-    converged = False
-    it = 0
-    cached: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    for it in range(1, cfg.max_iterations + 1):
-        if cached is None:
-            jtj, jtr, extra = yield NORMAL, x
-            if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(jtr))):
-                raise NumericalError(f"non-finite normal equations at iteration {it}")
-            rhs = -jtr
-            if extra is not None:
-                rhs -= 0.5 * extra
-            diag = np.diag(jtj).copy()
-            diag[diag <= 0.0] = 1.0
-            cached = (jtj, rhs, diag)
-        jtj, rhs, diag = cached
-        step = yield SOLVE, (jtj + lam * np.diag(diag), rhs)
-        if step is None:
-            lam = max(lam, 1e-8) * 10.0
-            stall += 1
-            if stall >= cfg.patience:
-                converged = True
-                break
-            continue
-        x_new, loss_new = yield TRIAL, x + step
-        if not np.isfinite(loss_new):
-            raise NumericalError(f"non-finite loss at iteration {it}")
-        if loss_new <= loss:
-            rel = (loss - loss_new) / max(abs(loss), 1e-300)
-            stall = stall + 1 if rel < cfg.improvement_tol else 0
-            small = np.linalg.norm(x_new - x) <= STEP_TOL * (np.linalg.norm(x) + STEP_TOL)
-            x, loss = x_new, loss_new
-            if small:
-                converged = True
-                break
-            lam = max(lam / 3.0, 1e-12)
-            cached = None
-        else:
-            lam = max(lam, 1e-12) * 4.0
-            stall += 1
-        if stall >= cfg.patience:
-            converged = True
-            break
-    return OptimizeResult(x=x, loss=loss, iterations=it, converged=converged)
+    def damped(self) -> tuple[np.ndarray, np.ndarray]:
+        jtj, rhs, diag = self.system
+        return jtj + self.lam * np.diag(diag), rhs
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -165,47 +112,88 @@ def lockstep_levenberg_marquardt(
     and their (m, P) points, and answers for each row. normal_fn returns the
     (m, P, P) and (m, P) normal equations (J^T J, J^T r) of the least-squares
     part, loss approx ||r||^2 (+ non-LSQ terms covered by loss_fn's (m,)
-    losses and, linearly, by extra_grad_fn's (m, P) gradients). project maps
+    losses and, linearly, by extra_grad_fn's (m, P) gradients). Steps are
+    accepted only when the *full* loss does not increase, so the accepted
+    sequence is monotone even where the quadratic model is off. project maps
     the (m, P) trial points onto the feasible set before their losses are
     evaluated. A problem's row of an answer must not depend on the other rows.
+    A round asks for normal equations only at the points its previous round's
+    losses accepted, and for the trial losses last, so a caller that keeps its
+    last evaluation (`retarget.FrameStack`) evaluates each point once.
     Returns one OptimizeResult per problem, equal to what it returns in a
     batch of its own, or the NumericalError it raises there.
     """
     cfg = cfg or OptimizerConfig()
-    solves = [descent(x, cfg) for x in np.asarray(x0, dtype=float)]
-    results: list[OptimizeResult | NumericalError | None] = [None] * len(solves)
-    pending = {k: next(solve) for k, solve in enumerate(solves)}
-    while pending:
-        # one round is one iteration of every member: the members asking for
-        # normal equations, then every member's step, then the trial points
-        for kind in (NORMAL, SOLVE, TRIAL):
-            rows = [k for k, (asked, _) in pending.items() if asked == kind]
-            if not rows:
-                continue
-            payloads = [pending[k][1] for k in rows]
-            members = np.array(rows)
-            if kind == TRIAL:
-                x = np.stack(payloads)
-                if project is not None:
-                    x = project(members, x)
-                losses = loss_fn(members, x)
-                answers = [(x[i], float(losses[i])) for i in range(len(rows))]
-            elif kind == NORMAL:
-                x = np.stack(payloads)
-                jtj, jtr = normal_fn(members, x)
-                extra = [None] * len(rows) if extra_grad_fn is None else extra_grad_fn(members, x)
-                answers = list(zip(jtj, jtr, extra))
+    x0 = np.array(x0, dtype=float)
+    results: list[OptimizeResult | NumericalError | None] = [None] * len(x0)
+    running: dict[int, _Problem] = {}
+
+    def trial(members, x):
+        """The members' points x projected onto the feasible set, each with its loss."""
+        members = np.array(members)
+        if project is not None:
+            x = project(members, x)
+        return zip(x, map(float, loss_fn(members, x)))
+
+    def stop(k, outcome):
+        results[k] = outcome
+        del running[k]
+
+    for k, (x, loss) in enumerate(trial(range(len(x0)), x0)):
+        if np.isfinite(loss):
+            running[k] = _Problem(x, loss)
+        else:
+            results[k] = NumericalError("non-finite loss at iteration 0")
+    for it in range(1, cfg.max_iterations + 1):
+        moved = [k for k, p in running.items() if p.system is None]
+        if moved:
+            members = np.array(moved)
+            x = np.stack([running[k].x for k in moved])
+            jtj, jtr = normal_fn(members, x)
+            extra = [None] * len(moved) if extra_grad_fn is None else extra_grad_fn(members, x)
+            for k, a, g, e in zip(moved, jtj, jtr, extra):
+                if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
+                    stop(k, NumericalError(f"non-finite normal equations at iteration {it}"))
+                    continue
+                rhs = -g
+                if e is not None:
+                    rhs -= 0.5 * e
+                diag = np.diag(a).copy()
+                diag[diag <= 0.0] = 1.0
+                running[k].system = (a, rhs, diag)
+        if not running:
+            break
+        steps = dict(zip(running, _stacked_solve([p.damped() for p in running.values()])))
+        stepped = [k for k, step in steps.items() if step is not None]
+        tried = {}
+        if stepped:
+            tried = dict(zip(stepped, trial(stepped, np.stack([running[k].x + steps[k] for k in stepped]))))
+        for k, p in list(running.items()):
+            if k not in tried:  # a singular damped system
+                p.lam = max(p.lam, 1e-8) * 10.0
+                p.stall += 1
             else:
-                answers = _stacked_solve(payloads)
-            for k, answer in zip(rows, answers):
-                try:
-                    pending[k] = solves[k].send(answer)
-                except StopIteration as stop:
-                    results[k] = stop.value
-                    del pending[k]
-                except NumericalError as exc:
-                    results[k] = exc
-                    del pending[k]
+                x, loss = tried[k]
+                if not np.isfinite(loss):
+                    stop(k, NumericalError(f"non-finite loss at iteration {it}"))
+                    continue
+                if loss <= p.loss:
+                    rel = (p.loss - loss) / max(abs(p.loss), 1e-300)
+                    p.stall = p.stall + 1 if rel < cfg.improvement_tol else 0
+                    small = np.linalg.norm(x - p.x) <= STEP_TOL * (np.linalg.norm(p.x) + STEP_TOL)
+                    p.x, p.loss = x, loss
+                    if small:
+                        stop(k, OptimizeResult(x=p.x, loss=p.loss, iterations=it, converged=True))
+                        continue
+                    p.lam = max(p.lam / 3.0, 1e-12)
+                    p.system = None
+                else:
+                    p.lam = max(p.lam, 1e-12) * 4.0
+                    p.stall += 1
+            if p.stall >= cfg.patience:
+                stop(k, OptimizeResult(x=p.x, loss=p.loss, iterations=it, converged=True))
+    for k, p in running.items():
+        results[k] = OptimizeResult(x=p.x, loss=p.loss, iterations=cfg.max_iterations, converged=False)
     return results
 
 

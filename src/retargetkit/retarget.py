@@ -572,9 +572,9 @@ def retarget_sequence(
     rest offsets, as the bridge skeletons over one source that the pipeline
     passes do; a target that does not gets a DataError. They are solved in
     lockstep: each frame is one FrameStack, one K_lap and one stacked
-    kinematics pass per request of `optim.lockstep_levenberg_marquardt`,
-    whose every member takes its solo iterations; one target is a stack of
-    one.
+    kinematics pass per round of `optim.lockstep_levenberg_marquardt`, which
+    the round's trial losses run and the next round's normal equations reuse;
+    every member takes its solo iterations, and one target is a stack of one.
 
     `meshes`, when given, are the source's `source_meshes` for this `cfg`,
     one per frame; they stand in for building the meshes from `obj` and the

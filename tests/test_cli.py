@@ -122,6 +122,7 @@ MALFORMED_INPUTS = [
     ("frame-not-object", "motion.json", ("frames", 2), 5, "frame 2 must be a JSON object"),
     ("joint-not-object", "skeleton.json", ("joints", 3), "elbow", "joint 3 must be a JSON object"),
     ("fps-text", "motion.json", ("fps",), "fast", "fps must be a number"),
+    ("fps-infinite", "motion.json", ("fps",), float("inf"), "fps must be positive and finite, got inf"),
     ("coordinate-text", "motion.json", ("frames", 1, "root_pos", 0), "a", "frame 1 root_pos must be 3 numbers"),
     ("short-root-pos", "motion.json", ("frames", 3, "root_pos"), [0.0, 0.0], "frame 3 root_pos must be 3 numbers"),
     ("parent-text", "skeleton.json", ("joints", 2, "parent"), "root", "joint 2 parent must be a joint index"),
@@ -129,6 +130,11 @@ MALFORMED_INPUTS = [
     ("parent-fraction", "skeleton.json", ("joints", 2, "parent"), 0.9, "joint 2 parent must be a joint index"),
     ("parent-float", "skeleton.json", ("joints", 2, "parent"), 1.0, "joint 2 parent must be a joint index"),
     ("parent-bool", "skeleton.json", ("joints", 2, "parent"), True, "joint 2 parent must be a joint index"),
+    # too large for a C long, so refused before the indices become an array
+    ("parent-huge", "skeleton.json", ("joints", 2, "parent"), 10**30,
+     f"joint 'spine2' (index 2) has parent {10**30}; joints must be topologically ordered"),
+    ("parent-huge-negative", "skeleton.json", ("joints", 2, "parent"), -10**30,
+     f"joint 'spine2' (index 2) has parent {-10**30}; joints must be topologically ordered"),
     ("foot-fraction", "skeleton.json", ("foot_joints", 0), 16.9, "foot joint 16.9 is not a joint index"),
     ("foot-bool", "skeleton.json", ("foot_joints", 1), True, "foot joint True is not a joint index"),
     ("feet-text", "skeleton.json", ("foot_joints",), "16", "foot_joints must list joint indices"),
@@ -264,6 +270,12 @@ class TestConfigFile:
             if default != expected or type(default) is not type(expected):
                 drifted.append(f"{command} {dest}: {default!r} != {cls.__name__}.{name} {expected!r}")
         assert not drifted
+
+    def test_each_command_records_its_flags_fields(self):
+        # the commands build their configs from these records; omega has no flag
+        recorded = {(command, dest, *field) for command, p in build_parser().commands.items()
+                    for dest, field in p.fields.items()}
+        assert recorded == {case for case in FIELD_FLAGS if case[1] != "omega"}
 
     @pytest.mark.parametrize("command, dest", [(command, dest) for command, dest, _, _ in FIELD_FLAGS],
                              ids=[f"{command}-{dest}" for command, dest, _, _ in FIELD_FLAGS])

@@ -149,6 +149,14 @@ class TestLoadMotion:
         with pytest.raises(DataError, match="fps"):
             load_motion(path, skel)
 
+    @pytest.mark.parametrize("fps", [float("inf"), float("nan")])
+    def test_non_finite_fps(self, fps):
+        # an infinite fps would make dt 0 and collapse the velocity bounds
+        frame = np.zeros((1, 3))
+        with pytest.raises(DataError, match="fps must be positive and finite"):
+            MotionSequence(fps=fps, root_pos=frame, root_rot=np.array([[1.0, 0.0, 0.0, 0.0]]),
+                           joint_rots=np.zeros((1, 1, 3)), obj_pos=frame, obj_rot=np.array([[1.0, 0.0, 0.0, 0.0]]))
+
     def test_bad_contact_labels(self, tmp_path):
         skel = make_chain(2)
         frame = _frame(2)

@@ -223,6 +223,14 @@ class TestLockstep:
         assert len(set(iterations)) >= 4 and min(iterations) == 1 and max(iterations) == self.CFG.max_iterations
         assert isinstance(alone[-1], NumericalError)
 
+    def test_members_keep_their_recorded_outcomes(self):
+        # the discrete outcomes as first recorded, so a change to the loop
+        # cannot move every member alike unnoticed
+        *solved, failed = self.lockstep(self.members())
+        assert [(r.iterations, r.converged) for r in solved] == [(28, True), (5, True), (6, True), (60, False),
+                                                                 (1, True)]
+        assert type(failed) is NumericalError and str(failed) == "non-finite loss at iteration 1"
+
     def test_solo_raises_the_error_its_lockstep_member_returns(self):
         members = self.members()
         together = self.lockstep(members)

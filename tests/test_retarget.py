@@ -16,7 +16,7 @@ from retargetkit.kinematics import (
     tangent_vector,
 )
 from retargetkit.motionio import MotionSequence, ObjectMesh, ShapeParams
-from retargetkit.optim import OptimizerConfig, levenberg_marquardt
+from retargetkit.optim import OptimizerConfig, levenberg_marquardt, lockstep_levenberg_marquardt
 from retargetkit.retarget import (
     FrameContext,
     FrameStack,
@@ -671,22 +671,25 @@ class TestKinematicsReuse:
 
     CFG = TestNormalEquations.CFG
 
-    def _model(self, humanoid, box):
+    def _model(self, humanoid, box, scales=None):
+        """A FrameStack maker for frame 3 of a held-box clip, one target per
+        bone-scale vector in scales, and the targets' start points."""
         seq = held_box_motion(humanoid, frames=6, amplitude=0.2)
         ones = ShapeParams.ones(humanoid.joint_count)
         joints = fk_sequence(humanoid, ones, seq)
         t = 3
         mesh = build_frame_meshes(joints, None, object_world_vertices(box, seq, 64), self.CFG)[t]
         feet = slide_gates(joints, humanoid, seq.dt, 0.01)[t]
-        shape = ShapeParams(bone_scales=np.linspace(0.9, 1.2, humanoid.joint_count))
-        x_prev = pose_to_vector(motion_frame_pose(seq, t - 1))
-        x_pred = pose_to_vector(motion_frame_pose(seq, t))
+        shapes = [ShapeParams(bone_scales=s) for s in scales or [np.linspace(0.9, 1.2, humanoid.joint_count)]]
+        k = len(shapes)
+        x_prev = np.repeat(pose_to_vector(motion_frame_pose(seq, t - 1))[None], k, axis=0)
+        x_pred = np.repeat(pose_to_vector(motion_frame_pose(seq, t))[None], k, axis=0)
 
         def model():
-            return FrameStack([humanoid], [shape], x_prev[None], [FrameContext(dt=seq.dt, slide_feet=feet)], mesh,
-                              self.CFG, x_pred[None])
+            return FrameStack([humanoid] * k, shapes, x_prev, [FrameContext(dt=seq.dt, slide_feet=feet)] * k, mesh,
+                              self.CFG, x_pred)
 
-        return model, tangent_vector(x_pred)[None]
+        return model, tangent_vector(x_pred)
 
     def test_no_stale_pass_after_another_point(self, humanoid, box, rng):
         make, xi = self._model(humanoid, box)
@@ -728,6 +731,35 @@ class TestKinematicsReuse:
         assert set(normal_calls) <= set(points)  # the normal equations come at evaluated points
         distinct = sum(1 for k, p in enumerate(points) if k == 0 or p != points[k - 1])
         assert len(passes) == distinct
+
+    def test_one_pass_per_lockstep_loss_call(self, humanoid, box, monkeypatch):
+        # three targets in lockstep: a round asks for the normal equations of
+        # the members whose trials it accepted, often a subset, at the point
+        # the last loss call evaluated, so only loss calls run kinematics
+        make, xi = self._model(humanoid, box, [np.full(humanoid.joint_count, s) for s in (0.9, 1.1, 1.25)])
+        stack = make()
+        passes, loss_calls, normal_rows = [], [], []
+        original = kinematics._kinematics
+
+        def counted(*args):
+            passes.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(kinematics, "_kinematics", counted)
+
+        def loss(rows, v):
+            loss_calls.append(rows)
+            return stack.loss(rows, v)
+
+        def normal_equations(rows, v):
+            normal_rows.append(len(rows))
+            return stack.normal_equations(rows, v)
+
+        results = lockstep_levenberg_marquardt(normal_equations, loss, stack.hinge_gradient, xi,
+                                               self.CFG.optimizer, stack.project)
+        assert len({r.iterations for r in results}) > 1
+        assert len(passes) == len(loss_calls)
+        assert any(count < len(xi) for count in normal_rows)
 
     def test_pass_kept_for_a_footed_target_without_a_mesh(self, humanoid, rng):
         # without a mesh, the two targets' losses share one pass, which only
