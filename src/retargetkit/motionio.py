@@ -25,6 +25,7 @@ quaternion renormalization within 1e-3 of unit norm.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -199,28 +200,35 @@ def read_json(path):
             raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _read(convert, value, message: str):
-    """convert(value), or a DataError with the message when it cannot."""
+def _number_array(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """value as a float array of the given shape, or None unless it nests
+    lists of ints and floats in that shape: no bool and no text, as for joint
+    indices and contact labels. Each level is checked and flattened at C
+    speed, which costs less than np.array's own walk of the nested lists."""
+    level = [value]
+    for n in shape:
+        if not (set(map(type, level)) <= {list} and set(map(len, level)) <= {n}):
+            return None
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        return None
     try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise DataError(message) from None
+        return np.fromiter(level, dtype=float, count=len(level)).reshape(shape)
+    except OverflowError:  # an int beyond a float's range
+        return None
 
 
 def _numbers(path, items: list, what: str, key: str, shape: tuple[int, ...]) -> np.ndarray:
     """Every item's `key` as one float array of shape (len(items),) + shape;
     a DataError names the file and the first item whose value is not such
     numbers."""
-    try:
-        array = np.array([item[key] for item in items], dtype=float)
-        if array.shape[1:] == shape:
-            return array
-    except (TypeError, ValueError):
-        pass
+    array = _number_array([item[key] for item in items], (len(items),) + shape)
+    if array is not None:
+        return array
     expected = "a number" if not shape else " lists of ".join(map(str, shape)) + " numbers"
     for i, item in enumerate(items):  # the stacked array failed, so some item raises here
-        message = f"{path}: {what} {i} {key} must be {expected}, got {item[key]!r}"
-        _require(_read(lambda v: np.array(v, dtype=float).shape, item[key], message) == shape, message)
+        _require(_number_array(item[key], shape) is not None,
+                 f"{path}: {what} {i} {key} must be {expected}, got {item[key]!r}")
 
 
 def load_skeleton(path) -> Skeleton:
@@ -276,7 +284,9 @@ def _renormalize(quats: np.ndarray, what: str) -> np.ndarray:
 def load_motion(path, skeleton: Skeleton) -> MotionSequence:
     raw = read_json(path)
     _require(isinstance(raw, dict) and "fps" in raw and "frames" in raw, f"{path}: motion file needs 'fps' and 'frames'")
-    fps = _read(float, raw["fps"], f"{path}: fps must be a number, got {raw['fps']!r}")
+    fps = _number_array(raw["fps"], ())
+    _require(fps is not None, f"{path}: fps must be a number, got {raw['fps']!r}")
+    fps = float(fps)
     _require(np.isfinite(fps) and fps > 0, f"{path}: fps must be positive and finite, got {fps}")
     frames = raw["frames"]
     _require(isinstance(frames, list) and frames, f"{path}: 'frames' must be a non-empty list")
@@ -328,9 +338,12 @@ def load_obj(path) -> ObjectMesh:
                 if len(parts) < 4:
                     raise DataError(f"{path}:{lineno}: vertex line needs 3 coordinates")
                 try:  # per line, so a message is formatted only on failure
-                    vertices.append([float(p) for p in parts[1:4]])
+                    vertex = [float(p) for p in parts[1:4]]
+                    if not all(map(math.isfinite, vertex)):  # float() also reads nan and inf
+                        raise ValueError
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: vertex coordinates must be numbers") from None
+                vertices.append(vertex)
             elif parts[0] == "f":
                 if len(parts) < 4:
                     raise DataError(f"{path}:{lineno}: face line needs 3 indices")

@@ -1,40 +1,41 @@
 """End-to-end data refinement: fit -> retarget -> smooth (-> filter).
 
 A manifest lists sequences to process plus stage configuration. Shape fits
-are shared per (source skeleton, target skeleton) file contents; the fitted
-scales act as the bridge shape on the source topology, and retargeting runs
-onto that bridge, which carries the target's joint limits, velocity limits
-and foot joints (`bridge_skeleton`). Source interact meshes do not depend on
-the target, so they are shared per (motion, second motion, source skeleton,
-object) file contents: one clip onto N targets builds its meshes once.
+are shared per (source skeleton, target skeleton) pair of resolved paths;
+the fitted scales act as the bridge shape on the source topology, and
+retargeting runs onto that bridge, which carries the target's joint limits,
+velocity limits and foot joints (`bridge_skeleton`).
 
-The entries that share meshes, one clip onto several targets, form a group,
-the unit of work. A group's entries are loaded and fitted in manifest order,
-its meshes are built once, and its entries are retargeted together in one
-`retarget_sequence` call; the call solves their targets in lockstep, and
-each entry gets the bytes it gets in a manifest of its own. A clip's meshes
-live only while its group runs, and shape fits are kept for the whole run.
-The groups run in the manifest order of their last entries.
+The entries whose motion, second motion, source skeleton and object paths
+resolve to the same files, one clip onto several targets, form a group, the
+unit of work. A group's entries are loaded and fitted in manifest order and
+retargeted together in one `retarget_sequence` call, which builds the clip's
+interact meshes once (they do not depend on the target) and solves the
+targets in lockstep; each entry gets the bytes it gets in a manifest of its
+own. A clip's meshes live only while its call runs, and shape fits are kept
+for the whole run. The groups run in the manifest order of their last
+entries.
 
 Each entry writes <id>.json and <id>.losses.csv, so one clip can go to
 several targets under distinct ids, and the summary lists the entries in
 manifest order. Entry failures are isolated: one broken entry, or one
 target whose solve raises inside a lockstep group, never blocks or alters
-the others, and the summary records what happened.
+the others, and the summary records what happened. An error in what a
+group shares, such as its mesh build, fails each of its entries with the
+error each gets alone.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .interactmesh import RetentionRule
 from .kinematics import fit_shape, fk, tpose
 from .motionio import (
     MotionSequence,
@@ -47,8 +48,7 @@ from .motionio import (
     read_json,
     save_motion,
 )
-from .optim import OptimizerConfig
-from .retarget import TERM_NAMES, FrameLoss, RetargetConfig, RetargetResult, retarget_sequence, source_meshes
+from .retarget import TERM_NAMES, FrameLoss, RetargetConfig, RetargetResult, retarget_sequence
 from .schedule import FilterState, filter_document, filter_until_converged, make_filter_state
 from .smoothing import SmoothConfig, second_difference_energy, smooth_root, smooth_rotations
 
@@ -72,24 +72,17 @@ class PipelineManifest:
     episode_stats: dict[str, list[float]] | None = None
 
 
-def _config_from_dict(cls, raw: dict, **nested):
+def _config_from_dict(cls, raw: dict):
+    """A cls from its manifest JSON object; a field whose default is a
+    config dataclass is built the same way from its own sub-object."""
     if not isinstance(raw, dict):
         raise DataError(f"{cls.__name__} settings must be a JSON object, got {raw!r}")
-    known = {f for f in cls.__dataclass_fields__}
-    unknown = set(raw) - known
+    nested = {f.name: _config_from_dict(f.default_factory, raw[f.name])
+              for f in fields(cls) if f.name in raw and is_dataclass(f.default_factory)}
+    unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
         raise DataError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    return cls(**raw, **nested)
-
-
-def retarget_config_from_dict(raw: dict) -> RetargetConfig:
-    nested = {}
-    if isinstance(raw, dict):
-        for key, cls in (("optimizer", OptimizerConfig), ("retention", RetentionRule)):
-            if key in raw:
-                nested[key] = _config_from_dict(cls, raw[key])
-        raw = {k: v for k, v in raw.items() if k not in nested}
-    return _config_from_dict(RetargetConfig, raw, **nested)
+    return cls(**{**raw, **nested})
 
 
 def load_manifest(path) -> PipelineManifest:
@@ -99,8 +92,10 @@ def load_manifest(path) -> PipelineManifest:
         raise DataError(f"{path}: manifest needs a non-empty 'entries' list")
     base = path.parent
 
-    def resolve(p):
-        p = Path(p)
+    def resolve(value, key, where=""):
+        if not isinstance(value, str) or not value:
+            raise DataError(f"{path}: {where}field '{key}' must be a non-empty path string, got {value!r}")
+        p = Path(value)
         return p if p.is_absolute() else base / p
 
     entries = []
@@ -110,14 +105,19 @@ def load_manifest(path) -> PipelineManifest:
         for key in ("motion", "source_skeleton", "target_skeleton", "object"):
             if key not in e:
                 raise DataError(f"{path}: entry {idx} missing field '{key}'")
+        where, second = f"entry {idx} ", e.get("second_motion")
+        motion = resolve(e["motion"], "motion", where)
+        entry_id = e.get("id", motion.stem)
+        if not isinstance(entry_id, str):
+            raise DataError(f"{path}: {where}field 'id' must be a string, got {entry_id!r}")
         entries.append(
             ManifestEntry(
-                entry_id=str(e.get("id", Path(e["motion"]).stem)),
-                motion=resolve(e["motion"]),
-                source_skeleton=resolve(e["source_skeleton"]),
-                target_skeleton=resolve(e["target_skeleton"]),
-                object_path=resolve(e["object"]),
-                second_motion=resolve(e["second_motion"]) if e.get("second_motion") else None,
+                entry_id=entry_id,
+                motion=motion,
+                source_skeleton=resolve(e["source_skeleton"], "source_skeleton", where),
+                target_skeleton=resolve(e["target_skeleton"], "target_skeleton", where),
+                object_path=resolve(e["object"], "object", where),
+                second_motion=None if second is None else resolve(second, "second_motion", where),
             )
         )
     ids = [e.entry_id for e in entries]
@@ -132,15 +132,15 @@ def load_manifest(path) -> PipelineManifest:
 
     stats = raw.get("episode_stats")
     if isinstance(stats, str):
-        stats = read_json(resolve(stats))
+        stats = read_json(resolve(stats, "episode_stats"))
     if stats:
         if not isinstance(stats, dict):
             raise DataError(f"{path}: episode_stats must map clip ids to episode lengths")
         make_filter_state(stats)  # reject malformed lengths before any entry runs
     return PipelineManifest(
         entries=tuple(entries),
-        output_dir=resolve(raw.get("output_dir", "out")),
-        retarget=retarget_config_from_dict(raw.get("retarget", {})),
+        output_dir=resolve(raw.get("output_dir", "out"), "output_dir"),
+        retarget=_config_from_dict(RetargetConfig, raw.get("retarget", {})),
         smooth=_config_from_dict(SmoothConfig, raw.get("smooth", {})),
         episode_stats=stats,
     )
@@ -261,18 +261,11 @@ def smooth_motion(seq: MotionSequence, cfg: SmoothConfig) -> MotionSequence:
     return replace(smooth_rotations(seq, cfg.rotation_window), root_pos=root_pos)
 
 
-def _file_digest(path: Path | None) -> str:
-    return "-" if path is None else hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _entry_keys(entry: ManifestEntry) -> tuple[tuple, tuple]:
-    """The entry's shape-fit and source-mesh keys, from its files' contents.
-    The retarget config is manifest-wide, so it is no part of a key."""
-    source, target, motion, second, obj = (
-        _file_digest(p) for p in (entry.source_skeleton, entry.target_skeleton, entry.motion,
-                                  entry.second_motion, entry.object_path)
-    )
-    return (source, target), (motion, second, source, obj)
+def _resolved(path: Path | None) -> str | None:
+    """The path with its symlinks and '..' resolved, as a key. Unlike
+    Path.resolve on Python < 3.13, realpath does not raise on a symlink
+    loop; the entry's loader reports it."""
+    return None if path is None else os.path.realpath(path)
 
 
 @dataclass
@@ -289,36 +282,32 @@ class _Job:
     shape: ShapeParams
 
 
-def _prepare_entry(entry: ManifestEntry, keys: tuple | None, fits: dict, summary: EntrySummary) -> _Job:
+def _prepare_entry(entry: ManifestEntry, fits: dict, summary: EntrySummary) -> _Job:
     """Load the entry's inputs and fit its bridge, or take the fit from
-    `fits`, which keeps every fit of the run that did not raise."""
+    `fits`, which keeps every fit of the run that did not raise, keyed by
+    the resolved source and target skeleton paths."""
     source_skel = load_skeleton(entry.source_skeleton)
     seq = load_motion(entry.motion, source_skel)
     obj = load_obj(entry.object_path)
     second = load_motion(entry.second_motion, source_skel) if entry.second_motion is not None else None
-    fit_key = (keys or _entry_keys(entry))[0]  # a file that could not be read fails here
     target_skel = load_skeleton(entry.target_skeleton)
+    fit_key = (_resolved(entry.source_skeleton), _resolved(entry.target_skeleton))
     if fit_key not in fits:
         fits[fit_key] = fit_bridge(source_skel, target_skel)
     shape, summary.fit_residual = fits[fit_key]
     return _Job(entry, summary, seq, second, source_skel, obj, bridge_skeleton(source_skel, target_skel), shape)
 
 
-def _run_group(group: list[tuple[ManifestEntry, tuple | None, EntrySummary]], manifest: PipelineManifest,
-               fits: dict) -> None:
+def _run_group(group: list[tuple[ManifestEntry, EntrySummary]], manifest: PipelineManifest, fits: dict) -> None:
     """Prepare the entries of one source clip in manifest order, retarget
     them in one retarget_sequence call, in lockstep when there are several,
-    then smooth and write each. The entries' inputs have the same file
-    contents, so the first entry to get its meshes builds them for all; a
-    build that raises is not kept, and the meshes are freed on return."""
-    jobs, meshes = [], None
-    for entry, keys, summary in group:
+    then smooth and write each. The call builds the clip's meshes once for
+    all its targets, so an error it raises, a mesh build's included, fails
+    every prepared entry of the group."""
+    jobs = []
+    for entry, summary in group:
         try:
-            job = _prepare_entry(entry, keys, fits, summary)
-            if meshes is None:
-                ones = ShapeParams.ones(job.source.joint_count)
-                meshes = source_meshes(job.seq, job.source, ones, job.obj, manifest.retarget, second_seq=job.second)
-            jobs.append(job)
+            jobs.append(_prepare_entry(entry, fits, summary))
         except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
             summary.error = f"{type(exc).__name__}: {exc}"
     if not jobs:
@@ -328,7 +317,7 @@ def _run_group(group: list[tuple[ManifestEntry, tuple | None, EntrySummary]], ma
         results = retarget_sequence(
             first.seq, first.source, ShapeParams.ones(first.source.joint_count),
             [job.bridge for job in jobs], [job.shape for job in jobs], first.obj, manifest.retarget,
-            meshes=meshes,
+            second_seq=first.second,
         )
     except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
         results = [exc] * len(jobs)
@@ -365,25 +354,22 @@ def run_pipeline(manifest: PipelineManifest, jobs: int = 1) -> PipelineSummary:
     """Process the entries, write outputs and summary files, run the filter
     when episode statistics are supplied. Deterministic for a fixed manifest.
 
-    The entries that share source meshes form a group, and an entry whose
-    files could not be hashed forms a group of its own. The groups run in
+    The entries that name one source scene (motion, second motion, source
+    skeleton and object, by resolved path) form a group. The groups run in
     the manifest order of their last entries; each group's entries are
     prepared in manifest order and retargeted together, in one lockstep
     retarget_sequence call, and each gets the bytes it gets alone. The
     summary lists the entries in manifest order."""
     if jobs != 1:  # the keyword stays only while the benchmark passes jobs=1
         raise ValueError(f"entries run one at a time; jobs must be 1, got {jobs!r}")
-    groups: dict[object, list] = {}
+    groups: dict[tuple, list] = {}
     results = []
-    for i, entry in enumerate(manifest.entries):
-        try:
-            keys = _entry_keys(entry)
-        except OSError:  # the entry reports it when it runs
-            keys = None
+    for entry in manifest.entries:
         results.append(EntrySummary(entry_id=entry.entry_id, status="failed"))
-        key = keys[1] if keys else i
+        key = tuple(_resolved(p) for p in (entry.motion, entry.second_motion, entry.source_skeleton,
+                                           entry.object_path))
         # moved to the end, so the groups run in the order of their last entries
-        groups[key] = groups.pop(key, []) + [(entry, keys, results[-1])]
+        groups[key] = groups.pop(key, []) + [(entry, results[-1])]
     fits: dict[tuple, tuple[ShapeParams, float]] = {}
     for group in groups.values():
         _run_group(group, manifest, fits)

@@ -547,7 +547,6 @@ def retarget_sequence(
     obj: ObjectMesh,
     cfg: RetargetConfig | None = None,
     second_seq: MotionSequence | None = None,
-    meshes: list[InteractMesh | None] | None = None,
 ) -> RetargetResult | list[RetargetResult | Exception]:
     """Retarget one agent's motion onto the target skeleton/shape, or onto
     each of several.
@@ -575,10 +574,8 @@ def retarget_sequence(
     kinematics pass per round of `optim.lockstep_levenberg_marquardt`, which
     the round's trial losses run and the next round's normal equations reuse;
     every member takes its solo iterations, and one target is a stack of one.
-
-    `meshes`, when given, are the source's `source_meshes` for this `cfg`,
-    one per frame; they stand in for building the meshes from `obj` and the
-    second agent, so one build can serve every target of a clip.
+    The source's interact meshes (`source_meshes`) are built once per call,
+    for all its targets.
     """
     cfg = cfg or RetargetConfig()
     several = not isinstance(target_skeleton, Skeleton)
@@ -603,10 +600,7 @@ def retarget_sequence(
     if not several and results[0] is not None:
         raise results[0]
     frames = source_seq.frame_count
-    if meshes is None:
-        meshes = source_meshes(source_seq, source_skeleton, source_shape, obj, cfg, second_seq)
-    elif len(meshes) != frames:
-        raise DataError(f"{len(meshes)} prebuilt interact meshes for {frames} source frames")
+    meshes = source_meshes(source_seq, source_skeleton, source_shape, obj, cfg, second_seq)
 
     src_joints = fk_sequence(source_skeleton, source_shape, source_seq)
     source = np.concatenate(

@@ -140,7 +140,21 @@ MALFORMED_INPUTS = [
     ("feet-text", "skeleton.json", ("foot_joints",), "16", "foot_joints must list joint indices"),
     ("offset-text", "skeleton.json", ("joints", 4, "offset", 1), "a", "joint 4 offset must be 3 numbers"),
     ("late-contacts", "motion.json", ("frames", 2, "contacts"), [0] * 20, "frame 2 has contacts but frame 0 has none"),
+    # a number is a JSON int or float: not a bool, not text that reads as one
+    ("fps-bool", "motion.json", ("fps",), True, "fps must be a number, got True"),
+    ("fps-numeric-text", "motion.json", ("fps",), "30", "fps must be a number, got '30'"),
+    ("coordinate-bool", "motion.json", ("frames", 1, "root_pos", 0), True, "frame 1 root_pos must be 3 numbers"),
+    ("coordinate-numeric-text", "motion.json", ("frames", 1, "root_pos", 0), "0.1",
+     "frame 1 root_pos must be 3 numbers"),
+    ("rotation-numeric-text", "motion.json", ("frames", 2, "joint_rots", 0, 1), "0.1",
+     "frame 2 joint_rots must be 19 lists of 3 numbers"),
+    ("offset-bool", "skeleton.json", ("joints", 4, "offset", 1), True, "joint 4 offset must be 3 numbers"),
+    ("offset-huge", "skeleton.json", ("joints", 4, "offset", 1), 10**400, "joint 4 offset must be 3 numbers"),
+    ("limit-numeric-text", "skeleton.json", ("joints", 4, "q_min", 0), "0.1", "joint 4 q_min must be 3 numbers"),
+    ("velocity-limit-bool", "skeleton.json", ("joints", 4, "v_max"), True, "joint 4 v_max must be a number"),
     ("vertex-text", "box.obj", None, "v 0 0 zero", "vertex coordinates must be numbers"),
+    ("vertex-nan", "box.obj", None, "v 0 nan 0", "vertex coordinates must be numbers"),
+    ("vertex-infinite", "box.obj", None, "v 0 0 1e999", "vertex coordinates must be numbers"),
     ("face-text", "box.obj", None, "f 1 2 x", "face indices must be integers"),
 ]
 
@@ -742,12 +756,32 @@ class TestPipelineCommand:
         assert main(["pipeline", "--manifest", str(manifest)]) == 0
         assert (tmp_path / "out" / "summary.json").exists()
 
+    # case -> (whether the field is entry 0's or the manifest's, field, value):
+    # a path is a non-empty JSON string, and so is an id
+    FIELD_CASES = {
+        "motion_type": (True, "motion", 5),
+        "second_motion_type": (True, "second_motion", 5),
+        "second_motion_empty": (True, "second_motion", ""),
+        "source_skeleton_type": (True, "source_skeleton", []),
+        "target_skeleton_empty": (True, "target_skeleton", ""),
+        "object_null": (True, "object", None),
+        "output_dir_type": (False, "output_dir", 7),
+        "stats_path_empty": (False, "episode_stats", ""),
+        "id_list": (True, "id", ["a"]),
+        "id_number": (True, "id", 7),
+        "id_null": (True, "id", None),
+    }
+
     @pytest.mark.parametrize("case", ["stats_json", "stats_type", "stats_lengths", "optimizer_method",
-                                      "learning_rate", "smooth_alpha", "entries_type", "mesh_rebuild"])
+                                      "learning_rate", "smooth_alpha", "entries_type", "mesh_rebuild"]
+                             + list(FIELD_CASES))
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, case):
         manifest = write_corpus(tmp_path, frames=2)
         doc = json.loads(manifest.read_text())
-        if case == "stats_json":
+        if case in self.FIELD_CASES:
+            in_entry, key, value = self.FIELD_CASES[case]
+            (doc["entries"][0] if in_entry else doc)[key] = value
+        elif case == "stats_json":
             (tmp_path / "stats.json").write_text("{broken")
             doc["episode_stats"] = "stats.json"
         elif case == "stats_type":
@@ -766,7 +800,12 @@ class TestPipelineCommand:
             doc["entries"] = 5
         manifest.write_text(json.dumps(doc))
         assert main(["pipeline", "--manifest", str(manifest), "--validate-only"]) == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        if case in self.FIELD_CASES:  # the message names the manifest, the entry and the field
+            in_entry, key, _ = self.FIELD_CASES[case]
+            rule = "a string" if key == "id" else "a non-empty path string"
+            assert f"{manifest}: {'entry 0 ' if in_entry else ''}field '{key}' must be {rule}" in err
 
     def test_jobs_is_neither_a_flag_nor_a_config_key(self, tmp_path, capsys):
         # there is no worker count to set, by flag or by config file

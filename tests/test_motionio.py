@@ -8,6 +8,7 @@ from retargetkit.motionio import (
     MotionSequence,
     ObjectMesh,
     ShapeParams,
+    _number_array,
     load_motion,
     load_obj,
     load_skeleton,
@@ -179,6 +180,25 @@ class TestLoadMotion:
         seq = load_motion(_write_json(tmp_path / "m.json", {"fps": 30.0, "frames": frames}), skel)
         assert seq.contacts.dtype == int
         assert seq.contacts.tolist() == [[0, 1], [-1, 0]]
+
+    @pytest.mark.parametrize("value, shape", [
+        ([[0.5, -0.0, 2], [10**20, 2**63 + 1, -3]], (2, 3)),
+        ([[[1e-300, float("nan")], [1, 2]]], (1, 2, 2)),
+        ([[]], (1, 0)),
+        (30, ()),
+    ], ids=["ints-and-floats", "three-levels", "empty-rows", "scalar"])
+    def test_numbers_read_as_np_array_does(self, value, shape):
+        # the flattened reading returns np.array(value, dtype=float)'s bytes
+        assert _number_array(value, shape).tobytes() == np.array(value, dtype=float).tobytes()
+        assert _number_array(value, shape).shape == shape
+
+    @pytest.mark.parametrize("value, shape", [
+        ([[1.0, True]], (1, 2)), ([[1.0, "2"]], (1, 2)), ([[1.0], [2.0, 3.0]], (2, 1)), ([[1.0, [2.0]]], (1, 2)),
+        ([1.0, 2.0], (1, 2)), (["ab"], (1, 2)), ([{"a": 1, "b": 2}], (1, 2)), ([""], (1, 0)), ([10**400], (1,)),
+    ], ids=["bool", "text", "ragged", "too-deep", "too-shallow", "string-row", "object-row", "empty-string-row",
+            "beyond-float"])
+    def test_numbers_refuse_what_is_not_nested_numbers(self, value, shape):
+        assert _number_array(value, shape) is None
 
 
 class TestLoadObj:

@@ -390,26 +390,47 @@ class TestSourceMeshCache:
         for entry in entries[:2]:
             assert self.run(path, manifest, [entry], output_dir="alone").entries[0].error == error
 
-    def test_failed_build_is_not_kept(self, tmp_path, monkeypatch):
-        # the first build raises; the next entry of the same source builds
-        # again and gets the result it gets alone
+    def test_failed_build_fails_its_group(self, tmp_path, monkeypatch):
+        # the clip's one mesh build raises: every entry of its group fails
+        # with that error after the one attempt, as each fails alone
         path, manifest, carry = self.carry_corpus(tmp_path)
-        original = retarget.build_interact_mesh
         calls = []
 
-        def first_fails(*args, **kwargs):
+        def failing(*args, **kwargs):
             calls.append(None)
-            if len(calls) == 1:
-                raise RuntimeError("transient")
-            return original(*args, **kwargs)
+            raise RuntimeError("no mesh")
 
-        monkeypatch.setattr(retarget, "build_interact_mesh", first_fails)
+        monkeypatch.setattr(retarget, "build_interact_mesh", failing)
         entries = [carry, dict(carry, id="tall", target_skeleton="tall.json")]
         summary = self.run(path, manifest, entries)
-        assert [(e.status, e.error) for e in summary.entries] == [("failed", "RuntimeError: transient"), ("ok", "")]
-        assert len(calls) == 1 + FRAMES
-        monkeypatch.setattr(retarget, "build_interact_mesh", original)
-        self.assert_outputs_match_alone(path, manifest, entries[1:])
+        assert [(e.status, e.error) for e in summary.entries] == [("failed", "RuntimeError: no mesh")] * 2
+        assert len(calls) == 1
+        for entry in entries:
+            assert self.run(path, manifest, [entry], output_dir="alone").entries[0].error == "RuntimeError: no mesh"
+
+    def test_two_spellings_of_one_motion_form_one_group(self, tmp_path, monkeypatch):
+        # motion0.json and sub/../motion0.json name one file: one group, so
+        # one mesh build, and one fit of its one skeleton pair
+        path, manifest, carry = self.carry_corpus(tmp_path)
+        (tmp_path / "sub").mkdir()
+        builds, fits = [], []
+        original_build, original_fit = retarget.build_frame_meshes, pipeline.fit_bridge
+        monkeypatch.setattr(retarget, "build_frame_meshes",
+                            lambda *args, **kwargs: builds.append(None) or original_build(*args, **kwargs))
+        monkeypatch.setattr(pipeline, "fit_bridge", lambda *args: fits.append(None) or original_fit(*args))
+        entries = [carry, dict(carry, id="again", motion="sub/../motion0.json")]
+        summary = self.run(path, manifest, entries)
+        assert [e.status for e in summary.entries] == ["ok", "ok"]
+        assert (len(builds), len(fits)) == (1, 1)
+        self.assert_outputs_match_alone(path, manifest, entries)
+
+    def test_symlink_loop_fails_only_its_entry(self, tmp_path):
+        path, manifest, carry = self.carry_corpus(tmp_path)
+        (tmp_path / "loop_a.json").symlink_to("loop_b.json")
+        (tmp_path / "loop_b.json").symlink_to("loop_a.json")
+        summary = self.run(path, manifest, [dict(carry, id="loop", motion="loop_a.json"), carry])
+        assert [e.status for e in summary.entries] == ["failed", "ok"]
+        assert summary.entries[0].error.startswith("OSError: ")
 
     def test_meshes_dropped_after_their_last_entry(self, tmp_path, monkeypatch):
         # clip 0 goes to two targets, then clip 1 runs: by clip 1's build no
@@ -480,15 +501,6 @@ class TestSourceMeshCache:
         assert len(fits) == 1
         assert summary.entries[0].fit_residual == summary.entries[1].fit_residual
         self.assert_outputs_match_alone(path, manifest, entries)
-
-    def test_prebuilt_meshes_need_one_per_frame(self):
-        skel = make_humanoid()
-        ones = ShapeParams.ones(skel.joint_count)
-        seq = held_box_motion(skel, frames=FRAMES)
-        box = make_box(subdiv=2)
-        meshes = retarget.source_meshes(seq, skel, ones, box, retarget.RetargetConfig())
-        with pytest.raises(DataError, match="2 prebuilt interact meshes for 3 source frames"):
-            retarget.retarget_sequence(seq, skel, ones, skel, ones, box, meshes=meshes[:2])
 
 
 class TestLockstepGroups:
