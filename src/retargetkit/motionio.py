@@ -42,6 +42,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _first_frame(mask: np.ndarray) -> int:
+    """The first frame (leading index) where the per-frame mask is set."""
+    return int(np.argmax(mask.reshape(len(mask), -1).any(axis=1)))
+
+
 @dataclass(frozen=True)
 class Skeleton:
     """Rooted joint tree with per-bone rest offsets and joint/velocity limits.
@@ -156,11 +161,13 @@ class MotionSequence:
         if self.contacts is not None:
             if self.contacts.shape[0] != t:
                 raise DataError("contacts frame count mismatch")
-            if not np.all(np.isin(self.contacts, (-1, 0, 1))):
-                raise DataError("contact labels must lie in {-1, 0, 1}")
+            labeled = np.isin(self.contacts, (-1, 0, 1))
+            if not np.all(labeled):
+                raise DataError(f"frame {_first_frame(~labeled)} contact labels must lie in {{-1, 0, 1}}")
         for name in ("root_pos", "root_rot", "joint_rots", "obj_pos", "obj_rot"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise DataError(f"{name} contains non-finite values")
+            finite = np.isfinite(getattr(self, name))
+            if not np.all(finite):
+                raise DataError(f"frame {_first_frame(~finite)} {name} contains non-finite values")
             _freeze(getattr(self, name))
         if self.contacts is not None:
             _freeze(self.contacts)
@@ -241,6 +248,8 @@ def load_skeleton(path) -> Skeleton:
         _require(isinstance(joint, dict), f"{path}: joint {idx} must be a JSON object")
         for key in ("name", "parent", "offset", "q_min", "q_max", "v_min", "v_max"):
             _require(key in joint, f"{path}: joint {idx} missing field '{key}'")
+        if not isinstance(joint["name"], str):  # per joint, so a message is formatted only on failure
+            raise DataError(f"{path}: joint {idx} name must be a string, got {joint['name']!r}")
         parent = joint["parent"]
         _require(parent is None or _INDEX.admits(parent),
                  f"{path}: joint {idx} parent must be a joint index or null, got {parent!r}")
@@ -257,7 +266,7 @@ def load_skeleton(path) -> Skeleton:
         ("rest_offsets", "offset", (3,)), ("q_min", "q_min", (3,)), ("q_max", "q_max", (3,)),
         ("v_min", "v_min", ()), ("v_max", "v_max", ()))}
     try:
-        return Skeleton(names=tuple(str(joint["name"]) for joint in joints), parents=np.array(parents, dtype=int),
+        return Skeleton(names=tuple(joint["name"] for joint in joints), parents=np.array(parents, dtype=int),
                         foot_joints=frozenset(feet), **arrays)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -315,15 +324,17 @@ def load_motion(path, skeleton: Skeleton) -> MotionSequence:
     if not set(map(type, chain.from_iterable(contacts))) <= {int}:  # as errors.Range(int): no bool, no 1.0
         t = next(t for t, row in enumerate(contacts) if not set(map(type, row)) <= {int})
         raise DataError(f"{path}: frame {t} contact labels must be integers, got {contacts[t]!r}")
-    return MotionSequence(
-        fps=fps,
-        root_pos=_numbers(path, frames, "frame", "root_pos", (3,)),
-        root_rot=_renormalize(_numbers(path, frames, "frame", "root_rot", (4,)), "root"),
-        joint_rots=_numbers(path, frames, "frame", "joint_rots", (j - 1, 3)),
-        obj_pos=_numbers(path, frames, "frame", "obj_pos", (3,)),
-        obj_rot=_renormalize(_numbers(path, frames, "frame", "obj_rot", (4,)), "object"),
-        contacts=np.array(contacts) if has_contacts else None,
-    )
+    arrays = {key: _numbers(path, frames, "frame", key, shape) for key, shape in (
+        ("root_pos", (3,)), ("root_rot", (4,)), ("joint_rots", (j - 1, 3)), ("obj_pos", (3,)), ("obj_rot", (4,)))}
+    try:
+        return MotionSequence(
+            fps=fps, root_pos=arrays["root_pos"], root_rot=_renormalize(arrays["root_rot"], "root"),
+            joint_rots=arrays["joint_rots"], obj_pos=arrays["obj_pos"],
+            obj_rot=_renormalize(arrays["obj_rot"], "object"),
+            contacts=np.array(contacts) if has_contacts else None,
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_obj(path) -> ObjectMesh:

@@ -8,21 +8,23 @@ velocity limits and foot joints (`bridge_skeleton`).
 
 The entries whose motion, second motion, source skeleton and object paths
 resolve to the same files, one clip onto several targets, form a group, the
-unit of work. A group's entries are loaded and fitted in manifest order and
-retargeted together in one `retarget_sequence` call, which builds the clip's
-interact meshes once (they do not depend on the target) and solves the
-targets in lockstep; each entry gets the bytes it gets in a manifest of its
-own. A clip's meshes live only while its call runs, and shape fits are kept
-for the whole run. The groups run in the manifest order of their last
-entries.
+unit of work. A group reads its scene (source skeleton, motion, second
+motion and object) once, from its first entry's paths; its entries' targets
+are then loaded and fitted in manifest order and retargeted together in one
+`retarget_sequence` call, which builds the clip's interact meshes once (they
+do not depend on the target) and solves the targets in lockstep; each entry
+gets the bytes it gets in a manifest of its own. A clip's meshes live only
+while its call runs, and shape fits are kept for the whole run. The groups
+run in the manifest order of their last entries.
 
 Each entry writes <id>.json and <id>.losses.csv, so one clip can go to
 several targets under distinct ids, and the summary lists the entries in
 manifest order. Entry failures are isolated: one broken entry, or one
 target whose solve raises inside a lockstep group, never blocks or alters
 the others, and the summary records what happened. An error in what a
-group shares, such as its mesh build, fails each of its entries with the
-error each gets alone.
+group shares, a load of its scene or its mesh build, fails each of its
+entries with that one error, which names a file as the first entry spells
+it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .errors import DataError
 from .kinematics import fit_shape, fk, tpose
 from .motionio import (
     MotionSequence,
-    ObjectMesh,
     ShapeParams,
     Skeleton,
     load_motion,
@@ -268,78 +269,63 @@ def _resolved(path: Path | None) -> str | None:
     return None if path is None else os.path.realpath(path)
 
 
-@dataclass
-class _Job:
-    """An entry whose inputs and bridge are ready to retarget."""
-
-    entry: ManifestEntry
-    summary: EntrySummary
-    seq: MotionSequence
-    second: MotionSequence | None
-    source: Skeleton
-    obj: ObjectMesh
-    bridge: Skeleton
-    shape: ShapeParams
-
-
-def _prepare_entry(entry: ManifestEntry, fits: dict, summary: EntrySummary) -> _Job:
-    """Load the entry's inputs and fit its bridge, or take the fit from
-    `fits`, which keeps every fit of the run that did not raise, keyed by
-    the resolved source and target skeleton paths."""
-    source_skel = load_skeleton(entry.source_skeleton)
-    seq = load_motion(entry.motion, source_skel)
-    obj = load_obj(entry.object_path)
-    second = load_motion(entry.second_motion, source_skel) if entry.second_motion is not None else None
-    target_skel = load_skeleton(entry.target_skeleton)
-    fit_key = (_resolved(entry.source_skeleton), _resolved(entry.target_skeleton))
-    if fit_key not in fits:
-        fits[fit_key] = fit_bridge(source_skel, target_skel)
-    shape, summary.fit_residual = fits[fit_key]
-    return _Job(entry, summary, seq, second, source_skel, obj, bridge_skeleton(source_skel, target_skel), shape)
-
-
 def _run_group(group: list[tuple[ManifestEntry, EntrySummary]], manifest: PipelineManifest, fits: dict) -> None:
-    """Prepare the entries of one source clip in manifest order, retarget
-    them in one retarget_sequence call, in lockstep when there are several,
-    then smooth and write each. The call builds the clip's meshes once for
-    all its targets, so an error it raises, a mesh build's included, fails
-    every prepared entry of the group."""
-    jobs = []
+    """Load the group's scene once, from its first entry's paths, then load,
+    fit and bridge each entry's target in manifest order, retarget them in
+    one retarget_sequence call, in lockstep when there are several, and
+    smooth and write each. A fit is taken from `fits` when there, which keeps
+    every fit of the run that did not raise, keyed by the resolved source and
+    target skeleton paths. An error in what the entries share, the scene's
+    loads or the call's mesh build, fails every entry with that one error."""
+    first = group[0][0]
+    try:
+        source = load_skeleton(first.source_skeleton)
+        seq = load_motion(first.motion, source)
+        obj = load_obj(first.object_path)
+        second = None if first.second_motion is None else load_motion(first.second_motion, source)
+    except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
+        for _, summary in group:
+            summary.error = f"{type(exc).__name__}: {exc}"
+        return
+    ready, bridges, shapes = [], [], []
     for entry, summary in group:
         try:
-            jobs.append(_prepare_entry(entry, fits, summary))
+            target = load_skeleton(entry.target_skeleton)
+            fit_key = (_resolved(entry.source_skeleton), _resolved(entry.target_skeleton))
+            if fit_key not in fits:
+                fits[fit_key] = fit_bridge(source, target)
+            shape, summary.fit_residual = fits[fit_key]
+            bridges.append(bridge_skeleton(source, target))
+            shapes.append(shape)
+            ready.append((entry, summary))
         except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
             summary.error = f"{type(exc).__name__}: {exc}"
-    if not jobs:
+    if not ready:
         return
-    first = jobs[0]
     try:
-        results = retarget_sequence(
-            first.seq, first.source, ShapeParams.ones(first.source.joint_count),
-            [job.bridge for job in jobs], [job.shape for job in jobs], first.obj, manifest.retarget,
-            second_seq=first.second,
-        )
+        results = retarget_sequence(seq, source, ShapeParams.ones(source.joint_count), bridges, shapes, obj,
+                                    manifest.retarget, second_seq=second)
     except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
-        results = [exc] * len(jobs)
-    for job, result in zip(jobs, results):
+        results = [exc] * len(ready)
+    for (entry, summary), result in zip(ready, results):
         try:
             if isinstance(result, Exception):
                 raise result
-            _write_entry(job, result, manifest)
+            _write_entry(entry, summary, result, manifest)
         except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
-            job.summary.error = f"{type(exc).__name__}: {exc}"
+            summary.error = f"{type(exc).__name__}: {exc}"
 
 
-def _write_entry(job: _Job, result: RetargetResult, manifest: PipelineManifest) -> None:
+def _write_entry(entry: ManifestEntry, summary: EntrySummary, result: RetargetResult,
+                 manifest: PipelineManifest) -> None:
     """Smooth the entry's result, write its motion and losses and fill in its
     summary."""
-    summary = job.summary
     final = smooth_motion(result.sequence, manifest.smooth)
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_motion = out_dir / f"{job.entry.entry_id}.json"
+    out_motion = out_dir / f"{entry.entry_id}.json"
     save_motion(final, out_motion)
-    write_losses_csv(out_dir / f"{job.entry.entry_id}.losses.csv", result.per_frame_losses)
+    write_losses_csv(out_dir / f"{entry.entry_id}.losses.csv", result.per_frame_losses)
 
     losses = result.per_frame_losses
     summary.mean_terms = {name: float(np.mean([getattr(f, name) for f in losses]))
@@ -356,10 +342,10 @@ def run_pipeline(manifest: PipelineManifest, jobs: int = 1) -> PipelineSummary:
 
     The entries that name one source scene (motion, second motion, source
     skeleton and object, by resolved path) form a group. The groups run in
-    the manifest order of their last entries; each group's entries are
-    prepared in manifest order and retargeted together, in one lockstep
-    retarget_sequence call, and each gets the bytes it gets alone. The
-    summary lists the entries in manifest order."""
+    the manifest order of their last entries; each reads its scene once,
+    fits its entries' targets in manifest order and retargets them together,
+    in one lockstep retarget_sequence call, and each entry gets the bytes it
+    gets alone. The summary lists the entries in manifest order."""
     if jobs != 1:  # the keyword stays only while the benchmark passes jobs=1
         raise ValueError(f"entries run one at a time; jobs must be 1, got {jobs!r}")
     groups: dict[tuple, list] = {}

@@ -140,6 +140,13 @@ MALFORMED_INPUTS = [
     ("feet-text", "skeleton.json", ("foot_joints",), "16", "foot_joints must list joint indices"),
     ("offset-text", "skeleton.json", ("joints", 4, "offset", 1), "a", "joint 4 offset must be 3 numbers"),
     ("late-contacts", "motion.json", ("frames", 2, "contacts"), [0] * 20, "frame 2 has contacts but frame 0 has none"),
+    # what MotionSequence refuses names the file too, and the frame of a non-finite value
+    ("root-pos-nan", "motion.json", ("frames", 2, "root_pos", 1), float("nan"),
+     "frame 2 root_pos contains non-finite values"),
+    ("obj-pos-infinite", "motion.json", ("frames", 3, "obj_pos", 0), float("inf"),
+     "frame 3 obj_pos contains non-finite values"),
+    ("name-number", "skeleton.json", ("joints", 3, "name"), 5, "joint 3 name must be a string, got 5"),
+    ("name-null", "skeleton.json", ("joints", 3, "name"), None, "joint 3 name must be a string, got None"),
     # a number is a JSON int or float: not a bool, not text that reads as one
     ("fps-bool", "motion.json", ("fps",), True, "fps must be a number, got True"),
     ("fps-numeric-text", "motion.json", ("fps",), "30", "fps must be a number, got '30'"),

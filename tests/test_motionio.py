@@ -166,6 +166,13 @@ class TestLoadMotion:
         with pytest.raises(DataError, match="contact"):
             load_motion(path, skel)
 
+    def test_out_of_range_contact_label_names_file_and_frame(self, tmp_path):
+        skel = make_chain(2)
+        frames = [dict(_frame(2), contacts=[0, 1]), dict(_frame(2), contacts=[-1, 2])]
+        path = _write_json(tmp_path / "m.json", {"fps": 30.0, "frames": frames})
+        with pytest.raises(DataError, match=r"m\.json: frame 1 contact labels must lie in \{-1, 0, 1\}"):
+            load_motion(path, skel)
+
     @pytest.mark.parametrize("labels", [[0, 0.9], [True, 0], [1, False], [0, 1.0], [1, "1"], [0, None], [0, [1]]])
     def test_contact_labels_must_be_integers(self, tmp_path, labels):
         skel = make_chain(2)

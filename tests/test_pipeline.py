@@ -390,6 +390,40 @@ class TestSourceMeshCache:
         for entry in entries[:2]:
             assert self.run(path, manifest, [entry], output_dir="alone").entries[0].error == error
 
+    def test_broken_shared_file_fails_its_group_with_one_error(self, tmp_path):
+        # the group reads its partner once, from the first entry's spelling:
+        # a NaN in it fails both entries with that one error, and the entry
+        # on another partner is untouched
+        path, manifest, carry = self.carry_corpus(tmp_path)
+        doc = json.loads((tmp_path / "partner.json").read_text())
+        doc["frames"][1]["root_pos"][0] = float("nan")
+        (tmp_path / "partner_nan.json").write_text(json.dumps(doc))
+        (tmp_path / "sub").mkdir()
+        broken = dict(carry, second_motion="partner_nan.json")
+        again = dict(broken, id="b", target_skeleton="tall.json", second_motion="sub/../partner_nan.json")
+        entries = [dict(broken, id="a"), again, carry]
+        summary = self.run(path, manifest, entries)
+        error = f"DataError: {tmp_path}/partner_nan.json: frame 1 root_pos contains non-finite values"
+        assert [(e.status, e.error) for e in summary.entries] == [("failed", error)] * 2 + [("ok", "")]
+        alone = self.run(path, manifest, [again], output_dir="alone").entries[0].error
+        assert alone == error.replace("/partner_nan", "/sub/../partner_nan")
+
+    def test_a_group_reads_its_shared_files_once(self, tmp_path, monkeypatch):
+        # one clip and its partner onto three targets: the source skeleton,
+        # motion, partner and box are read once, and each target once
+        path, manifest, carry = self.carry_corpus(tmp_path)
+        loads = []
+
+        def counting(name, original):
+            return lambda *args: loads.append(name) or original(*args)
+
+        for name in ("load_skeleton", "load_motion", "load_obj"):
+            monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+        entries = [carry] + [dict(carry, id=t, target_skeleton=f"{t}.json") for t in ("tall", "short")]
+        summary = self.run(path, manifest, entries)
+        assert [e.status for e in summary.entries] == ["ok"] * 3
+        assert [loads.count(name) for name in ("load_skeleton", "load_motion", "load_obj")] == [4, 2, 1]
+
     def test_failed_build_fails_its_group(self, tmp_path, monkeypatch):
         # the clip's one mesh build raises: every entry of its group fails
         # with that error after the one attempt, as each fails alone
