@@ -491,7 +491,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"retargetkit: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable file, or a directory
         print(f"retargetkit: data error: {exc}", file=sys.stderr)
         return 2
 

@@ -198,13 +198,21 @@ def _require(cond: bool, message: str):
         raise DataError(message)
 
 
-def read_json(path):
-    """Parsed JSON document; malformed JSON is a DataError naming the line."""
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are a DataError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def read_json(path):
+    """Parsed JSON document; malformed JSON is a DataError naming the line."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def _number_array(value, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -244,24 +252,27 @@ def load_skeleton(path) -> Skeleton:
     joints = raw["joints"]
     _require(isinstance(joints, list) and joints, f"{path}: 'joints' must be a non-empty list")
     parents = []
-    for idx, joint in enumerate(joints):
-        _require(isinstance(joint, dict), f"{path}: joint {idx} must be a JSON object")
+    for idx, joint in enumerate(joints):  # per joint and foot, a message is formatted only on failure
+        if not isinstance(joint, dict):
+            raise DataError(f"{path}: joint {idx} must be a JSON object")
         for key in ("name", "parent", "offset", "q_min", "q_max", "v_min", "v_max"):
-            _require(key in joint, f"{path}: joint {idx} missing field '{key}'")
-        if not isinstance(joint["name"], str):  # per joint, so a message is formatted only on failure
+            if key not in joint:
+                raise DataError(f"{path}: joint {idx} missing field '{key}'")
+        if not isinstance(joint["name"], str):
             raise DataError(f"{path}: joint {idx} name must be a string, got {joint['name']!r}")
         parent = joint["parent"]
-        _require(parent is None or _INDEX.admits(parent),
-                 f"{path}: joint {idx} parent must be a joint index or null, got {parent!r}")
+        if not (parent is None or _INDEX.admits(parent)):
+            raise DataError(f"{path}: joint {idx} parent must be a joint index or null, got {parent!r}")
         # one beyond every joint index may be too large for np.array's int
-        _require(parent is None or abs(parent) < len(joints),
-                 f"{path}: joint '{joint['name']}' (index {idx}) has parent {parent}; "
-                 "joints must be topologically ordered")
+        if not (parent is None or abs(parent) < len(joints)):
+            raise DataError(f"{path}: joint '{joint['name']}' (index {idx}) has parent {parent}; "
+                            "joints must be topologically ordered")
         parents.append(-1 if parent is None else parent)
     feet = raw.get("foot_joints", [])
     _require(isinstance(feet, list), f"{path}: foot_joints must list joint indices, got {feet!r}")
     for foot in feet:
-        _require(_INDEX.admits(foot), f"{path}: foot joint {foot!r} is not a joint index")
+        if not _INDEX.admits(foot):
+            raise DataError(f"{path}: foot joint {foot!r} is not a joint index")
     arrays = {name: _numbers(path, joints, "joint", key, shape) for name, key, shape in (
         ("rest_offsets", "offset", (3,)), ("q_min", "q_min", (3,)), ("q_max", "q_max", (3,)),
         ("v_min", "v_min", ()), ("v_max", "v_max", ()))}
@@ -340,35 +351,36 @@ def load_motion(path, skeleton: Skeleton) -> MotionSequence:
 def load_obj(path) -> ObjectMesh:
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise DataError(f"{path}:{lineno}: vertex line needs 3 coordinates")
-                try:  # per line, so a message is formatted only on failure
-                    vertex = [float(p) for p in parts[1:4]]
-                    if not all(map(math.isfinite, vertex)):  # float() also reads nan and inf
-                        raise ValueError
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: vertex coordinates must be numbers") from None
-                vertices.append(vertex)
-            elif parts[0] == "f":
-                if len(parts) < 4:
-                    raise DataError(f"{path}:{lineno}: face line needs 3 indices")
-                try:
-                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:4]]
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: face indices must be integers") from None
-                for i in idx:
-                    if not 0 <= i < len(vertices):
-                        raise DataError(
-                            f"{path}:{lineno}: face references vertex {i + 1} "
-                            f"but only {len(vertices)} vertices are defined"
-                        )
-                faces.append(idx)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise DataError(f"{path}:{lineno}: vertex line needs 3 coordinates")
+            try:  # per line, so a message is formatted only on failure
+                vertex = [float(p) for p in parts[1:4]]
+                if not all(map(math.isfinite, vertex)):  # float() also reads nan and inf
+                    raise ValueError
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: vertex coordinates must be numbers") from None
+            vertices.append(vertex)
+        elif parts[0] == "f":
+            if len(parts) < 4:
+                raise DataError(f"{path}:{lineno}: face line needs 3 indices")
+            try:
+                idx = [int(p.split("/")[0]) - 1 for p in parts[1:4]]
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: face indices must be integers") from None
+            for i in idx:
+                if not 0 <= i < len(vertices):
+                    raise DataError(
+                        f"{path}:{lineno}: face references vertex {i + 1} "
+                        f"but only {len(vertices)} vertices are defined"
+                    )
+            faces.append(idx)
+    if not vertices:
+        raise DataError(f"{path}: no vertex ('v') lines")
     return ObjectMesh(
         vertices=np.array(vertices, dtype=float).reshape(-1, 3),
         faces=np.array(faces, dtype=int).reshape(-1, 3),

@@ -27,11 +27,11 @@ rotation q_a * exp(delta) around the prediction's quaternion q_a: no step
 can scale the quaternion, so the solve does not depend on the scene's
 heading, and the stored quaternion is normalized once, when a frame's
 result is written. For the targets' vectors the stack runs one kinematics
-pass, kept per target until it is asked about another vector, and derives
-from it the weighted terms (the loss), the gradient, or the Gauss-Newton
-normal equations of the least-squares terms (with the FK Jacobian);
-Gauss-Newton asks for the normal equations only at the point whose loss it
-has just evaluated, so each point costs one pass. A tetrahedron's Laplacian
+pass, kept until an evaluation at another point, and derives from it the
+weighted terms (the loss), the gradient, or the Gauss-Newton normal
+equations of the least-squares terms (with the FK Jacobian); Gauss-Newton
+asks for the normal equations only on rows and points of its last loss
+call, so each point costs one pass. A tetrahedron's Laplacian
 is A P with A = 4I - 11^T acting on its four points, so the Laplacian
 difference is linear in the offsets dP of the agent's joints from their
 source coordinates in the mesh. With the joint-by-joint stiffness K_lap,
@@ -202,7 +202,8 @@ class FrameStack:
     temporal term measures from x_pred; the velocity hinges and the slide
     anchor measure from x_prev. `terms` takes stored parameters; the other
     evaluations take tangent vectors at each target's anchor quaternion (by
-    default x_pred's), see kinematics.stored_vector.
+    default x_pred's), see kinematics.stored_vector. Only the last
+    evaluation's point is kept, for later calls on its rows at its vectors.
     """
 
     def __init__(
@@ -239,13 +240,10 @@ class FrameStack:
         for stiffness, feet in zip(self.stiffness, self.feet):
             if feet.size:
                 np.add.at(stiffness, (feet, feet), cfg.foot_slide_weight)
-        # the last evaluated point: its tangent and stored vectors' bytes per
-        # target, and the targets' stored vectors and kinematics pass
-        self._xi_keys: list[bytes | None] = [None] * self.count
-        self._x_keys: list[bytes | None] = [None] * self.count
-        self._point_slots = np.zeros(self.count, dtype=int)
-        self._point_rows = b""
-        self._point = None
+        # the last _point_at call's point: each target's slot in it (-1 when
+        # absent), its tangent vectors, and its stored vectors and kinematics pass
+        self._slots = np.full(self.count, -1)
+        self._xi = self._point = None
 
     def _any_gated(self, rows: np.ndarray) -> bool:
         return any(self.gated[k] for k in rows)
@@ -263,43 +261,44 @@ class FrameStack:
             return None
         return stacked_kinematics(self.skeleton, self.scales[take], x)
 
-    def _kept(self, rows: np.ndarray, keys: list[bytes], kept_keys: list):
+    def _kept(self, rows: np.ndarray, xi: np.ndarray):
         """The kept point's stored vectors and pass for the rows' targets, when
-        each one's kept key is its key; else None."""
-        if not all(kept_keys[k] == key for k, key in zip(rows, keys)):
+        each one is in it at its row of xi; else None."""
+        slots = self._slots[rows]
+        # -1 in a list: about 2 us less a call than (slots < 0).any()
+        if -1 in slots.tolist() or self._xi[slots].tobytes() != xi.tobytes():
             return None
-        if rows.tobytes() == self._point_rows:
+        if len(slots) == len(self._xi):  # the kept call's own rows
             return self._point
-        slots = self._point_slots[rows]
         x, kinematics = self._point
         return x[slots], kinematics and (kinematics[0],) + tuple(a[slots] for a in kinematics[1:])
 
     def _point_at(self, rows: np.ndarray, xi: np.ndarray):
         """The targets' stored vectors at the tangent vectors xi and their
-        kinematics pass, kept per target for the next call at the same bytes:
-        Gauss-Newton asks for the normal equations only at a point whose loss
-        it has just evaluated, so each point costs one pass."""
-        xi_keys = [v.tobytes() for v in xi]
-        point = self._kept(rows, xi_keys, self._xi_keys)
+        kinematics pass: the kept point's when it is at xi, else a new point,
+        kept in its place."""
+        point = self._kept(rows, xi)
         if point is not None:
             return point
         x = stored_vector(xi, self.anchor[self._take(rows)])
         kinematics = self._pass(rows, x)
         for array in (x, *(kinematics or ())[1:]):
             array.flags.writeable = False  # served again to later calls
-        self._point = x, kinematics
-        self._xi_keys, self._x_keys = [None] * self.count, [None] * self.count
-        for slot, (k, xi_key, v) in enumerate(zip(rows, xi_keys, x)):
-            self._xi_keys[k], self._x_keys[k] = xi_key, v.tobytes()
-            self._point_slots[k] = slot
-        self._point_rows = rows.tobytes()
+        self._slots[:] = -1
+        self._slots[rows] = np.arange(len(rows))
+        self._xi, self._point = xi.copy(), (x, kinematics)
         return self._point
 
-    def stored(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """The targets' stored vectors at the tangent vectors xi, the kept
-        point's when it is at xi."""
-        kept = self._kept(rows, [v.tobytes() for v in xi], self._xi_keys)
-        return stored_vector(xi, self.anchor[self._take(rows)]) if kept is None else kept[0]
+    def solution(self, rows: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The targets' stored vectors at the tangent vectors xi, each root
+        quaternion normalized, and their terms there. The kept point serves
+        when it is at xi, and its pass only when normalizing moved no byte."""
+        x, kinematics = self._kept(rows, xi) or (stored_vector(xi, self.anchor[self._take(rows)]), None)
+        normalized = x.copy()
+        for v in normalized:
+            v[3:7] = quat_normalize(v[3:7])
+        moved = normalized.tobytes() != x.tobytes()
+        return normalized, self.terms(rows, normalized, None if moved else kinematics)
 
     def _slide(self, k: int, positions: np.ndarray) -> np.ndarray:
         """Target k's gated feet's offsets from their positions under x_prev."""
@@ -307,12 +306,11 @@ class FrameStack:
 
     def terms(self, rows: np.ndarray, x: np.ndarray, kinematics=None) -> dict[str, np.ndarray]:
         """Per-term weighted objective, (m,) per term, at stored vectors x,
-        from their kinematics pass when it is given."""
+        from their kinematics pass when it is given, else from a new one."""
         cfg, m, take = self.cfg, len(rows), self._take(rows)
         terms = dict.fromkeys(TERM_NAMES, np.zeros(m))  # the absent terms
         if kinematics is None:
-            kept = self._kept(rows, [v.tobytes() for v in x], self._x_keys)
-            kinematics = self._pass(rows, x) if kept is None else kept[1]
+            kinematics = self._pass(rows, x)
         positions = None if kinematics is None else kinematics[2]
         if self.mesh is not None:
             offsets = positions - self.source
@@ -675,10 +673,7 @@ def _retarget_targets(
             continue
         rows = np.array([row for row, _, _ in solved])
         members = [k for _, k, _ in solved]
-        solutions[members, t] = stack.stored(rows, np.array([outcome.x for _, _, outcome in solved]))
-        for k in members:
-            solutions[k, t, 3:7] = quat_normalize(solutions[k, t, 3:7])
-        terms = stack.terms(rows, solutions[members, t])
+        solutions[members, t], terms = stack.solution(rows, np.array([outcome.x for _, _, outcome in solved]))
         for i, (_, k, outcome) in enumerate(solved):
             values = {name: float(terms[name][i]) for name in TERM_NAMES}
             losses[k].append(

@@ -223,6 +223,67 @@ class TestExitCodes:
         code = main(["fit-shape", "--skeleton", str(bad), "--target", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fit-shape", "--skeleton", ".", "--target", "skeleton.json"],
+        ["filter", "--stats", "."],
+        ["smooth", "--motion", "motion.json", "--skeleton", "skeleton.json", "-o", "out", "--config", "."],
+        ["fit-shape", "--skeleton", "skeleton.json", "--target", "skeleton.json", "-o", "."],
+    ], ids=["fit-shape-skeleton", "filter-stats", "smooth-config", "fit-shape-output"])
+    def test_directory_is_data_error(self, tmp_path, monkeypatch, capsys, argv):
+        # every OSError, not only a missing file, is a data error naming the path
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("retargetkit: data error: [Errno")
+
+    @pytest.mark.parametrize("name, argv", [
+        ("skeleton.json", ["mesh-inspect"] + COMMAND_ARGS["mesh-inspect"]),
+        ("motion.json", ["mesh-inspect"] + COMMAND_ARGS["mesh-inspect"]),
+        ("box.obj", ["mesh-inspect"] + COMMAND_ARGS["mesh-inspect"]),
+        ("config.json", ["smooth"] + COMMAND_ARGS["smooth"] + ["--config", "config.json"]),
+        ("manifest.json", ["pipeline"] + COMMAND_ARGS["pipeline"]),
+        ("motion0.json", ["pipeline"] + COMMAND_ARGS["pipeline"]),
+    ], ids=["skeleton", "motion", "object", "config", "manifest", "manifest-entry"])
+    def test_non_utf8_file_is_data_error(self, tmp_path, monkeypatch, capsys, name, argv):
+        # a byte that is not UTF-8 is a data error naming the file, not a UnicodeDecodeError
+        monkeypatch.chdir(tmp_path)
+        write_corpus(tmp_path, frames=2)
+        write_assets(tmp_path)
+        (tmp_path / "config.json").write_text("{}")
+        path = tmp_path / name
+        data = path.read_bytes()
+        path.write_bytes(data + b"# caf\xe9\n" if name.endswith(".obj") else data[:1] + b"\xff" + data[1:])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert f"{name}: not UTF-8 text" in out + err
+
+    def test_non_utf8_file_fails_its_pipeline_entry_by_name(self, tmp_path):
+        manifest = write_corpus(tmp_path, frames=2)
+        (tmp_path / "motion0.json").write_bytes(b"{\xff}")
+        (entry,) = run_pipeline(load_manifest(manifest)).entries
+        assert entry.status == "failed"
+        assert entry.error.startswith("DataError: ") and "motion0.json: not UTF-8 text" in entry.error
+
+    @pytest.mark.parametrize("argv", [
+        ["mesh-inspect"] + COMMAND_ARGS["mesh-inspect"],
+        ["retarget"] + COMMAND_ARGS["retarget"],
+        ["retarget"] + COMMAND_ARGS["retarget"] + ["--proximity-gate", "none"],
+        ["reward-eval"] + COMMAND_ARGS["reward-eval"],
+    ], ids=["mesh-inspect", "retarget", "retarget-ungated", "reward-eval"])
+    def test_obj_without_vertices_is_data_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        (tmp_path / "box.obj").write_text("# a box, once\n")
+        assert main(argv) == 2
+        assert "box.obj: no vertex ('v') lines" in capsys.readouterr().err
+
+    def test_obj_without_vertices_fails_its_pipeline_entry_by_name(self, tmp_path):
+        manifest = write_corpus(tmp_path, frames=2)
+        (tmp_path / "box.obj").write_text("# a box, once\n")
+        (entry,) = run_pipeline(load_manifest(manifest)).entries
+        assert entry.status == "failed"
+        assert entry.error.startswith("DataError: ") and "box.obj: no vertex ('v') lines" in entry.error
+
 
 def write_setting_assets(root):
     """Files on which each dataclass-backed setting moves its command's output.

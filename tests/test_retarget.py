@@ -761,6 +761,42 @@ class TestKinematicsReuse:
         assert len(passes) == len(loss_calls)
         assert any(count < len(xi) for count in normal_rows)
 
+    @staticmethod
+    def _count_passes(monkeypatch) -> list:
+        """Wrap retarget's stacked_kinematics; the list grows by one per pass."""
+        passes = []
+        original = kinematics.stacked_kinematics
+
+        def counted(*args):
+            passes.append(1)
+            return original(*args)
+
+        monkeypatch.setattr("retargetkit.retarget.stacked_kinematics", counted)
+        return passes
+
+    def test_identity_frame_costs_one_pass(self, humanoid, box, monkeypatch):
+        # each frame starts at its optimum, so its one loss pass also serves
+        # the normal equations, the zero step's trial and the frame's terms
+        seq = held_box_motion(humanoid, frames=6)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        cfg = RetargetConfig(retention=RetentionRule(mode="strict", proximity_gate=None))
+        passes = self._count_passes(monkeypatch)
+        result = retarget_sequence(seq, humanoid, ones, humanoid, ones, box, cfg)
+        assert not any(f.mesh_empty for f in result.per_frame_losses)
+        assert len(passes) == seq.frame_count
+
+    def test_only_the_last_loss_calls_point_is_kept(self, humanoid, box, rng, monkeypatch):
+        scales = [np.full(humanoid.joint_count, s) for s in (0.9, 1.1, 1.25)]
+        make, xi = self._model(humanoid, box, scales)
+        xi = xi + rng.normal(0.0, 0.05, size=xi.shape)  # a vector of its own per target
+        stack = make()
+        stack.loss(np.arange(3), xi)
+        stack.loss(np.array([1]), xi[:1])  # target 1 at target 0's vector, in the call's slot 0
+        passes = self._count_passes(monkeypatch)
+        answer = stack.normal_equations(ONE, xi[:1])
+        assert len(passes) == 1  # target 0 at xi[0] was evaluated, but not by the last call
+        assert all(np.array_equal(a, b) for a, b in zip(answer, make().normal_equations(ONE, xi[:1])))
+
     def test_pass_kept_for_a_footed_target_without_a_mesh(self, humanoid, rng):
         # without a mesh, the two targets' losses share one pass, which only
         # the footed target's slide term needs; the footless target's normal
