@@ -30,7 +30,7 @@ from .motionio import (
     save_skeleton,
 )
 from .optim import OptimizerConfig
-from .retarget import RetargetConfig, RetargetResult, eval_objective, objective_gradient, retarget_sequence
+from .retarget import RetargetConfig, RetargetResult, retarget_sequence
 from .rewards import RewardConfig, compute_reward, contact_label, critic_loss, interaction_graph
 from .schedule import (
     ScheduleConfig,
@@ -72,8 +72,6 @@ __all__ = [
     "OptimizerConfig",
     "RetargetConfig",
     "RetargetResult",
-    "eval_objective",
-    "objective_gradient",
     "retarget_sequence",
     "RewardConfig",
     "compute_reward",

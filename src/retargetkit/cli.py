@@ -442,6 +442,8 @@ def _cmd_mesh_inspect(args) -> int:
     t = args.frame
     if not 0 <= t < seq.frame_count:
         raise DataError(f"frame {t} outside [0, {seq.frame_count})")
+    if second is not None and t >= second.frame_count:
+        raise DataError(f"second-agent sequence is not time-aligned with the source: it has no frame {t}")
 
     # frame t as retargeting meshes it: a frame's mesh depends on that frame
     # alone, built from the object's seed

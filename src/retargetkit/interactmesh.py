@@ -11,8 +11,7 @@ tests run on those cached circumcenters/radii in double precision, and an
 insertion's ties on point-at-infinity planes go to one batched in-circle
 test. After stripping the super vertices the result is self-checked (no
 input point strictly inside any surviving circumsphere at 1e-9 relative,
-boundary faces on the convex hull) and rebuilt with a larger
-super-tetrahedron if the check fails. The checks work on (tetrahedra x
+boundary faces on the convex hull). The checks work on (tetrahedra x
 points) blocks of bounded size.
 
 The object is rigid, and a rigid motion leaves Delaunay topology unchanged.
@@ -22,8 +21,9 @@ DelaunaySeed holds the Bowyer-Watson state with only those vertices
 inserted, built on first use once per process for each object (a bounded
 cache keyed by the vertices' bytes, shared by every clip and call on it),
 and a seeded build copies it and inserts just the agents' joints.
-delaunay3d tries the seeded build (checked by the same self-checks), then
-the fresh build with its escalating super-tetrahedron margin. Where ties
+delaunay3d tries the seeded build, then the fresh build, at each
+super-tetrahedron margin of _MARGINS in turn until one passes the
+self-checks. Where ties
 leave the tetrahedralization non-unique (cospherical box vertices),
 object-first insertion may break them differently from a build in input
 order; both are Delaunay.
@@ -34,9 +34,10 @@ triangulations, each with its own vertex block and super vertices, and
 inserts one point into each per step; every test on a cell uses only its
 own triangulation's data, so each ends as it would alone. A DelaunaySeed
 given the clip's clouds builds them in lockstep, _LOCKSTEP_CHUNK at most at a time,
-and self-checks each chunk together; one insertion loop serves every build,
-a build alone being a lockstep of one, and a build of all the points
-starting from the empty seed, the super-tetrahedron alone.
+and self-checks each chunk together. One routine, _lockstep, serves every
+build: a build alone is a lockstep of one, and a fresh build is a lockstep
+of one cloud, all the points, from the empty seed, the super-tetrahedron
+alone.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ _FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 _CHECK_BLOCK = 1 << 13  # elements per (rows x points) temporary in the checks
 _LOCKSTEP_CHUNK = 16  # most clouds per lockstep Bowyer-Watson pass: bounds its arrays
 _SEED_CACHE = 16  # most object seed states kept per process, ~40 KB each at 64 vertices
-_MARGIN = 1e3  # super-tetrahedron insphere radius over the points' radius, first try
+_MARGINS = (1e3, 1e5, 1e7)  # super-tetrahedron insphere radius over the points' radius, tried in turn
 # unit directions from a super-tetrahedron's center to its vertices
 _SUPER_DIRS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) / np.sqrt(3)
 
@@ -417,15 +418,6 @@ def _triangulation(points: np.ndarray, cells: np.ndarray, order: np.ndarray) -> 
     return _canonical(final)
 
 
-def _bowyer_watson(points: np.ndarray, margin: float) -> np.ndarray:
-    """A fresh build: every point inserted, in input order, into the empty
-    seed of a super-tetrahedron sized from the points."""
-    (cells,) = _TetStore(_super_tetrahedron(points, margin)).extended([points]).finite_cells()
-    if cells is None:
-        raise DataError("point outside triangulation; input may be degenerate")
-    return _triangulation(points, cells, np.arange(len(points)))
-
-
 def _canonical(tets: np.ndarray) -> np.ndarray:
     """Rows sorted, then rows in lexicographic order: deterministic output."""
     tets = np.sort(tets, axis=1)
@@ -530,7 +522,7 @@ def _seed_store(vertex_bytes: bytes) -> _TetStore | None:
     every build copies them (_TetStore.extended), and none may change them.
     """
     vertices = np.frombuffer(vertex_bytes).reshape(-1, 3)
-    store = _TetStore(_super_tetrahedron(vertices, _MARGIN)).extended([vertices])
+    store = _TetStore(_super_tetrahedron(vertices, _MARGINS[0])).extended([vertices])
     if store.failed[0]:
         return None
     store._reallocate(store.size)  # no spare capacity: it is never written again
@@ -579,32 +571,36 @@ class DelaunaySeed:
         if key not in self._built:
             chunk = self._waiting.get(key)
             clouds = [joints] if chunk is None else self._chunks[chunk]
-            for cloud, tets in zip(clouds, self._lockstep(clouds)):
+            for cloud, tets in zip(clouds, _lockstep(self.store, self.vertices, clouds)):
                 self._built[cloud.tobytes()] = tets
                 self._waiting.pop(cloud.tobytes(), None)
         return self._built.pop(key)
 
-    def _lockstep(self, clouds: list[np.ndarray]) -> list[np.ndarray | None]:
-        """The builds of the clouds, one lockstep pass, self-checked together."""
-        out: list[np.ndarray | None] = [None] * len(clouds)
-        store = self.store
-        if store is None:
-            return out
-        supers = store.coords[store.supers[0]:]
-        batch = [k for k, c in enumerate(clouds) if _inside_super(c, supers)]
-        if not batch:
-            return out
-        built = [(k, cells) for k, cells in zip(batch, store.extended([clouds[k] for k in batch]).finite_cells())
-                 if cells is not None]
-        if not built:
-            return out
-        points = [np.vstack([clouds[k], self.vertices]) for k, _ in built]
-        # the cells hold the seed's vertices first, then the joints
-        tets = [_triangulation(p, cells, np.roll(np.arange(len(p)), -len(clouds[k])))
-                for p, (k, cells) in zip(points, built)]
-        for (k, _), t, failed in zip(built, tets, _self_check_failures(points, tets)):
-            out[k] = None if failed else t
+
+def _lockstep(store: _TetStore | None, vertices: np.ndarray, clouds: list[np.ndarray]) -> list[np.ndarray | None]:
+    """The builds of each cloud then the vertices, from store, the state
+    holding only the vertices: one lockstep pass, self-checked together.
+    Per cloud, its canonical tetrahedra, or None when the store is None, the
+    cloud leaves its super-tetrahedron, an insertion fails or the self-checks
+    do."""
+    out: list[np.ndarray | None] = [None] * len(clouds)
+    if store is None:
         return out
+    supers = store.coords[store.supers[0]:]
+    batch = [k for k, c in enumerate(clouds) if _inside_super(c, supers)]
+    if not batch:
+        return out
+    built = [(k, cells) for k, cells in zip(batch, store.extended([clouds[k] for k in batch]).finite_cells())
+             if cells is not None]
+    if not built:
+        return out
+    points = [np.vstack([clouds[k], vertices]) for k, _ in built]
+    # the cells hold the vertices first, then the cloud
+    tets = [_triangulation(p, cells, np.roll(np.arange(len(p)), -len(clouds[k])))
+            for p, (k, cells) in zip(points, built)]
+    for (k, _), t, failed in zip(built, tets, _self_check_failures(points, tets)):
+        out[k] = None if failed else t
+    return out
 
 
 def _seeded(points: np.ndarray, seed: DelaunaySeed) -> np.ndarray | None:
@@ -646,16 +642,10 @@ def delaunay3d(points, seed: DelaunaySeed | None = None) -> np.ndarray:
         if tets is not None:
             return tets
 
-    margin = _MARGIN
-    for _ in range(3):
-        try:
-            tets = _bowyer_watson(unique, margin)
-        except DataError:
-            margin *= 100.0
-            continue
-        if not _self_check_failures([unique], [tets])[0]:
+    for margin in _MARGINS:  # a fresh build: every point, in input order, from the empty seed
+        (tets,) = _lockstep(_TetStore(_super_tetrahedron(unique, margin)), unique[:0], [unique])
+        if tets is not None:
             return index_map[tets]
-        margin *= 100.0
     raise DataError("tetrahedralization failed the empty-circumsphere self-check")
 
 
@@ -748,15 +738,25 @@ def _to_object_frame(points: np.ndarray, rotation: np.ndarray, position: np.ndar
     return (points - position) @ rotation
 
 
+def _cloud_joints(joints_a, joints_b, obj_vertices, rule: RetentionRule):
+    """The gated joints that lead the cloud over these world-frame arrays,
+    agent A's then agent B's, with each agent's kept joint indices and the
+    object's vertices as (V, 3) rows. build_interact_mesh and
+    object_frame_joints both take them from here, so the joints a
+    DelaunaySeed is given ahead are the ones its builds are asked for."""
+    joints_a, joints_b, obj_vertices = _as_rows(joints_a), _as_rows(joints_b), _as_rows(obj_vertices)
+    if len(obj_vertices) == 0:
+        raise EmptyInteractMeshError("no object vertices")
+    idx_a = _gated(joints_a, obj_vertices, rule)
+    idx_b = _gated(joints_b, obj_vertices, rule)
+    return np.vstack([joints_a[idx_a], joints_b[idx_b]]), idx_a, idx_b, obj_vertices
+
+
 def object_frame_joints(joints_a, joints_b, obj_vertices, rule: RetentionRule,
                         rotation: np.ndarray, position: np.ndarray) -> np.ndarray:
     """The joints build_interact_mesh triangulates, in the object's frame
-    (rotation, position its pose): the leading points of the cloud it hands
-    delaunay3d, bit for bit, so a DelaunaySeed can be given them ahead."""
-    joints_a, joints_b, obj_vertices = _as_rows(joints_a), _as_rows(joints_b), _as_rows(obj_vertices)
-    joints = np.vstack([joints_a[_gated(joints_a, obj_vertices, rule)],
-                        joints_b[_gated(joints_b, obj_vertices, rule)]])
-    return _to_object_frame(joints, rotation, position)
+    (rotation, position its pose), so a DelaunaySeed can be given them ahead."""
+    return _to_object_frame(_cloud_joints(joints_a, joints_b, obj_vertices, rule)[0], rotation, position)
 
 
 def build_interact_mesh(
@@ -778,12 +778,8 @@ def build_interact_mesh(
     mesh's coordinates and Laplacians stay in the world frame.
     """
     rule = rule or RetentionRule()
-    joints_a, joints_b, obj_vertices = _as_rows(joints_a), _as_rows(joints_b), _as_rows(obj_vertices)
-    if len(obj_vertices) == 0:
-        raise EmptyInteractMeshError("no object vertices")
-    idx_a = _gated(joints_a, obj_vertices, rule)
-    idx_b = _gated(joints_b, obj_vertices, rule)
-    coords = np.vstack([joints_a[idx_a], joints_b[idx_b], obj_vertices])
+    joints, idx_a, idx_b, obj_vertices = _cloud_joints(joints_a, joints_b, obj_vertices, rule)
+    coords = np.vstack([joints, obj_vertices])
     provenance = tuple(
         [(AGENT_A, int(j)) for j in idx_a]
         + [(AGENT_B, int(j)) for j in idx_b]
@@ -796,8 +792,7 @@ def build_interact_mesh(
     seed, local = None, coords
     if object_frame is not None:
         seed, rotation, position = object_frame
-        n_joints = len(coords) - len(obj_vertices)
-        local = np.vstack([_to_object_frame(coords[:n_joints], rotation, position), seed.vertices])
+        local = np.vstack([_to_object_frame(joints, rotation, position), seed.vertices])
     try:
         tets = delaunay3d(local, seed=seed)
     except DataError as exc:

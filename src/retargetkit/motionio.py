@@ -143,6 +143,8 @@ class MotionSequence:
         if not (np.isfinite(self.fps) and self.fps > 0):
             raise DataError(f"fps must be positive and finite, got {self.fps}")
         t = self.root_pos.shape[0]
+        if t == 0:
+            raise DataError("a motion needs at least one frame")
         for name, expected in (
             ("root_pos", (t, 3)),
             ("root_rot", (t, 4)),
@@ -155,7 +157,7 @@ class MotionSequence:
             raise DataError(f"joint_rots has shape {self.joint_rots.shape}, expected (T, J-1, 3)")
         for name in ("root_rot", "obj_rot"):
             norms = np.linalg.norm(getattr(self, name), axis=1)
-            worst = float(np.max(np.abs(norms - 1.0))) if t else 0.0
+            worst = float(np.max(np.abs(norms - 1.0)))
             if worst > 1e-6:
                 raise DataError(f"{name} contains a quaternion with norm deviation {worst:.3g} > 1e-6")
         if self.contacts is not None:
@@ -181,6 +183,10 @@ class ObjectMesh:
     def __post_init__(self):
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise DataError(f"vertices must be (V, 3), got {self.vertices.shape}")
+        if len(self.vertices) == 0:
+            raise DataError("object has no vertices")
+        if not np.all(np.isfinite(self.vertices)):
+            raise DataError("object vertices contain non-finite values")
         if len(self.faces) and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise DataError(
                 f"face references vertex outside [0, {len(self.vertices) - 1}]"
@@ -381,10 +387,10 @@ def load_obj(path) -> ObjectMesh:
             faces.append(idx)
     if not vertices:
         raise DataError(f"{path}: no vertex ('v') lines")
-    return ObjectMesh(
-        vertices=np.array(vertices, dtype=float).reshape(-1, 3),
-        faces=np.array(faces, dtype=int).reshape(-1, 3),
-    )
+    try:
+        return ObjectMesh(vertices=np.array(vertices, dtype=float), faces=np.array(faces, dtype=int).reshape(-1, 3))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -66,21 +66,13 @@ from .interactmesh import (
     laplacians,
     object_frame_joints,
 )
-from .kinematics import (
-    Pose,
-    fk_jacobian_vector,
-    fk_sequence,
-    fk_vector,
-    pose_to_vector,
-    stacked_kinematics,
-    stored_vector,
-    tangent_vector,
-)
+from .kinematics import fk_jacobian_vector, fk_sequence, fk_vector, stacked_kinematics, stored_vector, tangent_vector
 from .motionio import MotionSequence, ObjectMesh, ShapeParams, Skeleton
 from .optim import OptimizerConfig, levenberg_marquardt, lockstep_levenberg_marquardt
 from .rotations import quat_left_matrix, quat_mul, quat_normalize, quat_to_mat, rodrigues, row_dots
 
 TERM_NAMES = ("laplacian", "temporal", "vlimit", "slide")
+_TET_ATA = 16.0 * np.eye(4) - 4.0  # A^T A for a tetrahedron's Laplacian operator A = 4I - 11^T
 
 
 @dataclass(frozen=True)
@@ -168,23 +160,25 @@ def _laplacian_stiffness(mesh: InteractMesh, joint_count: int) -> tuple[np.ndarr
     restricted to agent-A slots. The Laplacian difference is linear in the
     joints' offsets dP from their source coordinates, diff = joint_lap^T dP,
     so the term is dP . (K_lap dP) and J^T r pulls the joints by K_lap dP,
-    with K_lap = joint_lap @ joint_lap^T (A^T A = 16I - 4*11^T per
-    tetrahedron).
+    with K_lap = joint_lap @ joint_lap^T: each tetrahedron adds its A^T A =
+    16I - 4*11^T at each ordered pair of its agent-A slots, 12 on a joint's
+    diagonal and -4 for a pair of joints. The entries are small integers,
+    summed exactly.
     """
     source = np.zeros((joint_count, 3))
-    stiffness = np.zeros((joint_count, joint_count))
-    if mesh is not None:
-        rows, joints = _agent_rows(mesh)
-        source[joints] = mesh.points.coordinates[rows]
-        slot_joint = np.full(len(mesh.points.coordinates), -1)
-        slot_joint[rows] = joints
-        tet_joints = slot_joint[mesh.tetrahedra]
-        tet, slot = np.nonzero(tet_joints >= 0)
-        owner = np.zeros((joint_count, mesh.tet_count, 4))
-        owner[tet_joints[tet, slot], tet, slot] = 1.0
-        joint_lap = (4.0 * owner - owner.sum(axis=2, keepdims=True)).reshape(joint_count, -1)
-        stiffness = joint_lap @ joint_lap.T
-    return source, stiffness
+    if mesh is None:
+        return source, np.zeros((joint_count, joint_count))
+    rows, joints = _agent_rows(mesh)
+    source[joints] = mesh.points.coordinates[rows]
+    slot_joint = np.full(len(mesh.points.coordinates), -1)
+    slot_joint[rows] = joints
+    tet_joints = slot_joint[mesh.tetrahedra]
+    agent = tet_joints >= 0
+    pair = agent[:, :, None] & agent[:, None, :]  # (M, 4, 4): both slots hold agent-A joints
+    keys = tet_joints[:, :, None] * joint_count + tet_joints[:, None, :]
+    stiffness = np.bincount(keys[pair], weights=np.broadcast_to(_TET_ATA, pair.shape)[pair],
+                            minlength=joint_count * joint_count)
+    return source, stiffness.reshape(joint_count, joint_count)
 
 
 class FrameStack:
@@ -400,47 +394,6 @@ class FrameStack:
         return np.concatenate([xi[:, :6], np.clip(xi[:, 6:], self.q_min[take], self.q_max[take])], axis=1)
 
 
-_ONE = np.zeros(1, dtype=int)  # the rows of a stack of one target
-
-
-def eval_objective(
-    pose: Pose,
-    prev_pose: Pose,
-    ctx: FrameContext,
-    skeleton: Skeleton,
-    shape: ShapeParams,
-    mesh: InteractMesh | None,
-    cfg: RetargetConfig | None = None,
-) -> tuple[float, dict[str, float]]:
-    """Weighted objective total and per-term (already weighted) breakdown.
-
-    An absent/empty mesh zeroes the laplacian term; the caller carries the
-    per-frame flag. The first frame passes itself as prev_pose. prev_pose
-    also serves as the prediction the temporal term measures from, as at
-    retarget_sequence's frame 0; FrameStack takes a separate prediction.
-    """
-    stack = FrameStack([skeleton], [shape], pose_to_vector(prev_pose)[None], [ctx], mesh, cfg or RetargetConfig())
-    terms = {name: float(value[0]) for name, value in stack.terms(_ONE, pose_to_vector(pose)[None]).items()}
-    return sum(terms.values()), terms
-
-
-def objective_gradient(
-    pose: Pose,
-    prev_pose: Pose,
-    ctx: FrameContext,
-    skeleton: Skeleton,
-    shape: ShapeParams,
-    mesh: InteractMesh | None,
-    cfg: RetargetConfig | None = None,
-) -> np.ndarray:
-    """Gradient of the weighted objective over the tangent layout at pose:
-    root_pos, the root's right-perturbation rotation vector, joint exp-maps."""
-    x = pose_to_vector(pose)[None]
-    stack = FrameStack([skeleton], [shape], pose_to_vector(prev_pose)[None], [ctx], mesh, cfg or RetargetConfig(),
-                       anchor=x[:, 3:7])
-    return stack.gradient(_ONE, tangent_vector(x))[0]
-
-
 def _object_track(obj: ObjectMesh, seq: MotionSequence, subsample: int):
     """The subsampled object vertices in the object's frame, with the
     sequence's (T, 3, 3) object rotations and (T, 3) positions.
@@ -611,7 +564,7 @@ def retarget_sequence(
         results[k] = outcome
 
     empty = sum(1 for m in meshes if m is None)
-    if frames and empty / frames > 0.5:
+    if empty / frames > 0.5:
         warnings.warn(
             f"interact mesh degenerate on {empty}/{frames} frames; "
             "laplacian term skipped there",

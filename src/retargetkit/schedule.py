@@ -234,12 +234,13 @@ class FilterState:
 
 
 def _clip_stats(clip_id: str, lengths) -> ClipStats:
-    if not isinstance(lengths, (list, tuple)):
+    # JSON ints and floats only: no bool and no text, as the loaders read numbers
+    if not isinstance(lengths, (list, tuple)) or not set(map(type, lengths)) <= {int, float}:
         raise DataError(f"clip {clip_id!r}: episode lengths must be a list of numbers, got {lengths!r}")
     try:
-        floats = tuple(float(x) for x in lengths)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"clip {clip_id!r}: episode lengths must be numbers: {exc}") from exc
+        floats = tuple(map(float, lengths))
+    except OverflowError:  # an int beyond a float's range
+        raise DataError(f"clip {clip_id!r} has a negative or non-finite episode length") from None
     return ClipStats(clip_id, floats)
 
 

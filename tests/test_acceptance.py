@@ -145,7 +145,7 @@ def test_criterion_03_delaunay_correctness(rng):
 
 
 def test_criterion_04_gradient_fidelity(rng):
-    """fk_jacobian and objective_gradient match central finite differences
+    """fk_jacobian and FrameStack.gradient match central finite differences
     (step 1e-5) with relative error < 1e-4 on 10 random configurations per
     corpus skeleton, outside hinge-kink neighborhoods of radius 1e-4. Both
     are over the tangent at the pose, so the differences run through

@@ -796,7 +796,12 @@ class TestFilterCommand:
         ("[1, 2]", "got list"), ("3", "got int"), ('"abc"', "got str"),
         ('{"a": [10], "b": [NaN]}', "clip 'b'"), ('{"a": [10], "b": [Infinity]}', "clip 'b'"),
         ('{"a": [10], "b": [-1]}', "clip 'b'"), ('{"a": [10], "b": "12"}', "clip 'b'"),
-    ], ids=["array", "number", "string", "nan", "infinity", "negative", "lengths-string"])
+        # lengths are JSON numbers: float() read true as 1 and "50" as 50, and
+        # an int beyond a float's range escaped as an OverflowError
+        ('{"a": [true, "50", 3]}', "clip 'a'"), ('{"a": [10], "b": [false]}', "clip 'b'"),
+        ('{"a": [10], "b": ["50"]}', "clip 'b'"), ('{"a": [10], "b": [1' + "0" * 400 + ']}', "clip 'b'"),
+    ], ids=["array", "number", "string", "nan", "infinity", "negative", "lengths-string",
+            "bool-and-text", "bool", "text", "int-beyond-float"])
     def test_malformed_stats_are_data_error(self, tmp_path, capsys, doc, named):
         stats = tmp_path / "stats.json"
         stats.write_text(doc)

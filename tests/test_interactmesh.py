@@ -197,15 +197,17 @@ class TestDelaunay3d:
 
 @pytest.fixture
 def fresh_builds(monkeypatch):
-    """Counts the Bowyer-Watson runs behind delaunay3d calls."""
+    """Counts the fresh builds behind delaunay3d calls, one per margin tried:
+    the lockstep passes with no vertices in their store, by point count."""
     calls = []
-    build = interactmesh._bowyer_watson
+    lockstep = interactmesh._lockstep
 
-    def counted(points, margin):
-        calls.append(len(points))
-        return build(points, margin)
+    def counted(store, vertices, clouds):
+        if len(vertices) == 0:
+            calls.extend(len(cloud) for cloud in clouds)
+        return lockstep(store, vertices, clouds)
 
-    monkeypatch.setattr(interactmesh, "_bowyer_watson", counted)
+    monkeypatch.setattr(interactmesh, "_lockstep", counted)
     return calls
 
 

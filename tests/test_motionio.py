@@ -286,6 +286,23 @@ class TestTypes:
         with pytest.raises(DataError):
             ObjectMesh(vertices=np.zeros((3, 3)), faces=np.array([[0, 1, 3]]))
 
+    @pytest.mark.parametrize("vertices, message", [
+        (np.zeros((0, 3)), "object has no vertices"),
+        (np.array([[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]), "non-finite"),
+        (np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -np.inf, 0.0]]), "non-finite"),
+    ], ids=["empty", "nan", "inf"])
+    def test_object_mesh_refuses_vertices_retargeting_cannot_use(self, vertices, message):
+        # none reaches retargeting: no vertices escaped it as a numpy ValueError,
+        # and a non-finite one left every frame without an interact mesh
+        with pytest.raises(DataError, match=message):
+            ObjectMesh(vertices=vertices, faces=np.zeros((0, 3), dtype=int))
+
+    def test_motion_sequence_needs_a_frame(self):
+        # a zero-frame sequence escaped retarget_sequence as a numpy reshape error
+        with pytest.raises(DataError, match="at least one frame"):
+            MotionSequence(fps=30.0, root_pos=np.zeros((0, 3)), root_rot=np.zeros((0, 4)),
+                           joint_rots=np.zeros((0, 1, 3)), obj_pos=np.zeros((0, 3)), obj_rot=np.zeros((0, 4)))
+
     def test_loaded_types_immutable(self, tmp_path):
         skel = make_chain(3)
         with pytest.raises(ValueError):

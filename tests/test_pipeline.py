@@ -213,7 +213,8 @@ class TestRunPipeline:
         with pytest.raises(DataError, match=key):
             load_manifest(path)
 
-    @pytest.mark.parametrize("length", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), -1.0, pytest.param(True, id="bool"),
+                                        pytest.param("50", id="text"), pytest.param(10**400, id="int-beyond-float")])
     def test_malformed_episode_length_rejected(self, tmp_path, length):
         path = write_corpus(tmp_path, frames=2, episode_stats={"seq0": [10.0], "other": [length]})
         with pytest.raises(DataError, match="clip 'other'"):

@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from retargetkit import interactmesh, kinematics
+from retargetkit import interactmesh, kinematics, retarget
 from retargetkit.errors import DataError
-from retargetkit.interactmesh import AGENT_B, RetentionRule, build_interact_mesh, laplacians
+from retargetkit.interactmesh import AGENT_A, AGENT_B, RetentionRule, build_interact_mesh, laplacians
 from retargetkit.kinematics import (
     Pose,
     fk,
@@ -22,10 +22,8 @@ from retargetkit.retarget import (
     FrameStack,
     RetargetConfig,
     build_frame_meshes,
-    eval_objective,
     mean_sequence_residual,
     object_world_vertices,
-    objective_gradient,
     predict_frame,
     retarget_sequence,
     slide_gates,
@@ -59,14 +57,26 @@ def chain_mesh(skeleton, pose, rng):
     return build_interact_mesh(joints, None, obj, RetentionRule(mode="loose", proximity_gate=None))
 
 
+def one_target(prev, ctx, skeleton, shape, mesh, cfg=None):
+    """A FrameStack of one target around the pose prev, which is also its
+    prediction and anchor."""
+    x_prev = pose_to_vector(prev)[None]
+    return FrameStack([skeleton], [shape], x_prev, [ctx], mesh, cfg or RetargetConfig())
+
+
+def one_target_terms(pose, prev, ctx, skeleton, shape, mesh, cfg=None) -> dict[str, float]:
+    terms = one_target(prev, ctx, skeleton, shape, mesh, cfg).terms(ONE, pose_to_vector(pose)[None])
+    return {name: float(value[0]) for name, value in terms.items()}
+
+
 class TestEvalObjective:
     def test_identity_all_terms_zero(self, chain4, rng):
         shape = ShapeParams.ones(4)
         pose = random_pose(chain4, rng)
         mesh = chain_mesh(chain4, pose, rng)
         ctx = FrameContext(dt=1 / 30, slide_feet=())
-        total, terms = eval_objective(pose, pose, ctx, chain4, shape, mesh)
-        assert total == pytest.approx(0.0, abs=1e-18)
+        terms = one_target_terms(pose, pose, ctx, chain4, shape, mesh)
+        assert sum(terms.values()) == pytest.approx(0.0, abs=1e-18)
         assert all(v == pytest.approx(0.0, abs=1e-18) for v in terms.values())
 
     def test_velocity_limit_hinge_value(self, chain4):
@@ -76,7 +86,7 @@ class TestEvalObjective:
         rots = np.zeros((3, 3))
         rots[0, 1] = chain4.v_max[1] * dt + 0.05
         pose = Pose(np.zeros(3), np.array([1.0, 0, 0, 0]), rots)
-        _, terms = eval_objective(pose, prev, FrameContext(dt=dt), chain4, shape, None)
+        terms = one_target_terms(pose, prev, FrameContext(dt=dt), chain4, shape, None)
         assert terms["vlimit"] == pytest.approx(0.05, abs=1e-12)
         # the same displacement also shows up in the temporal term
         assert terms["temporal"] == pytest.approx(rots[0, 1] ** 2, abs=1e-12)
@@ -92,7 +102,7 @@ class TestEvalObjective:
     def test_empty_mesh_zeroes_laplacian(self, chain4, rng):
         shape = ShapeParams.ones(4)
         pose = random_pose(chain4, rng)
-        total, terms = eval_objective(pose, pose, FrameContext(dt=0.01), chain4, shape, None)
+        terms = one_target_terms(pose, pose, FrameContext(dt=0.01), chain4, shape, None)
         assert terms["laplacian"] == 0.0
 
     def test_weights_scale_terms(self, chain4, rng):
@@ -100,9 +110,8 @@ class TestEvalObjective:
         pose = random_pose(chain4, rng)
         prev = random_pose(chain4, rng)
         ctx = FrameContext(dt=1 / 30)
-        _, base = eval_objective(pose, prev, ctx, chain4, shape, None)
-        cfg = RetargetConfig(temporal_weight=2.5)
-        _, scaled = eval_objective(pose, prev, ctx, chain4, shape, None, cfg)
+        base = one_target_terms(pose, prev, ctx, chain4, shape, None)
+        scaled = one_target_terms(pose, prev, ctx, chain4, shape, None, RetargetConfig(temporal_weight=2.5))
         assert scaled["temporal"] == pytest.approx(2.5 * base["temporal"], rel=1e-12)
 
 
@@ -112,7 +121,8 @@ class TestObjectiveGradient:
         pose = random_pose(chain4, rng)
         mesh = chain_mesh(chain4, pose, rng)
         ctx = FrameContext(dt=1 / 30, slide_feet=(3,))
-        grad = objective_gradient(pose, pose, ctx, chain4, shape, mesh)
+        xi = tangent_vector(pose_to_vector(pose)[None])
+        grad = one_target(pose, ctx, chain4, shape, mesh).gradient(ONE, xi)[0]
         assert np.linalg.norm(grad) < 1e-9
 
     def test_matches_finite_differences(self, rng):
@@ -153,7 +163,8 @@ class TestObjectiveGradient:
         rots = np.zeros((3, 3))
         rots[0, 0] = chain4.q_max[1, 0]  # exactly at the kink
         pose = Pose(np.zeros(3), np.array([1.0, 0, 0, 0]), rots)
-        grad = objective_gradient(pose, pose, FrameContext(dt=0.01), chain4, shape, None)
+        xi = tangent_vector(pose_to_vector(pose)[None])
+        grad = one_target(pose, FrameContext(dt=0.01), chain4, shape, None).gradient(ONE, xi)[0]
         assert np.linalg.norm(grad) == 0.0
 
 
@@ -663,6 +674,49 @@ class TestNormalEquations:
         mesh = build_frame_meshes(joints, partner, world, self.CFG)[t]
         assert any(kind == AGENT_B for kind, _ in mesh.points.provenance)
         self._check(humanoid, ones, mesh, *self._frame(humanoid, seq, t, rng), ())
+
+
+def dense_stiffness(mesh, joint_count):
+    """K_lap from the dense (J, M, 4) owner tensor: joint_lap[j, (m, s)] =
+    d L[m, s] / d p_j is A = 4I - 11^T on agent A's slots, and K_lap =
+    joint_lap @ joint_lap^T."""
+    slot_joint = np.array([j if kind == AGENT_A else -1 for kind, j in mesh.points.provenance])
+    tet_joints = slot_joint[mesh.tetrahedra]
+    tet, slot = np.nonzero(tet_joints >= 0)
+    owner = np.zeros((joint_count, mesh.tet_count, 4))
+    owner[tet_joints[tet, slot], tet, slot] = 1.0
+    joint_lap = (4.0 * owner - owner.sum(axis=2, keepdims=True)).reshape(joint_count, -1)
+    return joint_lap @ joint_lap.T
+
+
+class TestLaplacianStiffness:
+    """K_lap summed tetrahedron by tetrahedron equals the dense product, byte
+    for byte: its entries are small integers."""
+
+    def _meshes(self, humanoid, box, rule, partner):
+        seq = held_box_motion(humanoid, frames=6, amplitude=0.2)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        joints = fk_sequence(humanoid, ones, seq)
+        second = fk_sequence(humanoid, ones, partner_motion(humanoid, seq)) if partner else None
+        return build_frame_meshes(joints, second, object_world_vertices(box, seq, 64),
+                                  RetargetConfig(retention=rule))
+
+    @pytest.mark.parametrize("mode, partner", [("strict", False), ("strict", True), ("loose", True)],
+                             ids=["one-agent", "two-agent", "loose"])
+    def test_matches_the_dense_formula(self, humanoid, box, mode, partner):
+        meshes = self._meshes(humanoid, box, RetentionRule(mode=mode, proximity_gate=None), partner)
+        assert all(mesh is not None for mesh in meshes)
+        without_a = 0  # tetrahedra that hold agent B but no agent-A joint
+        for mesh in meshes:
+            stiffness = retarget._laplacian_stiffness(mesh, humanoid.joint_count)[1]
+            expected = dense_stiffness(mesh, humanoid.joint_count)
+            assert stiffness.tobytes() == expected.tobytes()
+            kinds = np.array([kind for kind, _ in mesh.points.provenance])[mesh.tetrahedra]
+            without_a += np.count_nonzero((kinds == AGENT_B).any(axis=1) & ~(kinds == AGENT_A).any(axis=1))
+        # agent B's slots are left out, and a loose mesh holds tetrahedra with no agent-A joint
+        assert (without_a > 0) == (mode == "loose")
+        if partner:
+            assert any(kind == AGENT_B for kind, _ in meshes[0].points.provenance)
 
 
 class TestKinematicsReuse:
