@@ -31,15 +31,7 @@ from .interactmesh import RetentionRule, mesh_to_dict
 from .kinematics import fk_sequence
 from .motionio import MotionSequence, ShapeParams, load_motion, load_obj, load_skeleton, read_json, save_motion
 from .optim import OptimizerConfig
-from .pipeline import (
-    bridge_skeleton,
-    fit_bridge,
-    load_manifest,
-    run_pipeline,
-    smooth_motion,
-    validate_manifest,
-    write_losses_csv,
-)
+from .pipeline import bridge, load_manifest, run_pipeline, smooth_motion, validate_manifest, write_losses_csv
 from .retarget import (
     RetargetConfig,
     object_world_vertices,
@@ -258,7 +250,7 @@ def _settings(args, cls, **given):
 def _cmd_fit_shape(args) -> int:
     skeleton = load_skeleton(args.skeleton)
     target = load_skeleton(args.target)
-    shape, residual = fit_bridge(skeleton, target)
+    _, shape, residual = bridge(skeleton, target)
     doc = {"bone_scales": [float(s) for s in shape.bone_scales], "residual_m": residual}
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     if args.verbose:
@@ -273,9 +265,8 @@ def _cmd_retarget(args) -> int:
     obj = load_obj(args.obj)
     second = load_motion(args.second_src, src_skel) if args.second_src else None
     cfg = _settings(args, RetargetConfig)
-    bridge, residual = fit_bridge(src_skel, tgt_skel)
-    ones = ShapeParams.ones(src_skel.joint_count)
-    result = retarget_sequence(seq, src_skel, ones, bridge_skeleton(src_skel, tgt_skel), bridge, obj, cfg,
+    skeleton, shape, residual = bridge(src_skel, tgt_skel)
+    result = retarget_sequence(seq, src_skel, ShapeParams.ones(src_skel.joint_count), skeleton, shape, obj, cfg,
                                second_seq=second)
 
     out_dir = Path(args.output)
@@ -442,8 +433,8 @@ def _cmd_mesh_inspect(args) -> int:
     t = args.frame
     if not 0 <= t < seq.frame_count:
         raise DataError(f"frame {t} outside [0, {seq.frame_count})")
-    if second is not None and t >= second.frame_count:
-        raise DataError(f"second-agent sequence is not time-aligned with the source: it has no frame {t}")
+    if second is not None and second.frame_count != seq.frame_count:
+        raise DataError("second-agent sequence is not time-aligned with the source")
 
     # frame t as retargeting meshes it: a frame's mesh depends on that frame
     # alone, built from the object's seed

@@ -214,11 +214,15 @@ def _read_text(path) -> str:
 
 
 def read_json(path):
-    """Parsed JSON document; malformed JSON is a DataError naming the line."""
+    """Parsed JSON document; malformed JSON is a DataError naming the line,
+    and so is a document nested too deeply or an integer with too many digits
+    to read, naming the file."""
     try:
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # ValueError: Python's limit on integer digits
+        raise DataError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def _number_array(value, shape: tuple[int, ...]) -> np.ndarray | None:

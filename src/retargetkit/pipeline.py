@@ -1,21 +1,21 @@
 """End-to-end data refinement: fit -> retarget -> smooth (-> filter).
 
-A manifest lists sequences to process plus stage configuration. Shape fits
-are shared per (source skeleton, target skeleton) pair of resolved paths;
-the fitted scales act as the bridge shape on the source topology, and
-retargeting runs onto that bridge, which carries the target's joint limits,
-velocity limits and foot joints (`bridge_skeleton`).
+A manifest lists sequences to process plus stage configuration. An entry is
+retargeted onto its `bridge`: the source topology under bone scales fitted to
+the target's T-pose, with the target's joint limits, velocity limits and foot
+joints. A run keeps one bridge per pair of resolved skeleton paths.
 
 The entries whose motion, second motion, source skeleton and object paths
 resolve to the same files, one clip onto several targets, form a group, the
 unit of work. A group reads its scene (source skeleton, motion, second
 motion and object) once, from its first entry's paths; its entries' targets
-are then loaded and fitted in manifest order and retargeted together in one
-`retarget_sequence` call, which builds the clip's interact meshes once (they
-do not depend on the target) and solves the targets in lockstep; each entry
-gets the bytes it gets in a manifest of its own. A clip's meshes live only
-while its call runs, and shape fits are kept for the whole run. The groups
-run in the manifest order of their last entries.
+are then loaded and bridged in manifest order (`_prepare_group`) and
+retargeted together in one `retarget_sequence` call, which builds the clip's
+interact meshes once (they do not depend on the target) and solves the
+targets in lockstep; each entry gets the bytes it gets in a manifest of its
+own. A clip's meshes live only while its call runs. The groups run in the
+manifest order of their last entries. `validate_manifest` runs the same
+grouping and preparation and stops before retargeting.
 
 Each entry writes <id>.json and <id>.losses.csv, so one clip can go to
 several targets under distinct ids, and the summary lists the entries in
@@ -34,6 +34,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .errors import DataError
 from .kinematics import fit_shape, fk, tpose
 from .motionio import (
     MotionSequence,
+    ObjectMesh,
     ShapeParams,
     Skeleton,
     load_motion,
@@ -94,7 +96,7 @@ def load_manifest(path) -> PipelineManifest:
     base = path.parent
 
     def resolve(value, key, where=""):
-        if not isinstance(value, str) or not value:
+        if not isinstance(value, str) or not value or "\0" in value:  # realpath and open refuse a NUL
             raise DataError(f"{path}: {where}field '{key}' must be a non-empty path string, got {value!r}")
         p = Path(value)
         return p if p.is_absolute() else base / p
@@ -155,39 +157,27 @@ class EntryReport:
 
 
 def validate_manifest(manifest: PipelineManifest) -> list[EntryReport]:
-    """Check every referenced path, skeleton/motion compatibility and the
-    second motion's alignment with the first."""
+    """Check each entry as the run prepares it, without retargeting. An entry
+    that names a missing file reports that file. Otherwise it reports the
+    error that the run's own grouping and group preparation (one scene read
+    per group, then each target loaded and bridged) gives it, or, when it has
+    a bridge, a second motion whose frame count differs from its motion's."""
+    rows, groups = _groups(manifest)
+    bridges: dict = {}
+    for group in groups:
+        scene, ready = _prepare_group(group, bridges)
+        if ready and scene.second is not None and scene.second.frame_count != scene.seq.frame_count:
+            for _, row, _, _ in ready:
+                row.error = (f"second_motion has {scene.second.frame_count} frames, "
+                             f"motion has {scene.seq.frame_count}")
     reports = []
-    for entry in manifest.entries:
-        problems = []
-        paths = [
-            ("motion", entry.motion),
-            ("source_skeleton", entry.source_skeleton),
-            ("target_skeleton", entry.target_skeleton),
-            ("object", entry.object_path),
-        ]
-        if entry.second_motion is not None:
-            paths.append(("second_motion", entry.second_motion))
-        for label, p in paths:
-            if not Path(p).is_file():
-                problems.append(f"{label}: missing file {p}")
-        if not problems:
-            try:
-                source = load_skeleton(entry.source_skeleton)
-                target = load_skeleton(entry.target_skeleton)
-                if source.joint_count != target.joint_count:
-                    problems.append(
-                        f"skeletons incompatible: source has {source.joint_count} joints, "
-                        f"target has {target.joint_count}"
-                    )
-                seq = load_motion(entry.motion, source)
-                if entry.second_motion is not None:
-                    second = load_motion(entry.second_motion, source)
-                    if second.frame_count != seq.frame_count:
-                        problems.append(f"second_motion has {second.frame_count} frames, motion has {seq.frame_count}")
-                load_obj(entry.object_path)
-            except DataError as exc:
-                problems.append(str(exc))
+    for entry, row in zip(manifest.entries, rows):
+        paths = {"motion": entry.motion, "source_skeleton": entry.source_skeleton,
+                 "target_skeleton": entry.target_skeleton, "object": entry.object_path,
+                 "second_motion": entry.second_motion}
+        problems = [f"{label}: missing file {p}" for label, p in paths.items()
+                    if p is not None and not os.path.isfile(p)]  # False, not OSError, on a name too long
+        problems = problems or ([row.error] if row.error else [])
         reports.append(EntryReport(entry_id=entry.entry_id, ok=not problems, problems=problems))
     return reports
 
@@ -217,33 +207,19 @@ class PipelineSummary:
 LOSS_COLUMNS = ("total",) + TERM_NAMES
 
 
-def fit_bridge(source: Skeleton, target: Skeleton) -> tuple[ShapeParams, float]:
-    """Bone scales that give the source topology the target's T-pose joints.
-
-    Retargeting runs onto this bridge shape. Returns the scales and the fit's
-    RMS joint error in meters.
-    """
+def bridge(source: Skeleton, target: Skeleton) -> tuple[Skeleton, ShapeParams, float]:
+    """The skeleton and shape that retargeting runs onto, and the shape fit's
+    RMS joint error in meters: the source's names, topology and rest offsets
+    with the target's joint limits, velocity limits and foot joints, under the
+    bone scales that give it the target's T-pose joints. Joints match by
+    index: joint i of the target is joint i of the source."""
     if source.joint_count != target.joint_count:
-        raise DataError(
-            f"cannot fit: source has {source.joint_count} joints, "
-            f"target has {target.joint_count}"
-        )
+        raise DataError(f"cannot fit: source has {source.joint_count} joints, target has {target.joint_count}")
     target_joints = fk(target, ShapeParams.ones(target.joint_count), tpose(target))
-    return fit_shape(source, target_joints)
-
-
-def bridge_skeleton(source: Skeleton, target: Skeleton) -> Skeleton:
-    """The skeleton retargeting runs onto: the source's names, topology and
-    rest offsets (which the bridge shape scales) with the target's joint
-    limits, velocity limits and foot joints. Joints match by index, as in
-    fit_bridge: joint i of the target is joint i of the source."""
-    if source.joint_count != target.joint_count:
-        raise DataError(
-            f"cannot bridge: source has {source.joint_count} joints, "
-            f"target has {target.joint_count}"
-        )
-    return replace(source, q_min=target.q_min, q_max=target.q_max, v_min=target.v_min,
-                   v_max=target.v_max, foot_joints=target.foot_joints)
+    shape, residual = fit_shape(source, target_joints)
+    skeleton = replace(source, q_min=target.q_min, q_max=target.q_max, v_min=target.v_min,
+                       v_max=target.v_max, foot_joints=target.foot_joints)
+    return skeleton, shape, residual
 
 
 def write_losses_csv(path, losses: tuple[FrameLoss, ...]) -> None:
@@ -269,14 +245,42 @@ def _resolved(path: Path | None) -> str | None:
     return None if path is None else os.path.realpath(path)
 
 
-def _run_group(group: list[tuple[ManifestEntry, EntrySummary]], manifest: PipelineManifest, fits: dict) -> None:
-    """Load the group's scene once, from its first entry's paths, then load,
-    fit and bridge each entry's target in manifest order, retarget them in
-    one retarget_sequence call, in lockstep when there are several, and
-    smooth and write each. A fit is taken from `fits` when there, which keeps
-    every fit of the run that did not raise, keyed by the resolved source and
-    target skeleton paths. An error in what the entries share, the scene's
-    loads or the call's mesh build, fails every entry with that one error."""
+def _error(exc: Exception) -> str:
+    """An exception as an entry's summary words it."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _groups(manifest: PipelineManifest) -> tuple[list[EntrySummary], list[list[tuple]]]:
+    """A failed summary per entry, in manifest order, and the entries paired
+    with their summaries and grouped by source scene (motion, second motion,
+    source skeleton and object, by resolved path), in the manifest order of
+    each group's last entry."""
+    summaries, groups = [], {}
+    for entry in manifest.entries:
+        summaries.append(EntrySummary(entry_id=entry.entry_id, status="failed"))
+        key = tuple(_resolved(p) for p in (entry.motion, entry.second_motion, entry.source_skeleton,
+                                           entry.object_path))
+        # moved to the end, so the groups come in the order of their last entries
+        groups[key] = groups.pop(key, []) + [(entry, summaries[-1])]
+    return summaries, list(groups.values())
+
+
+class _Scene(NamedTuple):
+    """What a group's entries share."""
+    source: Skeleton
+    seq: MotionSequence
+    obj: ObjectMesh
+    second: MotionSequence | None
+
+
+def _prepare_group(group: list[tuple[ManifestEntry, EntrySummary]], bridges: dict) -> tuple[_Scene | None, list]:
+    """Load the group's scene once, from its first entry's paths, then each
+    entry's bridge in manifest order. An entry that fails gets the error in
+    its summary; a failed scene load fails every entry with that one error.
+    Returns the scene, None when it failed, and (entry, summary, skeleton,
+    shape) for each bridged entry. `bridges` keeps every bridge of the run
+    that did not raise, keyed by the resolved source and target skeleton
+    paths, and a target is loaded only when its bridge is not there."""
     first = group[0][0]
     try:
         source = load_skeleton(first.source_skeleton)
@@ -285,35 +289,42 @@ def _run_group(group: list[tuple[ManifestEntry, EntrySummary]], manifest: Pipeli
         second = None if first.second_motion is None else load_motion(first.second_motion, source)
     except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
         for _, summary in group:
-            summary.error = f"{type(exc).__name__}: {exc}"
-        return
-    ready, bridges, shapes = [], [], []
+            summary.error = _error(exc)
+        return None, []
+    ready = []
     for entry, summary in group:
         try:
-            target = load_skeleton(entry.target_skeleton)
-            fit_key = (_resolved(entry.source_skeleton), _resolved(entry.target_skeleton))
-            if fit_key not in fits:
-                fits[fit_key] = fit_bridge(source, target)
-            shape, summary.fit_residual = fits[fit_key]
-            bridges.append(bridge_skeleton(source, target))
-            shapes.append(shape)
-            ready.append((entry, summary))
+            key = (_resolved(entry.source_skeleton), _resolved(entry.target_skeleton))
+            if key not in bridges:
+                bridges[key] = bridge(source, load_skeleton(entry.target_skeleton))
+            skeleton, shape, summary.fit_residual = bridges[key]
+            ready.append((entry, summary, skeleton, shape))
         except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
-            summary.error = f"{type(exc).__name__}: {exc}"
+            summary.error = _error(exc)
+    return _Scene(source, seq, obj, second), ready
+
+
+def _run_group(group: list[tuple[ManifestEntry, EntrySummary]], manifest: PipelineManifest, bridges: dict) -> None:
+    """Prepare the group (_prepare_group), retarget its bridged entries in one
+    retarget_sequence call, in lockstep when there are several, and smooth
+    and write each. An error in what the entries share, the scene's loads or
+    the call's mesh build, fails every entry with that one error."""
+    scene, ready = _prepare_group(group, bridges)
     if not ready:
         return
+    entries, summaries, skeletons, shapes = zip(*ready)
     try:
-        results = retarget_sequence(seq, source, ShapeParams.ones(source.joint_count), bridges, shapes, obj,
-                                    manifest.retarget, second_seq=second)
+        results = retarget_sequence(scene.seq, scene.source, ShapeParams.ones(scene.source.joint_count),
+                                    skeletons, shapes, scene.obj, manifest.retarget, second_seq=scene.second)
     except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
         results = [exc] * len(ready)
-    for (entry, summary), result in zip(ready, results):
+    for entry, summary, result in zip(entries, summaries, results):
         try:
             if isinstance(result, Exception):
                 raise result
             _write_entry(entry, summary, result, manifest)
         except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
-            summary.error = f"{type(exc).__name__}: {exc}"
+            summary.error = _error(exc)
 
 
 def _write_entry(entry: ManifestEntry, summary: EntrySummary, result: RetargetResult,
@@ -343,22 +354,15 @@ def run_pipeline(manifest: PipelineManifest, jobs: int = 1) -> PipelineSummary:
     The entries that name one source scene (motion, second motion, source
     skeleton and object, by resolved path) form a group. The groups run in
     the manifest order of their last entries; each reads its scene once,
-    fits its entries' targets in manifest order and retargets them together,
-    in one lockstep retarget_sequence call, and each entry gets the bytes it
-    gets alone. The summary lists the entries in manifest order."""
+    bridges its entries' targets in manifest order and retargets them
+    together, in one lockstep retarget_sequence call, and each entry gets the
+    bytes it gets alone. The summary lists the entries in manifest order."""
     if jobs != 1:  # the keyword stays only while the benchmark passes jobs=1
         raise ValueError(f"entries run one at a time; jobs must be 1, got {jobs!r}")
-    groups: dict[tuple, list] = {}
-    results = []
-    for entry in manifest.entries:
-        results.append(EntrySummary(entry_id=entry.entry_id, status="failed"))
-        key = tuple(_resolved(p) for p in (entry.motion, entry.second_motion, entry.source_skeleton,
-                                           entry.object_path))
-        # moved to the end, so the groups run in the order of their last entries
-        groups[key] = groups.pop(key, []) + [(entry, results[-1])]
-    fits: dict[tuple, tuple[ShapeParams, float]] = {}
-    for group in groups.values():
-        _run_group(group, manifest, fits)
+    results, groups = _groups(manifest)
+    bridges: dict = {}
+    for group in groups:
+        _run_group(group, manifest, bridges)
 
     filter_state = None
     if manifest.episode_stats:

@@ -286,11 +286,10 @@ def filter_until_converged(state: FilterState) -> FilterState:
     the loop ends within the initial clip count. Already-converged input comes
     back unchanged."""
     while True:
-        retained = state.retained
-        sigma = float(np.mean([c.mean_length for c in retained]))
-        if not any(c.mean_length < sigma for c in retained):
+        after = filter_step(state)
+        if after.removed == state.removed:
             return state
-        state = filter_step(state)
+        state = after
 
 
 def filter_document(state: FilterState) -> dict:

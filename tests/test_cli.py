@@ -810,6 +810,16 @@ class TestFilterCommand:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", ["[" * 100_000 + "]" * 100_000, '{"a": [' + "1" * 5000 + "]}"],
+                             ids=["deep-nesting", "long-integer"])
+    def test_unreadable_json_is_data_error_naming_the_file(self, tmp_path, capsys, doc):
+        # json.loads raises RecursionError on the first and ValueError (the
+        # interpreter's limit on integer digits) on the second
+        stats = tmp_path / "stats.json"
+        stats.write_text(doc)
+        assert main(["filter", "--stats", str(stats)]) == 2
+        assert f"data error: {stats}: " in capsys.readouterr().err
+
     def test_csv_output(self, tmp_path, capsys):
         stats = tmp_path / "stats.json"
         stats.write_text(json.dumps({"a": [10], "c": [100]}))
@@ -948,6 +958,17 @@ class TestMeshInspectCommand:
             "mesh-inspect", "--motion", str(tmp_path / "motion.json"),
             "--skeleton", str(tmp_path / "skeleton.json"), "--obj", str(tmp_path / "box.obj"),
             "--second-motion", str(tmp_path / "second.json"), "--frame", "3",
+        ]) == 2
+        assert "not time-aligned" in capsys.readouterr().err
+
+    def test_second_motion_of_another_length_is_data_error(self, tmp_path, capsys):
+        # frame 0 exists in both, but retargeting refuses the pair, so inspecting it does too
+        write_assets(tmp_path, frames=5)
+        save_motion(held_box_motion(make_humanoid(), frames=2, amplitude=0.02), tmp_path / "second.json")
+        assert main([
+            "mesh-inspect", "--motion", str(tmp_path / "motion.json"),
+            "--skeleton", str(tmp_path / "skeleton.json"), "--obj", str(tmp_path / "box.obj"),
+            "--second-motion", str(tmp_path / "second.json"), "--frame", "0",
         ]) == 2
         assert "not time-aligned" in capsys.readouterr().err
 

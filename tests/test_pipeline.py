@@ -99,6 +99,56 @@ class TestValidateManifest:
         assert "not time-aligned" in run_pipeline(load_manifest(path)).entries[0].error
 
 
+    def test_unusable_file_name_is_reported_for_its_entry_alone(self, tmp_path):
+        path = write_corpus(tmp_path, frames=2, entries=2)
+        manifest = json.loads(path.read_text())
+        name = "x" * 300 + ".json"  # longer than a file name may be
+        manifest["entries"][0]["target_skeleton"] = name
+        path.write_text(json.dumps(manifest))
+        reports = validate_manifest(load_manifest(path))
+        assert [(r.ok, r.problems) for r in reports] == [
+            (False, [f"target_skeleton: missing file {tmp_path / name}"]), (True, [])]
+
+    def test_reads_each_file_once_as_the_run_does(self, tmp_path, monkeypatch):
+        # one clip with a partner onto three targets: the scene's four files
+        # once for the group, then each target once
+        path, manifest, carry = TestSourceMeshCache.carry_corpus(tmp_path)
+        entries = [carry] + [dict(carry, id=t, target_skeleton=f"{t}.json") for t in ("tall", "short")]
+        path.write_text(json.dumps(dict(manifest, entries=entries)))
+        loads = []
+        for name in ("load_skeleton", "load_motion", "load_obj"):
+            monkeypatch.setattr(pipeline, name,
+                                lambda *args, _load=getattr(pipeline, name): loads.append(args[0]) or _load(*args))
+        assert all(r.ok for r in validate_manifest(load_manifest(path)))
+        validated = len(loads)
+        assert [e.status for e in run_pipeline(load_manifest(path)).entries] == ["ok"] * 3
+        assert (validated, len(loads) - validated) == (7, 7)
+
+    def test_problem_is_the_runs_summary_error(self, tmp_path):
+        path = write_corpus(tmp_path, frames=2)
+        save_skeleton(make_chain(4), tmp_path / "other.json")
+        manifest = json.loads(path.read_text())
+        manifest["entries"][0]["target_skeleton"] = "other.json"
+        path.write_text(json.dumps(manifest))
+        problems = validate_manifest(load_manifest(path))[0].problems
+        assert problems == [run_pipeline(load_manifest(path)).entries[0].error]
+        assert problems == ["DataError: cannot fit: source has 20 joints, target has 4"]
+
+    def test_any_loader_error_is_reported_for_its_entry_alone(self, tmp_path, monkeypatch):
+        path = write_corpus(tmp_path, frames=2, entries=3)
+        load_motion = pipeline.load_motion
+
+        def failing(motion_path, skeleton):
+            if motion_path.name == "motion1.json":
+                raise OSError("device not ready")
+            return load_motion(motion_path, skeleton)
+
+        monkeypatch.setattr(pipeline, "load_motion", failing)
+        reports = validate_manifest(load_manifest(path))
+        assert [(r.ok, r.problems) for r in reports] == [(True, []), (False, ["OSError: device not ready"]),
+                                                         (True, [])]
+
+
 class TestRunPipeline:
     def test_identity_manifest_preserves_motion(self, tmp_path):
         path = write_corpus(tmp_path, frames=50, amplitude=0.02)
@@ -118,6 +168,16 @@ class TestRunPipeline:
         assert (tmp_path / "out" / "seq0.losses.csv").exists()
         assert (tmp_path / "out" / "summary.csv").exists()
         assert (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("doc", ["[" * 100_000 + "]" * 100_000, "[" + "1" * 5000 + "]"],
+                             ids=["deep-nesting", "long-integer"])
+    def test_unreadable_motion_is_a_data_error_of_its_entry(self, tmp_path, doc):
+        path = write_corpus(tmp_path, frames=3, entries=3)
+        (tmp_path / "motion1.json").write_text(doc)
+        summary = run_pipeline(load_manifest(path))
+        assert [e.status for e in summary.entries] == ["ok", "failed", "ok"]
+        assert summary.entries[1].error.startswith(f"DataError: {tmp_path / 'motion1.json'}: ")
+        assert validate_manifest(load_manifest(path))[1].problems == [summary.entries[1].error]
 
     def test_corrupt_entry_isolated(self, tmp_path):
         path = write_corpus(tmp_path, frames=3, entries=3)
@@ -185,6 +245,16 @@ class TestRunPipeline:
         manifest["entries"][0]["id"] = entry_id
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="entry id"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("key", ["motion", "target_skeleton", "output_dir"])
+    def test_nul_in_a_path_rejected(self, tmp_path, key):
+        # os.path.realpath, which keys the groups and bridges, raises ValueError on it
+        path = write_corpus(tmp_path, frames=2)
+        manifest = json.loads(path.read_text())
+        (manifest if key == "output_dir" else manifest["entries"][0])[key] = "a\u0000b"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=f"field '{key}' must be a non-empty path string"):
             load_manifest(path)
 
     @pytest.mark.parametrize("retarget_settings, key", [
@@ -449,10 +519,10 @@ class TestSourceMeshCache:
         path, manifest, carry = self.carry_corpus(tmp_path)
         (tmp_path / "sub").mkdir()
         builds, fits = [], []
-        original_build, original_fit = retarget.build_frame_meshes, pipeline.fit_bridge
+        original_build, original_fit = retarget.build_frame_meshes, pipeline.bridge
         monkeypatch.setattr(retarget, "build_frame_meshes",
                             lambda *args, **kwargs: builds.append(None) or original_build(*args, **kwargs))
-        monkeypatch.setattr(pipeline, "fit_bridge", lambda *args: fits.append(None) or original_fit(*args))
+        monkeypatch.setattr(pipeline, "bridge", lambda *args: fits.append(None) or original_fit(*args))
         entries = [carry, dict(carry, id="again", motion="sub/../motion0.json")]
         summary = self.run(path, manifest, entries)
         assert [e.status for e in summary.entries] == ["ok", "ok"]
@@ -527,8 +597,8 @@ class TestSourceMeshCache:
         path, manifest, carry = self.carry_corpus(tmp_path)
         save_motion(held_box_motion(make_humanoid(), frames=FRAMES, amplitude=0.05), tmp_path / "motion1.json")
         fits = []
-        original = pipeline.fit_bridge
-        monkeypatch.setattr(pipeline, "fit_bridge", lambda *args: fits.append(None) or original(*args))
+        original = pipeline.bridge
+        monkeypatch.setattr(pipeline, "bridge", lambda *args: fits.append(None) or original(*args))
         tall = dict(carry, target_skeleton="tall.json")
         entries = [dict(tall, id="s0-tall"), dict(tall, id="s1-tall", motion="motion1.json")]
         summary = self.run(path, manifest, entries)
@@ -610,16 +680,16 @@ class TestLockstepGroups:
         path, manifest, entries = self.corpus(tmp_path)
         skel = make_humanoid()
         save_skeleton(replace(skel, names=tuple(f"broken_{name}" for name in skel.names)), tmp_path / "broken.json")
-        bridge_skeleton = pipeline.bridge_skeleton
+        bridge = pipeline.bridge
 
         def breaking(source, target):
             # a skeleton file cannot hold NaN limits, so the broken target's bridge gets them here
-            bridge = bridge_skeleton(source, target)
+            skeleton, shape, residual = bridge(source, target)
             if target.names[0].startswith("broken_"):
-                object.__setattr__(bridge, "q_min", np.full_like(bridge.q_min, np.nan))
-            return bridge
+                object.__setattr__(skeleton, "q_min", np.full_like(skeleton.q_min, np.nan))
+            return skeleton, shape, residual
 
-        monkeypatch.setattr(pipeline, "bridge_skeleton", breaking)
+        monkeypatch.setattr(pipeline, "bridge", breaking)
         group = [entries[0], dict(entries[0], id="broken", target_skeleton="broken.json"), entries[1]]
         rows, files, _, _ = self.run(path, manifest, group, monkeypatch)
         error = "NumericalError: frame 0: non-finite loss at iteration 0"
