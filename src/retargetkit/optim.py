@@ -3,12 +3,21 @@
 Per-frame retargeting descends through this loop. A proposed step is
 accepted only if it does not increase the loss; rejected steps raise the
 damping, so the accepted loss sequence is non-increasing by construction.
-The solve converges on an accepted step h with ||h|| <= STEP_TOL * (||x|| +
-STEP_TOL), the step test of Madsen, Nielsen & Tingleff ("Methods for
-Non-Linear Least Squares Problems", IMM DTU 2004), or after `patience`
-stalls. The step test does not depend on the loss's scale, so a solve that
-starts at its optimum stops after one iteration, however close to zero the
-loss is.
+A solve converges by the first of three rules to hold:
+- predicted gain: at an accepted point (or the start), the undamped
+  Gauss-Newton step h predicts a loss decrease 2 h^T rhs - h^T (J^T J) h of
+  at most `improvement_tol` times the loss. The solve stops at that point
+  without evaluating a trial. This ends the linear tail of a residual that
+  is nonzero at its optimum (a scaled target). The damped step's prediction
+  alone is no test: after rejections have raised the damping, it is small
+  however far the optimum is.
+- step: an accepted step h with ||h|| <= STEP_TOL * (||x|| + STEP_TOL), the
+  step test of Madsen, Nielsen & Tingleff ("Methods for Non-Linear Least
+  Squares Problems", IMM DTU 2004). It does not depend on the loss's scale,
+  so a solve that starts at its optimum stops after one iteration, however
+  close to zero the loss is.
+- stall: `patience` iterations in a row that improve the loss by less than
+  `improvement_tol` relative, rejected steps included.
 
 There is one loop, `lockstep_levenberg_marquardt`. It runs K problems side
 by side, and each round is one iteration of every running problem: one
@@ -37,10 +46,11 @@ STEP_TOL = 1e-10  # Madsen, Nielsen & Tingleff's epsilon_2
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iterations: int = setting(100, ge=1)
-    # Converged on an accepted step within STEP_TOL of x (relative), or once
-    # the relative improvement stays below improvement_tol for `patience`
-    # consecutive iterations (rejected steps count as stalls); the stall rule
-    # ends the frames that never take such a step.
+    # Converged when the Gauss-Newton step at an accepted point predicts a
+    # relative loss decrease of at most improvement_tol, on an accepted step
+    # within STEP_TOL of x (relative), or once the relative improvement stays
+    # below improvement_tol for `patience` consecutive iterations (rejected
+    # steps count as stalls). Each rule is the first to hold on some frames.
     improvement_tol: float = setting(1e-12, ge=0)
     patience: int = setting(6, ge=1)
 
@@ -164,7 +174,11 @@ def lockstep_levenberg_marquardt(
         if not running:
             break
         steps = dict(zip(running, _stacked_solve([p.damped() for p in running.values()])))
-        stepped = [k for k, step in steps.items() if step is not None]
+        for k in moved:  # once per point: its undamped model ignores the damping
+            p = running.get(k)
+            if p is not None and steps[k] is not None and _no_gain(p, steps[k], cfg.improvement_tol):
+                stop(k, OptimizeResult(x=p.x, loss=p.loss, iterations=it, converged=True))
+        stepped = [k for k, step in steps.items() if k in running and step is not None]
         tried = {}
         if stepped:
             tried = dict(zip(stepped, trial(stepped, np.stack([running[k].x + steps[k] for k in stepped]))))
@@ -195,6 +209,28 @@ def lockstep_levenberg_marquardt(
     for k, p in running.items():
         results[k] = OptimizeResult(x=p.x, loss=p.loss, iterations=cfg.max_iterations, converged=False)
     return results
+
+
+def _no_gain(p: _Problem, h: np.ndarray, tol: float) -> bool:
+    """Whether the Gauss-Newton model at p's point, where its normal equations
+    were just evaluated, predicts a loss decrease of at most tol times p's
+    loss. The damped step h predicts no more than the undamped step does, so
+    the undamped system is solved only when h's prediction is within the
+    bound. A non-finite prediction or a singular J^T J never stops a solve."""
+    jtj, rhs, _ = p.system
+    bound = tol * p.loss
+    if _predicted_gain(jtj, rhs, h) > bound:
+        return False
+    undamped = _solve(jtj, rhs)
+    return undamped is not None and _predicted_gain(jtj, rhs, undamped) <= bound
+
+
+def _predicted_gain(jtj: np.ndarray, rhs: np.ndarray, h: np.ndarray) -> float:
+    """The model's loss decrease 2 h^T rhs - h^T (J^T J) h along h; inf when
+    that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = 2.0 * (h @ rhs) - h @ (jtj @ h)
+    return float(gain) if np.isfinite(gain) else np.inf
 
 
 def _stacked_solve(systems: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray | None]:

@@ -261,3 +261,84 @@ class TestLockstep:
                 assert str(a) == str(b)
             else:
                 assert a.x.tobytes() == b.x.tobytes() and a.iterations == b.iterations
+
+
+ARM_LINKS = np.array([1.0, 0.8, 0.6])
+SOURCE_ANGLES = np.array([0.3, 0.5, -0.4])
+
+
+def scaled_arm(scale, weight=0.1):
+    """A planar three-link arm scaled by `scale`, its joints held to those of
+    the unscaled arm at SOURCE_ANGLES and its angles to SOURCE_ANGLES with
+    `weight`: normal equations and loss. A scaled arm cannot reach the
+    unscaled joints, so the residual is nonzero at the optimum, and
+    Gauss-Newton converges only linearly there, as on a scaled target body."""
+    links = scale * ARM_LINKS
+
+    def joints(theta, lengths):
+        phi = np.cumsum(theta)
+        positions = np.cumsum(lengths[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1), axis=0)
+        tangents = lengths[:, None] * np.stack([-np.sin(phi), np.cos(phi)], axis=1)
+        jac = np.zeros((3, 2, 3))
+        for j in range(3):
+            for m in range(j + 1):  # angle m turns segments m..j
+                jac[j, :, m] = tangents[m:j + 1].sum(axis=0)
+        return positions, jac
+
+    def residuals(theta):
+        positions, jac = joints(theta, links)
+        r = np.concatenate([(positions - joints(SOURCE_ANGLES, ARM_LINKS)[0]).ravel(),
+                            np.sqrt(weight) * (theta - SOURCE_ANGLES)])
+        return r, np.vstack([jac.reshape(6, 3), np.sqrt(weight) * np.eye(3)])
+
+    def normal(x):
+        r, jac = residuals(x)
+        return jac.T @ jac, jac.T @ r
+
+    return normal, lambda x: float(residuals(x)[0] @ residuals(x)[0])
+
+
+class TestPredictedGain:
+    """A solve stops, converged, when the step solved at a newly accepted
+    point (or the start) predicts a loss decrease of at most improvement_tol
+    times the loss; its trial is not evaluated."""
+
+    # scale: (iterations, loss) with only the step and stall rules
+    STEP_AND_STALL = {0.9: (24, 0.08226617357327216), 1.1: (15, 0.06481858683339153),
+                      1.25: (17, 0.3092364757714888)}
+
+    def test_scaled_arms_stop_before_the_stalls(self):
+        members = [scaled_arm(scale) + (None, None, SOURCE_ANGLES) for scale in self.STEP_AND_STALL]
+        normal, loss, _, _ = row_forms([m[:4] for m in members])
+        together = lockstep_levenberg_marquardt(normal, loss, None, np.stack([m[4] for m in members]))
+        for (iterations, recorded), member, joint in zip(self.STEP_AND_STALL.values(), members, together):
+            alone = solo(member[0], member[1], None, member[4])
+            assert joint.x.tobytes() == alone.x.tobytes()
+            assert (joint.loss, joint.iterations, joint.converged) == (alone.loss, alone.iterations, True)
+            assert joint.iterations < iterations
+            assert abs(joint.loss - recorded) <= 1e-9 * recorded
+
+    def test_damped_first_solve_far_from_the_minimum_does_not_stop(self, monkeypatch):
+        # the model's slope is 1e-11 of the residual's, so every step
+        # overshoots until rejections raise the damping from 1e-4 past 5e10;
+        # the first solve at each accepted point then starts from that
+        # damping, and its step predicts a gain below 1e-12 of the loss
+        # while the loss is still 0.56% above its minimum
+        slope = 1e-11
+        normal = lambda x: (np.array([[slope**2]]), slope * (x - 2.0))
+        loss = lambda x: float((x[0] - 2.0) ** 2 + 1.0)  # minimum 1 at x = 2
+        systems = []
+        solve = optim._stacked_solve
+        monkeypatch.setattr(optim, "_stacked_solve", lambda s: systems.extend(s) or solve(s))
+        res = solo(normal, loss, None, np.zeros(1), OptimizerConfig(patience=40))
+        # each damped system is (slope^2 (1 + lam), slope (2 - x)): its damping and its point's loss
+        damped = [(a[0, 0] / slope**2 - 1.0, 1.0 + (b[0] / slope) ** 2) for a, b in systems]
+        assert any(lam >= 1e6 * 1e-4 and point_loss >= 1.0 + 1e-3 for lam, point_loss in damped)
+        assert res.converged and res.loss < 1.0 + 1e-6
+
+    @pytest.mark.parametrize("rhs, h, jtj", [(np.inf, np.inf, 1.0), (0.0, 1.0, np.inf), (0.0, 0.0, 0.0)])
+    def test_non_finite_or_singular_prediction_never_stops(self, rhs, h, jtj):
+        # inf - inf and 0 - inf: a NaN and a -inf predicted decrease; a zero
+        # J^T J, whose undamped step does not exist
+        p = optim._Problem(np.zeros(1), 1.0, system=(np.array([[jtj]]), np.array([rhs]), np.ones(1)))
+        assert not optim._no_gain(p, np.array([h]), 1e-12)

@@ -711,3 +711,30 @@ class TestLockstepGroups:
         for entry in (entries[0], entries[2]):
             alone_rows, alone_files, _, _ = self.run(path, manifest, [entry], monkeypatch)
             assert (alone_rows[entry["id"]], alone_files[entry["id"]]) == (rows[entry["id"]], files[entry["id"]])
+
+    def test_scaled_bridges_stop_on_the_predicted_gain(self):
+        # a partnered clip onto three scaled bridges; with only the step and
+        # stall rules its frames took 197 Gauss-Newton iterations in all
+        source = make_humanoid()
+        seq = held_box_motion(source, frames=self.FRAMES, amplitude=0.2)
+        partner = partner_motion(source, seq)
+        box = make_box(half=CARRY_BOX_HALF, subdiv=3)
+        cfg = retarget.RetargetConfig(retention=interactmesh.RetentionRule(proximity_gate=0.5))
+        bridges = [pipeline.bridge(source, replace(source, rest_offsets=source.rest_offsets * s))
+                   for s in (0.9, 1.1, 1.25)]
+        ones = ShapeParams.ones(source.joint_count)
+
+        def run(skeletons, shapes):
+            return retarget.retarget_sequence(seq, source, ones, skeletons, shapes, box, cfg, partner)
+
+        def outcome(result):
+            arrays = (result.sequence.root_pos, result.sequence.root_rot, result.sequence.joint_rots)
+            return [a.tobytes() for a in arrays], result.per_frame_losses
+
+        together = run([b[0] for b in bridges], [b[1] for b in bridges])
+        for (skeleton, shape, _), result in zip(bridges, together):
+            assert outcome(run(skeleton, shape)) == outcome(result)
+        assert sum(f.iterations for r in together for f in r.per_frame_losses) < 197
+        assert not any(f.mesh_empty for r in together for f in r.per_frame_losses)
+        again = run([b[0] for b in bridges], [b[1] for b in bridges])
+        assert [outcome(r) for r in again] == [outcome(r) for r in together]
