@@ -3,7 +3,10 @@
 Per-frame retargeting descends through this loop. A proposed step is
 accepted only if it does not increase the loss; rejected steps raise the
 damping, so the accepted loss sequence is non-increasing by construction.
-A solve converges by the first of three rules to hold:
+Every point is clipped into its problem's box (the target's joint limits)
+before its loss is evaluated, the projection of Bertsekas's projected Newton
+methods (SIAM J. Control Optim. 1982). A solve converges by the first of
+three rules to hold:
 - predicted gain: at an accepted point (or the start), the undamped
   Gauss-Newton step h predicts a loss decrease 2 h^T rhs - h^T (J^T J) h of
   at most `improvement_tol` times the loss. The solve stops at that point
@@ -96,12 +99,13 @@ def levenberg_marquardt(
     extra_grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
     x0: np.ndarray,
     cfg: OptimizerConfig | None = None,
-    project: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OptimizeResult:
     """`lockstep_levenberg_marquardt` on the one problem started at x0, whose
-    callables take and answer its one row: its OptimizeResult, or its
-    NumericalError raised."""
-    (result,) = lockstep_levenberg_marquardt(normal_fn, loss_fn, extra_grad_fn, np.asarray(x0)[None], cfg, project)
+    callables take and answer its one row and whose bounds are its (P,) box:
+    its OptimizeResult, or its NumericalError raised."""
+    box = None if bounds is None else tuple(np.asarray(b)[None] for b in bounds)
+    (result,) = lockstep_levenberg_marquardt(normal_fn, loss_fn, extra_grad_fn, np.asarray(x0)[None], cfg, box)
     if isinstance(result, NumericalError):
         raise result
     return result
@@ -113,7 +117,7 @@ def lockstep_levenberg_marquardt(
     extra_grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
     x0: np.ndarray,
     cfg: OptimizerConfig | None = None,
-    project: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[OptimizeResult | NumericalError]:
     """Damped Gauss-Newton descent on K least-squares problems at once,
     started at the rows of x0.
@@ -124,9 +128,10 @@ def lockstep_levenberg_marquardt(
     part, loss approx ||r||^2 (+ non-LSQ terms covered by loss_fn's (m,)
     losses and, linearly, by extra_grad_fn's (m, P) gradients). Steps are
     accepted only when the *full* loss does not increase, so the accepted
-    sequence is monotone even where the quadratic model is off. project maps
-    the (m, P) trial points onto the feasible set before their losses are
-    evaluated. A problem's row of an answer must not depend on the other rows.
+    sequence is monotone even where the quadratic model is off. bounds,
+    (lo, hi) of (K, P) each, +-inf on a free coordinate, is the box every
+    point is clipped to before its loss is evaluated, x0's rows included.
+    A problem's row of an answer must not depend on the other rows.
     A round asks for normal equations only at the points its previous round's
     losses accepted, and for the trial losses last, so a caller that keeps its
     last evaluation (`retarget.FrameStack`) evaluates each point once.
@@ -139,10 +144,10 @@ def lockstep_levenberg_marquardt(
     running: dict[int, _Problem] = {}
 
     def trial(members, x):
-        """The members' points x projected onto the feasible set, each with its loss."""
+        """The members' points x clipped to their boxes, each with its loss."""
         members = np.array(members)
-        if project is not None:
-            x = project(members, x)
+        if bounds is not None:
+            x = np.clip(x, bounds[0][members], bounds[1][members])
         return zip(x, map(float, loss_fn(members, x)))
 
     def stop(k, outcome):

@@ -43,8 +43,9 @@ all of the frame's targets.
 
 Hinge terms use subgradient 0 at the kink. Frames are optimized in time
 order, each warm-started at its prediction x_pred. Joint limits are a
-constraint with no penalty term: the descent loop projects (clamps) every
-point before it evaluates it, so outputs satisfy them exactly.
+constraint with no penalty term: `FrameStack.bounds` hands them to the
+descent loop as a box, into which it clips every point before it evaluates
+it, so outputs satisfy them exactly.
 """
 
 from __future__ import annotations
@@ -88,14 +89,6 @@ class RetargetConfig:
 
     def __post_init__(self):
         check_settings(self)
-
-
-@dataclass(frozen=True)
-class FrameContext:
-    """Per-frame source-side context the objective needs besides the mesh."""
-
-    dt: float
-    slide_feet: tuple[int, ...] = ()  # foot joints gated by source horizontal speed
 
 
 @dataclass(frozen=True)
@@ -188,13 +181,15 @@ class FrameStack:
 
     The targets share the joint tree and rest offsets of the first skeleton
     and differ in bone scales, joint and velocity limits and gated slide feet
-    (their FrameContext). The Laplacian stiffness K_lap comes from the mesh
-    alone and is built once for all of them. Every evaluation takes `rows`,
-    the ascending indices of the m targets asked about, with their (m, ·)
-    points, and answers row by row: one target's row equals what it gets
-    asked alone, so a lockstep solve and a solo one take the same steps. The
-    temporal term measures from x_pred; the velocity hinges and the slide
-    anchor measure from x_prev. `terms` takes stored parameters; the other
+    (`slide_feet`, one tuple of joints per target), and the clip's dt scales
+    the velocity limits. `bounds`, (lo, hi) of (K, P) each, is the box on
+    the tangent vectors: the joint limits, and +-inf on the root. K_lap comes
+    from the mesh alone and is built once for all of them. Every evaluation
+    takes `rows`, the ascending indices of the m targets asked about, with
+    their (m, ·) points, and answers row by row: one target's row equals
+    what it gets asked alone, so a lockstep solve and a solo one take the
+    same steps. The temporal term measures from x_pred; the velocity hinges
+    and the slide anchor measure from x_prev. `terms` takes stored parameters; the other
     evaluations take tangent vectors at each target's anchor quaternion (by
     default x_pred's), see kinematics.stored_vector. Only the last
     evaluation's point is kept, for later calls on its rows at its vectors.
@@ -205,42 +200,44 @@ class FrameStack:
         skeletons: Sequence[Skeleton],
         shapes: Sequence[ShapeParams],
         x_prev: np.ndarray,
-        contexts: Sequence[FrameContext],
+        dt: float,
+        slide_feet: Sequence[Sequence[int]],
         mesh: InteractMesh | None,
         cfg: RetargetConfig,
         x_pred: np.ndarray | None = None,
         anchor: np.ndarray | None = None,
     ):
         self.skeleton, self.cfg, self.count = skeletons[0], cfg, len(skeletons)
+        joint_count = self.skeleton.joint_count
         self.x_prev = x_prev
         self.x_pred = x_prev if x_pred is None else x_pred
         self.anchor = self.x_pred[:, 3:7] if anchor is None else anchor
         self.mesh = mesh if mesh is not None and mesh.tet_count else None
         self.scales = np.array([shape.bone_scales for shape in shapes])
-        # each target's bounds on its joint exp-maps and on their change dq
-        # over the frame, (K, 3(J-1)) in the exp-maps' stored order
-        self.q_min = np.array([s.q_min[1:].ravel() for s in skeletons])
-        self.q_max = np.array([s.q_max[1:].ravel() for s in skeletons])
-        dt = np.array([ctx.dt for ctx in contexts])[:, None]
+        free = np.full(6, np.inf)
+        self.bounds = (np.array([np.concatenate([-free, s.q_min[1:].ravel()]) for s in skeletons]),
+                       np.array([np.concatenate([free, s.q_max[1:].ravel()]) for s in skeletons]))
+        # each target's bounds on the change dq of its joint exp-maps over the
+        # frame, (K, 3(J-1)) in the exp-maps' stored order
         self.dq_min = np.array([np.repeat(s.v_min[1:], 3) for s in skeletons]) * dt
         self.dq_max = np.array([np.repeat(s.v_max[1:], 3) for s in skeletons]) * dt
-        self.feet = [np.asarray(ctx.slide_feet, dtype=int) for ctx in contexts]
-        self.gated = [feet.size > 0 for feet in self.feet]
-        self.feet_ref = [fk_vector(s, shape, x)[feet] if feet.size else None
-                         for s, shape, x, feet in zip(skeletons, shapes, x_prev, self.feet)]
-        self.source, self.lap_stiffness = _laplacian_stiffness(self.mesh, self.skeleton.joint_count)
+        # the (K, J) mask of each target's gated feet, and for a target with
+        # any, its joints' positions under x_prev, which the slide term holds
+        self.feet = np.zeros((self.count, joint_count), dtype=bool)
+        self.held = np.zeros((self.count, joint_count, 3))
+        for k, feet in enumerate(slide_feet):
+            if len(feet):
+                self.feet[k, list(feet)] = True
+                self.held[k] = fk_vector(skeletons[k], shapes[k], x_prev[k])
+        self.source, self.lap_stiffness = _laplacian_stiffness(self.mesh, joint_count)
         # the slide term adds its weight on the gated feet's diagonal
         self.stiffness = np.repeat((cfg.laplacian_weight * self.lap_stiffness)[None], self.count, axis=0)
-        for stiffness, feet in zip(self.stiffness, self.feet):
-            if feet.size:
-                np.add.at(stiffness, (feet, feet), cfg.foot_slide_weight)
+        target, foot = np.nonzero(self.feet)
+        self.stiffness[target, foot, foot] += cfg.foot_slide_weight
         # the last _point_at call's point: each target's slot in it (-1 when
         # absent), its tangent vectors, and its stored vectors and kinematics pass
         self._slots = np.full(self.count, -1)
         self._xi = self._point = None
-
-    def _any_gated(self, rows: np.ndarray) -> bool:
-        return any(self.gated[k] for k in rows)
 
     def _take(self, rows: np.ndarray):
         """The index that selects the rows' targets: every target, in order,
@@ -251,7 +248,7 @@ class FrameStack:
         """The kinematics pass of the targets' stored vectors x, or None when
         no term of theirs reads joint positions."""
         take = self._take(rows)
-        if self.mesh is None and not self._any_gated(rows):
+        if self.mesh is None and not self.feet[take].any():
             return None
         return stacked_kinematics(self.skeleton, self.scales[take], x)
 
@@ -294,10 +291,6 @@ class FrameStack:
         moved = normalized.tobytes() != x.tobytes()
         return normalized, self.terms(rows, normalized, None if moved else kinematics)
 
-    def _slide(self, k: int, positions: np.ndarray) -> np.ndarray:
-        """Target k's gated feet's offsets from their positions under x_prev."""
-        return positions[self.feet[k]] - self.feet_ref[k]
-
     def terms(self, rows: np.ndarray, x: np.ndarray, kinematics=None) -> dict[str, np.ndarray]:
         """Per-term weighted objective, (m,) per term, at stored vectors x,
         from their kinematics pass when it is given, else from a new one."""
@@ -318,12 +311,10 @@ class FrameStack:
         vhigh = np.maximum(0.0, dq - self.dq_max[take])
         terms["vlimit"] = cfg.velocity_limit_weight * (np.add.reduce(vlow, axis=1) + np.add.reduce(vhigh, axis=1))
 
-        if self._any_gated(rows):
-            terms["slide"] = np.zeros(m)
-            for i, k in enumerate(rows):
-                if self.gated[k]:
-                    slide = self._slide(k, positions[i])
-                    terms["slide"][i] = cfg.foot_slide_weight * np.einsum("ij,ij->", slide, slide)
+        feet = self.feet[take]
+        if feet.any():
+            slide = np.where(feet[..., None], positions - self.held[take], 0.0)
+            terms["slide"] = cfg.foot_slide_weight * np.einsum("kij,kij->k", slide, slide)
         return terms
 
     def loss(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -353,21 +344,21 @@ class FrameStack:
         # fk_jac (m, 3J, 3J + 3), from the pass the loss made at x, for the
         # targets with a mesh or gated feet; the kept pass may cover other
         # targets too, so whether one is needed comes from the rows alone
-        if self.mesh is None and not self._any_gated(rows):
+        if self.mesh is None and not self.feet[take].any():
             return jtj, jtr
-        moved = slice(None) if self.mesh is not None else np.array([i for i, k in enumerate(rows) if self.gated[k]])
+        moved = slice(None) if self.mesh is not None else self.feet[take].any(axis=1)
         rows, x = rows[moved], x[moved]
         kinematics = (kinematics[0],) + tuple(array[moved] for array in kinematics[1:])
         positions, fk_jac = fk_jacobian_vector(self.skeleton, None, x, kinematics)
         fk_jac[:, :, 3:6] = fk_jac[:, :, 3:6] @ right_jac[moved]
+        take = self._take(rows)
         pull = np.zeros_like(positions)  # J^T r over joint positions
         if self.mesh is not None:
             pull += cfg.laplacian_weight * (self.lap_stiffness @ (positions - self.source))
-        for i, k in enumerate(rows):
-            if self.gated[k]:
-                np.add.at(pull[i], self.feet[k], cfg.foot_slide_weight * self._slide(k, positions[i]))
+        feet = self.feet[take]
+        pull[feet] += cfg.foot_slide_weight * (positions[feet] - self.held[take][feet])
         n = len(rows)
-        stiffness = self.stiffness[self._take(rows)]
+        stiffness = self.stiffness[take]
         stiff_jac = (stiffness @ fk_jac.reshape(n, positions.shape[1], -1)).reshape(fk_jac.shape)
         jtj[moved] += fk_jac.transpose(0, 2, 1) @ stiff_jac
         jtr[moved] += (pull.reshape(n, 1, -1) @ fk_jac)[:, 0]
@@ -386,12 +377,6 @@ class FrameStack:
     def gradient(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Gradient of the loss: 2 J^T r plus the hinge subgradient."""
         return 2.0 * self.normal_equations(rows, xi)[1] + self.hinge_gradient(rows, xi)
-
-    def project(self, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """The tangent vectors xi with each target's joint exp-maps clamped
-        to its limits."""
-        take = self._take(rows)
-        return np.concatenate([xi[:, :6], np.clip(xi[:, 6:], self.q_min[take], self.q_max[take])], axis=1)
 
 
 def _object_track(obj: ObjectMesh, seq: MotionSequence, subsample: int):
@@ -602,19 +587,19 @@ def _retarget_targets(
             break
         x_prev = np.repeat(x0[None], len(active), axis=0) if t == 0 else solutions[active, t - 1]
         x_pred = x_prev if t == 0 else np.array([predict_frame(x, source[t - 1], source[t]) for x in x_prev])
-        contexts = [FrameContext(dt=dt, slide_feet=gates[k][t]) for k in active]
         xi0 = tangent_vector(x_pred)
-        stack = FrameStack([skeletons[k] for k in active], [shapes[k] for k in active], x_prev, contexts,
-                           meshes[t], cfg, x_pred)
+        stack = FrameStack([skeletons[k] for k in active], [shapes[k] for k in active], x_prev, dt,
+                           [gates[k][t] for k in active], meshes[t], cfg, x_pred)
         solve = (stack.normal_equations, stack.loss, stack.hinge_gradient)
-        # one target goes through levenberg_marquardt, the hook of bench/'s tracer (tests/test_bench_tracer.py)
+        # one target goes through levenberg_marquardt, the hook of bench/'s tracer
+        # (tests/test_bench_tracer.py), which takes the box by position
         if len(active) == 1:
             try:
-                outcomes = [levenberg_marquardt(*solve, xi0[0], cfg.optimizer, project=stack.project)]
+                outcomes = [levenberg_marquardt(*solve, xi0[0], cfg.optimizer, tuple(b[0] for b in stack.bounds))]
             except NumericalError as exc:
                 outcomes = [exc]
         else:
-            outcomes = lockstep_levenberg_marquardt(*solve, xi0, cfg.optimizer, project=stack.project)
+            outcomes = lockstep_levenberg_marquardt(*solve, xi0, cfg.optimizer, stack.bounds)
         solved = []
         for row, (k, outcome) in enumerate(zip(active, outcomes)):
             if isinstance(outcome, NumericalError):

@@ -58,7 +58,8 @@ def _system_bands(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _cholesky_pentadiagonal(main, sub1, sub2):
-    """L L^T factorization of an SPD pentadiagonal matrix, lower bandwidth 2."""
+    """L L^T factorization of an SPD pentadiagonal matrix, lower bandwidth 2;
+    a pivot that is not positive, NaN included, is a NumericalError."""
     n = len(main)
     l0 = np.zeros(n)
     l1 = np.zeros(n)  # L[i, i-1]
@@ -70,7 +71,7 @@ def _cholesky_pentadiagonal(main, sub1, sub2):
             corr = l2[i] * l1[i - 1] if i >= 2 else 0.0
             l1[i] = (sub1[i - 1] - corr) / l0[i - 1]
         pivot = main[i] - l1[i] ** 2 - l2[i] ** 2
-        if pivot <= 0:
+        if not pivot > 0:
             raise NumericalError(f"lost positive definiteness at row {i}")
         l0[i] = np.sqrt(pivot)
     return l0, l1, l2
@@ -153,14 +154,17 @@ def smooth_root(traj: np.ndarray, alpha: float) -> np.ndarray:
         return traj.copy()
     if alpha == 0:
         return traj.copy()
-    main, sub1, sub2 = _system_bands(n, alpha)
-    out = solve_pentadiagonal_spd(main, sub1, sub2, traj)
-    residual = float(np.max(np.abs(_banded_residual(main, sub1, sub2, out, traj))))
-    # backward-error scaling: any double-precision solution carries a residual
-    # of order ||A|| ||x|| eps, so the tolerance is relative to that scale
-    norm_a = float(np.max(np.abs(main)) + 2 * np.max(np.abs(sub1)) + 2 * np.max(np.abs(sub2)))
-    scale = norm_a * float(np.max(np.abs(out))) + float(np.max(np.abs(traj))) + 1.0
-    if residual > SOLVE_RESIDUAL_TOL * scale:
+    # a huge alpha overflows the system or its solve to inf or NaN, which the
+    # factorization or the residual check refuses, so it warns of nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        main, sub1, sub2 = _system_bands(n, alpha)
+        out = solve_pentadiagonal_spd(main, sub1, sub2, traj)
+        residual = float(np.max(np.abs(_banded_residual(main, sub1, sub2, out, traj))))
+        # backward-error scaling: any double-precision solution carries a residual
+        # of order ||A|| ||x|| eps, so the tolerance is relative to that scale
+        norm_a = float(np.max(np.abs(main)) + 2 * np.max(np.abs(sub1)) + 2 * np.max(np.abs(sub2)))
+        scale = norm_a * float(np.max(np.abs(out))) + float(np.max(np.abs(traj))) + 1.0
+    if not residual <= SOLVE_RESIDUAL_TOL * scale < np.inf:
         raise NumericalError(f"banded solve residual {residual:.3g} exceeds tolerance")
     return out
 

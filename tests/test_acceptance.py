@@ -29,7 +29,6 @@ from retargetkit.kinematics import (
 from retargetkit.motionio import ShapeParams
 from retargetkit.pipeline import load_manifest, run_pipeline
 from retargetkit.retarget import (
-    FrameContext,
     FrameStack,
     RetargetConfig,
     build_frame_meshes,
@@ -185,8 +184,8 @@ def test_criterion_04_gradient_fidelity(rng):
             mesh = build_interact_mesh(
                 joints, None, obj_pts, RetentionRule(mode="loose", proximity_gate=None)
             )
-            ctx = FrameContext(dt=dt, slide_feet=tuple(sorted(skeleton.foot_joints)))
-            stack = FrameStack([skeleton], [shape], x_prev[None], [ctx], mesh, cfg, anchor=x[None, 3:7])
+            feet = tuple(sorted(skeleton.foot_joints))
+            stack = FrameStack([skeleton], [shape], x_prev[None], dt, [feet], mesh, cfg, anchor=x[None, 3:7])
             grad = stack.gradient(one, tangent_vector(x)[None])[0]
             fd = tangent_difference(lambda v: sum(t[0] for t in stack.terms(one, v[None]).values()), x).ravel()
             obj_err = relative_error(grad, fd)

@@ -7,6 +7,7 @@ from `bench/run.py --trace 1`.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from retargetkit import cli, pipeline, retarget
@@ -46,6 +47,23 @@ def test_instrumented_layers_record_calls(traced, tmp_path):
                  "kinematics.fk", "kinematics.jacobian", "kinematics.fit_shape", "smoothing.root",
                  "smoothing.rotations"):
         assert traced.calls[name] > 0, name
+
+
+def test_joint_limit_box_reaches_the_traced_solver(traced):
+    # the tracer's levenberg_marquardt takes its sixth argument by position,
+    # as the box is passed: a traced retargeting onto a target whose +-0.3 rad
+    # limits bind writes an untraced run's bytes, with angles on the limits
+    source, target = make_humanoid(), make_humanoid(q_limit=0.3)
+    ones = ShapeParams.ones(source.joint_count)
+    seq, box = held_box_motion(source, frames=3, amplitude=0.2), make_box(subdiv=2)
+    seen = retarget.retarget_sequence(seq, source, ones, target, ones, box)
+    assert traced.counts["optim.iterations"] > 0  # every frame was solved through the hook
+    traced.restore()
+    plain = retarget.retarget_sequence(seq, source, ones, target, ones, box)
+    for key in ("root_pos", "root_rot", "joint_rots"):
+        assert getattr(seen.sequence, key).tobytes() == getattr(plain.sequence, key).tobytes()
+    rots = np.abs(plain.sequence.joint_rots)
+    assert rots.max() == 0.3
 
 
 def test_reward_eval_records_reward_calls(traced, tmp_path):

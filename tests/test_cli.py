@@ -616,6 +616,17 @@ class TestFitShapeCommand:
         assert doc["residual_m"] < 1e-6
         np.testing.assert_allclose(doc["bone_scales"], 1.0, atol=1e-4)
 
+    def test_verbose_reports_the_fit_residual(self, tmp_path, capsys):
+        write_assets(tmp_path)
+        args = ["fit-shape", "--skeleton", str(tmp_path / "skeleton.json"),
+                "--target", str(tmp_path / "skeleton.json")]
+        assert main(args + ["-o", str(tmp_path / "quiet.json")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(args + ["-o", str(tmp_path / "verbose.json"), "--verbose", "1"]) == 0
+        residual = json.loads((tmp_path / "verbose.json").read_text())["residual_m"]
+        assert capsys.readouterr().err == f"fit residual: {residual:.3e} m\n"
+        assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "verbose.json").read_bytes()
+
 
 class TestRetargetCommand:
     def test_happy_path_writes_outputs(self, tmp_path):
@@ -646,6 +657,20 @@ class TestRetargetCommand:
         assert main(args + ["-o", str(tmp_path / "b")]) == 0
         for name in ("motion.json", "motion.losses.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_verbose_names_what_it_wrote(self, tmp_path, capsys):
+        write_assets(tmp_path)
+        out = tmp_path / "out"
+        assert main([
+            "retarget", "--src", str(tmp_path / "motion.json"),
+            "--src-skel", str(tmp_path / "skeleton.json"),
+            "--tgt-skel", str(tmp_path / "skeleton.json"),
+            "--obj", str(tmp_path / "box.obj"), "-o", str(out), "--verbose", "1",
+        ]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("fit residual ") and err.endswith(
+            f" m; wrote {out / 'motion.json'} and {out / 'motion.losses.csv'}\n")
+        assert (out / "motion.json").exists() and (out / "motion.losses.csv").exists()
 
     def test_target_joint_limits_bound_the_output(self, tmp_path):
         # the target's +-0.3 rad limits, not the source's +-2.5 rad, reach the
@@ -688,6 +713,21 @@ class TestSmoothCommand:
         energy = (out_dir / "motion.energy.csv").read_text().splitlines()
         assert energy[0] == "frame,before_x,before_y,before_z,after_x,after_y,after_z"
         assert len(energy) == 1 + 8  # n - 2 rows
+
+    @pytest.mark.parametrize("alpha", ["1e16", "1e308"])
+    def test_huge_alpha_is_a_numerical_failure(self, tmp_path, capsys, alpha):
+        # from 1e16 the identity no longer shows in I + alpha D2^T D2, which
+        # is then singular; at 1e308 its bands overflow. Either way the input
+        # is fine: exit 3, no warning, nothing written
+        write_assets(tmp_path, frames=10)
+        out_dir = tmp_path / "out"
+        assert main([
+            "smooth", "--motion", str(tmp_path / "motion.json"),
+            "--skeleton", str(tmp_path / "skeleton.json"),
+            "--alpha", alpha, "-o", str(out_dir),
+        ]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestRewardEvalCommand:
@@ -774,6 +814,20 @@ class TestScheduleSimCommand:
         c = (tmp_path / "c.transitions.jsonl").read_bytes()
         assert a == b
         assert a != c
+
+    def test_without_output_prints_the_csv(self, tmp_path, monkeypatch, capsys):
+        # without -o the rounds' CSV goes to stdout, byte for byte the PREFIX.csv
+        # that -o writes, and no file is written
+        monkeypatch.chdir(tmp_path)
+        args = ["schedule-sim", "--horizon", "10", "--rounds", "6", "--seed", "3"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+        assert main(args + ["-o", "sim"]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed.encode() == (tmp_path / "sim.csv").read_bytes()
+        rows = printed.splitlines()
+        assert rows[0] == "round,gate,w,teacher_fraction,reward_mode" and len(rows) == 1 + 6
 
 
 class TestFilterCommand:

@@ -15,9 +15,9 @@ def each(fns):
 
 
 def row_forms(members):
-    """The solvers' (rows, X) normal, loss, hinge gradient and project
-    callables over members, each (normal, loss, hinge gradient or None,
-    project or None) of one vector; a callable that no member has is None."""
+    """The solvers' (rows, X) normal, loss and hinge gradient callables over
+    members, each (normal, loss, hinge gradient or None) of one vector; a
+    hinge gradient that no member has is None."""
     pairs = each([m[0] for m in members])
 
     def normal(rows, x):
@@ -26,16 +26,22 @@ def row_forms(members):
 
     losses = each([m[1] for m in members])
     hinges = each([m[2] or np.zeros_like for m in members])
-    projects = each([m[3] or (lambda v: v) for m in members])
     return (normal, lambda rows, x: np.array(losses(rows, x)),
-            None if all(m[2] is None for m in members) else lambda rows, x: np.stack(hinges(rows, x)),
-            None if all(m[3] is None for m in members) else lambda rows, x: np.stack(projects(rows, x)))
+            None if all(m[2] is None for m in members) else lambda rows, x: np.stack(hinges(rows, x)))
 
 
-def solo(normal, loss, hinge, x0, cfg=None, project=None):
+def stacked_box(boxes, size):
+    """The (K, P) box of K problems of size P, each given as its (lo, hi)
+    pair of (P,) arrays or None for no box (+-inf); None when none has one."""
+    if all(box is None for box in boxes):
+        return None
+    free = (np.full(size, -np.inf), np.full(size, np.inf))
+    return tuple(np.stack([(box or free)[side] for box in boxes]) for side in (0, 1))
+
+
+def solo(normal, loss, hinge, x0, cfg=None, bounds=None):
     """levenberg_marquardt on one problem given by callables of one vector."""
-    normal, loss, hinge, project = row_forms([(normal, loss, hinge, project)])
-    return levenberg_marquardt(normal, loss, hinge, x0, cfg, project)
+    return levenberg_marquardt(*row_forms([(normal, loss, hinge)]), x0, cfg, bounds)
 
 
 class TestOptimizerConfig:
@@ -123,7 +129,7 @@ class TestLevenbergMarquardt:
 
         loss = lambda x: float(np.sum((a @ x - target) ** 2))
         res = solo(normal, loss, None, np.zeros(3), OptimizerConfig(max_iterations=80),
-                   project=lambda x: np.clip(x, 0.0, 1.0))
+                   bounds=(np.zeros(3), np.ones(3)))
         assert np.all(res.x <= 1.0 + 1e-12)
         np.testing.assert_allclose(res.x, 1.0, atol=1e-6)
 
@@ -171,11 +177,14 @@ class TestLockstep:
     CFG = OptimizerConfig(max_iterations=60)
 
     def members(self):
-        """(normal, loss, hinge gradient, project, x0) per member."""
+        """(normal, loss, hinge gradient, box, x0) per member, the box a
+        (lo, hi) pair or None."""
         rosenbrock, rosenbrock_loss = curve_fit(1.0, 100.0)
         easy, easy_loss = curve_fit(1.0, 1.0)
         shifted, shifted_loss = curve_fit(-0.5, 4.0)
-        box = lambda x: np.clip(x, -0.4, 0.6)  # holds x0 at -0.4, short of -0.5
+        box = (np.full(2, -0.4), np.full(2, 0.6))  # holds x0 at -0.4, short of -0.5
+        # x0 free, and x1 held at 0.1, below the minimum's 0.25
+        half_open = (np.full(2, -np.inf), np.array([np.inf, 0.1]))
         hinge_loss = lambda x: shifted_loss(x) + 0.3 * max(0.0, x[1] - 0.2)
         hinge = lambda x: np.array([0.0, 0.3 if x[1] > 0.2 else 0.0])
         drift = lambda x: (np.eye(2), np.array([-1.0, 0.0]) * (x[0] <= 0.5))
@@ -185,19 +194,21 @@ class TestLockstep:
             (indefinite_start, easy_loss, None, None, np.zeros(2)),
             (shifted, hinge_loss, hinge, box, np.array([0.2, 0.3])),  # runs to the cap
             (easy, easy_loss, None, None, np.array([1.0, 1.0])),  # at the minimum
+            (shifted, shifted_loss, None, half_open, np.array([0.2, 0.3])),
             (drift, blows_up, None, None, np.zeros(2)),
         ]
 
     def solo_outcome(self, member):
-        normal, loss, hinge, project, x0 = member
+        normal, loss, hinge, box, x0 = member
         try:
-            return solo(normal, loss, hinge, x0, self.CFG, project)
+            return solo(normal, loss, hinge, x0, self.CFG, box)
         except NumericalError as exc:
             return exc
 
     def lockstep(self, members):
-        normal, loss, hinge, project = row_forms([m[:4] for m in members])
-        return lockstep_levenberg_marquardt(normal, loss, hinge, np.stack([m[4] for m in members]), self.CFG, project)
+        x0 = np.stack([m[4] for m in members])
+        return lockstep_levenberg_marquardt(*row_forms([m[:3] for m in members]), x0, self.CFG,
+                                            stacked_box([m[3] for m in members], x0.shape[1]))
 
     def test_every_member_matches_its_solo_solve(self, monkeypatch):
         members = self.members()
@@ -228,15 +239,17 @@ class TestLockstep:
         # cannot move every member alike unnoticed
         *solved, failed = self.lockstep(self.members())
         assert [(r.iterations, r.converged) for r in solved] == [(28, True), (5, True), (6, True), (60, False),
-                                                                 (1, True)]
+                                                                 (1, True), (60, False)]
+        # the half-open box holds x1 on its bound and leaves x0 free
+        assert solved[-1].x[1] == 0.1 and -0.4 < solved[-1].x[0] < 0.2
         assert type(failed) is NumericalError and str(failed) == "non-finite loss at iteration 1"
 
     def test_solo_raises_the_error_its_lockstep_member_returns(self):
         members = self.members()
         together = self.lockstep(members)
-        normal, loss, hinge, project, x0 = members[-1]
+        normal, loss, hinge, box, x0 = members[-1]
         with pytest.raises(NumericalError) as alone:
-            solo(normal, loss, hinge, x0, self.CFG, project)
+            solo(normal, loss, hinge, x0, self.CFG, box)
         assert type(together[-1]) is NumericalError and str(together[-1]) == str(alone.value)
         assert str(alone.value).startswith("non-finite loss")
 
@@ -309,7 +322,7 @@ class TestPredictedGain:
 
     def test_scaled_arms_stop_before_the_stalls(self):
         members = [scaled_arm(scale) + (None, None, SOURCE_ANGLES) for scale in self.STEP_AND_STALL]
-        normal, loss, _, _ = row_forms([m[:4] for m in members])
+        normal, loss, _ = row_forms([m[:3] for m in members])
         together = lockstep_levenberg_marquardt(normal, loss, None, np.stack([m[4] for m in members]))
         for (iterations, recorded), member, joint in zip(self.STEP_AND_STALL.values(), members, together):
             alone = solo(member[0], member[1], None, member[4])

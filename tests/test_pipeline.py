@@ -375,6 +375,13 @@ class TestRunPipeline:
         assert entry.status == "ok"
         assert entry.root_energy_after < entry.root_energy_before
 
+    def test_overflowing_alpha_fails_its_entry_as_numerical(self, tmp_path):
+        # I + alpha D2^T D2 overflows at alpha 1e308: the solve failed, not the data
+        path = write_corpus(tmp_path, frames=5, smooth={"alpha": 1e308, "rotation_window": 3})
+        (entry,) = run_pipeline(load_manifest(path)).entries
+        assert entry.status == "failed"
+        assert entry.error.startswith("NumericalError: ")
+
 
 FRAMES = 3
 OUTPUTS = (".json", ".losses.csv")

@@ -18,7 +18,6 @@ from retargetkit.kinematics import (
 from retargetkit.motionio import MotionSequence, ObjectMesh, ShapeParams
 from retargetkit.optim import OptimizerConfig, levenberg_marquardt, lockstep_levenberg_marquardt
 from retargetkit.retarget import (
-    FrameContext,
     FrameStack,
     RetargetConfig,
     build_frame_meshes,
@@ -57,15 +56,15 @@ def chain_mesh(skeleton, pose, rng):
     return build_interact_mesh(joints, None, obj, RetentionRule(mode="loose", proximity_gate=None))
 
 
-def one_target(prev, ctx, skeleton, shape, mesh, cfg=None):
-    """A FrameStack of one target around the pose prev, which is also its
-    prediction and anchor."""
+def one_target(prev, dt, feet, skeleton, shape, mesh, cfg=None):
+    """A FrameStack of one target with the slide feet feet, around the pose
+    prev, which is also its prediction and anchor."""
     x_prev = pose_to_vector(prev)[None]
-    return FrameStack([skeleton], [shape], x_prev, [ctx], mesh, cfg or RetargetConfig())
+    return FrameStack([skeleton], [shape], x_prev, dt, [feet], mesh, cfg or RetargetConfig())
 
 
-def one_target_terms(pose, prev, ctx, skeleton, shape, mesh, cfg=None) -> dict[str, float]:
-    terms = one_target(prev, ctx, skeleton, shape, mesh, cfg).terms(ONE, pose_to_vector(pose)[None])
+def one_target_terms(pose, prev, dt, feet, skeleton, shape, mesh, cfg=None) -> dict[str, float]:
+    terms = one_target(prev, dt, feet, skeleton, shape, mesh, cfg).terms(ONE, pose_to_vector(pose)[None])
     return {name: float(value[0]) for name, value in terms.items()}
 
 
@@ -74,8 +73,7 @@ class TestEvalObjective:
         shape = ShapeParams.ones(4)
         pose = random_pose(chain4, rng)
         mesh = chain_mesh(chain4, pose, rng)
-        ctx = FrameContext(dt=1 / 30, slide_feet=())
-        terms = one_target_terms(pose, pose, ctx, chain4, shape, mesh)
+        terms = one_target_terms(pose, pose, 1 / 30, (), chain4, shape, mesh)
         assert sum(terms.values()) == pytest.approx(0.0, abs=1e-18)
         assert all(v == pytest.approx(0.0, abs=1e-18) for v in terms.values())
 
@@ -86,15 +84,14 @@ class TestEvalObjective:
         rots = np.zeros((3, 3))
         rots[0, 1] = chain4.v_max[1] * dt + 0.05
         pose = Pose(np.zeros(3), np.array([1.0, 0, 0, 0]), rots)
-        terms = one_target_terms(pose, prev, FrameContext(dt=dt), chain4, shape, None)
+        terms = one_target_terms(pose, prev, dt, (), chain4, shape, None)
         assert terms["vlimit"] == pytest.approx(0.05, abs=1e-12)
         # the same displacement also shows up in the temporal term
         assert terms["temporal"] == pytest.approx(rots[0, 1] ** 2, abs=1e-12)
         # measured from a prediction at the pose, the temporal term vanishes;
         # the velocity hinge still measures from the previous pose
         x = pose_to_vector(pose)[None]
-        stack = FrameStack([chain4], [shape], pose_to_vector(prev)[None], [FrameContext(dt=dt)], None,
-                           RetargetConfig(), x)
+        stack = FrameStack([chain4], [shape], pose_to_vector(prev)[None], dt, [()], None, RetargetConfig(), x)
         terms = stack.terms(ONE, x)
         assert terms["temporal"][0] == 0.0
         assert terms["vlimit"][0] == pytest.approx(0.05, abs=1e-12)
@@ -102,16 +99,15 @@ class TestEvalObjective:
     def test_empty_mesh_zeroes_laplacian(self, chain4, rng):
         shape = ShapeParams.ones(4)
         pose = random_pose(chain4, rng)
-        terms = one_target_terms(pose, pose, FrameContext(dt=0.01), chain4, shape, None)
+        terms = one_target_terms(pose, pose, 0.01, (), chain4, shape, None)
         assert terms["laplacian"] == 0.0
 
     def test_weights_scale_terms(self, chain4, rng):
         shape = ShapeParams.ones(4)
         pose = random_pose(chain4, rng)
         prev = random_pose(chain4, rng)
-        ctx = FrameContext(dt=1 / 30)
-        base = one_target_terms(pose, prev, ctx, chain4, shape, None)
-        scaled = one_target_terms(pose, prev, ctx, chain4, shape, None, RetargetConfig(temporal_weight=2.5))
+        base = one_target_terms(pose, prev, 1 / 30, (), chain4, shape, None)
+        scaled = one_target_terms(pose, prev, 1 / 30, (), chain4, shape, None, RetargetConfig(temporal_weight=2.5))
         assert scaled["temporal"] == pytest.approx(2.5 * base["temporal"], rel=1e-12)
 
 
@@ -120,9 +116,8 @@ class TestObjectiveGradient:
         shape = ShapeParams.ones(4)
         pose = random_pose(chain4, rng)
         mesh = chain_mesh(chain4, pose, rng)
-        ctx = FrameContext(dt=1 / 30, slide_feet=(3,))
         xi = tangent_vector(pose_to_vector(pose)[None])
-        grad = one_target(pose, ctx, chain4, shape, mesh).gradient(ONE, xi)[0]
+        grad = one_target(pose, 1 / 30, (3,), chain4, shape, mesh).gradient(ONE, xi)[0]
         assert np.linalg.norm(grad) < 1e-9
 
     def test_matches_finite_differences(self, rng):
@@ -147,12 +142,11 @@ class TestObjectiveGradient:
             if kink < 1e-3:
                 continue
             mesh = chain_mesh(skel, pose, rng)
-            ctx = FrameContext(dt=dt, slide_feet=(3,))
             x, x_prev = pose_to_vector(pose), pose_to_vector(prev)
             # a prediction apart from the previous pose: the temporal term
             # measures from it, the velocity hinges from the previous pose
             x_pred = pose_to_vector(random_pose(skel, rng))
-            stack = FrameStack([skel], [shape], x_prev[None], [ctx], mesh, cfg, x_pred[None], anchor=x[None, 3:7])
+            stack = FrameStack([skel], [shape], x_prev[None], dt, [(3,)], mesh, cfg, x_pred[None], anchor=x[None, 3:7])
             grad = stack.gradient(ONE, tangent_vector(x)[None])[0]
             fd = tangent_difference(lambda v: sum(t[0] for t in stack.terms(ONE, v[None]).values()), x).ravel()
             assert relative_error(grad, fd) < 1e-4
@@ -164,7 +158,7 @@ class TestObjectiveGradient:
         rots[0, 0] = chain4.q_max[1, 0]  # exactly at the kink
         pose = Pose(np.zeros(3), np.array([1.0, 0, 0, 0]), rots)
         xi = tangent_vector(pose_to_vector(pose)[None])
-        grad = one_target(pose, FrameContext(dt=0.01), chain4, shape, None).gradient(ONE, xi)[0]
+        grad = one_target(pose, 0.01, (), chain4, shape, None).gradient(ONE, xi)[0]
         assert np.linalg.norm(grad) == 0.0
 
 
@@ -617,8 +611,7 @@ class TestNormalEquations:
         cfg = self.CFG
         feet = np.asarray(feet, dtype=int)
         feet_ref = fk_vector(skel, shape, x_prev)[feet]
-        stack = FrameStack([skel], [shape], x_prev[None], [FrameContext(dt=1 / 30, slide_feet=tuple(feet))], mesh,
-                           cfg, x_pred[None])
+        stack = FrameStack([skel], [shape], x_prev[None], 1 / 30, [tuple(feet)], mesh, cfg, x_pred[None])
         anchor = stack.anchor[0]
         np.testing.assert_array_equal(anchor, x_pred[3:7])
 
@@ -674,6 +667,47 @@ class TestNormalEquations:
         mesh = build_frame_meshes(joints, partner, world, self.CFG)[t]
         assert any(kind == AGENT_B for kind, _ in mesh.points.provenance)
         self._check(humanoid, ones, mesh, *self._frame(humanoid, seq, t, rng), ())
+
+
+class TestSlideFeetMask:
+    """Targets with their own slide feet in one stack: the (K, J) mask gives
+    each row what its target gets alone, and the slide term is the sum over
+    that target's feet of ||p_f(x) - p_f(x_prev)||^2."""
+
+    CFG = TestNormalEquations.CFG
+    FEET = [(16, 19), (16,), (), (19,)]
+
+    def test_rows_match_their_targets_alone(self, humanoid, box, rng):
+        seq = held_box_motion(humanoid, frames=6, amplitude=0.2)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        joints = fk_sequence(humanoid, ones, seq)
+        mesh = build_frame_meshes(joints, None, object_world_vertices(box, seq, 64), self.CFG)[3]
+        k = len(self.FEET)
+        shapes = [ShapeParams(bone_scales=np.full(humanoid.joint_count, s)) for s in (0.9, 1.0, 1.1, 1.25)]
+        x_prev = np.repeat(pose_to_vector(motion_frame_pose(seq, 2))[None], k, axis=0)
+        x_pred = np.repeat(pose_to_vector(motion_frame_pose(seq, 3))[None], k, axis=0)
+        xi = tangent_vector(x_pred) + rng.normal(0.0, 0.05, size=(k, x_pred.shape[1] - 1))
+        stack = FrameStack([humanoid] * k, shapes, x_prev, seq.dt, self.FEET, mesh, self.CFG, x_pred)
+        rows = np.arange(k)
+        loss = stack.loss(rows, xi)
+        jtj, jtr = stack.normal_equations(rows, xi)
+        slide = stack.solution(rows, xi)[1]["slide"]
+        some = np.array([1, 3])  # a subset of the rows answers as the whole stack does
+        assert stack.loss(some, xi[some]).tobytes() == loss[some].tobytes()
+        assert all(a.tobytes() == b[some].tobytes()
+                   for a, b in zip(stack.normal_equations(some, xi[some]), (jtj, jtr)))
+        for i, feet in enumerate(self.FEET):
+            alone = FrameStack([humanoid], [shapes[i]], x_prev[i:i + 1], seq.dt, [feet], mesh, self.CFG,
+                               x_pred[i:i + 1])
+            assert alone.loss(ONE, xi[i:i + 1]).tobytes() == loss[i:i + 1].tobytes()
+            alone_jtj, alone_jtr = alone.normal_equations(ONE, xi[i:i + 1])
+            assert alone_jtj.tobytes() == jtj[i:i + 1].tobytes() and alone_jtr.tobytes() == jtr[i:i + 1].tobytes()
+            x = stored_vector(xi[i], x_pred[i, 3:7])
+            x[3:7] /= np.linalg.norm(x[3:7])
+            moved = fk_vector(humanoid, shapes[i], x) - fk_vector(humanoid, shapes[i], x_prev[i])
+            expected = self.CFG.foot_slide_weight * sum(float(moved[f] @ moved[f]) for f in feet)
+            assert slide[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert (slide[i] > 0.0) == bool(feet)
 
 
 def dense_stiffness(mesh, joint_count):
@@ -740,8 +774,7 @@ class TestKinematicsReuse:
         x_pred = np.repeat(pose_to_vector(motion_frame_pose(seq, t))[None], k, axis=0)
 
         def model():
-            return FrameStack([humanoid] * k, shapes, x_prev, [FrameContext(dt=seq.dt, slide_feet=feet)] * k, mesh,
-                              self.CFG, x_pred)
+            return FrameStack([humanoid] * k, shapes, x_prev, seq.dt, [feet] * k, mesh, self.CFG, x_pred)
 
         return model, tangent_vector(x_pred)
 
@@ -810,7 +843,7 @@ class TestKinematicsReuse:
             return stack.normal_equations(rows, v)
 
         results = lockstep_levenberg_marquardt(normal_equations, loss, stack.hinge_gradient, xi,
-                                               self.CFG.optimizer, stack.project)
+                                               self.CFG.optimizer, stack.bounds)
         assert len({r.iterations for r in results}) > 1
         assert len(passes) == len(loss_calls)
         assert any(count < len(xi) for count in normal_rows)
@@ -863,9 +896,9 @@ class TestKinematicsReuse:
         xi += rng.normal(0.0, 0.05, size=xi.shape)
         skeletons = [humanoid, replace(humanoid, foot_joints=frozenset())]
         shapes = [ShapeParams.ones(n), ShapeParams(bone_scales=np.full(n, 1.1))]
-        contexts = [FrameContext(dt=seq.dt, slide_feet=(16, 19)), FrameContext(dt=seq.dt)]
-        stack = FrameStack(skeletons, shapes, x_prev, contexts, None, self.CFG)
+        feet = [(16, 19), ()]
+        stack = FrameStack(skeletons, shapes, x_prev, seq.dt, feet, None, self.CFG)
         stack.loss(np.array([0, 1]), xi)
         jtj, jtr = stack.normal_equations(np.array([1]), xi[1:])
-        alone = FrameStack(skeletons[1:], shapes[1:], x[None], contexts[1:], None, self.CFG)
+        alone = FrameStack(skeletons[1:], shapes[1:], x[None], seq.dt, feet[1:], None, self.CFG)
         assert all(np.array_equal(a, b) for a, b in zip((jtj, jtr), alone.normal_equations(ONE, xi[1:])))
