@@ -16,12 +16,10 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from dataclasses import fields, replace
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +27,18 @@ import numpy as np
 from .errors import DataError, EmptyInteractMeshError, NumericalError, Range
 from .interactmesh import RetentionRule, mesh_to_dict
 from .kinematics import fk_sequence
-from .motionio import MotionSequence, ShapeParams, load_motion, load_obj, load_skeleton, read_json, save_motion
+from .motionio import (
+    MotionSequence,
+    ShapeParams,
+    load_motion,
+    load_obj,
+    load_skeleton,
+    read_json,
+    save_motion,
+    write_csv,
+    write_json,
+    write_jsonl,
+)
 from .optim import OptimizerConfig
 from .pipeline import bridge, load_manifest, run_pipeline, smooth_motion, validate_manifest, write_losses_csv
 from .retarget import (
@@ -73,13 +82,6 @@ class _DefaultsHelp(argparse.ArgumentDefaultsHelpFormatter):
 
     def _get_help_string(self, action):
         return action.help if action.default is None else super()._get_help_string(action)
-
-
-def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def build_parser() -> _Parser:
@@ -251,8 +253,7 @@ def _cmd_fit_shape(args) -> int:
     skeleton = load_skeleton(args.skeleton)
     target = load_skeleton(args.target)
     _, shape, residual = bridge(skeleton, target)
-    doc = {"bone_scales": [float(s) for s in shape.bone_scales], "residual_m": residual}
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    write_json(args.output, {"bone_scales": shape.bone_scales.tolist(), "residual_m": residual})
     if args.verbose:
         print(f"fit residual: {residual:.3e} m", file=sys.stderr)
     return 0
@@ -292,13 +293,10 @@ def _cmd_smooth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_motion(final, out_dir / Path(args.motion).name)
 
-    before = second_differences(seq.root_pos)
-    after = second_differences(final.root_pos)
-    with open(out_dir / f"{Path(args.motion).stem}.energy.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "before_x", "before_y", "before_z", "after_x", "after_y", "after_z"])
-        for k in range(len(before)):
-            writer.writerow([k] + [repr(abs(v)) for v in before[k]] + [repr(abs(v)) for v in after[k]])
+    energy = np.abs(np.hstack([second_differences(seq.root_pos), second_differences(final.root_pos)]))
+    write_csv(out_dir / f"{Path(args.motion).stem}.energy.csv",
+              ["frame", "before_x", "before_y", "before_z", "after_x", "after_y", "after_z"],
+              ([k] + row for k, row in enumerate(energy.tolist())))
     return 0
 
 
@@ -358,13 +356,9 @@ def _cmd_reward_eval(args) -> int:
     obs = with_reference(_observe(seq, skeleton, obj), _observe(ref, skeleton, obj))
     ref_labels = ref.contacts if ref.contacts is not None else np.zeros(obs.contacts.shape, dtype=int)
     reward, factors = compute_reward(obs, ref_labels, None, cfg)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["frame", "R", "imitation", "contact", "energy"])
     columns = (reward, factors["imitation"], factors["contact"], factors["energy"])
-    for t, row in enumerate(zip(*(c.tolist() for c in columns))):
-        writer.writerow([t] + [repr(v) for v in row])
-    _emit(buf.getvalue(), args.output)
+    write_csv(args.output, ["frame", "R", "imitation", "contact", "energy"],
+              ([t, *row] for t, row in enumerate(zip(*(c.tolist() for c in columns)))))
     return 0
 
 
@@ -372,41 +366,26 @@ def _cmd_schedule_sim(args) -> int:
     cfg = _settings(args, ScheduleConfig)
     log = run_schedule(pd_teacher(), lazy_student(), point_mass_env, cfg, rounds=args.rounds)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["round", "gate", "w", "teacher_fraction", "reward_mode"])
-    for r in log.rounds:
-        writer.writerow([r.round, repr(r.gate), repr(r.weight), repr(r.teacher_fraction), r.reward_mode])
+    write_csv(args.output and f"{args.output}.csv", ["round", "gate", "w", "teacher_fraction", "reward_mode"],
+              ([r.round, r.gate, r.weight, r.teacher_fraction, r.reward_mode] for r in log.rounds))
     if args.output:
-        Path(f"{args.output}.csv").write_text(buf.getvalue(), encoding="utf-8")
-        with open(f"{args.output}.transitions.jsonl", "w", encoding="utf-8") as fh:
-            header = {"rng": log.rng_algorithm, "seed": log.seed,
-                      "epsilon": cfg.epsilon, "kappa": cfg.kappa,
-                      "t_imit": cfg.t_imit, "horizon": cfg.horizon}
-            fh.write(json.dumps(header) + "\n")
-            for tr in log.transitions:
-                fh.write(json.dumps({
-                    "round": tr.round, "step": tr.step, "state": tr.state,
-                    "next_state": tr.next_state, "action": tr.action,
-                    "expert_action": tr.expert_action, "source": tr.source,
-                }) + "\n")
-    else:
-        sys.stdout.write(buf.getvalue())
+        header = {"rng": log.rng_algorithm, "seed": log.seed, "epsilon": cfg.epsilon, "kappa": cfg.kappa,
+                  "t_imit": cfg.t_imit, "horizon": cfg.horizon}
+        write_jsonl(f"{args.output}.transitions.jsonl", chain([header], (
+            {"round": tr.round, "step": tr.step, "state": tr.state, "next_state": tr.next_state,
+             "action": tr.action, "expert_action": tr.expert_action, "source": tr.source}
+            for tr in log.transitions)))
     return 0
 
 
 def _cmd_filter(args) -> int:
     state = filter_until_converged(make_filter_state(read_json(args.stats)))
     if args.format == "json":
-        _emit(json.dumps(filter_document(state), indent=2) + "\n", args.output)
+        write_json(args.output, filter_document(state))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["clip", "mean_length", "status"])
-        for clip in state.clips:
-            status = "removed" if clip.clip_id in state.removed else "retained"
-            writer.writerow([clip.clip_id, repr(clip.mean_length), status])
-        _emit(buf.getvalue(), args.output)
+        write_csv(args.output, ["clip", "mean_length", "status"],
+                  ([clip.clip_id, clip.mean_length, "removed" if clip.clip_id in state.removed else "retained"]
+                   for clip in state.clips))
     return 0
 
 
@@ -447,7 +426,7 @@ def _cmd_mesh_inspect(args) -> int:
     mesh = source_meshes(frame(seq), skeleton, ShapeParams.ones(skeleton.joint_count), obj, cfg,
                          second_seq=None if second is None else frame(second), empty_reasons=reasons)[0]
     doc = {"empty": True, "reason": reasons[0]} if mesh is None else mesh_to_dict(mesh)
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    write_json(args.output, doc)
     return 0
 
 

@@ -20,12 +20,26 @@ honored; every other line is ignored. Face indices are 1-based on disk and
 
 All loaded types are immutable; load never alters numeric values except
 quaternion renormalization within 1e-3 of unit norm.
+
+Writing
+-------
+This module writes every file and stream the toolkit writes, through three
+writers: `write_json` (two-space indent, final newline), `write_jsonl` (one
+compact document per line, streamed) and `write_csv`. Each writes UTF-8 with
+no newline translation, to a path or, when the path is None or empty, to
+stdout; the `save_*` functions and OBJ lines go through the same opener.
+Callers hand over numbers, not strings, so every number, numpy's included,
+is written as its shortest repr (CSV rows end in "\r\n", the csv module's
+default). Saving writes canonical files: save(load(x)) is byte-identical.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -398,55 +412,57 @@ def load_obj(path) -> ObjectMesh:
 
 
 # ---------------------------------------------------------------------------
-# saving (canonical formats; save(load(x)) is byte-identical)
+# writing
 
 
-def _vec(values) -> list[float]:
-    return [float(v) for v in values]
+def _opened(path):
+    """A text stream to write to: the file at path, UTF-8 with "\n" written
+    as is, or stdout when path is None or empty."""
+    return open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
 
 
-def save_skeleton(skeleton: Skeleton, path) -> None:
-    doc = {
-        "joints": [
-            {
-                "name": skeleton.names[i],
-                "parent": None if skeleton.parents[i] < 0 else int(skeleton.parents[i]),
-                "offset": _vec(skeleton.rest_offsets[i]),
-                "q_min": _vec(skeleton.q_min[i]),
-                "q_max": _vec(skeleton.q_max[i]),
-                "v_min": float(skeleton.v_min[i]),
-                "v_max": float(skeleton.v_max[i]),
-            }
-            for i in range(skeleton.joint_count)
-        ],
-        "foot_joints": sorted(skeleton.foot_joints),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
+def write_json(path, doc) -> None:
+    """doc as JSON with a two-space indent and a final newline."""
+    with _opened(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
+def write_jsonl(path, records) -> None:
+    """One compact JSON document per line, written as the records come, so a
+    generator of records is never held in memory whole."""
+    with _opened(path) as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """A header row, then the rows; lines end in "\r\n", the csv module's
+    default."""
+    with _opened(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_skeleton(skeleton: Skeleton, path) -> None:
+    columns = {"offset": skeleton.rest_offsets, "q_min": skeleton.q_min, "q_max": skeleton.q_max,
+               "v_min": skeleton.v_min, "v_max": skeleton.v_max}
+    joints = [{"name": name, "parent": None if parent < 0 else parent, **dict(zip(columns, values))}
+              for name, parent, *values in zip(skeleton.names, skeleton.parents.tolist(),
+                                               *(a.tolist() for a in columns.values()))]
+    write_json(path, {"joints": joints, "foot_joints": sorted(skeleton.foot_joints)})
+
+
 def save_motion(seq: MotionSequence, path) -> None:
-    frames = []
-    for t in range(seq.frame_count):
-        frame = {
-            "root_pos": _vec(seq.root_pos[t]),
-            "root_rot": _vec(seq.root_rot[t]),
-            "joint_rots": [_vec(r) for r in seq.joint_rots[t]],
-            "obj_pos": _vec(seq.obj_pos[t]),
-            "obj_rot": _vec(seq.obj_rot[t]),
-        }
-        if seq.contacts is not None:
-            frame["contacts"] = [int(c) for c in seq.contacts[t]]
-        frames.append(frame)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"fps": seq.fps, "frames": frames}, fh, indent=2)
-        fh.write("\n")
+    arrays = {key: getattr(seq, key) for key in ("root_pos", "root_rot", "joint_rots", "obj_pos", "obj_rot")}
+    if seq.contacts is not None:
+        arrays["contacts"] = seq.contacts.astype(int)
+    frames = [dict(zip(arrays, values)) for values in zip(*(a.tolist() for a in arrays.values()))]
+    write_json(path, {"fps": seq.fps, "frames": frames})
 
 
 def save_obj(mesh: ObjectMesh, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in mesh.faces:
-            fh.write(f"f {int(f[0]) + 1} {int(f[1]) + 1} {int(f[2]) + 1}\n")
+    with _opened(path) as fh:
+        fh.writelines(f"v {x} {y} {z}\n" for x, y, z in mesh.vertices.tolist())
+        fh.writelines(f"f {i + 1} {j + 1} {k + 1}\n" for i, j, k in mesh.faces.tolist())

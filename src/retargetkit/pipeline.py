@@ -29,10 +29,8 @@ it.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,6 +48,8 @@ from .motionio import (
     load_skeleton,
     read_json,
     save_motion,
+    write_csv,
+    write_json,
 )
 from .retarget import TERM_NAMES, FrameLoss, RetargetConfig, RetargetResult, retarget_sequence
 from .schedule import FilterState, filter_document, filter_until_converged, make_filter_state
@@ -184,6 +184,9 @@ def validate_manifest(manifest: PipelineManifest) -> list[EntryReport]:
 
 @dataclass
 class EntrySummary:
+    """One entry's outcome; its fields, in this order, are the fields of
+    summary.json and summary.csv (`_write_summary`)."""
+
     entry_id: str
     status: str  # "ok" | "failed"
     error: str = ""
@@ -225,11 +228,8 @@ def bridge(source: Skeleton, target: Skeleton) -> tuple[Skeleton, ShapeParams, f
 def write_losses_csv(path, losses: tuple[FrameLoss, ...]) -> None:
     """One row of weighted loss terms per frame; `temporal` is the distance
     from the frame's prediction (see retarget.predict_frame)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("frame",) + LOSS_COLUMNS)
-        for f in losses:
-            writer.writerow([f.frame] + [repr(getattr(f, name)) for name in LOSS_COLUMNS])
+    write_csv(path, ("frame",) + LOSS_COLUMNS,
+              ([f.frame] + [getattr(f, name) for name in LOSS_COLUMNS] for f in losses))
 
 
 def smooth_motion(seq: MotionSequence, cfg: SmoothConfig) -> MotionSequence:
@@ -375,37 +375,28 @@ def run_pipeline(manifest: PipelineManifest, jobs: int = 1) -> PipelineSummary:
     return summary
 
 
+def _summary_fields(entry: EntrySummary) -> dict:
+    """The entry's fields in declaration order, entry_id written as `entry`."""
+    values = asdict(entry)
+    return {"entry": values.pop("entry_id"), **values}
+
+
+def _csv_cells(entry: dict):
+    """(column, value) pairs of a summary.csv row: mean_terms is spread over
+    one mean_<term> column per loss column, NaN for an entry that failed."""
+    for key, value in entry.items():
+        if key == "mean_terms":
+            yield from ((f"mean_{t}", value.get(t, float("nan"))) for t in LOSS_COLUMNS)
+        else:
+            yield key, value
+
+
 def _write_summary(summary: PipelineSummary, out_dir: Path) -> None:
-    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["entry", "status", "error", "fit_residual"]
-            + [f"mean_{t}" for t in LOSS_COLUMNS]
-            + ["root_energy_before", "root_energy_after", "output_motion"]
-        )
-        for e in summary.entries:
-            writer.writerow(
-                [e.entry_id, e.status, e.error, repr(e.fit_residual)]
-                + [repr(e.mean_terms.get(t, float("nan"))) for t in LOSS_COLUMNS]
-                + [repr(e.root_energy_before), repr(e.root_energy_after), e.output_motion]
-            )
-    doc = {
-        "entries": [
-            {
-                "entry": e.entry_id,
-                "status": e.status,
-                "error": e.error,
-                "fit_residual": e.fit_residual,
-                "mean_terms": e.mean_terms,
-                "root_energy_before": e.root_energy_before,
-                "root_energy_after": e.root_energy_after,
-                "output_motion": e.output_motion,
-            }
-            for e in summary.entries
-        ]
-    }
+    """summary.csv and summary.json, both from EntrySummary's one field list."""
+    entries = [_summary_fields(e) for e in summary.entries]
+    header = [column for column, _ in _csv_cells(_summary_fields(EntrySummary(entry_id="", status="")))]
+    write_csv(out_dir / "summary.csv", header, ([value for _, value in _csv_cells(e)] for e in entries))
+    doc = {"entries": entries}
     if summary.filter_state is not None:
         doc["filter"] = filter_document(summary.filter_state)
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=True)
-        fh.write("\n")
+    write_json(out_dir / "summary.json", doc)

@@ -43,21 +43,13 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    half = 0.5 * angle
-    return np.concatenate([[np.cos(half)], np.sin(half) * axis / n])
-
-
 def quat_from_expmap(e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     angle = np.linalg.norm(e)
     if angle < 1e-12:
         return np.array([1.0, *(0.5 * e)]) / np.linalg.norm([1.0, *(0.5 * e)])
-    return quat_from_axis_angle(e, angle)
+    half = 0.5 * angle
+    return np.concatenate([[np.cos(half)], np.sin(half) * e / angle])
 
 
 def quat_log_relative(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -245,13 +245,11 @@ def _clip_stats(clip_id: str, lengths) -> ClipStats:
 
 
 def make_filter_state(stats) -> FilterState:
-    """Build the initial state from {clip_id: [lengths]} or a sequence of ClipStats."""
-    if isinstance(stats, dict):
-        clips = tuple(_clip_stats(str(k), v) for k, v in stats.items())
-    elif isinstance(stats, (list, tuple)) and all(isinstance(c, ClipStats) for c in stats):
-        clips = tuple(stats)
-    else:
+    """Build the initial state from {clip_id: [lengths]}, as JSON gives it;
+    a FilterState can also be built directly from ClipStats."""
+    if not isinstance(stats, dict):
         raise DataError(f"clip stats must map clip ids to lists of episode lengths, got {type(stats).__name__}")
+    clips = tuple(_clip_stats(str(k), v) for k, v in stats.items())
     if not clips:
         raise DataError("need at least one clip")
     ids = [c.clip_id for c in clips]

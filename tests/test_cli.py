@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 from dataclasses import replace
@@ -24,7 +25,7 @@ from retargetkit.optim import OptimizerConfig
 from retargetkit.retarget import RetargetConfig, source_meshes
 from retargetkit.rewards import RewardConfig
 from retargetkit.schedule import ScheduleConfig
-from retargetkit.smoothing import SmoothConfig
+from retargetkit.smoothing import SmoothConfig, second_differences
 
 from conftest import CARRY_BOX_HALF, held_box_motion, make_box, make_humanoid, partner_motion
 from retargetkit.pipeline import load_manifest, run_pipeline
@@ -379,6 +380,7 @@ class TestConfigFile:
         ("smooth", "window", "five"),
         ("schedule-sim", "horizon", "x"),
         ("reward-eval", "omega", {"joint_pos": "heavy"}),
+        ("reward-eval", "omega", [2.0]),  # omega has no flag, so its JSON type is checked alone
     ])
     def test_wrong_typed_value_is_data_error(self, tmp_path, monkeypatch, capsys, command, key, value):
         monkeypatch.chdir(tmp_path)
@@ -386,6 +388,15 @@ class TestConfigFile:
         (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
         assert main([command] + COMMAND_ARGS[command] + ["--config", "cfg.json"]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [[{"alpha": 2.0}], 2.0, "alpha", None])
+    def test_config_that_is_not_an_object_is_data_error(self, tmp_path, monkeypatch, capsys, doc):
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["smooth"] + COMMAND_ARGS["smooth"] + ["--config", "cfg.json"]) == 2
+        assert "cfg.json: config must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("alpha", -1), ("window", 4), ("window", 0)])
     def test_out_of_range_smooth_setting(self, tmp_path, monkeypatch, capsys, key, value):
@@ -714,6 +725,24 @@ class TestSmoothCommand:
         assert energy[0] == "frame,before_x,before_y,before_z,after_x,after_y,after_z"
         assert len(energy) == 1 + 8  # n - 2 rows
 
+    def test_energy_csv_holds_the_second_differences(self, tmp_path):
+        # every cell is a number: before_* the |second differences| of the
+        # input's root, after_* those of the written motion's root
+        write_assets(tmp_path, frames=6)
+        out_dir = tmp_path / "out"
+        assert main([
+            "smooth", "--motion", str(tmp_path / "motion.json"),
+            "--skeleton", str(tmp_path / "skeleton.json"), "-o", str(out_dir),
+        ]) == 0
+        with open(out_dir / "motion.energy.csv", encoding="utf-8", newline="") as fh:
+            rows = [{key: float(value) for key, value in row.items()} for row in csv.DictReader(fh)]
+        skel = load_skeleton(tmp_path / "skeleton.json")
+        for when, path in (("before", tmp_path / "motion.json"), ("after", out_dir / "motion.json")):
+            expected = np.abs(second_differences(load_motion(path, skel).root_pos))
+            written = np.array([[row[f"{when}_{axis}"] for axis in "xyz"] for row in rows])
+            assert np.array_equal(written, expected)
+        assert [row["frame"] for row in rows] == [0.0, 1.0, 2.0, 3.0]
+
     @pytest.mark.parametrize("alpha", ["1e16", "1e308"])
     def test_huge_alpha_is_a_numerical_failure(self, tmp_path, capsys, alpha):
         # from 1e16 the identity no longer shows in I + alpha D2^T D2, which
@@ -771,6 +800,15 @@ class TestRewardEvalCommand:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 6
         assert [float(row.split(",")[2]) for row in rows] == [1.0] * 6
+
+    def test_reference_of_another_length_is_data_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_assets(tmp_path)
+        save_motion(held_box_motion(make_humanoid(), frames=3, amplitude=0.02), tmp_path / "ref.json")
+        assert main(["reward-eval", "--motion", "motion.json", "--ref", "ref.json", "--skeleton", "skeleton.json",
+                     "--obj", "box.obj", "-o", "rewards.csv"]) == 2
+        assert "motion and reference must have equal frame counts" in capsys.readouterr().err
+        assert not (tmp_path / "rewards.csv").exists()
 
     @pytest.mark.parametrize("label", [0.9, True])
     def test_non_integer_contact_label_is_data_error(self, tmp_path, capsys, monkeypatch, label):

@@ -105,6 +105,19 @@ class TestLaplacian:
 # delaunay
 
 
+class TestCircumspheres:
+    def test_flat_tetrahedron_gets_an_infinite_radius_alone(self, rng):
+        # an exactly singular system makes the batched solve raise; the flat
+        # row then gets an infinite radius and the others are solved alone
+        tets = rng.uniform(-1.0, 1.0, size=(5, 4, 3))
+        flat = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]])
+        centers, rad2 = interactmesh._circumspheres(np.concatenate([tets[:2], flat, tets[2:]]))
+        expected_centers, expected_rad2 = interactmesh._circumspheres(tets)
+        assert rad2[2] == np.inf
+        assert np.array_equal(np.delete(rad2, 2), expected_rad2)
+        assert np.array_equal(np.delete(centers, 2, axis=0), expected_centers)
+
+
 class TestDelaunay3d:
     def test_single_tetrahedron(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
@@ -482,6 +495,12 @@ class TestBuildInteractMesh:
         obj = np.array([[10.0, 10.0, 10.0]])
         with pytest.raises(EmptyInteractMeshError):
             build_interact_mesh(joints_a, None, obj, RetentionRule(proximity_gate=0.5))
+
+    def test_coplanar_cloud_is_degenerate(self):
+        joints_a = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.3, 0.0]])
+        obj = np.array([[0.3, 0.3, 0.0], [0.1, 0.2, 0.0]])
+        with pytest.raises(EmptyInteractMeshError, match="^degenerate interaction cloud: .*coplanar"):
+            build_interact_mesh(joints_a, None, obj, RetentionRule(proximity_gate=None))
 
     def test_provenance_keeps_original_joint_indices(self):
         # gate removes joint 0; provenance must still name joint 1 and 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from retargetkit import interactmesh, kinematics, retarget
-from retargetkit.errors import DataError
+from retargetkit.errors import DataError, NumericalError
 from retargetkit.interactmesh import AGENT_A, AGENT_B, RetentionRule, build_interact_mesh, laplacians
 from retargetkit.kinematics import (
     Pose,
@@ -261,6 +261,13 @@ class TestRetargetSequence:
                 far, humanoid, shape, humanoid, shape, make_box(), self._quick_cfg()
             )
         assert all(f.mesh_empty for f in result.per_frame_losses)
+
+    def test_one_target_whose_solve_fails_raises_naming_the_frame(self, humanoid, box, monkeypatch):
+        seq = held_box_motion(humanoid, frames=2)
+        shape = ShapeParams.ones(humanoid.joint_count)
+        monkeypatch.setattr(FrameStack, "loss", lambda self, rows, xi: np.full(len(rows), np.nan))
+        with pytest.raises(NumericalError, match="^frame 0: non-finite loss at iteration 0$"):
+            retarget_sequence(seq, humanoid, shape, humanoid, shape, box, self._quick_cfg())
 
     def test_joint_count_mismatch(self, humanoid, box):
         seq = held_box_motion(humanoid, frames=2)
