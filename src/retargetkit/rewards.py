@@ -127,14 +127,31 @@ def with_reference(obs: ObservationFrame, ref: ObservationFrame) -> ObservationF
 
 
 def interaction_graph(joints: np.ndarray, obj_vertices: np.ndarray) -> np.ndarray:
-    """Per-joint vector to the nearest object vertex (ties: lowest index);
-    joints (..., J, 3) and obj_vertices (..., V, 3) broadcast over frames."""
+    """Per-joint vector to the nearest object vertex;
+    joints (..., J, 3) and obj_vertices (..., V, 3) broadcast over frames.
+
+    The nearest vertex is the smallest rounded squared distance, summed as
+    (dx² + dz²) + dy². That is the order in which numpy's einsum (2.4.6)
+    sums the three products, the formula the reward CSVs were written with,
+    so every pick keeps its vertex; another order moves near-tie picks.
+    Only an exact tie of the rounded distances goes to the lowest vertex
+    index: near-ties are decided by rounding. The (..., J, V) distances are
+    built in place, one axis at a time, without a (..., J, V, 3) difference
+    array.
+    """
     joints = np.asarray(joints, dtype=float)
     verts = np.asarray(obj_vertices, dtype=float)
     if verts.shape[-2] == 0:
         raise DataError("object has no vertices")
-    diff = joints[..., :, None, :] - verts[..., None, :, :]
-    d2 = np.einsum("...jvi,...jvi->...jv", diff, diff)
+
+    def squared_difference(axis, out=None):  # (..., J, V)
+        out = np.subtract(joints[..., :, None, axis], verts[..., None, :, axis], out=out)
+        return np.multiply(out, out, out=out)
+
+    d2 = squared_difference(0)
+    term = squared_difference(2)
+    d2 += term
+    d2 += squared_difference(1, out=term)
     nearest = np.argmin(d2, axis=-1)  # argmin returns the first minimum
     verts = np.broadcast_to(verts, d2.shape[:-2] + verts.shape[-2:])
     return np.take_along_axis(verts, nearest[..., None], axis=-2) - joints

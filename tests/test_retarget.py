@@ -282,6 +282,31 @@ class TestRetargetSequence:
             )
 
 
+class TestMeanSequenceResidual:
+    def test_meshless_frame_is_skipped(self, humanoid, box):
+        seq = held_box_motion(humanoid, frames=4)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        scaled = ShapeParams(bone_scales=np.full(humanoid.joint_count, 1.2))
+        cfg = RetargetConfig()
+        obj_world = object_world_vertices(box, seq, cfg.max_object_vertices)
+        meshes = build_frame_meshes(fk_sequence(humanoid, ones, seq), None, obj_world, cfg)
+        assert all(m is not None for m in meshes)
+        meshes[1] = None
+        # oracle: single-frame means, weighted by each frame's tetrahedron count
+        kept = [0, 2, 3]
+        means = [mean_sequence_residual([meshes[t]], humanoid, scaled, one_frame(seq, t)) for t in kept]
+        counts = [len(meshes[t].tetrahedra) for t in kept]
+        expected = float(np.dot(means, counts) / sum(counts))
+        assert expected > 0.0
+        assert mean_sequence_residual(meshes, humanoid, scaled, seq) == pytest.approx(expected, rel=1e-12)
+
+    def test_no_mesh_in_any_frame(self, humanoid):
+        seq = held_box_motion(humanoid, frames=3)
+        ones = ShapeParams.ones(humanoid.joint_count)
+        with pytest.raises(DataError, match="no retained tetrahedra in any frame"):
+            mean_sequence_residual([None] * 3, humanoid, ones, seq)
+
+
 class TestSeveralTargets:
     """retarget_sequence onto several targets returns, per target, what a
     call with that target alone returns, or the error it raises."""

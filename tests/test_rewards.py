@@ -16,6 +16,9 @@ from retargetkit.rewards import (
     observation_deltas,
     with_reference,
 )
+from retargetkit.rotations import quat_from_expmap, quat_to_mat
+
+from conftest import make_box
 
 
 def make_obs(j=4, rng=None, contacts=None, ang_vel=None):
@@ -101,6 +104,38 @@ class TestInteractionGraph:
         ig = interaction_graph(joints, verts)
         for t in range(3):
             np.testing.assert_array_equal(ig[t], interaction_graph(joints[t], verts))
+
+    def test_picks_equal_the_einsum_formula(self, rng):
+        # oracle: the formula the reward CSVs were written with, a difference
+        # array contracted by einsum; near-ties are decided by its rounding
+        def einsum_graph(joints, verts):
+            diff = joints[..., :, None, :] - verts[..., None, :, :]
+            d2 = np.einsum("...jvi,...jvi->...jv", diff, diff)
+            nearest = np.argmin(d2, axis=-1)
+            verts = np.broadcast_to(verts, d2.shape[:-2] + verts.shape[-2:])
+            return np.take_along_axis(verts, nearest[..., None], axis=-2) - joints
+
+        box = make_box(subdiv=3).vertices  # 4 x 4 x 4 surface grid, 56 vertices
+        assert box.shape == (56, 3)
+        turn = quat_to_mat(quat_from_expmap(np.array([0.3, -0.7, 0.5])))
+        offset = np.array([0.4, -1.2, 0.9])
+        # joints on the cube's symmetry planes (coordinate and diagonal planes)
+        # lie nearly equidistant from mirrored vertices once both are turned
+        on_planes = rng.uniform(-0.4, 0.4, size=(8, 30, 3))
+        on_planes[:, :10, 0] = 0.0
+        on_planes[:, 10:15, 1:] = 0.0
+        on_planes[:, 15:20, 1] = on_planes[:, 15:20, 2]
+        on_planes[:, 20:, 0] = -on_planes[:, 20:, 1]
+        cases = [
+            (rng.normal(size=(6, 20, 3)), rng.normal(size=(6, 56, 3))),
+            (rng.normal(size=(6, 20, 3)), rng.normal(size=(56, 3))),
+            (rng.normal(size=(20, 3)), rng.normal(size=(56, 3))),
+            (rng.uniform(-0.4, 0.4, size=(8, 30, 3)) @ turn.T + offset, box @ turn.T + offset),
+            (on_planes, box),
+            (on_planes @ turn.T + offset, box @ turn.T + offset),
+        ]
+        for joints, verts in cases:
+            np.testing.assert_array_equal(interaction_graph(joints, verts), einsum_graph(joints, verts))
 
 
 class TestContactLabel:

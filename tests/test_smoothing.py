@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from retargetkit.errors import DataError
+from retargetkit import smoothing
+from retargetkit.errors import DataError, NumericalError
 from retargetkit.motionio import MotionSequence
 from retargetkit.rotations import average_quaternions, quat_from_expmap
 from retargetkit.smoothing import (
@@ -115,6 +116,14 @@ class TestSmoothRoot:
     def test_preserves_length(self, rng):
         traj = rng.normal(size=(31, 3))
         assert smooth_root(traj, 2.0).shape == traj.shape
+
+    def test_residual_check_refuses_a_wrong_solve(self, rng, monkeypatch):
+        traj = rng.normal(size=(20, 3))
+        solve = smoothing.solve_pentadiagonal_spd
+        monkeypatch.setattr(smoothing, "solve_pentadiagonal_spd",
+                            lambda *bands: solve(*bands) + 1e-6 * rng.normal(size=traj.shape))
+        with pytest.raises(NumericalError, match="banded solve residual"):
+            smooth_root(traj, 1.0)
 
 
 class TestPentadiagonalSolver:
